@@ -17,21 +17,23 @@ This module implements the four strategies of the Fig. 15 ablation:
 * ``no_dequant`` — copy the quantized bytes without converting: the
   performance upper bound of any dequantization-based method.
 
-Each strategy returns the FP16 weights (in HMX layout order where
-applicable) *and* leaves a complete instruction trace, so benchmarks can
-convert one invocation into per-generation latency.
+Each strategy leaves a complete instruction trace, so benchmarks can
+convert one invocation into per-generation latency, and returns the FP16
+weights (in HMX layout order where applicable), computed only when a
+caller reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..errors import KernelError
 from ..obs import trace as obs_trace
-from ..npu.hvx import HVXContext, VECTOR_BYTES, vectors_for_bytes
+from ..npu.hvx import HVXContext, VGATHER_ELEMENTS, vectors_for_bytes
 from ..npu.hmx import hmx_layout_order
 from ..npu.memory import DMAEngine
 from ..quant.codebooks import Codebook, Q4_0_CODEBOOK
@@ -140,11 +142,22 @@ def broadcast_scales_vsplat(hvx: HVXContext, scales: np.ndarray,
 # ----------------------------------------------------------------------
 @dataclass
 class DequantOutput:
-    """Result of one dequantization pass over a weight."""
+    """Result of one dequantization pass over a weight.
 
-    weights_fp16: Optional[np.ndarray]  # HMX-layout stream; None for no_dequant
+    The pass records its charges when it runs.  Its FP16 values are
+    produced on the first read of :attr:`weights_fp16`: the GEMM
+    multiplies the weight's prepared matrix and never reads them.
+    """
+
     strategy: str
     n_elements: int
+    produce: Optional[Callable[[], np.ndarray]] = field(default=None,
+                                                        repr=False)
+
+    @cached_property
+    def weights_fp16(self) -> Optional[np.ndarray]:
+        """The HMX-layout FP16 stream; ``None`` for ``no_dequant``."""
+        return None if self.produce is None else self.produce()
 
 
 def _dma_stream_weights(dma: Optional[DMAEngine], packed_bytes: int) -> None:
@@ -176,7 +189,8 @@ def dequantize_stream(quantized: QuantizedWeight, strategy: str,
     costs, ``dma`` records weight streaming from DDR.
 
     Returns the FP16 weights in HMX layout order (ready for the matrix
-    unit) except for ``no_dequant``, which only moves bytes.
+    unit), computed when first read, except for ``no_dequant``, which
+    only moves bytes.
     """
     if strategy not in DEQUANT_STRATEGIES:
         raise KernelError(
@@ -195,8 +209,7 @@ def dequantize_stream(quantized: QuantizedWeight, strategy: str,
             n_vec = vectors_for_bytes(packed_bytes)
             hvx.trace.record("vmem_ld", n_vec)
             hvx.trace.record("vmem_st", n_vec)
-            return DequantOutput(weights_fp16=None, strategy=strategy,
-                                 n_elements=n_elements)
+            return DequantOutput(strategy=strategy, n_elements=n_elements)
 
         if strategy == "baseline":
             return _dequant_baseline(quantized, hvx, codebook)
@@ -218,35 +231,36 @@ def _dequant_baseline(quantized: QuantizedWeight, hvx: HVXContext,
     hvx.trace.record("vmem_ld", n_groups)
     # mask-unpack-convert on every group's codes (partial registers: one
     # instruction sequence per group regardless of fill)
-    per_group_ops = 3 + (1 if hvx.qfloat_mode == "qfloat" else 0)
     hvx.trace.record("vand", n_groups)
     hvx.trace.record("vsub_b", n_groups)
     hvx.trace.record("vconv_b_hf", n_groups)
     if hvx.qfloat_mode == "qfloat":
         hvx.trace.record("vconv", n_groups)
-    del per_group_ops
     # scalar scale broadcast + multiply per group
     hvx.trace.record("vsplat", n_groups)
     hvx.trace.record("vmpy_hf", n_groups)
-
-    values = _groups_dequant_values(groups, codebook)  # column-major order
+    # scatter every element to its position in the HMX tile layout, one
+    # vscatter per 64 elements, plus bank-conflict replays that grow
+    # with the scattered column span
     rows, cols = quantized.padded_shape
-    # scatter each element to its position in the HMX tile layout
-    order = hmx_layout_order(rows, cols)
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    col_major_rm_index = (np.arange(rows * cols) % rows) * cols \
-        + (np.arange(rows * cols) // rows)
-    scatter_offsets = inverse[col_major_rm_index]
-    destination = np.empty(rows * cols, dtype=np.float16)
-    hvx.vscatter(destination, scatter_offsets, values.ravel())
-    # bank-conflict replays grow with the scattered column span
+    n_scatters = -(-rows * cols // VGATHER_ELEMENTS)
+    hvx.trace.record("vscatter", n_scatters)
     replays = scatter_conflict_factor(rows) - 1.0
     if replays > 0:
-        n_scatters = -(-scatter_offsets.size // 64)
         hvx.trace.record("vscatter", int(round(n_scatters * replays)))
-    return DequantOutput(weights_fp16=destination, strategy="baseline",
-                         n_elements=groups.n_elements)
+
+    def scatter() -> np.ndarray:
+        values = _groups_dequant_values(groups, codebook)  # column-major
+        order = hmx_layout_order(rows, cols)
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        col_major_rm_index = (np.arange(rows * cols) % rows) * cols \
+            + (np.arange(rows * cols) // rows)
+        destination = np.empty(rows * cols, dtype=np.float16)
+        destination[inverse[col_major_rm_index]] = values.ravel()
+        return destination
+
+    return DequantOutput("baseline", groups.n_elements, scatter)
 
 
 def _dequant_hmx_layout(quantized: QuantizedWeight, hvx: HVXContext,
@@ -266,9 +280,8 @@ def _dequant_hmx_layout(quantized: QuantizedWeight, hvx: HVXContext,
     hvx.trace.record("vsplat", n_groups)
     hvx.trace.record("vmpy_hf", n_groups)
     hvx.trace.record("vmem_st", n_groups)
-    values = _groups_dequant_values(groups, codebook)
-    return DequantOutput(weights_fp16=values.ravel(), strategy="hmx_layout",
-                         n_elements=groups.n_elements)
+    return DequantOutput("hmx_layout", groups.n_elements,
+                         lambda: _groups_dequant_values(groups, codebook).ravel())
 
 
 def _dequant_ours(quantized: QuantizedWeight, hvx: HVXContext,
@@ -303,6 +316,5 @@ def _dequant_ours(quantized: QuantizedWeight, hvx: HVXContext,
     hvx.trace.record("vmem_st", n_super * vectors_for_bytes(out_bytes))
     # loop control / address generation / synchronization
     hvx.trace.record("stall", n_super * OURS_SUPER_GROUP_OVERHEAD_PACKETS)
-    values = _groups_dequant_values(groups, codebook)
-    return DequantOutput(weights_fp16=values.ravel(), strategy="ours",
-                         n_elements=groups.n_elements)
+    return DequantOutput("ours", groups.n_elements,
+                         lambda: _groups_dequant_values(groups, codebook).ravel())

@@ -25,7 +25,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import EngineError, ModelConfigError
-from ..kernels.flash_attention import FlashAttention, attention_fp32_reference
+from ..kernels.flash_attention import (
+    AttentionBreakdown,
+    FlashAttention,
+    attention_fp32_reference,
+)
 from ..obs import trace as obs_trace
 from ..kernels.gemm import MixedPrecisionGemm, PreparedWeight
 from ..kernels.ops import (
@@ -260,39 +264,25 @@ class NPUTransformer:
                     v, c = self._gemm_q4(normed, prepared["wv"])
                     cost.npu.merge(c)
 
-                    q = q.reshape(batch * n_new, cfg.n_heads, cfg.head_dim)
+                    # RoPE is elementwise, so one call covers every
+                    # (token, head) row, each at its token's position
+                    q = rope_rotate(q.reshape(-1, cfg.head_dim),
+                                    np.repeat(flat_pos, cfg.n_heads),
+                                    self._cos, self._sin)
+                    k = rope_rotate(k.reshape(-1, cfg.head_dim),
+                                    np.repeat(flat_pos, cfg.n_kv_heads),
+                                    self._cos, self._sin)
                     k = k.reshape(batch * n_new, cfg.n_kv_heads, cfg.head_dim)
                     v = v.reshape(batch * n_new, cfg.n_kv_heads, cfg.head_dim)
-                    for h in range(cfg.n_heads):
-                        q[:, h] = rope_rotate(q[:, h], flat_pos,
-                                              self._cos, self._sin)
-                    for h in range(cfg.n_kv_heads):
-                        k[:, h] = rope_rotate(k[:, h], flat_pos,
-                                              self._cos, self._sin)
 
                     layer_cache = cache[layer_idx]
-                    attn_out = np.empty(
-                        (batch * n_new, cfg.n_heads, cfg.head_dim),
-                        dtype=np.float16)
+                    views = []
                     for b, seq in enumerate(sequences):
                         rows = slice(b * n_new, (b + 1) * n_new)
                         layer_cache.append(seq, k[rows], v[rows])
-                        keys, values = layer_cache.view(seq)
-                        kv_len = keys.shape[0]
-                        k_pos = np.arange(kv_len)
-                        q_pos = positions[b]
-                        for kv_head in range(cfg.n_kv_heads):
-                            heads = range(kv_head * cfg.gqa_group,
-                                          (kv_head + 1) * cfg.gqa_group)
-                            for h in heads:
-                                out, breakdown = self._attention(
-                                    q[rows, h], keys[:, kv_head],
-                                    values[:, kv_head],
-                                    q_positions=q_pos, k_positions=k_pos)
-                                attn_out[rows, h] = out
-                                cost.npu.merge(breakdown.total())
-
-                    attn_flat = attn_out.reshape(batch * n_new, cfg.q_dim)
+                        views.append(layer_cache.view(seq))
+                    attn_flat, breakdown = self._attend(q, views, positions)
+                    cost.npu.merge(breakdown.total())
                     o, c = self._gemm_q4(attn_flat, prepared["wo"])
                     cost.npu.merge(c)
                     flat = residual_add(o, flat)
@@ -323,6 +313,40 @@ class NPUTransformer:
             cost.cpu_gemms.append((batch * n_new, cfg.hidden_dim, cfg.vocab_size))
             forward_span.add_cost(cost.npu + KernelCost())
         return logits.reshape(batch, n_new, cfg.vocab_size), cost
+
+    def _attend(self, q: np.ndarray, views: List[Tuple[np.ndarray, np.ndarray]],
+                positions: np.ndarray) -> Tuple[np.ndarray, AttentionBreakdown]:
+        """Causal attention of every (sequence, query head) in one call.
+
+        ``q`` holds the rotated queries, ``(batch * n_new * n_heads,
+        head_dim)`` in (sequence, token, head) order; ``views`` each
+        sequence's cached ``(kv_len, n_kv_heads, head_dim)`` keys and
+        values; ``positions`` the ``(batch, n_new)`` query positions.
+        Heads of one GQA group read their KV head's cache.  Returns the
+        ``(batch * n_new, q_dim)`` output and the summed breakdown.
+        """
+        cfg = self.config
+        batch, n_new = positions.shape
+        items = batch * cfg.n_heads
+        kv_lengths = np.array([keys.shape[0] for keys, _ in views])
+        kv_head = np.arange(cfg.n_heads) // cfg.gqa_group
+        keys = np.zeros((batch, cfg.n_heads, int(kv_lengths.max()),
+                         cfg.head_dim), dtype=np.float16)
+        values = np.zeros_like(keys)
+        for b, (seq_keys, seq_values) in enumerate(views):
+            keys[b, :, :len(seq_keys)] = seq_keys[:, kv_head].swapaxes(0, 1)
+            values[b, :, :len(seq_values)] = \
+                seq_values[:, kv_head].swapaxes(0, 1)
+        out, breakdown = self._attention(
+            q.reshape(batch, n_new, cfg.n_heads, cfg.head_dim)
+            .swapaxes(1, 2).reshape(items, n_new, cfg.head_dim),
+            keys.reshape(items, -1, cfg.head_dim),
+            values.reshape(items, -1, cfg.head_dim),
+            q_positions=np.repeat(positions, cfg.n_heads, axis=0),
+            k_positions=np.arange(keys.shape[2]),
+            kv_lengths=np.repeat(kv_lengths, cfg.n_heads))
+        out = out.reshape(batch, cfg.n_heads, n_new, cfg.head_dim)
+        return out.swapaxes(1, 2).reshape(batch * n_new, cfg.q_dim), breakdown
 
     # ------------------------------------------------------------------
     # FP32 reference (accuracy baseline)

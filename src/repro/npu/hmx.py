@@ -23,6 +23,7 @@ memory order so dequantized weights stream contiguously into TCM.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -72,16 +73,38 @@ def tile_unpermute(flat: np.ndarray) -> np.ndarray:
 
 
 def pad_to_tiles(matrix: np.ndarray) -> np.ndarray:
-    """Zero-pad a 2-D matrix so both dimensions are multiples of 32."""
+    """Zero-pad a matrix so its last two dimensions are multiples of 32.
+
+    Leading dimensions, if any, stack matrices that are padded alike.
+    Aligned input is returned as is; a padded copy keeps the input's
+    Fortran order when it has one.
+    """
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
+    if matrix.ndim < 2:
         raise TileShapeError(f"expected a 2-D matrix, got shape {matrix.shape}")
-    rows, cols = matrix.shape
-    pad_r = (-rows) % TILE_DIM
-    pad_c = (-cols) % TILE_DIM
-    if pad_r == 0 and pad_c == 0:
+    rows, cols = matrix.shape[-2:]
+    padded_rows = -(-rows // TILE_DIM) * TILE_DIM
+    padded_cols = -(-cols // TILE_DIM) * TILE_DIM
+    if padded_rows == rows and padded_cols == cols:
         return matrix
-    return np.pad(matrix, ((0, pad_r), (0, pad_c)))
+    out = np.zeros(matrix.shape[:-2] + (padded_rows, padded_cols),
+                   dtype=matrix.dtype, order="F" if matrix.flags.fnc else "C")
+    out[..., :rows, :cols] = matrix
+    return out
+
+
+def _padded_fp32(matrix: np.ndarray) -> np.ndarray:
+    """``pad_to_tiles(matrix).astype(np.float32)``, converting only real elements.
+
+    The result also has that expression's memory layout: BLAS rounds a
+    tile product differently when a weight tile is stored transposed, so
+    the layout is part of the numerics.
+    """
+    rows, cols = matrix.shape[-2:]
+    if rows % TILE_DIM == 0 and cols % TILE_DIM == 0:
+        return matrix.astype(np.float32)
+    return pad_to_tiles(matrix.astype(
+        np.float32, order="F" if matrix.flags.fnc else "C"))
 
 
 def matrix_to_hmx_layout(matrix: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int]]:
@@ -153,11 +176,22 @@ class HMXUnit:
     32x32 FP16 weight tile and accumulates into an FP32 accumulator,
     which models the "higher-precision floating point numbers for
     accumulation internally" noted in Section 5.2.1.  The trace records
-    one ``hmx_tile_mac`` per operation for the timing model.
+    one ``hmx_tile_mac`` per operation for the timing model;
+    :meth:`gemm` charges the same counts per GEMM (:meth:`record_gemm`).
     """
 
     def __init__(self, trace: Optional[InstructionTrace] = None) -> None:
         self.trace = trace if trace is not None else InstructionTrace()
+
+    def record_gemm(self, m: int, k: int, n: int, count: int = 1) -> None:
+        """Charge ``count`` GEMMs of shape ``(m, k) @ (k, n)``.
+
+        Each costs one ``hmx_tile_mac`` per (m, k, n) tile triple and one
+        ``hmx_tile_out`` per drained (m, n) output tile.
+        """
+        tiles_m, tiles_k, tiles_n = (-(-d // TILE_DIM) for d in (m, k, n))
+        self.trace.record("hmx_tile_mac", count * tiles_m * tiles_k * tiles_n)
+        self.trace.record("hmx_tile_out", count * tiles_m * tiles_n)
 
     def tile_mac(self, activation_tile: np.ndarray, weight_tile: np.ndarray,
                  accumulator: np.ndarray) -> np.ndarray:
@@ -201,39 +235,59 @@ class HMXUnit:
         """Full GEMM ``activations @ weights`` through tile decomposition.
 
         Both operands are padded to whole tiles; the per-(m,n) tile output
-        is the inner product over the K tile dimension.  Tile MAC counts
-        grow as ``ceil(m/32) * ceil(k/32) * ceil(n/32)``, which is why a
+        is the inner product over the K tile dimension, accumulated in
+        FP32 one K tile at a time exactly as :meth:`tile_mac` would.  Each
+        K step runs every (m, n) tile product as one stacked matmul of
+        32x32 tiles.  Leading dimensions, if any, stack independent GEMMs
+        of one shape.  Tile MAC counts grow as
+        ``ceil(m/32) * ceil(k/32) * ceil(n/32)``, which is why a
         single-token decode (m=1) wastes 31/32 of the activation tile —
         the underutilization the paper's test-time scaling exploits.
         """
         a = np.asarray(activations, dtype=np.float16)
         w = np.asarray(weights, dtype=np.float16)
-        if a.ndim != 2 or w.ndim != 2:
-            raise TileShapeError("gemm expects 2-D operands")
-        if a.shape[1] != w.shape[0]:
+        if a.ndim < 2 or a.ndim != w.ndim or a.shape[:-2] != w.shape[:-2]:
+            raise TileShapeError(
+                f"gemm expects 2-D operands or equal stacks of them, got "
+                f"{a.shape} @ {w.shape}")
+        if a.shape[-1] != w.shape[-2]:
             raise TileShapeError(
                 f"inner dimensions differ: {a.shape} @ {w.shape}")
-        m, k = a.shape
-        n = w.shape[1]
-        a_pad = pad_to_tiles(a)
-        w_pad = pad_to_tiles(w)
-        tiles_m = a_pad.shape[0] // TILE_DIM
-        tiles_k = a_pad.shape[1] // TILE_DIM
-        tiles_n = w_pad.shape[1] // TILE_DIM
-        out = np.zeros((a_pad.shape[0], w_pad.shape[1]), dtype=np.float32)
-        for tm in range(tiles_m):
-            for tn in range(tiles_n):
-                acc = np.zeros((TILE_DIM, TILE_DIM), dtype=np.float32)
-                for tk in range(tiles_k):
-                    at = a_pad[tm * TILE_DIM:(tm + 1) * TILE_DIM,
-                               tk * TILE_DIM:(tk + 1) * TILE_DIM]
-                    wt = w_pad[tk * TILE_DIM:(tk + 1) * TILE_DIM,
-                               tn * TILE_DIM:(tn + 1) * TILE_DIM]
-                    self.tile_mac(at, wt, acc)
-                out[tm * TILE_DIM:(tm + 1) * TILE_DIM,
-                    tn * TILE_DIM:(tn + 1) * TILE_DIM] = acc
-                self.trace.record("hmx_tile_out")
-        return out[:m, :n].astype(out_dtype)
+        batch = a.shape[:-2]
+        m, k = a.shape[-2:]
+        n = w.shape[-1]
+        a_pad, w_pad = _padded_fp32(a), _padded_fp32(w)
+        tiles_m, tiles_k = (d // TILE_DIM for d in a_pad.shape[-2:])
+        tiles_n = w_pad.shape[-1] // TILE_DIM
+        # a_tiles[..., i, :, t, :] is activation tile (i, t) and
+        # w_tiles[..., t, :, j, :] weight tile (t, j), both views
+        a_tiles = a_pad.reshape(batch + (tiles_m, TILE_DIM, tiles_k, TILE_DIM))
+        w_tiles = w_pad.reshape(batch + (tiles_k, TILE_DIM, tiles_n, TILE_DIM))
+        acc = np.zeros(batch + (tiles_m, tiles_n, TILE_DIM, TILE_DIM),
+                       dtype=np.float32)
+        for tk in range(tiles_k):
+            self._accumulate_k_tile(a_tiles[..., tk, :],
+                                    w_tiles[..., tk, :, :, :].swapaxes(-3, -2),
+                                    acc)
+        self.record_gemm(m, k, n, math.prod(batch))
+        out = acc.swapaxes(-3, -2).reshape(
+            batch + (tiles_m * TILE_DIM, tiles_n * TILE_DIM))
+        return out[..., :m, :n].astype(out_dtype)
+
+    @staticmethod
+    def _accumulate_k_tile(activation_tiles: np.ndarray,
+                           weight_tiles: np.ndarray,
+                           accumulator: np.ndarray) -> None:
+        """One K step of :meth:`gemm`: ``acc[.., i, j] += a[.., i] @ w[.., j]``.
+
+        ``activation_tiles`` is ``(..., tiles_m, 32, 32)``,
+        ``weight_tiles`` ``(..., tiles_n, 32, 32)`` and ``accumulator``
+        ``(..., tiles_m, tiles_n, 32, 32)``.  The stacked matmul issues
+        one 32x32x32 FP32 product per tile pair, the same BLAS call
+        :meth:`tile_mac` makes, so the sums match it bit for bit.
+        """
+        accumulator += np.matmul(activation_tiles[..., :, None, :, :],
+                                 weight_tiles[..., None, :, :, :])
 
     @staticmethod
     def tile_macs_for_gemm(m: int, k: int, n: int) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import KernelError
+from repro.kernels import dequant
 from repro.kernels.dequant import (
     DEQUANT_STRATEGIES,
     broadcast_scales_vlut,
@@ -13,6 +14,8 @@ from repro.kernels.dequant import (
     int4_to_fp16_vlut,
     scatter_conflict_factor,
 )
+from repro.kernels.gemm import MixedPrecisionGemm
+from repro.npu.hmx import matrix_to_hmx_layout, pad_to_tiles
 from repro.npu.hvx import HVXContext
 from repro.npu.memory import DMAEngine
 from repro.quant.codebooks import NF4_CODEBOOK, Q4_0_CODEBOOK
@@ -182,6 +185,82 @@ class TestDequantizeStream:
         out = dequantize_stream(quantized, "ours", hvx)
         assert out.weights_fp16.size == 64 * 64
         assert hvx.trace.count("vconv_b_hf") > 0  # int8 conversion path
+
+
+_BASELINE_CHARGES = {"vand": 192, "vconv": 192, "vconv_b_hf": 192,
+                     "vmem_ld": 192, "vmpy_hf": 192, "vscatter": 96,
+                     "vsplat": 192, "vsub_b": 192}
+_HMX_LAYOUT_CHARGES = {"vlut16": 192, "vmem_ld": 192, "vmem_st": 192,
+                       "vmpy_hf": 192, "vror": 384, "vsplat": 192}
+#: (bits, strategy) -> (instruction counts, DMA bytes) of one pass over
+#: the (96, 64) weight of ``TestLazyValues`` in qfloat mode
+LOCKED_CHARGES = {
+    (4, "baseline"): (_BASELINE_CHARGES, 3456),
+    (4, "hmx_layout"): (_HMX_LAYOUT_CHARGES, 3456),
+    (4, "ours"): ({"stall": 72, "vand": 24, "vlsr": 24, "vlut16": 96,
+                   "vmem_ld": 48, "vmem_st": 96, "vmpy_hf": 48}, 3456),
+    (4, "no_dequant"): ({"vmem_ld": 27, "vmem_st": 27}, 3456),
+    (8, "baseline"): (_BASELINE_CHARGES, 6528),
+    (8, "hmx_layout"): (_HMX_LAYOUT_CHARGES, 6528),
+    (8, "ours"): ({"stall": 72, "vconv_b_hf": 48, "vlut16": 48,
+                   "vmem_ld": 72, "vmem_st": 96, "vmpy_hf": 48}, 6528),
+    (8, "no_dequant"): ({"vmem_ld": 51, "vmem_st": 51}, 6528),
+}
+
+
+class TestLazyValues:
+    """Charges are recorded eagerly; FP16 values only when read."""
+
+    @staticmethod
+    def _run(bits, strategy, qfloat_mode="qfloat", shape=(96, 64)):
+        kernel = MixedPrecisionGemm(strategy=strategy, bits=bits,
+                                    qfloat_mode=qfloat_mode)
+        prepared = kernel.prepare_weight(
+            np.random.default_rng(7).normal(0, 0.05, shape))
+        hvx, dma = HVXContext(qfloat_mode), DMAEngine()
+        out = dequantize_stream(prepared.quantized, strategy, hvx, dma,
+                                packed=prepared.packed)
+        return prepared, out, hvx.trace.as_dict(), dma.total_bytes()
+
+    @pytest.mark.parametrize("bits,strategy", sorted(LOCKED_CHARGES))
+    @pytest.mark.parametrize("qfloat_mode", ["qfloat", "ieee"])
+    def test_charges_are_locked(self, bits, strategy, qfloat_mode):
+        _, _, counts, dma_bytes = self._run(bits, strategy, qfloat_mode)
+        expected, expected_bytes = LOCKED_CHARGES[bits, strategy]
+        if qfloat_mode == "ieee":
+            expected = {op: n for op, n in expected.items() if op != "vconv"}
+        assert counts == expected
+        assert dma_bytes == expected_bytes
+
+    def test_baseline_scatter_replays_are_locked(self):
+        """A span over 2048 rows pays bank-conflict replays."""
+        _, _, counts, dma_bytes = self._run(4, "baseline", shape=(2080, 32))
+        assert counts["vscatter"] == 1040 + 8
+        assert dma_bytes == 37440
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("strategy", ["baseline", "hmx_layout", "ours"])
+    def test_values_read_are_the_layout_stream(self, bits, strategy):
+        prepared, out, _, _ = self._run(bits, strategy)
+        layout, _ = matrix_to_hmx_layout(
+            pad_to_tiles(prepared.dequantized_matrix))
+        assert np.array_equal(out.weights_fp16.view(np.uint16),
+                              layout.view(np.uint16))
+
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("strategy", DEQUANT_STRATEGIES)
+    def test_gemm_never_computes_values(self, bits, strategy, monkeypatch):
+        kernel = MixedPrecisionGemm(strategy=strategy, bits=bits)
+        prepared = kernel.prepare_weight(
+            np.random.default_rng(1).normal(0, 0.05, (64, 96)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dequantized values were computed")
+
+        monkeypatch.setattr(dequant, "_groups_dequant_values", forbidden)
+        monkeypatch.setattr(dequant, "hmx_layout_order", forbidden)
+        out, cost = kernel(np.ones((2, 64), dtype=np.float16), prepared)
+        assert out.shape == (2, 96) and cost.hvx_packets > 0
 
 
 class TestScatterConflictFactor:

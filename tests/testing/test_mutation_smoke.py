@@ -1,9 +1,10 @@
 """Mutation smoke test: the oracle harness must catch an injected bug.
 
-Perturbs a single HMX tile accumulation — the kind of off-by-one-ULP
-bug a layout or pipelining optimisation could introduce — and asserts
-the differential harness flags it.  If this test ever passes with the
-mutation active, the oracle tolerances have drifted too loose.
+Perturbs a single element of the HMX GEMM's stacked K-tile
+accumulation — the kind of off-by-one-ULP bug a layout or pipelining
+optimisation could introduce — and asserts the differential harness
+flags it.  If this test ever passes with the mutation active, the oracle
+tolerances have drifted too loose.
 """
 
 import numpy as np
@@ -18,20 +19,19 @@ GEMM_CONFIG = {"m": 16, "k": 64, "n": 32, "bits": 8,
 
 @pytest.fixture
 def perturb_one_tile_mac(monkeypatch):
-    """Add 0.125 to one accumulator element of the first tile MAC."""
-    original = HMXUnit.tile_mac
+    """Add 0.125 to one accumulator element in the first K step."""
+    original = HMXUnit._accumulate_k_tile
     state = {"calls": 0}
 
-    def mutated(self, activation_tile, weight_tile, accumulator):
-        acc = original(self, activation_tile, weight_tile, accumulator)
+    def mutated(activation_tiles, weight_tiles, accumulator):
+        original(activation_tiles, weight_tiles, accumulator)
         state["calls"] += 1
         if state["calls"] == 1:
-            # in place: gemm() accumulates through its own array and
-            # ignores the return value
-            acc[0, 0] += np.float32(0.125)
-        return acc
+            # element (0, 0) of the first output tile, in place: gemm()
+            # reads the accumulator it passed in
+            accumulator[(0,) * accumulator.ndim] += np.float32(0.125)
 
-    monkeypatch.setattr(HMXUnit, "tile_mac", mutated)
+    monkeypatch.setattr(HMXUnit, "_accumulate_k_tile", staticmethod(mutated))
     return state
 
 
