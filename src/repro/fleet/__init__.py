@@ -8,7 +8,6 @@ battery rails, and a capacity-planning report surfaced by the
 ``repro fleet`` CLI (schema ``repro.fleet/v1``).
 """
 
-from ..sim import EventHandle, EventLoop, SimClock
 from .devices import (AnalyticFleetDevice, BatteryRail, EngineFleetDevice,
                       FleetDevice, GENERATION_HDR_BITS, ServiceOutcome,
                       build_population)
@@ -22,7 +21,6 @@ from .requests import (AdmissionController, DEFAULT_TENANT_PRIORITIES,
 from .simulation import FleetResult, FleetSimulation
 
 __all__ = [
-    "SimClock", "EventHandle", "EventLoop",
     "FleetRequest", "AdmissionController", "DEFAULT_TENANT_PRIORITIES",
     "TraceConfig", "generate_trace", "ARRIVAL_PATTERNS",
     "FleetDevice", "AnalyticFleetDevice", "EngineFleetDevice",

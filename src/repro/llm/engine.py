@@ -13,7 +13,6 @@ lock-step batch decode where each step is a single batch-N forward pass.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 from ..errors import EngineError
 from ..npu.memory import MultiSessionHeap, RpcMemHeap
 from ..npu.power_mgmt import GOVERNORS, PowerGovernor, apply_governor
-from ..npu.soc import Device
+from ..npu.soc import DEFAULT_DEVICE, DEVICES, Device
 from ..npu.timing import TimingModel
 from ..obs import energy as obs_energy
 from ..obs import metrics as obs_metrics
@@ -76,10 +75,15 @@ class GenerationResult:
 
 
 class InferenceEngine:
-    """Drives an :class:`NPUTransformer` through prefill and batch decode."""
+    """Drives an :class:`NPUTransformer` through prefill and batch decode.
+
+    ``device`` (default :data:`~repro.npu.soc.DEFAULT_DEVICE`) is the only
+    source of simulated time: its NPU :class:`TimingModel` prices each
+    step's kernels and its CPU model prices the lm_head GEMMs.
+    """
 
     def __init__(self, model: NPUTransformer, batch: int, max_context: int,
-                 device: Optional[Device] = None, n_sessions: int = 1,
+                 device: Device = DEVICES[DEFAULT_DEVICE], n_sessions: int = 1,
                  kv_backend: str = "contiguous", kv_dtype: str = "fp16",
                  kv_block_size: int = 16) -> None:
         if batch <= 0 or max_context <= 0:
@@ -100,11 +104,9 @@ class InferenceEngine:
         self.kv_dtype = kv_dtype
         self.kv_block_size = kv_block_size
         self.cache = self._build_cache()
-        self.heap: Optional[MultiSessionHeap] = None
-        if device is not None:
-            self._map_buffers(device)
+        self.heap = self._map_buffers(device)
         self.governor: PowerGovernor = GOVERNORS["performance"]
-        self._timing = TimingModel(device.npu) if device is not None else None
+        self._timing = TimingModel(device.npu)
         # deferred import: perf.power pulls in the latency model stack,
         # which imports llm.config — importing it at module scope would
         # cycle back into this package
@@ -116,7 +118,7 @@ class InferenceEngine:
         self._step_latency = reg.histogram("repro.engine.decode_step_seconds")
         self._tokens_per_second = reg.gauge("repro.engine.tokens_per_second")
 
-    def _map_buffers(self, device: Device) -> None:
+    def _map_buffers(self, device: Device) -> MultiSessionHeap:
         """Map weights, KV cache and workspace into the NPU VA space.
 
         Raises :class:`~repro.errors.AddressSpaceError` when a session
@@ -132,7 +134,7 @@ class InferenceEngine:
         for i in range(self.n_sessions):
             heap.sessions[i].alloc(cfg.NPU_WORKSPACE_BYTES,
                                    name=f"workspace[{i}]")
-        self.heap = heap
+        return heap
 
     # ------------------------------------------------------------------
     def _build_cache(self):
@@ -163,29 +165,17 @@ class InferenceEngine:
                     f"known: {sorted(GOVERNORS)}")
             governor = GOVERNORS[governor]
         self.governor = governor
-        if self.device is not None:
-            self._timing = TimingModel(
-                apply_governor(self.device.npu, governor))
-            self.energy_model.timing = self._timing
+        self._timing = TimingModel(apply_governor(self.device.npu, governor))
+        self.energy_model.timing = self._timing
         return previous
 
     def _cpu_seconds(self, cost: StepCost) -> float:
-        """CPU time of a step's lm_head GEMMs (0 without a device)."""
-        if self.device is None:
-            return 0.0
+        """CPU time of a step's lm_head GEMMs."""
         return sum(self.device.cpu.gemm_seconds(m, k, n)
                    for m, k, n in cost.cpu_gemms)
 
-    def _step_seconds(self, cost: StepCost, wall_seconds: float) -> float:
-        """Simulated step latency, or host wall clock without a device.
-
-        Without a device the host wall clock stands in for step time;
-        a throttled governor stretches it by the inverse clock scale so
-        chaos runs still see slower steps (performance mode divides by
-        1.0 and is bitwise neutral).
-        """
-        if self._timing is None:
-            return wall_seconds / self.governor.clock_scale
+    def step_seconds(self, cost: StepCost) -> float:
+        """Simulated latency of one forward under the active governor."""
         return self._timing.seconds(cost.npu) + self._cpu_seconds(cost)
 
     def step_energy(self, cost: Optional[StepCost],
@@ -304,14 +294,12 @@ class InferenceEngine:
         workload whose batch dimension rides the idle HMX capacity.
         """
         token_arr = np.asarray(list(tokens), dtype=np.int64)[:, np.newaxis]
-        wall_start = time.perf_counter()
         with obs_trace.span("engine.decode_step", category="engine",
                             batch=token_arr.shape[0]) as sp:
             logits, cost = self.model.forward(token_arr, self.cache,
                                               sequences=sequences)
             sp.set(cpu_seconds=self._cpu_seconds(cost))
-        self._step_latency.observe(
-            self._step_seconds(cost, time.perf_counter() - wall_start))
+        self._step_latency.observe(self.step_seconds(cost))
         return logits[:, 0, :], cost
 
     # ------------------------------------------------------------------
@@ -336,10 +324,8 @@ class InferenceEngine:
                             prompt_tokens=len(prompt),
                             max_new_tokens=max_new_tokens,
                             n_candidates=n):
-            wall_start = time.perf_counter()
             last_logits, prefill_cost = self.prefill(prompt, seq=0)
-            prefill_seconds = self._step_seconds(
-                prefill_cost, time.perf_counter() - wall_start)
+            prefill_seconds = self.step_seconds(prefill_cost)
             prefill_energy = self.step_energy(prefill_cost, prefill_seconds)
             if obs_timeline.timeline_enabled():
                 obs_timeline.emit("prefill", prefill_seconds,
@@ -366,10 +352,8 @@ class InferenceEngine:
             for step_index in range(max_new_tokens - 1):
                 if all(finished):
                     break
-                wall_start = time.perf_counter()
                 logits, cost = self.decode_step(current, sequences)
-                step_seconds = self._step_seconds(
-                    cost, time.perf_counter() - wall_start)
+                step_seconds = self.step_seconds(cost)
                 decode_seconds += step_seconds
                 step_energy = self.step_energy(cost, step_seconds)
                 joules += step_energy.joules

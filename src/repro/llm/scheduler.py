@@ -26,7 +26,6 @@ versus sequential lock-step waves without running the engine.
 from __future__ import annotations
 
 import heapq
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -450,6 +449,20 @@ class ContinuousBatchingScheduler:
                           joules=idle.joules)
             prev_backend = decision.backend
 
+        def price(cost, decision=None
+                  ) -> "tuple[float, obs_energy.EnergyBreakdown]":
+            # the one place a forward becomes simulated seconds and
+            # joules: an off-NPU backend scales the NPU-modeled step by
+            # its modeled ratio and draws no NPU dynamic power
+            seconds = engine.step_seconds(cost)
+            offloaded = decision is not None and decision.backend != "npu"
+            if offloaded:
+                seconds *= decision.npu_ratio
+            clock.advance(seconds)
+            if offloaded:
+                return seconds, engine.offloaded_step_energy(seconds)
+            return seconds, engine.step_energy(cost, seconds)
+
         def forward_chunk(request: _Request, recover: bool) -> bool:
             # one prompt window through the model; True means the run
             # made forward progress (a chunk landed, or an eviction
@@ -465,7 +478,6 @@ class ContinuousBatchingScheduler:
                                            engine.governor.name)
                 migrate(decision, "prefill")
             try:
-                wall = time.perf_counter()
                 logits_vec, cost = engine.prefill_chunk(chunk, seq=slot)
             except KVPoolExhausted:
                 if not recover:
@@ -481,14 +493,7 @@ class ContinuousBatchingScheduler:
                     free_slots.sort()
                     return False
                 return True
-            seconds = engine._step_seconds(cost, time.perf_counter() - wall)
-            if decision is not None and decision.backend != "npu":
-                seconds *= decision.npu_ratio
-            clock.advance(seconds)
-            if decision is not None and decision.backend != "npu":
-                breakdown = engine.offloaded_step_energy(seconds)
-            else:
-                breakdown = engine.step_energy(cost, seconds)
+            seconds, breakdown = price(cost, decision)
             accountant.charge_prefill(breakdown)
             slo.observe_prefill_chunk(seconds)
             result.n_prefill_chunks += 1
@@ -620,19 +625,12 @@ class ContinuousBatchingScheduler:
                     cache.restore_sequence(
                         slot, requests[candidate.request_id].anchor)
                     if prefix:
-                        w = time.perf_counter()
                         cost = engine.rebuild_sequence(slot, prefix)
-                        if cost is not None:
-                            seconds = engine._step_seconds(
-                                cost, time.perf_counter() - w)
-                            clock.advance(seconds)
-                            breakdown = engine.step_energy(cost, seconds)
-                            accountant.charge_prefill(
-                                breakdown,
-                                request_id=candidate.candidate_id,
-                                wave=candidate.candidate_id // batch)
-                            rebuild_joules = breakdown.joules
-                            rebuild_seconds = seconds
+                        rebuild_seconds, breakdown = price(cost)
+                        accountant.charge_prefill(
+                            breakdown, request_id=candidate.candidate_id,
+                            wave=candidate.candidate_id // batch)
+                        rebuild_joules = breakdown.joules
                 result.n_rebuilds += 1
                 result.rebuilt_tokens += len(prefix)
                 self._rebuilds.inc()
@@ -697,23 +695,13 @@ class ContinuousBatchingScheduler:
                           joules=idle.joules)
 
         if prefill_chunk is None:
-            wall = time.perf_counter()
             last_logits, prefill_cost = engine.prefill(prompt, seq=0)
-            prefill_seconds = engine._step_seconds(
-                prefill_cost, time.perf_counter() - wall)
-            prefill_offloaded = False
+            decision = None
             if selector is not None:
                 decision = selector.select("prefill", len(prompt),
                                            engine.governor.name)
                 migrate(decision, "prefill")
-                if decision.backend != "npu":
-                    prefill_seconds *= decision.npu_ratio
-                    prefill_offloaded = True
-            clock.advance(prefill_seconds)
-            prefill_energy = (
-                engine.offloaded_step_energy(prefill_seconds)
-                if prefill_offloaded
-                else engine.step_energy(prefill_cost, prefill_seconds))
+            prefill_seconds, prefill_energy = price(prefill_cost, decision)
             accountant.charge_prefill(prefill_energy)
             if tlog.enabled:
                 attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt),
@@ -792,7 +780,6 @@ class ContinuousBatchingScheduler:
                         arm_alloc += 1
             attempt = 0
             needs_rebuild = False
-            step_offloaded = False
             while live:
                 try:
                     if arm_abort:
@@ -817,22 +804,17 @@ class ContinuousBatchingScheduler:
                     slots = sorted(live)
                     tokens = [live[s].last_token for s in slots]
                     self._live_batch.set(len(slots))
-                    wall = time.perf_counter()
                     with obs_trace.span(
                             "scheduler.step", category="scheduler",
                             step=step, live_batch=len(slots),
                             blocks_in_use=cache.pool.blocks_in_use):
                         logits, cost = engine.decode_step(tokens, slots)
-                    step_seconds = engine._step_seconds(
-                        cost, time.perf_counter() - wall)
+                    decision = None
                     if selector is not None:
                         decision = selector.select("decode", len(slots),
                                                    engine.governor.name)
                         migrate(decision, "decode")
-                        if decision.backend != "npu":
-                            step_seconds *= decision.npu_ratio
-                            step_offloaded = True
-                    clock.advance(step_seconds)
+                    step_seconds, step_energy = price(cost, decision)
                     break
                 except SessionAbortError:
                     attempt += 1
@@ -865,9 +847,6 @@ class ContinuousBatchingScheduler:
             if selector is not None:
                 result.backend_steps.append((step, prev_backend))
             live_ids = [live[s].candidate_id for s in slots if s in live]
-            step_energy = (engine.offloaded_step_energy(step_seconds)
-                           if step_offloaded
-                           else engine.step_energy(cost, step_seconds))
             accountant.charge_step(step_energy, request_ids=live_ids,
                                    waves=[cid // batch for cid in live_ids])
             if tlog.enabled:

@@ -25,6 +25,7 @@ __all__ = [
     "CPUModel",
     "Device",
     "DEVICES",
+    "DEFAULT_DEVICE",
     "get_device",
     "FastRPCSession",
 ]
@@ -97,6 +98,10 @@ DEVICES: Dict[str, Device] = {
     "oneplus_ace5_pro": Device(name="OnePlus Ace5 Pro", soc="Snapdragon 8 Elite",
                                npu=GENERATIONS["V79"], cpu=_CPU_8E),
 }
+
+#: Registry key of the device an engine, bench run or monitor uses when
+#: none is named: the OnePlus 12, whose V75 NPU anchors the calibration.
+DEFAULT_DEVICE = "oneplus_12"
 
 
 def get_device(key: str) -> Device:

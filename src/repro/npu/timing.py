@@ -41,7 +41,6 @@ __all__ = [
     "GENERATIONS",
     "KernelCost",
     "TimingModel",
-    "SimClock",
 ]
 
 TILE_MAC_FLOPS = 2 * TILE_DIM ** 3  # one 32x32x32 tile MAC = 65536 FLOPs
@@ -269,9 +268,3 @@ class TimingModel:
         if seconds <= 0:
             raise NPUError(f"elapsed time must be positive, got {seconds}")
         return flops / seconds / 1e9
-
-
-# SimClock grew into the shared discrete-event kernel and now lives in
-# repro.sim; re-exported here because every timing consumer historically
-# imported it from this module.
-from ..sim import SimClock  # noqa: E402  (re-export)

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError
+from ..npu.soc import DEFAULT_DEVICE
 from . import metrics as obs_metrics
 from . import trace as obs_trace
 from .export import chrome_trace, engine_utilization
@@ -68,7 +69,6 @@ __all__ = [
 ]
 
 SNAPSHOT_SCHEMA = "repro.bench/v1"
-DEFAULT_DEVICE = "oneplus_12"
 DEFAULT_SEED = 0
 DEFAULT_BASELINE_PATH = os.path.join("benchmarks", "baseline.json")
 
@@ -160,8 +160,6 @@ def _tiny_engine(ctx: BenchContext, batch: int, max_context: int,
 
 
 def _heap_peak_bytes(engine) -> float:
-    if engine.heap is None:
-        return 0.0
     return float(sum(s.peak_mapped_bytes for s in engine.heap.sessions))
 
 
@@ -202,9 +200,8 @@ def _bench_decode(ctx: BenchContext) -> BenchRecord:
 def _bench_prefill(ctx: BenchContext) -> BenchRecord:
     engine = _tiny_engine(ctx, batch=1, max_context=80)
     prompt = [(i % 500) + 1 for i in range(64)]
-    wall = time.perf_counter()
     _, cost = engine.prefill(prompt)
-    sim = engine._step_seconds(cost, time.perf_counter() - wall)
+    sim = engine.step_seconds(cost)
     return BenchRecord("prefill", metrics={
         "sim_seconds": sim,
         "tokens_per_second": len(prompt) / sim,

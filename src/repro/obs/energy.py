@@ -96,13 +96,12 @@ class EnergyModel:
     """Per-step joule attribution from a power budget + timing model.
 
     ``budget`` supplies component watts (``base_w``/``dram_w``/``hmx_w``
-    /``hvx_w``/``cpu_w``); ``timing`` (optional) converts a step's NPU
-    kernel cost into per-engine seconds.  Without a timing model only
-    the baseline and CPU terms accrue — honest for device-less runs,
-    where there is no NPU latency model to attribute against.
+    /``hvx_w``/``cpu_w``); ``timing`` converts a step's NPU kernel cost
+    into per-engine seconds.  A step with no NPU cost (dispatched off the
+    NPU) accrues only the baseline and CPU terms.
     """
 
-    def __init__(self, budget: Any, timing: Optional[Any] = None) -> None:
+    def __init__(self, budget: Any, timing: Any) -> None:
         for attr in ("base_w", "dram_w", "hmx_w", "hvx_w", "cpu_w"):
             watts = getattr(budget, attr, None)
             if watts is None:
@@ -129,7 +128,7 @@ class EnergyModel:
         if step_seconds == 0.0:
             return ZERO_ENERGY
         b = self.budget
-        if self.timing is not None and npu_cost is not None:
+        if npu_cost is not None:
             dma = min(self.timing.dma_seconds(npu_cost), step_seconds)
             hmx = min(self.timing.hmx_seconds(npu_cost), step_seconds)
             hvx = min(self.timing.hvx_seconds(npu_cost), step_seconds)

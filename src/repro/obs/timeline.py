@@ -11,7 +11,7 @@ chain of typed events::
         complete
 
 Each :class:`TimelineEvent` carries the **simulated** clock time it
-occurred at (a :class:`~repro.npu.timing.SimClock` reading, never host
+occurred at (a :class:`~repro.sim.SimClock` reading, never host
 wall clock), so a recorded timeline is a deterministic function of the
 run's seeds and fault plan — byte-identical across machines, which is
 what lets ``repro monitor`` diff two runs and what the anomaly layer

@@ -21,10 +21,6 @@ clock, and no hash/iteration-order dependence anywhere in the kernel.
 The hypothesis suite in ``tests/test_fleet_clock_property.py`` pins
 this contract (monotone firing order, cancellation never resurrects a
 handle, identical seed → identical event sequence).
-
-:mod:`repro.npu.timing` re-exports :class:`SimClock` so existing
-imports (``from repro.npu.timing import SimClock``) keep working;
-:mod:`repro.fleet.clock` re-exports both names for the fleet layer.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ The stage-dispatch tentpole rests on two no-op guarantees:
   leaves the scheduler bitwise identical to a run without the
   dispatcher at all.
 
-Both are locked down here against hand-picked grids and by replaying
-200 seeded trials of the ``prefill.chunked`` oracle.
+Both are locked down here against hand-picked grids; the CI
+``fuzz-smoke`` job replays 200 seeded trials of the ``prefill.chunked``
+oracle, and a planted divergence here checks that the oracle bites.
 """
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.llm import (
     Sampler,
 )
 from repro.npu import DEVICES
-from repro.testing.fuzz import fuzz
 from repro.testing.oracles import diff_arrays, get_oracle
 
 # 12 tokens: divisible by 3/4/6 (aligned), ragged under 5/7, and both
@@ -123,11 +123,6 @@ class TestForcedNpuNoop:
 
 
 class TestOracleFuzz:
-    def test_prefill_chunked_oracle_200_trials(self):
-        report = fuzz(200, oracles=["prefill.chunked"], seed=0)
-        failures = [t.repro for t in report.trials if not t.ok]
-        assert failures == []
-
     def test_oracle_flags_planted_divergence(self, monkeypatch):
         """The oracle actually bites: perturb the chunked logits path
         and the comparison must fail."""

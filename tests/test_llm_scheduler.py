@@ -11,7 +11,7 @@ from repro.llm import (
     plan_waves,
 )
 from repro.llm.scheduler import ScheduledGeneration
-from repro.npu.timing import SimClock
+from repro.sim import SimClock
 
 PROMPT = [2, 7, 1, 8]
 

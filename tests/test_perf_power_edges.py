@@ -139,7 +139,8 @@ class TestGovernorTransitionsMidRun:
 
 class TestNegativeAndNanGuards:
     def test_energy_model_rejects_non_finite_inputs(self):
-        model = EnergyModel(PowerBudget())
+        model = EnergyModel(PowerBudget(),
+                            TimingModel(DEVICES["oneplus_12"].npu))
         for bad in (float("nan"), float("inf"), -1e-9):
             with pytest.raises(ObservabilityError):
                 model.step_energy(None, 0.0, bad)
@@ -159,7 +160,7 @@ class TestNegativeAndNanGuards:
             cpu_w = 4.0
 
         with pytest.raises(ObservabilityError):
-            EnergyModel(Poisoned())
+            EnergyModel(Poisoned(), TimingModel(DEVICES["oneplus_12"].npu))
 
     def test_event_log_rejects_negative_and_nan_joules_time(self):
         from repro.obs.timeline import EventLog

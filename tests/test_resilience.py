@@ -26,7 +26,6 @@ from repro.npu import DEVICES
 from repro.npu.memory import TCM
 from repro.npu.power_mgmt import GOVERNORS, THROTTLE_LADDER, downgrade
 from repro.npu.soc import FastRPCSession, get_device
-from repro.npu.timing import SimClock
 from repro.resilience import (
     FaultEvent,
     FaultInjector,
@@ -35,6 +34,7 @@ from repro.resilience import (
     RetryPolicy,
     degraded_schedule,
 )
+from repro.sim import SimClock
 from repro.tts import TaskDataset, get_model_profile
 from repro.tts.best_of_n import evaluate_best_of_n
 
@@ -43,9 +43,9 @@ pytestmark = pytest.mark.chaos
 DEVICE = DEVICES["oneplus_12"]
 
 
-def make_scheduler(tiny_model, batch=4, device=None):
+def make_scheduler(tiny_model, batch=4):
     engine = InferenceEngine(tiny_model, batch=batch, max_context=64,
-                             kv_backend="paged", device=device)
+                             kv_backend="paged")
     return engine, ContinuousBatchingScheduler(engine)
 
 
@@ -262,7 +262,7 @@ class TestSchedulerChaos:
     PLAN = "abort@2,dma@4,alloc@5,throttle@3:efficiency:4"
 
     def run(self, tiny_model, plan, deadline=None, n=8, steps=12, batch=4):
-        engine, sched = make_scheduler(tiny_model, batch=batch, device=DEVICE)
+        engine, sched = make_scheduler(tiny_model, batch=batch)
         result = sched.generate([1, 2, 3, 4], n_candidates=n,
                                 max_new_tokens=steps,
                                 sampler=Sampler(temperature=0.8, seed=11),
