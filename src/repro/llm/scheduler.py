@@ -112,7 +112,6 @@ class ScheduledGeneration(GenerationResult):
     governor_steps: List[Tuple[int, str]] = field(default_factory=list)
     prefill_joules: float = 0.0
     idle_joules: float = 0.0
-    wave_joules: Dict[int, float] = field(default_factory=dict)
     # stage-level dispatch + chunked prefill (zero/empty when the
     # dispatcher and chunking are off — the bitwise-no-op default)
     n_prefill_chunks: int = 0
@@ -426,6 +425,15 @@ class ContinuousBatchingScheduler:
         # of the TimingModel's NPU path, and the dispatcher scales them
         prev_backend = "npu"
 
+        def charge(kind: str, request_id: Optional[int] = None,
+                   step: Optional[int] = None, **attrs) -> None:
+            # every joule is one charging event: the ledger folds
+            # exactly the attrs the timeline records
+            accountant.charge(kind, attrs, request_id)
+            if tlog.enabled:
+                tlog.emit(kind, clock.total_seconds, request_id=request_id,
+                          step=step, **attrs)
+
         def migrate(decision, stage: str) -> None:
             # moving a stage between backends drags the live KV state
             # across the rpcmem boundary (clean/invalidate + DRAM copy)
@@ -437,16 +445,12 @@ class ContinuousBatchingScheduler:
             kv_bytes = tokens_cached * config.n_layers * 2 * config.kv_dim * 2
             seconds = crossing_for_bytes(selector.device, kv_bytes)
             clock.advance(seconds)
-            idle = engine.energy_model.idle_energy(seconds)
-            accountant.charge_idle(idle)
             result.migration_seconds += seconds
             result.n_backend_switches += 1
-            if tlog.enabled:
-                tlog.emit("backend_switch", clock.total_seconds, step=step,
-                          stage=stage, backend_from=prev_backend,
-                          backend_to=decision.backend,
-                          crossing_seconds=seconds, kv_bytes=kv_bytes,
-                          joules=idle.joules)
+            charge("backend_switch", step=step, stage=stage,
+                   backend_from=prev_backend, backend_to=decision.backend,
+                   crossing_seconds=seconds, kv_bytes=kv_bytes,
+                   joules=engine.energy_model.idle_energy(seconds).joules)
             prev_backend = decision.backend
 
         def price(cost, decision=None
@@ -494,21 +498,17 @@ class ContinuousBatchingScheduler:
                     return False
                 return True
             seconds, breakdown = price(cost, decision)
-            accountant.charge_prefill(breakdown)
             slo.observe_prefill_chunk(seconds)
             result.n_prefill_chunks += 1
             request.prefilled = end
             request.last_logits = logits_vec
             if request.request_id == 0:
                 result.prefill_cost = cost
-            if tlog.enabled:
-                attrs = dict(seconds=seconds, n_tokens=len(chunk),
-                             offset=start, request=request.request_id,
-                             joules=breakdown.joules)
-                if decision is not None:
-                    attrs["backend"] = decision.backend
-                tlog.emit("prefill_chunk", clock.total_seconds, step=step,
-                          **attrs)
+            attrs = dict(seconds=seconds, n_tokens=len(chunk), offset=start,
+                         request=request.request_id, joules=breakdown.joules)
+            if decision is not None:
+                attrs["backend"] = decision.backend
+            charge("prefill_chunk", step=step, **attrs)
             if request.prefilled >= len(request.prompt):
                 request.anchor = cache.snapshot_sequence(slot)
                 cache.free_sequence(slot)
@@ -627,19 +627,13 @@ class ContinuousBatchingScheduler:
                     if prefix:
                         cost = engine.rebuild_sequence(slot, prefix)
                         rebuild_seconds, breakdown = price(cost)
-                        accountant.charge_prefill(
-                            breakdown, request_id=candidate.candidate_id,
-                            wave=candidate.candidate_id // batch)
                         rebuild_joules = breakdown.joules
                 result.n_rebuilds += 1
                 result.rebuilt_tokens += len(prefix)
                 self._rebuilds.inc()
-                if tlog.enabled:
-                    tlog.emit("rebuild", clock.total_seconds,
-                              request_id=candidate.candidate_id,
-                              step=step, tokens=len(prefix),
-                              seconds=rebuild_seconds,
-                              joules=rebuild_joules)
+                charge("rebuild", request_id=candidate.candidate_id,
+                       step=step, tokens=len(prefix), seconds=rebuild_seconds,
+                       joules=rebuild_joules)
             # in-flight partial prefills lost their KV too: restart them
             # from scratch on the next service round
             for request in requests:
@@ -687,12 +681,9 @@ class ContinuousBatchingScheduler:
                                 backoff_ms=seconds * 1e3):
                 clock.advance(seconds)
             # backoff burns baseline power while the NPU sits idle
-            idle = engine.energy_model.idle_energy(seconds)
-            accountant.charge_idle(idle)
-            if tlog.enabled:
-                tlog.emit("retry", clock.total_seconds, step=step,
-                          retry_kind=kind, backoff_seconds=seconds,
-                          joules=idle.joules)
+            charge("retry", step=step, retry_kind=kind,
+                   backoff_seconds=seconds,
+                   joules=engine.energy_model.idle_energy(seconds).joules)
 
         if prefill_chunk is None:
             last_logits, prefill_cost = engine.prefill(prompt, seq=0)
@@ -702,13 +693,11 @@ class ContinuousBatchingScheduler:
                                            engine.governor.name)
                 migrate(decision, "prefill")
             prefill_seconds, prefill_energy = price(prefill_cost, decision)
-            accountant.charge_prefill(prefill_energy)
-            if tlog.enabled:
-                attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt),
-                             joules=prefill_energy.joules)
-                if selector is not None:
-                    attrs["backend"] = prev_backend
-                tlog.emit("prefill", clock.total_seconds, **attrs)
+            attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt),
+                         joules=prefill_energy.joules)
+            if selector is not None:
+                attrs["backend"] = prev_backend
+            charge("prefill", **attrs)
             result.prefill_cost = prefill_cost
             requests[0].last_logits = last_logits
             requests[0].anchor = cache.snapshot_sequence(0)
@@ -847,19 +836,13 @@ class ContinuousBatchingScheduler:
             if selector is not None:
                 result.backend_steps.append((step, prev_backend))
             live_ids = [live[s].candidate_id for s in slots if s in live]
-            accountant.charge_step(step_energy, request_ids=live_ids,
-                                   waves=[cid // batch for cid in live_ids])
-            if tlog.enabled:
-                attrs = dict(seconds=step_seconds, live_batch=len(slots),
-                             kv_blocks=cache.pool.blocks_in_use,
-                             governor_level=governor_level(
-                                 engine.governor.name),
-                             joules=step_energy.joules,
-                             live_ids=list(live_ids))
-                if selector is not None:
-                    attrs["backend"] = prev_backend
-                tlog.emit("decode_step", clock.total_seconds, step=step,
-                          **attrs)
+            attrs = dict(seconds=step_seconds, live_batch=len(slots),
+                         kv_blocks=cache.pool.blocks_in_use,
+                         governor_level=governor_level(engine.governor.name),
+                         joules=step_energy.joules, live_ids=live_ids)
+            if selector is not None:
+                attrs["backend"] = prev_backend
+            charge("decode_step", step=step, **attrs)
             slo.observe_step(step_seconds, live_ids)
             step += 1
             next_tokens = sampler.sample_batch(logits)
@@ -898,10 +881,8 @@ class ContinuousBatchingScheduler:
         result.cow_copies = cache.pool.cow_copies
         result.sim_seconds = clock.total_seconds - run_start
         result.joules = accountant.total_j
-        result.prefill_joules = accountant.prefill_j
-        result.idle_joules = accountant.idle_j
-        result.wave_joules = {wave: accountant.per_wave[wave]
-                              for wave in sorted(accountant.per_wave)}
+        result.prefill_joules = accountant.phase_j["prefill"]
+        result.idle_joules = accountant.phase_j["idle"]
 
         finished.sort(key=lambda c: c.candidate_id)
         result.candidates = finished

@@ -15,7 +15,7 @@
 * :mod:`repro.obs.anomaly` — deterministic online detectors (EWMA,
   median/MAD z-score, rate-of-change) over stream series.
 * :mod:`repro.obs.energy` — simulated-joule attribution per step,
-  request, and wave, from the :mod:`repro.perf.power` budget.
+  phase and request, from the :mod:`repro.perf.power` budget.
 * :mod:`repro.obs.monitor` — the ``repro monitor`` replay + report
   (imported lazily by the CLI; not re-exported here).
 * :mod:`repro.obs.critical_path` — per-request critical-path

@@ -4,9 +4,9 @@ The event log (:mod:`repro.obs.timeline`) records *that* things
 happened; this module turns one recorded run into *why each request
 took as long as it did*.  For every request it rebuilds the causal
 chain, slices the request's lifetime into contiguous phases, and
-attributes every simulated nanosecond (and nanojoule, replaying
-:class:`~repro.obs.energy.EnergyAccountant`'s charging rules) to a
-phase taxonomy:
+attributes every simulated nanosecond (and nanojoule, folding the log
+through :class:`~repro.obs.energy.EnergyAccountant`) to a phase
+taxonomy:
 
 * scheduler runs — ``queue_wait`` (no slot yet), ``prefill`` (chunked
   or monolithic prompt forwards), ``decode`` / ``decode_throttled``
@@ -22,12 +22,10 @@ phase taxonomy:
 is quantized exactly once to integer nanoseconds (:func:`quantize_ns`)
 and each phase gets the integer span between consecutive events, so
 per-phase blame telescopes to ``end_ns - start_ns`` with no float
-re-association anywhere.  Energy charges are quantized per charge
+re-association anywhere.  Energy charges are the shares the ledger
+returns for each event, quantized per charge
 (:func:`~repro.obs.energy.quantize_nj`) and only ever summed as
 integers, so phase energy partitions the per-request total exactly.
-The float replay (same operations, same order as the accountant) is
-kept alongside and must reproduce the ``complete`` event's ``joules``
-attribute bit-for-bit — the differential suite asserts both.
 
 :func:`validate_lifecycle` is the completeness validator the ISSUE's
 reconstructor audit demanded: it rejects orphaned phases (a
@@ -42,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
-from .energy import quantize_nj
+from .energy import EnergyAccountant, quantize_nj
 from .timeline import EventLog, TimelineEvent
 
 __all__ = [
@@ -113,10 +111,7 @@ class RequestExplanation:
     """Where one request's simulated time (and energy) went.
 
     ``blame_ns`` partitions ``latency_ns = end_ns - start_ns`` exactly;
-    ``energy_nj`` partitions ``total_nj`` exactly.  ``joules`` is the
-    float the run itself reported (the ``complete`` event attribute)
-    and ``replayed_joules`` the float replay of the accountant's
-    charging order — the two must match bitwise on a faithful log.
+    ``energy_nj`` partitions ``total_nj`` exactly.
     """
 
     request_id: int
@@ -128,8 +123,6 @@ class RequestExplanation:
     slices: List[PhaseSlice] = field(default_factory=list)
     energy_nj: Dict[str, int] = field(default_factory=dict)
     total_nj: int = 0
-    joules: float = 0.0
-    replayed_joules: float = 0.0
     device: Optional[int] = None
     tenant: Optional[str] = None
     wave: Optional[int] = None
@@ -245,12 +238,16 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
     charged to the phase that consumed them.  Lock-step decode is
     concurrent across the live batch, so every live candidate
     experiences the full segment as latency — exactly the latency the
-    SLO histograms measure.
+    SLO histograms measure.  Energy is the log folded through a fresh
+    :class:`~repro.obs.energy.EnergyAccountant`: each share it charges a
+    candidate lands in the phase of the charging event.
     """
     events = log.events()
     if not events:
         return []
     segments: List[Tuple[int, int, TimelineEvent]] = []
+    energy: Dict[int, Dict[str, int]] = {}
+    ledger = EnergyAccountant()
     prev_ns = quantize_ns(events[0].sim_time)
     for event in events:
         t_ns = quantize_ns(event.sim_time)
@@ -261,8 +258,10 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
         if t_ns > prev_ns:
             segments.append((prev_ns, t_ns, event))
         prev_ns = t_ns
-
-    energy = _replay_scheduler_energy(events)
+        for cid, joules in ledger.charge(event.kind, event.attrs,
+                                         event.request_id):
+            _charge(energy.setdefault(cid, {}),
+                    _classify_scheduler_segment(event), quantize_nj(joules))
     out: List[RequestExplanation] = []
     for cid in log.request_ids():
         chain = log.timeline(cid)
@@ -285,7 +284,6 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
                         else end_ns)
             expl.end_ns = end_ns
             expl.tokens = int(complete.attrs.get("tokens", 0))
-            expl.joules = float(complete.attrs.get("joules", 0.0))
             for seg_start, seg_end, terminator in segments:
                 if seg_end <= start_ns or seg_start >= end_ns:
                     continue
@@ -293,46 +291,10 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
                          else _classify_scheduler_segment(terminator))
                 _charge(expl.blame_ns, phase, seg_end - seg_start)
                 _push_slice(expl.slices, phase, seg_start, seg_end)
-        per_cid = energy.get(cid)
-        if per_cid is not None:
-            expl.energy_nj, expl.total_nj, expl.replayed_joules = per_cid
+        expl.energy_nj = energy.get(cid, {})
+        expl.total_nj = sum(expl.energy_nj.values())
         out.append(expl)
     return out
-
-
-def _replay_scheduler_energy(
-        events: List[TimelineEvent],
-) -> Dict[int, Tuple[Dict[str, int], int, float]]:
-    """Replay the accountant's per-candidate charges from the log.
-
-    ``decode_step`` events are run-level (no ``request_id``) and split
-    equally across their ``live_ids`` — the accountant's rule;
-    ``rebuild`` charges the owning candidate in full.  Each charge is
-    quantized once; the float replay mirrors the accountant's op order
-    so it must equal the ``complete`` event's joules bitwise.
-    """
-    by_cid: Dict[int, Tuple[Dict[str, int], int, float]] = {}
-
-    def charge(cid: int, phase: str, joules: float) -> None:
-        buckets, total, replayed = by_cid.get(cid, ({}, 0, 0.0))
-        nj = quantize_nj(joules)
-        _charge(buckets, phase, nj)
-        by_cid[cid] = (buckets, total + nj, replayed + joules)
-
-    for event in events:
-        if event.kind == "decode_step":
-            live_ids = event.attrs.get("live_ids")
-            if not live_ids:
-                continue
-            share = float(event.attrs.get("joules", 0.0)) / len(live_ids)
-            phase = ("decode_throttled"
-                     if event.attrs.get("governor_level", 0) else "decode")
-            for cid in live_ids:
-                charge(cid, phase, share)
-        elif event.kind == "rebuild" and event.request_id is not None:
-            charge(event.request_id, "rebuild",
-                   float(event.attrs.get("joules", 0.0)))
-    return by_cid
 
 
 # ----------------------------------------------------------------------
@@ -341,7 +303,6 @@ def _replay_scheduler_energy(
 @dataclass
 class _Leg:
     device: int
-    joules: float
     nj: int
 
 
@@ -388,22 +349,15 @@ def explain_fleet_log(log: EventLog) -> List[RequestExplanation]:
             attrs = event.attrs
             if kind == "dispatch":
                 phase = "service" if attrs.get("hedged") else "queue_wait"
-                joules = float(attrs.get("joules", 0.0))
                 legs.append(_Leg(device=int(attrs.get("device", -1)),
-                                 joules=joules, nj=quantize_nj(joules)))
+                                 nj=quantize_nj(attrs.get("joules", 0.0))))
                 expl.n_legs += 1
             elif kind == "complete":
                 phase = "service"
                 expl.outcome = "completed"
                 expl.tokens = int(attrs.get("tokens", 0))
-                expl.joules = float(attrs.get("joules", 0.0))
                 expl.device = attrs.get("device")
-                winner = attrs.get("device")
-                for leg in legs:
-                    if winner is None or leg.device == winner:
-                        expl.replayed_joules = leg.joules
-                        break
-                close_leg(winner, "service")
+                close_leg(attrs.get("device"), "service")
             elif kind == "shed":
                 phase = "queue_wait"
                 expl.outcome = "shed"

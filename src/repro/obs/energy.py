@@ -2,13 +2,13 @@
 
 :mod:`repro.perf.power` answers the *modeling* question — what does a
 decode configuration draw in steady state (Fig. 12)?  This module
-answers the *accounting* question — which request, wave and engine did
+answers the *accounting* question — which phase and which request did
 each simulated joule go to?  Every scheduler/engine step computes an
 :class:`EnergyBreakdown` from the step's per-engine utilizations and a
 :class:`~repro.perf.power.PowerBudget`, and an :class:`EnergyAccountant`
-rolls the joules up per request and per wave, so timelines, reports and
-bench metrics can surface tokens-per-joule — the battery-life currency
-the paper's mobile setting trades in.
+folds the charging events up per phase and per request, so timelines,
+monitors, blame and bench metrics can surface tokens-per-joule — the
+battery-life currency the paper's mobile setting trades in.
 
 Layering: like :mod:`repro.obs.export`, this module imports nothing
 from :mod:`repro.npu` or :mod:`repro.perf` — ``budget`` and ``timing``
@@ -33,12 +33,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ObservabilityError
 
 __all__ = ["EnergyBreakdown", "ZERO_ENERGY", "EnergyModel",
-           "EnergyAccountant", "tokens_per_joule", "quantize_nj"]
+           "CHARGE_PHASES", "EnergyAccountant", "tokens_per_joule",
+           "quantize_nj"]
+
+#: Energy phase each charging event kind's ``joules`` go to.  Every
+#: other timeline kind charges nothing.
+CHARGE_PHASES: Dict[str, str] = {
+    "prefill": "prefill",
+    "prefill_chunk": "prefill",
+    "decode_step": "decode",
+    "rebuild": "rebuild",
+    "retry": "idle",
+    "backend_switch": "idle",
+}
 
 
 def quantize_nj(joules: float) -> int:
@@ -155,70 +167,50 @@ class EnergyModel:
 
 
 class EnergyAccountant:
-    """Rolls step energy up per request and per wave.
+    """The one energy ledger: folds charging events into joules.
 
-    A lock-step decode is one forward pass shared by the live batch, so
-    its joules split **equally** across the live candidates — the same
-    attribution rule the paper uses for per-token energy (power times
-    step latency over batch).  Prefill/rebuild joules go to the owning
-    request; idle joules (backoff) stay run-level.
+    This is the only code that knows the charging rule.
+    :data:`CHARGE_PHASES` says which phase an event kind's ``joules`` go
+    to.  A lock-step decode step is one forward pass shared by the live
+    batch, so its joules split **equally** across its ``live_ids`` — the
+    same attribution rule the paper uses for per-token energy (power
+    times step latency over batch).  A charge that names a
+    ``request_id`` (a post-abort rebuild) goes to that request in full;
+    prefill and idle joules stay run-level.  The scheduler charges a
+    ledger as it runs, and ``repro monitor`` and ``repro explain`` fold
+    a recorded log through a fresh one, so every reader adds the same
+    floats in the same order.
     """
 
     def __init__(self) -> None:
         self.total_j = 0.0
-        self.prefill_j = 0.0
-        self.decode_j = 0.0
-        self.idle_j = 0.0
+        self.phase_j: Dict[str, float] = dict.fromkeys(
+            CHARGE_PHASES.values(), 0.0)
         self.per_request: Dict[int, float] = {}
-        self.per_wave: Dict[int, float] = {}
 
-    def charge_prefill(self, breakdown: EnergyBreakdown,
-                       request_id: Optional[int] = None,
-                       wave: Optional[int] = None) -> None:
-        self.total_j += breakdown.joules
-        self.prefill_j += breakdown.joules
-        if request_id is not None:
-            self.per_request[request_id] = (
-                self.per_request.get(request_id, 0.0) + breakdown.joules)
-        if wave is not None:
-            self.per_wave[wave] = (self.per_wave.get(wave, 0.0)
-                                   + breakdown.joules)
+    def charge(self, kind: str, attrs: Mapping[str, Any],
+               request_id: Optional[int] = None) -> List[Tuple[int, float]]:
+        """Fold one event; return the ``(request, joules)`` shares charged.
 
-    def charge_step(self, breakdown: EnergyBreakdown,
-                    request_ids: Optional[Any] = None,
-                    waves: Optional[Any] = None) -> float:
-        """Charge one decode step, split equally across ``request_ids``.
-
-        Returns the per-request share (0.0 for an empty live set).
+        Kinds outside :data:`CHARGE_PHASES` charge nothing, so a whole
+        log can be folded event by event.
         """
-        self.total_j += breakdown.joules
-        self.decode_j += breakdown.joules
-        ids = list(request_ids) if request_ids else []
-        share = breakdown.joules / len(ids) if ids else 0.0
-        for rid in ids:
+        phase = CHARGE_PHASES.get(kind)
+        if phase is None:
+            return []
+        joules = float(attrs.get("joules", 0.0))
+        self.total_j += joules
+        self.phase_j[phase] += joules
+        if kind == "decode_step":
+            live_ids = attrs.get("live_ids") or ()
+            shares = [(rid, joules / len(live_ids)) for rid in live_ids]
+        elif request_id is not None:
+            shares = [(request_id, joules)]
+        else:
+            shares = []
+        for rid, share in shares:
             self.per_request[rid] = self.per_request.get(rid, 0.0) + share
-        for wave in set(waves) if waves else ():
-            self.per_wave[wave] = self.per_wave.get(wave, 0.0)
-        if waves:
-            for rid, wave in zip(ids, waves):
-                self.per_wave[wave] = self.per_wave.get(wave, 0.0) + share
-        return share
-
-    def charge_idle(self, breakdown: EnergyBreakdown) -> None:
-        self.total_j += breakdown.joules
-        self.idle_j += breakdown.joules
+        return shares
 
     def request_joules(self, request_id: int) -> float:
         return self.per_request.get(request_id, 0.0)
-
-    def to_json(self) -> Dict[str, Any]:
-        return {
-            "total_j": self.total_j,
-            "prefill_j": self.prefill_j,
-            "decode_j": self.decode_j,
-            "idle_j": self.idle_j,
-            "per_request": {str(k): self.per_request[k]
-                            for k in sorted(self.per_request)},
-            "per_wave": {str(k): self.per_wave[k]
-                         for k in sorted(self.per_wave)},
-        }

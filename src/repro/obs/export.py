@@ -432,16 +432,6 @@ def _slo_sections(metrics: Optional[Any]) -> Dict[str, Dict[str, float]]:
     return slo_summary(snapshot)
 
 
-def _energy_section(energy: Optional[Any]) -> Optional[Dict[str, Any]]:
-    """Normalize an EnergyAccountant-or-dict argument (duck-typed)."""
-    if energy is None:
-        return None
-    data = energy.to_json() if hasattr(energy, "to_json") else dict(energy)
-    if not data.get("total_j"):
-        return None
-    return data
-
-
 def _blame_section(blame: Optional[Any]) -> Optional[Dict[str, Any]]:
     """Normalize a blame argument to an aggregate dict (duck-typed).
 
@@ -462,16 +452,12 @@ def _blame_section(blame: Optional[Any]) -> Optional[Dict[str, Any]]:
 def text_report(source: Union[Tracer, Sequence[Span]],
                 timing: Optional[Any] = None,
                 metrics: Optional[Any] = None,
-                energy: Optional[Any] = None,
                 blame: Optional[Any] = None) -> str:
     """Flamegraph-style text report: span tree plus kernel attribution.
 
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry` or its
     snapshot dict) adds the SLO section — p50/p95/p99 token-latency
-    percentiles recorded by the scheduler/engine hot paths.  ``energy``
-    (an :class:`~repro.obs.energy.EnergyAccountant` or its ``to_json``
-    dict, optionally carrying ``tokens``) adds the simulated-joule
-    attribution section.  ``blame`` (an
+    percentiles recorded by the scheduler/engine hot paths.  ``blame`` (an
     :class:`~repro.obs.blame.ExplainReport` or its aggregate dict) adds
     the critical-path latency blame section.
     """
@@ -527,20 +513,6 @@ def text_report(source: Union[Tracer, Sequence[Span]],
             lines.append(
                 f"governors hit      {', '.join(resilience['governors'])}")
 
-    energy_data = _energy_section(energy)
-    if energy_data is not None:
-        lines.append("")
-        lines.append("== energy attribution (simulated joules) ==")
-        lines.append(f"total joules       {energy_data['total_j']:.6f}")
-        for key, label in (("prefill_j", "prefill"), ("decode_j", "decode"),
-                           ("idle_j", "idle (backoff)")):
-            if key in energy_data:
-                lines.append(f"  {label:<17s}{energy_data[key]:.6f}")
-        tokens = energy_data.get("tokens")
-        if tokens:
-            tpj = tokens / energy_data["total_j"]
-            lines.append(f"tokens per joule   {tpj:.1f}")
-
     blame_data = _blame_section(blame)
     if blame_data is not None and blame_data.get("blame_ns"):
         total_ns = blame_data.get("total_latency_ns", 0)
@@ -595,7 +567,6 @@ def text_report(source: Union[Tracer, Sequence[Span]],
 def report_data(source: Union[Tracer, Sequence[Span]],
                 timing: Optional[Any] = None,
                 metrics: Optional[Any] = None,
-                energy: Optional[Any] = None,
                 blame: Optional[Any] = None) -> Dict[str, Any]:
     """Structured counterpart of :func:`text_report` for ``--json``.
 
@@ -632,6 +603,6 @@ def report_data(source: Union[Tracer, Sequence[Span]],
         "kernels": kernels,
         "slo": _slo_sections(metrics),
         "metrics": _metrics_snapshot(metrics),
-        "energy": _energy_section(energy),
+        "energy": None,  # reserved: profile/v1 consumers expect the key
         "blame": _blame_section(blame),
     }

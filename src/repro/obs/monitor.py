@@ -15,8 +15,8 @@ into the full streaming stack:
 
 Everything in the report derives from the **simulated** clock, so the
 ``--json`` output (schema ``repro.monitor/v1``) is byte-identical
-across runs and machines for a fixed (scenario, device, seed) — the CI
-monitor-smoke job asserts exactly that, and asserts that the chaos
+across runs, machines and hash seeds for a fixed (scenario, device,
+seed) — the tier-1 tests assert exactly that, and assert that the chaos
 scenario's planned throttle/fault windows are flagged while the
 fault-free greedy scenario flags nothing.
 """
@@ -32,6 +32,7 @@ from . import metrics as obs_metrics
 from . import trace as obs_trace
 from .anomaly import AnomalyEvent, default_detectors, detect_series
 from .bench import DEFAULT_DEVICE, DEFAULT_SEED, SCENARIOS, BenchError
+from .energy import EnergyAccountant
 from .stream import MetricStream, stream_from_log
 from .timeline import EventLog, set_event_log
 
@@ -230,28 +231,6 @@ def _window_rows(stream: MetricStream) -> List[Dict[str, Any]]:
     return rows
 
 
-def _energy_totals(log: EventLog) -> Tuple[Dict[str, float], float]:
-    """(phase joules, total tokens) folded straight from the event log."""
-    totals = {"total_j": 0.0, "prefill_j": 0.0, "decode_j": 0.0,
-              "rebuild_j": 0.0, "idle_j": 0.0}
-    tokens = 0.0
-    for event in log.events():
-        joules = float(event.attrs.get("joules", 0.0))
-        if event.kind == "prefill":
-            totals["prefill_j"] += joules
-        elif event.kind == "decode_step":
-            totals["decode_j"] += joules
-            tokens += float(event.attrs.get("live_batch", 0))
-        elif event.kind == "rebuild":
-            totals["rebuild_j"] += joules
-        elif event.kind == "retry":
-            totals["idle_j"] += joules
-        else:
-            continue
-        totals["total_j"] += joules
-    return totals, tokens
-
-
 def run_monitor(scenario: str = "chaos.waves",
                 device_key: str = DEFAULT_DEVICE,
                 seed: int = DEFAULT_SEED,
@@ -320,7 +299,12 @@ def run_monitor(scenario: str = "chaos.waves",
         anomalies.extend(detect_series(label, points, detectors))
     anomalies.sort(key=lambda a: (a.window_index, a.metric, a.detector))
 
-    energy, tokens = _energy_totals(log)
+    ledger = EnergyAccountant()
+    for event in log.events():
+        ledger.charge(event.kind, event.attrs, event.request_id)
+    energy = {f"{phase}_j": joules
+              for phase, joules in ledger.phase_j.items()}
+    energy["total_j"] = ledger.total_j
     return MonitorReport(
         scenario=scenario, device=device_key, seed=seed,
         window_seconds=window_seconds, n_events=len(log),
@@ -329,6 +313,6 @@ def run_monitor(scenario: str = "chaos.waves",
         windows=_window_rows(stream),
         anomalies=anomalies,
         energy=energy,
-        tokens=tokens,
+        tokens=sum((w.value("tokens") for w in windows), 0.0),
         bench_metrics={k: float(v) for k, v in record.metrics.items()},
         tracer=ctx.tracer, log=log, timing=ctx.timing)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ObservabilityError
+from .energy import CHARGE_PHASES
 from .metrics import Histogram, labeled_name
 from .slo import hdr_buckets
 from .timeline import EventLog
@@ -225,14 +226,13 @@ def stream_from_log(log: EventLog,
 
     Mapping (see :data:`~repro.obs.timeline.EVENT_KINDS`):
 
+    * every charging kind (:data:`~repro.obs.energy.CHARGE_PHASES`) ->
+      counter ``joules``, so window watts cover prompt processing,
+      recovery and backend migrations, not just decode;
     * ``decode_step`` -> sample ``step_latency_seconds``; counter
       ``tokens`` incremented by the step's live batch (one token per
-      live candidate per lock step); counter ``joules`` when the step
-      carries energy; gauges ``live_batch``, ``kv_blocks``,
-      ``governor_level``;
-    * ``prefill``/``rebuild``/``retry`` -> their ``joules`` also fold
-      into the ``joules`` counter, so window watts cover recovery and
-      prompt processing, not just decode;
+      live candidate per lock step); gauges ``live_batch``,
+      ``kv_blocks``, ``governor_level``;
     * ``fault`` -> counter ``faults`` plus a labeled sibling
       ``faults{kind=...}`` via :func:`~repro.obs.metrics.labeled_name`,
       so windows slice by fault kind without string parsing;
@@ -242,8 +242,8 @@ def stream_from_log(log: EventLog,
       ``candidate_latency_seconds`` when the event carries
       ``latency_seconds``;
     * ``prefill_chunk`` -> counter ``prefill_chunks``, sample
-      ``prefill_chunk_seconds`` and its ``joules``;
-      ``backend_switch`` -> counter ``backend_switches``;
+      ``prefill_chunk_seconds``; ``backend_switch`` -> counter
+      ``backend_switches``;
     * ``shed`` -> counter ``sheds`` (fleet admission control dropped
       the request); ``dispatch`` -> counter ``dispatches`` plus sample
       ``queue_wait_seconds`` when the event carries ``wait_seconds``;
@@ -257,6 +257,8 @@ def stream_from_log(log: EventLog,
     for event in log.events():
         t = event.sim_time
         attrs = event.attrs
+        if event.kind in CHARGE_PHASES and attrs.get("joules"):
+            stream.record_counter("joules", t, float(attrs["joules"]))
         if event.kind == "decode_step":
             seconds = attrs.get("seconds")
             if seconds is not None:
@@ -266,9 +268,6 @@ def stream_from_log(log: EventLog,
             if live:
                 stream.record_counter("tokens", t, float(live))
                 stream.record_gauge("live_batch", t, float(live))
-            joules = attrs.get("joules")
-            if joules:
-                stream.record_counter("joules", t, float(joules))
             if "kv_blocks" in attrs:
                 stream.record_gauge("kv_blocks", t,
                                     float(attrs["kv_blocks"]))
@@ -283,29 +282,16 @@ def stream_from_log(log: EventLog,
                     labeled_name("faults", {"kind": kind}), t)
         elif event.kind == "retry":
             stream.record_counter("retries", t)
-            joules = attrs.get("joules")
-            if joules:
-                stream.record_counter("joules", t, float(joules))
         elif event.kind == "evict":
             stream.record_counter("evictions", t)
         elif event.kind == "rebuild":
             stream.record_counter("rebuilds", t)
-            joules = attrs.get("joules")
-            if joules:
-                stream.record_counter("joules", t, float(joules))
-        elif event.kind == "prefill":
-            joules = attrs.get("joules")
-            if joules:
-                stream.record_counter("joules", t, float(joules))
         elif event.kind == "prefill_chunk":
             stream.record_counter("prefill_chunks", t)
             seconds = attrs.get("seconds")
             if seconds is not None:
                 stream.record_sample("prefill_chunk_seconds", t,
                                      float(seconds))
-            joules = attrs.get("joules")
-            if joules:
-                stream.record_counter("joules", t, float(joules))
         elif event.kind == "backend_switch":
             stream.record_counter("backend_switches", t)
         elif event.kind == "complete":

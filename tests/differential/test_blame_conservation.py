@@ -3,8 +3,8 @@
 The explain layer's contract is *bitwise* conservation: for every
 request of a recorded run, per-phase blame nanoseconds sum exactly to
 the request's end-to-end latency, per-phase nanojoules sum exactly to
-its attributed energy, and the float replay of the energy accountant's
-charging order reproduces the run's own reported joules bit-for-bit.
+its attributed energy, and folding the log through a fresh energy
+ledger reproduces the run's own reported joules bit-for-bit.
 These tests pin that under the nastiest runs the repo can produce — a
 chaos-faulted scheduler wave and a chaos-faulted, hedged 50-device
 fleet — plus the ledger totality (``offered == explained``), replay
@@ -20,6 +20,7 @@ from repro.fleet import run_fleet
 from repro.obs.blame import aggregate_blame, run_explain
 from repro.obs.critical_path import (assert_lifecycle, explain_log,
                                      quantize_ns, validate_lifecycle)
+from repro.obs.energy import EnergyAccountant
 from repro.obs.slo import percentile_cutoff
 from repro.obs.timeline import EventLog, set_event_log
 
@@ -47,14 +48,18 @@ def test_scheduler_energy_partitions_exactly(chaos_explain):
         assert sum(expl.energy_nj.values()) == expl.total_nj
 
 
-def test_scheduler_energy_replay_is_bitwise(chaos_explain):
-    completed = [e for e in chaos_explain.explanations
-                 if e.outcome != "unserved"]
+def test_log_fold_reproduces_completed_joules_bitwise(chaos_explain):
+    ledger = EnergyAccountant()
+    completed = 0
+    for event in chaos_explain.log.events():
+        ledger.charge(event.kind, event.attrs, event.request_id)
+        if event.kind == "complete":
+            completed += 1
+            folded = ledger.request_joules(event.request_id)
+            assert folded == event.attrs["joules"], (
+                f"request {event.request_id}: fold {folded!r} != run's "
+                f"own {event.attrs['joules']!r}")
     assert completed
-    for expl in completed:
-        assert expl.replayed_joules == expl.joules, (
-            f"request {expl.request_id}: replay {expl.replayed_joules!r} "
-            f"!= run's own {expl.joules!r}")
 
 
 def test_scheduler_slices_telescope(chaos_explain):
@@ -114,14 +119,6 @@ def test_fleet_blame_sums_to_latency(fleet_run):
     for expl in explanations:
         assert sum(expl.blame_ns.values()) == expl.latency_ns
         assert sum(expl.energy_nj.values()) == expl.total_nj
-
-
-def test_fleet_completed_energy_replay_is_bitwise(fleet_run):
-    _report, _log, explanations = fleet_run
-    completed = [e for e in explanations if e.outcome == "completed"]
-    assert completed
-    for expl in completed:
-        assert expl.replayed_joules == expl.joules
 
 
 def test_fleet_outcomes_match_report_ledger(fleet_run):

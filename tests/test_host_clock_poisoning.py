@@ -6,8 +6,9 @@ bench metrics, goldens, oracle verdicts — must be a pure function of
 ``time.monotonic`` and ``time.time`` with a seeded, strictly increasing
 random walk and run each workload under two different walks: anything
 that leaks host time into a simulated output serializes differently.
-The fleet replay runs in subprocesses under two ``PYTHONHASHSEED``
-values, so hash-ordered iteration cannot leak into its report either.
+The faulted fleet explain, monitor and explain CLI replays run in
+subprocesses under two ``PYTHONHASHSEED`` values, so hash-ordered
+iteration cannot leak into their reports either.
 """
 
 from __future__ import annotations
@@ -146,18 +147,25 @@ def test_one_fuzz_trial_per_oracle(monkeypatch):
     assert all(ok for _, _, ok, _ in trials)
 
 
-def test_fleet_explain_replays_across_hash_seeds(tmp_path):
+@pytest.mark.parametrize("args", [
+    pytest.param(FLEET_EXPLAIN_ARGS, id="fleet-explain"),
+    pytest.param(["monitor", "--scenario", "chaos.waves"], id="monitor"),
+    pytest.param(["explain", "--scenario", "chaos.waves"], id="explain")])
+def test_cli_replays_across_hash_seeds(tmp_path, args):
     package_root = os.path.dirname(os.path.dirname(repro.__file__))
     search_path = [package_root, os.environ.get("PYTHONPATH", "")]
     outputs = []
     for hash_seed in ("1", "2"):
-        path = tmp_path / f"fleet_explain_{hash_seed}.json"
+        path = tmp_path / f"{args[0]}_{hash_seed}.json"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, search_path)))
         subprocess.run(
-            [sys.executable, "-m", "repro", *FLEET_EXPLAIN_ARGS,
-             "--json", str(path)],
-            env=env, check=True, capture_output=True)
+            [sys.executable, "-m", "repro", *args, "--json", str(path)],
+            env=env, check=True, capture_output=True, cwd=tmp_path)
         outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["explain"]["aggregate"]["n_requests"] > 0
+    report = json.loads(outputs[0])
+    if args[0] == "fleet":
+        assert report["explain"]["aggregate"]["n_requests"] > 0
+    else:
+        assert report["n_events"] > 0

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.llm.scheduler import ContinuousBatchingScheduler
 from repro.obs.monitor import MONITOR_SCHEMA, run_monitor
 
 
@@ -54,6 +55,27 @@ class TestRunMonitor:
         parts = (energy["prefill_j"] + energy["decode_j"]
                  + energy["rebuild_j"] + energy["idle_j"])
         assert energy["total_j"] == pytest.approx(parts)
+
+    @pytest.mark.parametrize("scenario", ["waves.n16", "chaos.waves",
+                                          "mixed.prefill_decode"])
+    def test_energy_equals_the_runs_own_ledger(self, monkeypatch, scenario):
+        # prefill chunks, backend switches and rebuilds all charge the
+        # run; the monitor's fold of the log must see every one of them
+        runs = []
+        generate = ContinuousBatchingScheduler.generate
+
+        def spy(self, *args, **kwargs):
+            runs.append(generate(self, *args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(ContinuousBatchingScheduler, "generate", spy)
+        report = run_monitor(scenario)
+        [result] = runs
+        assert report.energy["total_j"] == result.joules
+        assert report.energy["idle_j"] == result.idle_joules
+        assert report.energy["prefill_j"] == result.prefill_joules
+        assert sum(w["joules"] for w in report.windows) == \
+            pytest.approx(result.joules)
 
     def test_windows_derive_rates_and_watts(self, chaos_report):
         busy = [w for w in chaos_report.windows if w["tokens"] > 0]

@@ -10,7 +10,6 @@ from repro.npu.timing import KernelCost, TimingModel
 from repro.obs.energy import (
     ZERO_ENERGY,
     EnergyAccountant,
-    EnergyBreakdown,
     EnergyModel,
     tokens_per_joule,
 )
@@ -90,42 +89,53 @@ class TestEnergyModel:
 
 
 class TestEnergyAccountant:
+    @pytest.mark.parametrize("kind, phase", [
+        ("prefill", "prefill"), ("prefill_chunk", "prefill"),
+        ("decode_step", "decode"), ("rebuild", "rebuild"),
+        ("retry", "idle"), ("backend_switch", "idle")])
+    def test_each_charging_kind_lands_in_its_phase(self, kind, phase):
+        accountant = EnergyAccountant()
+        accountant.charge(kind, {"joules": 0.002})
+        assert accountant.total_j == 0.002
+        assert accountant.phase_j == {
+            p: (0.002 if p == phase else 0.0)
+            for p in ("prefill", "decode", "rebuild", "idle")}
+
     def test_decode_step_splits_equally_across_live_candidates(self):
         accountant = EnergyAccountant()
-        share = accountant.charge_step(EnergyBreakdown(joules=0.009),
-                                       request_ids=[0, 1, 2],
-                                       waves=[0, 0, 1])
-        assert share == pytest.approx(0.003)
-        assert accountant.request_joules(0) == pytest.approx(0.003)
-        assert accountant.per_wave[0] == pytest.approx(0.006)
-        assert accountant.per_wave[1] == pytest.approx(0.003)
-        assert accountant.decode_j == pytest.approx(0.009)
+        shares = accountant.charge("decode_step",
+                                   {"joules": 0.009, "live_ids": [0, 1, 2]})
+        share = 0.009 / 3
+        assert shares == [(0, share), (1, share), (2, share)]
+        assert accountant.request_joules(2) == share
+        assert accountant.phase_j["decode"] == 0.009
 
     def test_empty_live_set_charges_run_level_only(self):
         accountant = EnergyAccountant()
-        share = accountant.charge_step(EnergyBreakdown(joules=0.004))
-        assert share == 0.0
-        assert accountant.total_j == pytest.approx(0.004)
+        assert accountant.charge("decode_step",
+                                 {"joules": 0.004, "live_ids": []}) == []
+        assert accountant.total_j == 0.004
         assert accountant.per_request == {}
 
-    def test_prefill_and_idle_buckets(self):
+    def test_request_charge_goes_to_that_request_in_full(self):
         accountant = EnergyAccountant()
-        accountant.charge_prefill(EnergyBreakdown(joules=0.002),
-                                  request_id=5, wave=1)
-        accountant.charge_idle(EnergyBreakdown(joules=0.001))
-        assert accountant.prefill_j == pytest.approx(0.002)
-        assert accountant.idle_j == pytest.approx(0.001)
-        assert accountant.request_joules(5) == pytest.approx(0.002)
-        assert accountant.total_j == pytest.approx(0.003)
+        assert accountant.charge("rebuild", {"joules": 0.002},
+                                 request_id=5) == [(5, 0.002)]
+        assert accountant.charge("retry", {"joules": 0.001}) == []
+        assert accountant.request_joules(5) == 0.002
+        assert accountant.request_joules(6) == 0.0
+        assert accountant.total_j == 0.002 + 0.001
 
-    def test_to_json_uses_sorted_string_keys(self):
+    def test_non_charging_kinds_are_ignored(self):
+        # fleet dispatch legs and completions carry joules too; they
+        # report energy, they do not charge it
         accountant = EnergyAccountant()
-        accountant.charge_step(EnergyBreakdown(joules=0.002),
-                               request_ids=[3, 1], waves=[0, 0])
-        data = accountant.to_json()
-        assert list(data["per_request"]) == ["1", "3"]
-        assert set(data) == {"total_j", "prefill_j", "decode_j", "idle_j",
-                             "per_request", "per_wave"}
+        for kind in ("complete", "dispatch", "admit"):
+            assert accountant.charge(kind, {"joules": 1.0},
+                                     request_id=3) == []
+        assert accountant.total_j == 0.0
+        assert set(accountant.phase_j.values()) == {0.0}
+        assert accountant.per_request == {}
 
 
 class TestTokensPerJoule:
@@ -174,10 +184,9 @@ class TestSchedulerIntegration:
             [1, 2, 3], n_candidates=4, max_new_tokens=4)
         assert result.joules > 0.0
         assert result.prefill_joules > 0.0
-        assert set(result.wave_joules) == {0, 1}
         per_candidate = sum(c.joules for c in result.candidates)
-        # per-request attribution covers prefill + decode (idle stays
-        # run-level), so candidates sum to less than the run total
+        # per-request attribution covers decode + rebuild (prefill and
+        # idle stay run-level), so candidates sum to less than the total
         assert 0.0 < per_candidate <= result.joules + 1e-12
 
     def test_energy_accounting_is_deterministic(self, tiny_model):
@@ -196,6 +205,5 @@ class TestSchedulerIntegration:
 
         first, second = run(), run()
         assert first.joules == second.joules
-        assert first.wave_joules == second.wave_joules
         assert [c.joules for c in first.candidates] == \
             [c.joules for c in second.candidates]
