@@ -23,6 +23,8 @@ MAX_OVERHEAD_FRACTION = 0.05
 PROMPT = [1, 2, 3, 4]
 NEW_TOKENS = 3
 BATCH = 2
+EXPLAIN_REQUESTS = 4000
+MAX_EXPLAIN_OVER_RECORD = 6.0
 
 
 def _build_engine() -> InferenceEngine:
@@ -269,3 +271,39 @@ def test_online_detectors_hold_constant_memory():
     tracemalloc.stop()
     assert after - before < 16_384, (
         f"detector bank retained {after - before} bytes over 10k points")
+
+
+def test_explain_cost_is_linear_in_the_log():
+    """Explaining a recorded fleet log (lifecycle validation, critical
+    paths, blame) must cost a small constant times recording it: each
+    request's chain comes from the log's index, so the whole pass is
+    linear in the log rather than one full-log scan per request."""
+    from repro.obs.blame import explain_section
+    from repro.obs.timeline import EventLog
+
+    def record() -> EventLog:
+        log = EventLog(enabled=True)
+        emit = log.emit
+        for rid in range(EXPLAIN_REQUESTS):
+            t, device = rid * 1e-2, rid % 64
+            emit("queue", t, request_id=rid, tenant="interactive")
+            emit("dispatch", t + 2e-3, request_id=rid, device=device,
+                 generation=0, wait_seconds=2e-3, service_seconds=3e-3,
+                 joules=0.5)
+            emit("complete", t + 5e-3, request_id=rid, reason="served",
+                 tokens=32, latency_seconds=5e-3, joules=0.5,
+                 device=device, tenant="interactive")
+        return log
+
+    log = record()  # warm-up; keeps the log to explain
+    record_seconds = min(_timed(record) for _ in range(3))
+    section = explain_section(log)  # warm-up; also checks the log is whole
+    assert section["aggregate"]["n_requests"] == EXPLAIN_REQUESTS
+    explain_seconds = min(_timed(explain_section, log) for _ in range(3))
+
+    ratio = explain_seconds / record_seconds
+    assert ratio < MAX_EXPLAIN_OVER_RECORD, (
+        f"explaining {EXPLAIN_REQUESTS} requests ({len(log)} events) cost "
+        f"{explain_seconds * 1e3:.1f} ms, {ratio:.1f}x the "
+        f"{record_seconds * 1e3:.1f} ms it took to record them "
+        f"(limit {MAX_EXPLAIN_OVER_RECORD:.0f}x)")

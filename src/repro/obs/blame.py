@@ -18,9 +18,12 @@ fleet's p99 go, and which phase do I fix first".  It folds per-request
 Everything serializes under schema ``repro.explain/v1`` with sorted
 keys and integer ledgers, so a double run of the same (scenario,
 device, seed) — or the same fleet config — produces byte-identical
-JSON; the explain-smoke CI job diffs exactly that.  Conservation is
-asserted while aggregating: a report cannot be built from explanations
-whose blame does not sum to their latency.
+JSON.  Two checks diff exactly that: the ``explain`` case of
+``test_cli_replays_across_hash_seeds`` in
+``tests/test_host_clock_poisoning.py``, and the ``explain`` fuzz
+oracle, which CI's ``fuzz-smoke`` job runs.  Conservation is asserted
+while aggregating: a report cannot be built from explanations whose
+blame does not sum to their latency.
 """
 
 from __future__ import annotations

@@ -27,8 +27,8 @@ returns for each event, quantized per charge
 (:func:`~repro.obs.energy.quantize_nj`) and only ever summed as
 integers, so phase energy partitions the per-request total exactly.
 
-:func:`validate_lifecycle` is the completeness validator the ISSUE's
-reconstructor audit demanded: it rejects orphaned phases (a
+:func:`validate_lifecycle` checks that a log is complete enough to
+reconstruct before anything is blamed: it rejects orphaned phases (a
 ``complete`` without an ``admit``), overlapping legs (a second
 non-hedged dispatch while one is in flight), time regressions, and
 unclosed dispatch legs.

@@ -119,11 +119,18 @@ class TimelineEvent:
 
 
 class EventLog:
-    """Append-only, queryable log of :class:`TimelineEvent` records."""
+    """Append-only, queryable log of :class:`TimelineEvent` records.
+
+    Besides the full log, :meth:`emit` appends each event that carries a
+    ``request_id`` to that request's chain, so one request's
+    :meth:`timeline` costs the length of its chain rather than of the
+    log, and walking every request is linear in the log.
+    """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._events: List[TimelineEvent] = []
+        self._chains: Dict[int, List[TimelineEvent]] = {}
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, sim_time: float,
@@ -144,6 +151,8 @@ class EventLog:
                               sim_time=sim_time, request_id=request_id,
                               step=step, attrs=attrs)
         self._events.append(event)
+        if request_id is not None:
+            self._chains.setdefault(request_id, []).append(event)
         return event
 
     # ------------------------------------------------------------------
@@ -154,8 +163,12 @@ class EventLog:
         return len(self._events)
 
     def timeline(self, request_id: int) -> List[TimelineEvent]:
-        """The causal chain of one request, in emission order."""
-        return [e for e in self._events if e.request_id == request_id]
+        """The causal chain of one request, in emission order.
+
+        A new list on every call (callers filter it), built from the
+        index in O(chain length); ``[]`` for an unseen id.
+        """
+        return list(self._chains.get(request_id, ()))
 
     def by_kind(self, kind: str) -> List[TimelineEvent]:
         if kind not in _KIND_SET:
@@ -164,9 +177,9 @@ class EventLog:
         return [e for e in self._events if e.kind == kind]
 
     def request_ids(self) -> List[int]:
-        """Distinct request ids seen, ascending."""
-        return sorted({e.request_id for e in self._events
-                       if e.request_id is not None})
+        """Distinct request ids seen, ascending: O(R log R) in the
+        number R of distinct requests."""
+        return sorted(self._chains)
 
     def span(self) -> Tuple[float, float]:
         """(first, last) simulated time covered; (0, 0) when empty."""
@@ -177,6 +190,7 @@ class EventLog:
 
     def reset(self) -> None:
         self._events.clear()
+        self._chains.clear()
 
     def enable(self) -> None:
         self.enabled = True

@@ -135,6 +135,21 @@ def test_fleet_lifecycle_is_clean(fleet_run):
     assert validate_lifecycle(log) == []
 
 
+def test_chain_index_matches_a_full_log_scan(fleet_run, chaos_explain):
+    # the per-request index must hand back exactly what scanning the
+    # whole log would: the same event objects, in emission order
+    for log in (fleet_run[1], chaos_explain.log):
+        events = log.events()
+        ids = {e.request_id for e in events} - {None}
+        assert ids
+        assert log.request_ids() == sorted(ids)
+        for rid in ids:
+            scanned = [e for e in events if e.request_id == rid]
+            chain = log.timeline(rid)
+            assert len(chain) == len(scanned)
+            assert all(a is b for a, b in zip(chain, scanned))
+
+
 def test_fleet_latencies_match_quantized_measurement(fleet_run):
     # the blame ledger's end-to-end latency is the quantized span of
     # the request's own chain — no resynthesis, no estimation

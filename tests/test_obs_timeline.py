@@ -56,6 +56,10 @@ class TestEventLog:
         chain = log.timeline(0)
         assert [e.kind for e in chain] == ["queue", "admit", "complete"]
         assert log.request_ids() == [0, 1]
+        assert log.timeline(None) == []  # run-level events join no chain
+        chain.clear()  # a caller's edit must not reach the log
+        assert log.timeline(0) == [e for e in log.events()
+                                   if e.request_id == 0]
 
     def test_by_kind_and_span(self):
         log = EventLog()
@@ -68,10 +72,15 @@ class TestEventLog:
 
     def test_reset_clears_events(self):
         log = EventLog()
-        log.emit("queue", 0.0)
+        log.emit("queue", 0.0, request_id=3)
         log.reset()
         assert len(log) == 0
         assert log.span() == (0.0, 0.0)
+        assert log.request_ids() == []
+        assert log.timeline(3) == []
+        again = log.emit("queue", 0.5, request_id=3)
+        assert again.seq == 0
+        assert log.timeline(3) == [again]
 
     def test_to_json_sorts_attrs_and_omits_missing_ids(self):
         log = EventLog()
