@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import KernelError
 from ..obs import trace as obs_trace
 from ..npu.hvx import HVXContext, VGATHER_ELEMENTS, vectors_for_bytes
-from ..npu.hmx import hmx_layout_order
+from ..npu.hmx import matrix_to_hmx_layout
 from ..npu.memory import DMAEngine
 from ..quant.codebooks import Codebook, Q4_0_CODEBOOK
 from ..quant.coalesce import PackedWeight, unpack_nibbles
@@ -251,14 +251,7 @@ def _dequant_baseline(quantized: QuantizedWeight, hvx: HVXContext,
 
     def scatter() -> np.ndarray:
         values = _groups_dequant_values(groups, codebook)  # column-major
-        order = hmx_layout_order(rows, cols)
-        inverse = np.empty_like(order)
-        inverse[order] = np.arange(order.size)
-        col_major_rm_index = (np.arange(rows * cols) % rows) * cols \
-            + (np.arange(rows * cols) // rows)
-        destination = np.empty(rows * cols, dtype=np.float16)
-        destination[inverse[col_major_rm_index]] = values.ravel()
-        return destination
+        return matrix_to_hmx_layout(values.reshape(cols, rows).T)[0]
 
     return DequantOutput("baseline", groups.n_elements, scatter)
 

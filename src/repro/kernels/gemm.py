@@ -12,12 +12,17 @@ the full pipeline —
 :class:`~repro.npu.timing.KernelCost`, so a single invocation feeds both
 accuracy tests and latency benchmarks.  All strategies produce identical
 numerics; they differ only in instruction mix and memory traffic.
+
+Host work fixed by the weight or by the call's shape is done once:
+:meth:`MixedPrecisionGemm.prepare_weight` stores the tile-padded FP32
+weight the HMX tile loop reads, and each call is charged from a table
+of per-shape costs on the kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from ..errors import KernelError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..npu.hvx import HVXContext, InstructionTrace
-from ..npu.hmx import HMXUnit
+from ..npu.hmx import HMXUnit, padded_fp32
 from ..npu.memory import DMAEngine
 from ..npu.timing import KernelCost
 from ..quant.codebooks import Codebook, Q4_0_CODEBOOK
@@ -47,18 +52,46 @@ __all__ = ["PreparedWeight", "MixedPrecisionGemm"]
 
 @dataclass
 class PreparedWeight:
-    """A weight quantized and packed for one dequantization strategy."""
+    """A weight quantized and packed for one dequantization strategy.
+
+    ``padded_fp32`` is the dequantized weight as the HMX tile loop reads
+    it: zero-padded to whole tiles, widened to FP32 and laid out as
+    :func:`~repro.npu.hmx.padded_fp32` lays out the FP16 matrix (C order
+    for tile groups, F order for the column-major groups of
+    ``baseline``).  It is built once, here, instead of on every call.
+    """
 
     quantized: QuantizedWeight
     packed: Optional[PackedWeight]
-    dequantized_matrix: np.ndarray  # FP16, original shape
+    padded_fp32: np.ndarray
     strategy: str
+
+    @property
+    def dequantized_matrix(self) -> np.ndarray:
+        """The FP16 weight in its original shape, copied out on each read."""
+        rows, cols = self.quantized.original_shape
+        return self.padded_fp32[:rows, :cols].astype(np.float16)
 
     @property
     def storage_bytes(self) -> int:
         if self.packed is not None:
             return int(self.packed.data.size)
         return self.quantized.storage_bytes
+
+
+@dataclass(frozen=True)
+class _Charge:
+    """What one call of a given shape charges, recorded once.
+
+    ``cost`` is the call's :class:`KernelCost`.  ``spans`` (leaf spans,
+    as ``(name, category, attrs)``) and ``counters`` (the total added to
+    each counter) are what recording it emitted to the tracer and the
+    metrics registry; every traced call of that shape emits them again.
+    """
+
+    cost: KernelCost
+    spans: Tuple[Tuple[str, str, Dict[str, Any]], ...]
+    counters: Tuple[Tuple[str, float], ...]
 
 
 class MixedPrecisionGemm:
@@ -82,6 +115,7 @@ class MixedPrecisionGemm:
         self.codebook = codebook
         self.coalesce = coalesce
         self.qfloat_mode = qfloat_mode
+        self._charges: Dict[Tuple[int, ...], _Charge] = {}
 
     # ------------------------------------------------------------------
     def prepare_weight(self, weight: np.ndarray) -> PreparedWeight:
@@ -97,9 +131,10 @@ class MixedPrecisionGemm:
                 packed = pack_supergroups_q4(quantized.groups, self.coalesce)
             else:
                 packed = pack_aos_q4(quantized.groups)
-        matrix = dequantize_weight(quantized)
         return PreparedWeight(quantized=quantized, packed=packed,
-                              dequantized_matrix=matrix, strategy=self.strategy)
+                              padded_fp32=padded_fp32(
+                                  dequantize_weight(quantized)),
+                              strategy=self.strategy)
 
     # ------------------------------------------------------------------
     def __call__(self, activations: np.ndarray, prepared: PreparedWeight
@@ -117,38 +152,30 @@ class MixedPrecisionGemm:
             raise KernelError(
                 f"activation width {acts.shape[1]} != weight input dim {in_dim}")
 
-        flops = 2.0 * acts.shape[0] * in_dim * out_dim
+        m = acts.shape[0]
+        flops = 2.0 * m * in_dim * out_dim
         with obs_trace.span("kernel.gemm", category="kernel",
-                            m=acts.shape[0], k=in_dim, n=out_dim,
+                            m=m, k=in_dim, n=out_dim,
                             strategy=self.strategy, bits=self.bits,
                             flops=flops,
                             weight_bytes=prepared.storage_bytes) as sp:
-            trace = InstructionTrace()
-            hvx = HVXContext(self.qfloat_mode, trace)
-            dma = DMAEngine()
-
-            # stage activations into TCM (2-D DMA descriptor)
-            dma.transfer_2d(acts.shape[0], acts.shape[1] * 2,
-                            direction="ddr_to_tcm")
-
-            # weight dequantization (streams packed weights via DMA)
-            dequantize_stream(prepared.quantized, self.strategy, hvx, dma,
-                              packed=prepared.packed, codebook=self.codebook,
-                              coalesce=self.coalesce)
-
-            # HMX tile GEMM on the dequantized FP16 weights
-            hmx = HMXUnit(trace)
+            charge = self._charge(m, prepared)
+            if obs_trace.enabled():
+                for name, category, attrs in charge.spans:
+                    with obs_trace.span(name, category, **attrs):
+                        pass
+                reg = obs_metrics.get_metrics()
+                for name, value in charge.counters:
+                    reg.counter(name).inc(value)
             if self.strategy == "no_dequant":
-                # upper-bound variant computes nothing; charge the MACs the
-                # real kernel would issue so only dequantization differs
-                trace.record("hmx_tile_mac",
-                             HMXUnit.tile_macs_for_gemm(acts.shape[0], in_dim,
-                                                        out_dim))
-                output = np.zeros((acts.shape[0], out_dim), dtype=np.float16)
+                # upper-bound variant computes nothing; it is charged the
+                # MACs the real kernel would issue so only dequantization
+                # differs
+                output = np.zeros((m, out_dim), dtype=np.float16)
             else:
-                output = hmx.gemm(acts, prepared.dequantized_matrix)
-
-            cost = KernelCost.from_trace(trace, dma)
+                output = HMXUnit().gemm(acts, prepared.padded_fp32,
+                                        weight_shape=(in_dim, out_dim))
+            cost = charge.cost + KernelCost()
             sp.add_cost(cost)
         if obs_trace.enabled():
             reg = obs_metrics.get_metrics()
@@ -156,6 +183,51 @@ class MixedPrecisionGemm:
             reg.counter("repro.kernels.gemm_weight_bytes").inc(
                 prepared.storage_bytes)
         return output, cost
+
+    def _charge(self, m: int, prepared: PreparedWeight) -> _Charge:
+        """The charges of an ``(m, k) @ (k, n)`` call on ``prepared``.
+
+        They depend on the shape, the weight's group count and its packed
+        size alone (dequantization is charged per group and byte and
+        never reads a code), so each distinct key is recorded once, by
+        the reference path: stage the activations, ``dequantize_stream``,
+        :meth:`HMXUnit.record_gemm`, :meth:`KernelCost.from_trace`.  The
+        recording runs under its own tracer and metrics registry, swapped
+        in for the global ones (kernels run on one thread); what it
+        emitted there is kept for traced calls to emit.
+        """
+        k, n = prepared.quantized.original_shape
+        key = (m, k, n, prepared.quantized.groups.n_groups,
+               prepared.storage_bytes)
+        charge = self._charges.get(key)
+        if charge is not None:
+            return charge
+        tracer, registry = obs_trace.Tracer(), obs_metrics.MetricsRegistry()
+        outer_tracer = obs_trace.set_tracer(tracer)
+        outer_registry = obs_metrics.set_metrics(registry)
+        try:
+            trace = InstructionTrace()
+            dma = DMAEngine()
+            # stage activations into TCM (2-D DMA descriptor)
+            dma.transfer_2d(m, k * 2, direction="ddr_to_tcm")
+            # weight dequantization (streams packed weights via DMA)
+            dequantize_stream(prepared.quantized, self.strategy,
+                              HVXContext(self.qfloat_mode, trace), dma,
+                              packed=prepared.packed, codebook=self.codebook,
+                              coalesce=self.coalesce)
+            # HMX tile MACs and output tiles of the GEMM
+            HMXUnit(trace).record_gemm(m, k, n)
+        finally:
+            obs_trace.set_tracer(outer_tracer)
+            obs_metrics.set_metrics(outer_registry)
+        charge = _Charge(
+            cost=KernelCost.from_trace(trace, dma),
+            spans=tuple((span.name, span.category, span.attrs)
+                        for span in tracer.finished_spans()),
+            counters=tuple((name, snap["value"]) for name, snap
+                           in registry.snapshot().items()))
+        self._charges[key] = charge
+        return charge
 
     # ------------------------------------------------------------------
     def gemv(self, activation: np.ndarray, prepared: PreparedWeight

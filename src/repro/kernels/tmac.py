@@ -68,19 +68,15 @@ class TMacGemv:
         if w.ndim != 2:
             raise KernelError(f"expected a weight matrix, got shape {w.shape}")
         quantized = quantize_tile_group(w, bits=4, group_size=self.group_size)
-        from ..quant.tile_quant import dequantize_weight
-        from ..npu.hmx import hmx_layout_order, pad_to_tiles
+        from ..npu.hmx import matrix_from_hmx_layout
 
-        rows, cols = quantized.padded_shape
+        padded_shape = quantized.padded_shape
         # reconstruct the per-element codes and scales in matrix order
-        order = hmx_layout_order(rows, cols)
-        codes_flat = np.empty(rows * cols, dtype=np.uint8)
-        codes_flat[order] = quantized.groups.codes.ravel()
-        scales_flat = np.empty(rows * cols, dtype=np.float32)
-        scales_flat[order] = np.repeat(
-            quantized.groups.scales.astype(np.float32), self.group_size)
-        codes = codes_flat.reshape(rows, cols)
-        scales = scales_flat.reshape(rows, cols)
+        codes = matrix_from_hmx_layout(
+            quantized.groups.codes.ravel(), padded_shape)
+        scales = matrix_from_hmx_layout(np.repeat(
+            quantized.groups.scales.astype(np.float32), self.group_size),
+            padded_shape)
 
         bitplanes = np.stack([(codes >> b) & 1 for b in range(4)]) \
             .astype(np.int8)

@@ -38,6 +38,7 @@ __all__ = [
     "tile_permute",
     "tile_unpermute",
     "pad_to_tiles",
+    "padded_fp32",
     "matrix_to_hmx_layout",
     "matrix_from_hmx_layout",
     "hmx_layout_order",
@@ -93,7 +94,7 @@ def pad_to_tiles(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _padded_fp32(matrix: np.ndarray) -> np.ndarray:
+def padded_fp32(matrix: np.ndarray) -> np.ndarray:
     """``pad_to_tiles(matrix).astype(np.float32)``, converting only real elements.
 
     The result also has that expression's memory layout: BLAS rounds a
@@ -116,16 +117,10 @@ def matrix_to_hmx_layout(matrix: np.ndarray) -> Tuple[np.ndarray, Tuple[int, int
     """
     padded = pad_to_tiles(matrix)
     rows, cols = padded.shape
-    tiles_r, tiles_c = rows // TILE_DIM, cols // TILE_DIM
-    out = np.empty(rows * cols, dtype=padded.dtype)
-    pos = 0
-    for tc in range(tiles_c):
-        for tr in range(tiles_r):
-            tile = padded[tr * TILE_DIM:(tr + 1) * TILE_DIM,
-                          tc * TILE_DIM:(tc + 1) * TILE_DIM]
-            out[pos:pos + TILE_ELEMS] = tile_permute(tile)
-            pos += TILE_ELEMS
-    return out, (rows, cols)
+    # axes: tile row, row pair, row in pair, tile column, column
+    tiles = padded.reshape(rows // TILE_DIM, TILE_DIM // 2, 2,
+                           cols // TILE_DIM, TILE_DIM)
+    return tiles.transpose(3, 0, 1, 4, 2).reshape(-1), (rows, cols)
 
 
 def matrix_from_hmx_layout(flat: np.ndarray, padded_shape: Tuple[int, int],
@@ -141,15 +136,10 @@ def matrix_from_hmx_layout(flat: np.ndarray, padded_shape: Tuple[int, int],
     if flat.size != rows * cols:
         raise TileShapeError(
             f"layout buffer size {flat.size} does not match padded shape {padded_shape}")
-    tiles_r, tiles_c = rows // TILE_DIM, cols // TILE_DIM
-    out = np.empty((rows, cols), dtype=flat.dtype)
-    pos = 0
-    for tc in range(tiles_c):
-        for tr in range(tiles_r):
-            tile = tile_unpermute(flat[pos:pos + TILE_ELEMS])
-            out[tr * TILE_DIM:(tr + 1) * TILE_DIM,
-                tc * TILE_DIM:(tc + 1) * TILE_DIM] = tile
-            pos += TILE_ELEMS
+    # axes: tile column, tile row, row pair, column, row in pair
+    tiles = flat.reshape(cols // TILE_DIM, rows // TILE_DIM, TILE_DIM // 2,
+                         TILE_DIM, 2)
+    out = tiles.transpose(1, 2, 4, 0, 3).reshape(rows, cols)
     if original_shape is not None:
         out = out[:original_shape[0], :original_shape[1]]
     return out
@@ -231,7 +221,8 @@ class HMXUnit:
         return acc.astype(np.float16)
 
     def gemm(self, activations: np.ndarray, weights: np.ndarray,
-             out_dtype: np.dtype = np.float16) -> np.ndarray:
+             out_dtype: np.dtype = np.float16, *,
+             weight_shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
         """Full GEMM ``activations @ weights`` through tile decomposition.
 
         Both operands are padded to whole tiles; the per-(m,n) tile output
@@ -243,20 +234,38 @@ class HMXUnit:
         ``ceil(m/32) * ceil(k/32) * ceil(n/32)``, which is why a
         single-token decode (m=1) wastes 31/32 of the activation tile —
         the underutilization the paper's test-time scaling exploits.
+
+        A weight that is multiplied many times can instead be passed
+        already padded and widened, as :func:`padded_fp32` of its FP16
+        matrix, with the matrix's own ``(k, n)`` as ``weight_shape``.
+        The activation width is checked against that ``k``, the tile
+        loop reads the weight as it is, and the result is the FP16
+        matrix's, bit for bit.
         """
         a = np.asarray(activations, dtype=np.float16)
-        w = np.asarray(weights, dtype=np.float16)
+        padded = weight_shape is not None
+        w = np.asarray(weights, dtype=np.float32 if padded else np.float16)
         if a.ndim < 2 or a.ndim != w.ndim or a.shape[:-2] != w.shape[:-2]:
             raise TileShapeError(
                 f"gemm expects 2-D operands or equal stacks of them, got "
                 f"{a.shape} @ {w.shape}")
-        if a.shape[-1] != w.shape[-2]:
-            raise TileShapeError(
-                f"inner dimensions differ: {a.shape} @ {w.shape}")
         batch = a.shape[:-2]
         m, k = a.shape[-2:]
-        n = w.shape[-1]
-        a_pad, w_pad = _padded_fp32(a), _padded_fp32(w)
+        w_k, n = weight_shape if padded else w.shape[-2:]
+        if w_k != k:
+            raise TileShapeError(
+                f"inner dimensions differ: {a.shape} @ "
+                f"{(w_k, n) if padded else w.shape}")
+        if not padded:
+            w_pad = padded_fp32(w)
+        elif w.shape[-2:] != (-(-k // TILE_DIM) * TILE_DIM,
+                              -(-n // TILE_DIM) * TILE_DIM):
+            raise TileShapeError(
+                f"weights of shape {w.shape} are not a {k}x{n} matrix "
+                f"padded to whole tiles")
+        else:
+            w_pad = w
+        a_pad = padded_fp32(a)
         tiles_m, tiles_k = (d // TILE_DIM for d in a_pad.shape[-2:])
         tiles_n = w_pad.shape[-1] // TILE_DIM
         # a_tiles[..., i, :, t, :] is activation tile (i, t) and

@@ -75,18 +75,33 @@ def _require_q4(groups: QuantizedGroups) -> None:
         raise QuantizationError("group size must be even for nibble packing")
 
 
+def _pack_records(groups: QuantizedGroups, coalesce: int) -> np.ndarray:
+    """Records of ``coalesce`` groups: their packed codes, then their scales."""
+    n_records = groups.n_groups // coalesce
+    codes = pack_nibbles(groups.codes).reshape(
+        n_records, coalesce * groups.group_size // 2)
+    scales = groups.scales.astype(np.float16).view(np.uint8).reshape(
+        n_records, 2 * coalesce)
+    return np.concatenate([codes, scales], axis=1).ravel()
+
+
+def _unpack_records(packed: PackedWeight, coalesce: int) -> QuantizedGroups:
+    """Inverse of :func:`_pack_records`."""
+    code_bytes = coalesce * packed.group_size // 2
+    data = packed.data.reshape(packed.n_groups // coalesce,
+                               code_bytes + 2 * coalesce)
+    codes = unpack_nibbles(data[:, :code_bytes]).reshape(packed.n_groups,
+                                                         packed.group_size)
+    scales = data[:, code_bytes:].copy().view(np.float16)
+    return QuantizedGroups(codes=codes, scales=scales.ravel(), bits=4,
+                           group_size=packed.group_size)
+
+
 def pack_aos_q4(groups: QuantizedGroups) -> PackedWeight:
     """Conventional AoS layout: [codes(16B) | scale(2B)] per group."""
     _require_q4(groups)
-    code_bytes = groups.group_size // 2
-    record = code_bytes + 2
-    out = np.empty(groups.n_groups * record, dtype=np.uint8)
-    scale_bytes = groups.scales.astype(np.float16).view(np.uint8).reshape(-1, 2)
-    for i in range(groups.n_groups):
-        base = i * record
-        out[base:base + code_bytes] = pack_nibbles(groups.codes[i])
-        out[base + code_bytes:base + record] = scale_bytes[i]
-    return PackedWeight(data=out, layout="aos", n_groups=groups.n_groups,
+    return PackedWeight(data=_pack_records(groups, 1), layout="aos",
+                        n_groups=groups.n_groups,
                         group_size=groups.group_size)
 
 
@@ -94,13 +109,7 @@ def unpack_aos_q4(packed: PackedWeight) -> QuantizedGroups:
     """Inverse of :func:`pack_aos_q4`."""
     if packed.layout != "aos":
         raise QuantizationError(f"expected aos layout, got {packed.layout!r}")
-    code_bytes = packed.group_size // 2
-    record = code_bytes + 2
-    data = packed.data.reshape(packed.n_groups, record)
-    codes = np.stack([unpack_nibbles(row[:code_bytes]) for row in data])
-    scales = np.ascontiguousarray(data[:, code_bytes:]).view(np.float16).ravel()
-    return QuantizedGroups(codes=codes, scales=scales.copy(), bits=4,
-                           group_size=packed.group_size)
+    return _unpack_records(packed, 1)
 
 
 def pack_supergroups_q4(groups: QuantizedGroups,
@@ -117,18 +126,8 @@ def pack_supergroups_q4(groups: QuantizedGroups,
     if groups.n_groups % coalesce != 0:
         raise QuantizationError(
             f"{groups.n_groups} groups do not divide into super-groups of {coalesce}")
-    code_bytes = coalesce * groups.group_size // 2
-    record = code_bytes + 2 * coalesce
-    n_super = groups.n_groups // coalesce
-    out = np.empty(n_super * record, dtype=np.uint8)
-    scale_bytes = groups.scales.astype(np.float16).view(np.uint8).reshape(-1, 2)
-    for s in range(n_super):
-        base = s * record
-        block = groups.codes[s * coalesce:(s + 1) * coalesce].ravel()
-        out[base:base + code_bytes] = pack_nibbles(block)
-        scales = scale_bytes[s * coalesce:(s + 1) * coalesce].ravel()
-        out[base + code_bytes:base + record] = scales
-    return PackedWeight(data=out, layout="supergroup", n_groups=groups.n_groups,
+    return PackedWeight(data=_pack_records(groups, coalesce),
+                        layout="supergroup", n_groups=groups.n_groups,
                         group_size=groups.group_size, coalesce=coalesce)
 
 
@@ -136,21 +135,7 @@ def unpack_supergroups_q4(packed: PackedWeight) -> QuantizedGroups:
     """Inverse of :func:`pack_supergroups_q4`."""
     if packed.layout != "supergroup":
         raise QuantizationError(f"expected supergroup layout, got {packed.layout!r}")
-    coalesce = packed.coalesce
-    code_bytes = coalesce * packed.group_size // 2
-    record = code_bytes + 2 * coalesce
-    n_super = packed.n_groups // coalesce
-    data = packed.data.reshape(n_super, record)
-    codes = np.empty((packed.n_groups, packed.group_size), dtype=np.uint8)
-    scales = np.empty(packed.n_groups, dtype=np.float16)
-    for s in range(n_super):
-        block = unpack_nibbles(data[s, :code_bytes])
-        codes[s * coalesce:(s + 1) * coalesce] = block.reshape(coalesce,
-                                                               packed.group_size)
-        raw = np.ascontiguousarray(data[s, code_bytes:]).view(np.float16)
-        scales[s * coalesce:(s + 1) * coalesce] = raw
-    return QuantizedGroups(codes=codes, scales=scales, bits=4,
-                           group_size=packed.group_size)
+    return _unpack_records(packed, packed.coalesce)
 
 
 def register_utilization(packed: PackedWeight) -> float:

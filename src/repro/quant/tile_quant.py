@@ -33,7 +33,12 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import QuantizationError
-from ..npu.hmx import TILE_DIM, hmx_layout_order, pad_to_tiles
+from ..npu.hmx import (
+    TILE_DIM,
+    matrix_from_hmx_layout,
+    matrix_to_hmx_layout,
+    pad_to_tiles,
+)
 from .schemes import (
     Q4_GROUP_SIZE,
     QuantizedGroups,
@@ -107,8 +112,7 @@ def quantize_tile_group(weight: np.ndarray, bits: int = 4,
     if w.ndim != 2:
         raise QuantizationError(f"expected a weight matrix, got shape {w.shape}")
     padded = pad_to_tiles(w)
-    order = hmx_layout_order(*padded.shape)
-    layout_values = padded.ravel()[order]
+    layout_values, _ = matrix_to_hmx_layout(padded)
     groups = _quant_flat(layout_values, bits, group_size)
     return QuantizedWeight(groups=groups, layout="hmx_tile",
                            original_shape=w.shape, padded_shape=padded.shape)
@@ -137,13 +141,10 @@ def quantize_conventional_group(weight: np.ndarray, bits: int = 4,
 
 def dequantize_weight(quantized: QuantizedWeight) -> np.ndarray:
     """Reconstruct the FP16 weight matrix in its original shape."""
-    flat = _dequant_flat(quantized.groups).astype(np.float32)
+    flat = _dequant_flat(quantized.groups)
     rows, cols = quantized.padded_shape
     if quantized.layout == "hmx_tile":
-        order = hmx_layout_order(rows, cols)
-        out = np.empty(rows * cols, dtype=np.float32)
-        out[order] = flat
-        matrix = out.reshape(rows, cols)
+        matrix = matrix_from_hmx_layout(flat, (rows, cols))
     else:
         matrix = flat.reshape(cols, rows).T
     o_rows, o_cols = quantized.original_shape

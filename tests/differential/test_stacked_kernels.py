@@ -14,6 +14,7 @@ from typing import Dict
 import numpy as np
 import pytest
 
+from repro.kernels.dequant import DEQUANT_STRATEGIES
 from repro.kernels.flash_attention import AttentionBreakdown, FlashAttention
 from repro.kernels.gemm import MixedPrecisionGemm
 from repro.kernels.softmax import (
@@ -26,6 +27,7 @@ from repro.npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from repro.npu.memory import TCM
 from repro.npu.timing import KernelCost
 from repro.obs import trace as obs_trace
+from repro.quant.tile_quant import dequantize_weight
 
 _NEG_LIMIT = np.float16(-65504.0)
 _PHASES = ("qk_matmul", "softmax", "pv_matmul", "rescale")
@@ -207,17 +209,40 @@ def test_gemm_stack_equals_per_matrix_gemms():
     assert stacked.trace.as_dict() == single.trace.as_dict()
 
 
+@pytest.mark.parametrize("width", [33, 64, 70])
+@pytest.mark.parametrize("m", [1, 4, 16, 33])
 @pytest.mark.parametrize("bits", [4, 8])
-@pytest.mark.parametrize("strategy", ["baseline", "hmx_layout", "ours"])
-def test_mixed_precision_gemm_matches_tile_loop(bits, strategy):
-    rng = np.random.default_rng(bits)
+@pytest.mark.parametrize("strategy", DEQUANT_STRATEGIES)
+def test_mixed_precision_gemm_matches_tile_loop(strategy, bits, m, width):
+    """The stored FP32 weight multiplies bit for bit like its FP16 matrix.
+
+    Conventional groups run down whole columns, so ``baseline`` weights
+    keep 64 rows; the tile-group strategies pad both dimensions.  Width
+    64 is a weight that needs no padding.
+    """
+    rng = np.random.default_rng([bits, m, width])
     kernel = MixedPrecisionGemm(strategy=strategy, bits=bits)
-    prepared = kernel.prepare_weight(rng.normal(0, 0.05, (96, 160)))
-    acts = rng.normal(0, 1, (3, 96)).astype(np.float16)
-    out, _ = kernel(acts, prepared)
-    expected = reference_gemm(InstructionTrace(), acts,
-                              prepared.dequantized_matrix)
-    assert np.array_equal(_bits(out), _bits(expected))
+    k = 64 if strategy == "baseline" else width
+    prepared = kernel.prepare_weight(rng.normal(0, 0.05, (k, width)))
+    stored = prepared.padded_fp32
+    assert stored.dtype == np.float32 and stored.shape == (
+        -(-k // TILE_DIM) * TILE_DIM, -(-width // TILE_DIM) * TILE_DIM)
+    if strategy == "baseline":
+        assert stored.flags.f_contiguous and not stored.flags.c_contiguous
+    else:
+        assert stored.flags.c_contiguous and not stored.flags.f_contiguous
+    matrix = dequantize_weight(prepared.quantized)
+    derived = prepared.dequantized_matrix
+    assert derived.tobytes() == matrix.tobytes()
+    assert derived.strides == matrix.strides
+    acts = rng.normal(0, 1, (m, k)).astype(np.float16)
+    expected = reference_gemm(InstructionTrace(), acts, matrix)
+    for _ in range(2):  # the second call is charged from the table
+        out, _ = kernel(acts, prepared)
+        if strategy == "no_dequant":  # computes nothing, by design
+            assert np.array_equal(_bits(out), _bits(np.zeros_like(expected)))
+            out = HMXUnit().gemm(acts, stored, weight_shape=(k, width))
+        assert np.array_equal(_bits(out), _bits(expected))
 
 
 # ----------------------------------------------------------------------

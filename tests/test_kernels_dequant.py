@@ -238,10 +238,11 @@ class TestLazyValues:
         assert counts["vscatter"] == 1040 + 8
         assert dma_bytes == 37440
 
+    @pytest.mark.parametrize("shape", [(96, 64), (64, 33)])
     @pytest.mark.parametrize("bits", [4, 8])
     @pytest.mark.parametrize("strategy", ["baseline", "hmx_layout", "ours"])
-    def test_values_read_are_the_layout_stream(self, bits, strategy):
-        prepared, out, _, _ = self._run(bits, strategy)
+    def test_values_read_are_the_layout_stream(self, bits, strategy, shape):
+        prepared, out, _, _ = self._run(bits, strategy, shape=shape)
         layout, _ = matrix_to_hmx_layout(
             pad_to_tiles(prepared.dequantized_matrix))
         assert np.array_equal(out.weights_fp16.view(np.uint16),
@@ -258,7 +259,7 @@ class TestLazyValues:
             raise AssertionError("dequantized values were computed")
 
         monkeypatch.setattr(dequant, "_groups_dequant_values", forbidden)
-        monkeypatch.setattr(dequant, "hmx_layout_order", forbidden)
+        monkeypatch.setattr(dequant, "matrix_to_hmx_layout", forbidden)
         out, cost = kernel(np.ones((2, 64), dtype=np.float16), prepared)
         assert out.shape == (2, 96) and cost.hvx_packets > 0
 

@@ -5,12 +5,62 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernels.gemm import MixedPrecisionGemm
-from repro.kernels.dequant import DEQUANT_STRATEGIES
+from repro.kernels.dequant import DEQUANT_STRATEGIES, dequantize_stream
+from repro.npu.hmx import HMXUnit
+from repro.npu.hvx import HVXContext, InstructionTrace
+from repro.npu.memory import DMAEngine
+from repro.npu.timing import KernelCost
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 
 
 @pytest.fixture
 def weight(rng):
     return rng.normal(0, 0.1, (96, 160)).astype(np.float32)
+
+
+def reference_call(kernel, acts, prepared):
+    """One call with every charge recorded afresh, inside its spans."""
+    m, (k, n) = acts.shape[0], prepared.quantized.original_shape
+    flops = 2.0 * m * k * n
+    with obs_trace.span("kernel.gemm", category="kernel", m=m, k=k, n=n,
+                        strategy=kernel.strategy, bits=kernel.bits,
+                        flops=flops,
+                        weight_bytes=prepared.storage_bytes) as sp:
+        trace, dma = InstructionTrace(), DMAEngine()
+        dma.transfer_2d(m, k * 2, direction="ddr_to_tcm")
+        dequantize_stream(prepared.quantized, kernel.strategy,
+                          HVXContext(kernel.qfloat_mode, trace), dma,
+                          packed=prepared.packed, codebook=kernel.codebook,
+                          coalesce=kernel.coalesce)
+        if kernel.strategy == "no_dequant":
+            trace.record("hmx_tile_mac", HMXUnit.tile_macs_for_gemm(m, k, n))
+        else:
+            HMXUnit(trace).record_gemm(m, k, n)
+        cost = KernelCost.from_trace(trace, dma)
+        sp.add_cost(cost)
+    if obs_trace.enabled():
+        reg = obs_metrics.get_metrics()
+        reg.counter("repro.kernels.gemm_flops").inc(flops)
+        reg.counter("repro.kernels.gemm_weight_bytes").inc(
+            prepared.storage_bytes)
+    return cost
+
+
+def traced(call, batch_sizes):
+    """Span tree and metrics snapshot of ``call`` over each batch size."""
+    tracer, registry = obs_trace.Tracer(), obs_metrics.MetricsRegistry()
+    outer_tracer = obs_trace.set_tracer(tracer)
+    outer_registry = obs_metrics.set_metrics(registry)
+    try:
+        for m in batch_sizes:
+            call(np.ones((m, 96), dtype=np.float16))
+    finally:
+        obs_trace.set_tracer(outer_tracer)
+        obs_metrics.set_metrics(outer_registry)
+    spans = [(s.name, s.category, s.parent, s.depth, s.attrs, s.costs)
+             for s in tracer.finished_spans()]
+    return spans, registry.snapshot()
 
 
 class TestMixedPrecisionGemm:
@@ -105,3 +155,62 @@ class TestMixedPrecisionGemm:
         prepared = gemm.prepare_weight(weight)
         assert prepared.strategy == strategy
         assert prepared.dequantized_matrix.shape == weight.shape
+
+
+class TestChargeTable:
+    """Each call is charged from a per-shape table on the kernel."""
+
+    @pytest.mark.parametrize("m", [1, 4, 33])
+    @pytest.mark.parametrize("bits", [4, 8])
+    @pytest.mark.parametrize("strategy", DEQUANT_STRATEGIES)
+    def test_cost_equals_the_reference(self, strategy, bits, m, rng, weight):
+        kernel = MixedPrecisionGemm(strategy, bits=bits)
+        prepared = kernel.prepare_weight(weight)
+        acts = rng.normal(0, 1, (m, 96)).astype(np.float16)
+        expected = reference_call(kernel, acts, prepared)
+        for _ in range(2):  # records, then reads the table
+            _, cost = kernel(acts, prepared)
+            assert cost == expected
+
+    def test_each_batch_size_has_its_own_entry(self, weight):
+        kernel = MixedPrecisionGemm("ours")
+        prepared = kernel.prepare_weight(weight)
+        costs = {m: kernel(np.ones((m, 96), dtype=np.float16), prepared)[1]
+                 for m in (1, 4)}
+        for m, cost in costs.items():
+            acts = np.ones((m, 96), dtype=np.float16)
+            assert cost == reference_call(kernel, acts, prepared)
+        assert costs[1] != costs[4]
+
+    def test_weights_of_one_shape_and_other_sizes_have_their_own_entries(
+            self, weight):
+        kernel = MixedPrecisionGemm("hmx_layout")
+        acts = np.ones((2, 96), dtype=np.float16)
+        for bits in (4, 8, 4):  # packed Q4 and unpacked Q8: other bytes
+            prepared = MixedPrecisionGemm(
+                "hmx_layout", bits=bits).prepare_weight(weight)
+            _, cost = kernel(acts, prepared)
+            assert cost == reference_call(kernel, acts, prepared)
+
+    def test_a_mutated_cost_does_not_reach_the_next_call(self, weight):
+        kernel = MixedPrecisionGemm("ours")
+        prepared = kernel.prepare_weight(weight)
+        acts = np.ones((2, 96), dtype=np.float16)
+        expected = reference_call(kernel, acts, prepared)
+        _, first = kernel(acts, prepared)
+        first.merge(first)
+        _, second = kernel(acts, prepared)
+        assert second == expected and second is not first
+
+    @pytest.mark.parametrize("strategy", DEQUANT_STRATEGIES)
+    def test_traced_calls_emit_the_reference_spans_and_counters(
+            self, strategy, weight):
+        kernel = MixedPrecisionGemm(strategy)
+        prepared = kernel.prepare_weight(weight)
+        kernel(np.ones((1, 96), dtype=np.float16), prepared)  # untraced fill
+        got = traced(lambda acts: kernel(acts, prepared), (1, 4, 4, 1))
+        expected = traced(lambda acts: reference_call(kernel, acts, prepared),
+                          (1, 4, 4, 1))
+        assert [name for name, *_ in got[0]] == ["kernel.dequant",
+                                                 "kernel.gemm"] * 4
+        assert got == expected

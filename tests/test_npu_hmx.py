@@ -14,6 +14,7 @@ from repro.npu.hmx import (
     matrix_from_hmx_layout,
     matrix_to_hmx_layout,
     pad_to_tiles,
+    padded_fp32,
     tile_permute,
     tile_unpermute,
 )
@@ -100,6 +101,58 @@ class TestMatrixLayout:
             matrix_from_hmx_layout(np.zeros(32 * 32), (30, 32))
 
 
+def reference_to_layout(matrix):
+    """:func:`matrix_to_hmx_layout` one tile at a time."""
+    padded = pad_to_tiles(matrix)
+    rows, cols = padded.shape
+    out = np.empty(rows * cols, dtype=padded.dtype)
+    pos = 0
+    for tc in range(cols // TILE_DIM):
+        for tr in range(rows // TILE_DIM):
+            tile = padded[tr * TILE_DIM:(tr + 1) * TILE_DIM,
+                          tc * TILE_DIM:(tc + 1) * TILE_DIM]
+            out[pos:pos + TILE_ELEMS] = tile_permute(tile)
+            pos += TILE_ELEMS
+    return out, (rows, cols)
+
+
+def reference_from_layout(flat, padded_shape, original_shape=None):
+    """:func:`matrix_from_hmx_layout` one tile at a time."""
+    rows, cols = padded_shape
+    out = np.empty((rows, cols), dtype=flat.dtype)
+    pos = 0
+    for tc in range(cols // TILE_DIM):
+        for tr in range(rows // TILE_DIM):
+            out[tr * TILE_DIM:(tr + 1) * TILE_DIM,
+                tc * TILE_DIM:(tc + 1) * TILE_DIM] = tile_unpermute(
+                    flat[pos:pos + TILE_ELEMS])
+            pos += TILE_ELEMS
+    if original_shape is not None:
+        out = out[:original_shape[0], :original_shape[1]]
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (32, 32), (50, 70), (96, 33),
+                                   (128, 64)])
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.int64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_layout_reshapes_match_the_tile_loops(shape, dtype, order):
+    """Byte for byte, in both directions, with the crop's memory layout."""
+    values = np.random.default_rng(list(shape)).normal(0, 100, shape)
+    matrix = np.asarray(values, dtype=dtype, order=order)
+    layout, padded = matrix_to_hmx_layout(matrix)
+    expected, expected_padded = reference_to_layout(matrix)
+    assert padded == expected_padded and layout.dtype == expected.dtype
+    assert layout.tobytes() == expected.tobytes()
+    assert not np.shares_memory(layout, matrix)
+    for crop in (None, shape):
+        back = matrix_from_hmx_layout(layout, padded, crop)
+        expected_back = reference_from_layout(layout, padded, crop)
+        assert back.tobytes() == expected_back.tobytes()
+        assert back.strides == expected_back.strides
+        assert not np.shares_memory(back, layout)
+
+
 class TestHMXUnit:
     def test_gemm_matches_numpy(self, rng):
         a = rng.normal(size=(5, 40)).astype(np.float16)
@@ -149,6 +202,23 @@ class TestHMXUnit:
             hmx.gemm(np.zeros((2, 3)), np.zeros((4, 5)))
         with pytest.raises(TileShapeError):
             hmx.gemm(np.zeros(3), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_gemm_takes_a_padded_fp32_weight(self, rng, order):
+        a = rng.normal(size=(5, 40)).astype(np.float16)
+        w = np.asarray(rng.normal(size=(40, 33)), np.float16, order=order)
+        hmx, reference = HMXUnit(), HMXUnit()
+        got = hmx.gemm(a, padded_fp32(w), weight_shape=(40, 33))
+        assert got.tobytes() == reference.gemm(a, w).tobytes()
+        assert hmx.trace.as_dict() == reference.trace.as_dict()
+        with pytest.raises(TileShapeError):  # 65 pads to 96 columns
+            hmx.gemm(a, padded_fp32(w), weight_shape=(40, 65))
+        with pytest.raises(TileShapeError):  # not padded
+            hmx.gemm(a, w.astype(np.float32), weight_shape=(40, 33))
+        with pytest.raises(TileShapeError, match="inner dimensions differ"):
+            # 40 and 50 both pad to 64 rows
+            hmx.gemm(a, padded_fp32(np.zeros((50, 33), np.float16)),
+                     weight_shape=(50, 33))
 
     def test_emit_output_tile_scale_bias(self):
         hmx = HMXUnit()

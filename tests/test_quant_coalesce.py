@@ -17,7 +17,7 @@ from repro.quant.coalesce import (
     unpack_nibbles,
     unpack_supergroups_q4,
 )
-from repro.quant.schemes import quantize_q4_0, quantize_q8_0
+from repro.quant.schemes import QuantizedGroups, quantize_q4_0, quantize_q8_0
 
 
 class TestNibblePacking:
@@ -139,3 +139,56 @@ class TestRegisterUtilization:
         packed = pack_supergroups_q4(quantize_q4_0(rng.normal(size=256)),
                                      coalesce=4)
         assert register_utilization(packed) == pytest.approx(0.5)
+
+
+# ----------------------------------------------------------------------
+# references: the per-group loops the vectorized packers replaced
+# ----------------------------------------------------------------------
+def reference_pack(groups, coalesce):
+    code_bytes = coalesce * groups.group_size // 2
+    record = code_bytes + 2 * coalesce
+    n_records = groups.n_groups // coalesce
+    out = np.empty(n_records * record, dtype=np.uint8)
+    scale_bytes = groups.scales.astype(np.float16).view(np.uint8).reshape(-1, 2)
+    for s in range(n_records):
+        base = s * record
+        block = groups.codes[s * coalesce:(s + 1) * coalesce].ravel()
+        out[base:base + code_bytes] = pack_nibbles(block)
+        out[base + code_bytes:base + record] = \
+            scale_bytes[s * coalesce:(s + 1) * coalesce].ravel()
+    return out
+
+
+def reference_unpack(packed, coalesce):
+    code_bytes = coalesce * packed.group_size // 2
+    record = code_bytes + 2 * coalesce
+    n_records = packed.n_groups // coalesce
+    data = packed.data.reshape(n_records, record)
+    codes = np.empty((packed.n_groups, packed.group_size), dtype=np.uint8)
+    scales = np.empty(packed.n_groups, dtype=np.float16)
+    for s in range(n_records):
+        codes[s * coalesce:(s + 1) * coalesce] = unpack_nibbles(
+            data[s, :code_bytes]).reshape(coalesce, packed.group_size)
+        scales[s * coalesce:(s + 1) * coalesce] = np.ascontiguousarray(
+            data[s, code_bytes:]).view(np.float16)
+    return QuantizedGroups(codes=codes, scales=scales, bits=4,
+                           group_size=packed.group_size)
+
+
+@pytest.mark.parametrize("n_groups", [8, 24, 64])
+@pytest.mark.parametrize("layout,coalesce", [("aos", 1), ("supergroup", 1),
+                                             ("supergroup", 4),
+                                             ("supergroup", 8)])
+def test_packers_match_the_group_loops(n_groups, layout, coalesce):
+    rng = np.random.default_rng([n_groups, coalesce])
+    groups = quantize_q4_0(rng.normal(size=n_groups * 32))
+    if layout == "aos":
+        packed, back = pack_aos_q4(groups), unpack_aos_q4
+    else:
+        packed = pack_supergroups_q4(groups, coalesce)
+        back = unpack_supergroups_q4
+    assert packed.data.tobytes() == reference_pack(groups, coalesce).tobytes()
+    got, expected = back(packed), reference_unpack(packed, coalesce)
+    assert got.codes.tobytes() == expected.codes.tobytes()
+    assert got.scales.tobytes() == expected.scales.tobytes()
+    assert not np.shares_memory(got.scales, packed.data)

@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from repro.errors import QuantizationError
 from repro.npu.hmx import hmx_layout_order, pad_to_tiles
-from repro.quant.schemes import quantization_mse
+from repro.quant.schemes import (
+    dequantize_q4_0,
+    dequantize_q8_0,
+    quantization_mse,
+    quantize_q4_0,
+    quantize_q8_0,
+)
 from repro.quant.tile_quant import (
     QuantizedWeight,
     dequantize_layout_stream,
@@ -127,3 +133,48 @@ class TestLayoutStream:
         with pytest.raises(QuantizationError):
             QuantizedWeight(groups=q.groups, layout="bogus",
                             original_shape=(32, 32), padded_shape=(32, 32))
+
+
+# ----------------------------------------------------------------------
+# references: the index-order gather and scatter the layout reshapes
+# replaced
+# ----------------------------------------------------------------------
+def reference_tile_groups(weight, bits):
+    padded = pad_to_tiles(np.asarray(weight, dtype=np.float32))
+    values = padded.ravel()[hmx_layout_order(*padded.shape)]
+    return (quantize_q4_0 if bits == 4 else quantize_q8_0)(values)
+
+
+def reference_dequantize_weight(quantized):
+    groups = quantized.groups
+    flat = (dequantize_q4_0 if groups.bits == 4 else dequantize_q8_0)(
+        groups).astype(np.float32)
+    rows, cols = quantized.padded_shape
+    if quantized.layout == "hmx_tile":
+        out = np.empty(rows * cols, dtype=np.float32)
+        out[hmx_layout_order(rows, cols)] = flat
+        matrix = out.reshape(rows, cols)
+    else:
+        matrix = flat.reshape(cols, rows).T
+    o_rows, o_cols = quantized.original_shape
+    return matrix[:o_rows, :o_cols].astype(np.float16)
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 33), (50, 70), (64, 33),
+                                   (96, 160)])
+@pytest.mark.parametrize("bits", [4, 8])
+def test_tile_groups_match_the_order_gather_and_scatter(shape, bits):
+    w = np.random.default_rng(list(shape)).normal(0, 0.05, shape)
+    quantized = quantize_tile_group(w, bits=bits)
+    expected = reference_tile_groups(w, bits)
+    assert quantized.groups.codes.tobytes() == expected.codes.tobytes()
+    assert quantized.groups.scales.tobytes() == expected.scales.tobytes()
+    variants = [quantized]
+    if shape[0] % 32 == 0:
+        variants.append(quantize_conventional_group(w, bits=bits))
+    for variant in variants:
+        got = dequantize_weight(variant)
+        reference = reference_dequantize_weight(variant)
+        assert got.dtype == reference.dtype
+        assert got.tobytes() == reference.tobytes()
+        assert got.strides == reference.strides
