@@ -12,14 +12,18 @@ Each fleet device owns the state a real phone owns:
   device drops out of the dispatchable population,
 * a token-latency histogram at a resolution matched to its generation
   (:data:`GENERATION_HDR_BITS`), so fleet-wide percentiles exercise the
-  mixed-resolution :meth:`~repro.obs.metrics.Histogram.merge`.
+  mixed-resolution :meth:`~repro.obs.metrics.Histogram.merge`.  Its
+  bounds are one tuple per resolution (:func:`_latency_bounds`), built
+  once and shared; the counts are the device's own.
 
 Two service models share the :class:`FleetDevice` interface:
-:class:`AnalyticFleetDevice` prices a request closed-form through
-:class:`~repro.perf.latency.DecodePerformanceModel` +
-:func:`~repro.llm.scheduler.plan_waves` (thousands of devices, millions
-of tokens), and :class:`EngineFleetDevice` drives a real
-:class:`~repro.llm.scheduler.ContinuousBatchingScheduler` on a
+:class:`AnalyticFleetDevice` prices a request in constant time — a
+closed-form wave count times one memoized lookup of the request
+shape's step and prefill seconds and watts
+(:class:`~repro.perf.latency.DecodePerformanceModel`,
+:class:`~repro.perf.power.PowerModel`), fast enough for thousands of
+devices and millions of tokens — and :class:`EngineFleetDevice` drives
+a real :class:`~repro.llm.scheduler.ContinuousBatchingScheduler` on a
 device-local :class:`~repro.sim.SimClock` (the differential-test path
 proving the shared-kernel extraction is a no-op).
 """
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import FleetError
 from ..llm.config import get_model_config
@@ -78,6 +82,12 @@ def _quantize(value: int, grid: int) -> int:
 
 
 @lru_cache(maxsize=None)
+def _latency_bounds(precision_bits: int) -> Tuple[float, ...]:
+    """Token-latency bucket bounds at one HDR resolution, built once."""
+    return tuple(hdr_buckets(*_LATENCY_RANGE, precision_bits=precision_bits))
+
+
+@lru_cache(maxsize=None)
 def _governed_models(device: Device, governor_name: str, model_name: str
                      ) -> "tuple[DecodePerformanceModel, PowerModel]":
     """(latency, power) models of ``device`` at a DVFS operating point."""
@@ -111,6 +121,22 @@ def _power_watts(device: Device, governor_name: str,
     governor = GOVERNORS[governor_name]
     base = power.budget.base_w
     return base + (sample.power_w - base) * governor.power_scale
+
+
+@lru_cache(maxsize=None)
+def _request_pricing(device: Device, governor_name: str, model_name: str,
+                     batch: int, context: int, prompt_tokens: int
+                     ) -> Tuple[float, float, float, float]:
+    """(decode-step seconds, prefill seconds, watts, dynamic watts above
+    the idle base) of one quantized request shape: a single lookup, so
+    a request hashes ``device`` once."""
+    watts = _power_watts(device, governor_name, model_name, batch, context)
+    return (_decode_step_seconds(device, governor_name, model_name,
+                                 batch, context),
+            _prefill_seconds(device, governor_name, model_name,
+                             prompt_tokens),
+            watts,
+            max(0.0, watts - PowerBudget().base_w))
 
 
 @dataclass
@@ -182,7 +208,7 @@ class FleetDevice:
                 else GENERATION_HDR_BITS.get(device.npu.name, 2))
         self.histogram = Histogram(
             f"fleet.device{device_id}.token_latency_seconds",
-            buckets=hdr_buckets(*_LATENCY_RANGE, precision_bits=bits))
+            buckets=_latency_bounds(bits))
         self.busy = False
         self.idle_since = 0.0
         self.n_served = 0
@@ -268,9 +294,14 @@ class FleetDevice:
 class AnalyticFleetDevice(FleetDevice):
     """Closed-form service model: fast enough for thousands of phones.
 
-    Service time = chunked prefill + (continuous-batching decode steps
-    from :func:`~repro.llm.scheduler.plan_waves`) x (per-step latency
-    at the device's *current* thermal governor).  Energy follows the
+    Service time = chunked prefill + (continuous-batching decode steps)
+    x (per-step latency at the device's *current* thermal governor).
+    The candidates share one budget L, so the steps are the closed-form
+    wave count ceil(n / batch) x L, which is what
+    :func:`~repro.llm.scheduler.plan_waves` returns for equal budgets.
+    Step and prefill seconds, watts and dynamic watts come from one
+    memoized lookup per (device, governor, model, batch, context,
+    prompt), on quantized context and prompt grids.  Energy follows the
     utilization-weighted :class:`~repro.perf.power.PowerModel`, with
     dynamic power rescaled by the governor's operating point; dynamic
     joules heat the thermal state, so sustained load throttles the
@@ -296,20 +327,18 @@ class AnalyticFleetDevice(FleetDevice):
                                             get_model_config(model_name))
 
     def _service(self, request: FleetRequest) -> ServiceOutcome:
-        from ..llm.scheduler import plan_waves
-
         governor = self.thermal.governor
-        batch = min(request.n_candidates, SERVICE_BATCH)
+        n_candidates = request.n_candidates
+        batch = min(n_candidates, SERVICE_BATCH)
         prompt = _quantize(request.prompt_tokens, _PROMPT_QUANT)
         # mid-generation context: prompt plus half the decode budget
         context = _quantize(
             request.prompt_tokens + request.max_new_tokens // 2, _CTX_QUANT)
-        steps = plan_waves([request.max_new_tokens] * request.n_candidates,
-                           batch).continuous_steps
-        step_seconds = _decode_step_seconds(
-            self.device, governor.name, self.model_name, batch, context)
-        prefill = _prefill_seconds(
-            self.device, governor.name, self.model_name, prompt)
+        # equal budgets list-schedule into full waves over the batch
+        steps = -(-n_candidates // batch) * request.max_new_tokens
+        step_seconds, prefill, watts, dynamic_w = _request_pricing(
+            self.device, governor.name, self.model_name, batch, context,
+            prompt)
         migration = 0.0
         if self.selector is not None:
             # stage-level placement: rescale each stage by the chosen
@@ -330,15 +359,11 @@ class AnalyticFleetDevice(FleetDevice):
                 migration = crossing_for_bytes(self.device, kv_bytes)
                 self.n_backend_switches += 1
         service = prefill + steps * step_seconds + migration
-        watts = _power_watts(self.device, governor.name, self.model_name,
-                             batch, context)
-        joules = watts * service
         # only dynamic power heats the SoC past its idle baseline
-        base_w = PowerBudget().base_w
-        self.thermal.absorb(max(0.0, watts - base_w) * service)
+        self.thermal.absorb(dynamic_w * service)
         return ServiceOutcome(service_seconds=service,
                               tokens=request.total_new_tokens,
-                              joules=joules)
+                              joules=watts * service)
 
 
 class EngineFleetDevice(FleetDevice):

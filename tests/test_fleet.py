@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.errors import FleetError
@@ -9,6 +11,7 @@ from repro.fleet import (AdmissionController, AnalyticFleetDevice,
                          BatteryRail, FleetRequest, FleetSimulation,
                          TraceConfig, build_population, generate_trace,
                          plan_capacity, run_fleet)
+from repro.fleet import devices as fleet_devices
 from repro.npu.power_mgmt import THROTTLE_LADDER, ThermalState
 from repro.npu.soc import DEVICES
 
@@ -319,6 +322,117 @@ class TestHeterogeneousDispatch:
         assert routed.result.sequences == plain.result.sequences
         assert routed.result.n_prefill_chunks == 3
         assert routed.result.backend_steps, "dispatch must be live"
+
+
+def _reference_service(device, request):
+    """Reference analytic pricing: waves list-scheduled by ``plan_waves``,
+    three separate cached lookups, and the idle base read from a fresh
+    ``PowerBudget``."""
+    from repro.llm.config import get_model_config
+    from repro.llm.placement import crossing_for_bytes
+    from repro.llm.scheduler import plan_waves
+    from repro.perf.power import PowerBudget
+
+    fd = fleet_devices
+    governor = device.thermal.governor
+    batch = min(request.n_candidates, fd.SERVICE_BATCH)
+    prompt = fd._quantize(request.prompt_tokens, fd._PROMPT_QUANT)
+    context = fd._quantize(
+        request.prompt_tokens + request.max_new_tokens // 2, fd._CTX_QUANT)
+    steps = plan_waves([request.max_new_tokens] * request.n_candidates,
+                       batch).continuous_steps
+    step_seconds = fd._decode_step_seconds(
+        device.device, governor.name, device.model_name, batch, context)
+    prefill = fd._prefill_seconds(
+        device.device, governor.name, device.model_name, prompt)
+    migration = 0.0
+    if device.selector is not None:
+        pre = device.selector.select("prefill", prompt, governor.name)
+        dec = device.selector.select("decode", batch, governor.name)
+        prefill *= pre.npu_ratio
+        step_seconds *= dec.npu_ratio
+        if pre.backend != dec.backend:
+            config = get_model_config(device.model_name)
+            kv_bytes = (batch * context * config.n_layers
+                        * 2 * config.kv_dim * 2)
+            migration = crossing_for_bytes(device.device, kv_bytes)
+            device.n_backend_switches += 1
+    service = prefill + steps * step_seconds + migration
+    watts = fd._power_watts(device.device, governor.name, device.model_name,
+                            batch, context)
+    joules = watts * service
+    base_w = PowerBudget().base_w
+    device.thermal.absorb(max(0.0, watts - base_w) * service)
+    return fd.ServiceOutcome(service_seconds=service,
+                             tokens=request.total_new_tokens, joules=joules)
+
+
+class TestConstantTimePricing:
+    @pytest.mark.parametrize("dispatch", [False, True])
+    @pytest.mark.parametrize("key", sorted(DEVICES))
+    def test_matches_list_scheduled_pricing_bit_for_bit(self, key,
+                                                         dispatch):
+        def device():
+            # low thresholds, so some requests throttle a rung and some
+            # do not
+            return AnalyticFleetDevice(
+                0, DEVICES[key], dispatch=dispatch,
+                thermal=ThermalState(throttle_at_joules=0.05,
+                                     recover_at_joules=0.01))
+
+        fast, reference = device(), device()
+        for case in itertools.product(range(len(THROTTLE_LADDER)),
+                                      range(1, 21), (1, 7, 32, 64),
+                                      (1, 33, 200)):
+            rung, n_candidates, max_new_tokens, prompt_tokens = case
+            for thermal in (fast.thermal, reference.thermal):
+                thermal.rung, thermal.heat_joules = rung, 0.03
+            request = _request(0, prompt_tokens=prompt_tokens,
+                               n_candidates=n_candidates,
+                               max_new_tokens=max_new_tokens)
+            got = fast._service(request)
+            want = _reference_service(reference, request)
+            assert ((got.service_seconds.hex(), got.tokens, got.joules.hex())
+                    == (want.service_seconds.hex(), want.tokens,
+                        want.joules.hex())), case
+            assert ((fast.thermal.heat_joules.hex(), fast.thermal.rung)
+                    == (reference.thermal.heat_joules.hex(),
+                        reference.thermal.rung)), case
+        assert fast.n_backend_switches == reference.n_backend_switches
+        assert (fast.n_backend_switches > 0) == dispatch
+
+    def test_fleet_runs_without_plan_waves(self, monkeypatch):
+        import repro.llm.scheduler as scheduler
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("fleet pricing list-scheduled its waves")
+
+        monkeypatch.setattr(scheduler, "plan_waves", refuse)
+        report = run_fleet(50, 5.0, horizon_seconds=20)
+        assert report.requests["completed"] > 0
+        assert report.capacity["devices_needed"] is not None
+
+    def test_population_builds_bounds_once_per_resolution(self,
+                                                          monkeypatch):
+        calls = []
+        real = fleet_devices.hdr_buckets
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["precision_bits"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fleet_devices, "hdr_buckets", counted)
+        fleet_devices._latency_bounds.cache_clear()
+        population = build_population(300)
+        assert sorted(calls) == sorted(
+            set(fleet_devices.GENERATION_HDR_BITS.values()))
+        first, same = population[0], population[3]
+        assert first.generation == same.generation
+        assert first.histogram.buckets == same.histogram.buckets
+        first.histogram.observe(0.01)
+        assert first.histogram.count == 1
+        assert same.histogram.count == 0
+        assert not any(same.histogram.counts)
 
 
 class TestRunFleet:
