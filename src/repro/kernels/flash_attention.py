@@ -24,8 +24,9 @@ item exactly as a one-head call of its shape would.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -89,6 +90,12 @@ class FlashAttention:
         self.block_kv = block_kv
         self.qfloat_mode = qfloat_mode
         self._item_costs: Dict[Tuple[int, int, int], AttentionBreakdown] = {}
+        self._stack_costs: Dict[Tuple[int, int, Tuple[int, ...]],
+                                AttentionBreakdown] = {}
+        # the engines of the compute path; calls are charged from
+        # _item_cost, so nothing reads their traces
+        self._hmx = HMXUnit()
+        self._hvx = HVXContext(qfloat_mode)
         self._lut: Optional[ExpLUT] = None
         if method == "lut":
             if tcm is None:
@@ -103,6 +110,17 @@ class FlashAttention:
             return exp_poly16(hvx, values)
         clipped = np.minimum(values, np.float16(0.0))
         return exp_lut(hvx, clipped, self._lut)
+
+    def _exp_values(self, values: np.ndarray) -> np.ndarray:
+        """What :meth:`_exp` returns, for the compute path.
+
+        The LUT is read straight from its TCM words at the offsets
+        ``vgather`` would form, with no charges recorded.
+        """
+        if self._lut is None:
+            return self._exp(self._hvx, values)
+        bits = np.minimum(values, np.float16(0.0)).view(np.uint16)
+        return self._lut.words[bits & np.uint16(0x7FFF)]
 
     # ------------------------------------------------------------------
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -140,15 +158,16 @@ class FlashAttention:
         if k.shape != v.shape or (k.shape[0], k.shape[2]) != (items, d):
             raise KernelError(
                 f"shape mismatch: q{q.shape}, k{k.shape}, v{v.shape}")
-        if scale is None:
-            scale = 1.0 / float(np.sqrt(d))
+        scale = np.float32(1.0 / float(np.sqrt(d)) if scale is None
+                           else scale)
         kv_len = np.asarray(n_kv if kv_lengths is None else kv_lengths,
                             dtype=np.int64)
-        if kv_len.shape not in ((), (items,)) or np.any(kv_len < 0) \
-                or np.any(kv_len > n_kv):
+        lengths = kv_len.tolist() if kv_len.ndim else [int(kv_len)] * items
+        if kv_len.shape not in ((), (items,)) \
+                or min(lengths, default=0) < 0 \
+                or max(lengths, default=0) > n_kv:
             raise KernelError(f"kv_lengths must be {items} values in "
                               f"[0, {n_kv}], got {kv_len}")
-        kv_len = np.broadcast_to(kv_len, items)
         causal = q_positions is not None and k_positions is not None
         if causal:
             q_positions = _per_item(q_positions, items, n_q, "q_positions")
@@ -156,103 +175,97 @@ class FlashAttention:
 
         # items run longest cache first, so the items taking part in
         # any KV block form a prefix of the stack
-        kv_rows = -(-kv_len // TILE_DIM) * TILE_DIM
-        order = np.argsort(-kv_rows, kind="stable")
-        kv_len, kv_rows = kv_len[order], kv_rows[order]
-        # operands padded to whole tiles as a one-head call pads them:
-        # keys before they are transposed (BLAS rounds a transposed key
-        # tile differently, so its layout is part of the numerics), keys
-        # past an item's length as zeros; the HMX pads the query rows
-        q = pad_to_tiles(q[order])[:, :n_q]
-        k = pad_to_tiles(k[order])
-        v = pad_to_tiles(v[order])
-        padding = np.arange(k.shape[1]) >= kv_len[:, np.newaxis]
-        k[padding] = 0
-        v[padding] = 0
+        item_rows = [-(-n // TILE_DIM) * TILE_DIM for n in lengths]
+        order = sorted(range(items), key=item_rows.__getitem__, reverse=True)
+        reordered = order != list(range(items))
+        if reordered:
+            q, k, v = q[order], k[order], v[order]
+            if causal:  # shared positions need no reordering
+                q_positions, k_positions = (
+                    pos if len(pos) == 1 else pos[order]
+                    for pos in (q_positions, k_positions))
+        kv_rows = [item_rows[i] for i in order]
+        kv_len = [lengths[i] for i in order]
+        n_kv_pad = -(-n_kv // TILE_DIM) * TILE_DIM
+        # a score is masked where its key is past the item's length or,
+        # with positions, in the query's future
+        masked = np.arange(n_kv_pad) >= np.array(kv_len)[:, None, None]
         if causal:
-            never = np.iinfo(np.int64).max
-            q_pos = q_positions[order]
-            kv_pos = np.full(k.shape[:2], never)
-            kv_pos[:, :n_kv] = k_positions[order]
-            kv_pos[padding] = never
+            future = np.zeros((items, n_q, n_kv_pad), dtype=bool)
+            future[..., :n_kv] = (q_positions[:, :, np.newaxis]
+                                  < k_positions[:, np.newaxis, :])
+            masked = masked | future
 
+        # operands widened to FP32 once, as the HMX pads and widens them:
+        # the query tiles here, each block's keys and values in
+        # _kv_tiles, P into zero rows past the true queries
+        q_tiles = pad_to_tiles(q.astype(np.float32, order="C"))
+        p_tiles = np.zeros((items, q_tiles.shape[1], self.block_kv),
+                           dtype=np.float32)
         # running state of the true query rows only: the padded rows of a
         # query tile never reach the output
-        out = np.zeros((items, n_q, v.shape[2]), dtype=np.float16)
+        out = np.zeros((items, n_q, d), dtype=np.float16)
         m = np.full((items, n_q), _NEG_LIMIT, dtype=np.float16)
         l = np.zeros((items, n_q), dtype=np.float16)
-        exp_hvx = HVXContext(self.qfloat_mode)  # charges come from _item_cost
 
-        for kv_start in range(0, int(kv_rows.max(initial=0)), self.block_kv):
-            # a KV block is as wide as each item's cache allows; items of
-            # one width form a run of the (longest-first) prefix
-            widths = np.minimum(kv_rows[kv_rows > kv_start] - kv_start,
-                                self.block_kv)
-            runs = np.flatnonzero(np.diff(widths)) + 1
-            for lo, hi in zip([0, *runs], [*runs, len(widths)]):
-                kv = slice(kv_start, kv_start + int(widths[lo]))
+        for kv_start, width, lo, hi in _runs(kv_rows, self.block_kv):
+            kv = slice(kv_start, kv_start + width)
+            keys = _kv_tiles(k, kv_len, lo, hi, kv)
+            values = _kv_tiles(v, kv_len, lo, hi, kv)
 
-                # --- S = Q K^T (HMX, FP32 accumulate, FP16 store) ------
-                # the HMX multiplies whole 32-row query tiles; the vector
-                # side works on the true query rows only
-                s = HMXUnit().gemm(q[lo:hi], k[lo:hi, kv].swapaxes(1, 2),
-                                   out_dtype=np.float32)
-                s = (s * np.float32(scale)).astype(np.float16)
-                # mask out padded keys (and causal-future keys)
-                masked = padding[lo:hi, np.newaxis, kv]
-                if causal:
-                    masked = masked | (q_pos[lo:hi, :, np.newaxis]
-                                       < kv_pos[lo:hi, np.newaxis, kv])
-                np.copyto(s, _NEG_LIMIT, where=masked)
+            # --- S = Q K^T (HMX, FP32 accumulate, FP16 store) ----------
+            # the HMX multiplies whole 32-row query tiles; the vector side
+            # works on the true query rows only.  Keys are multiplied as
+            # stored, transposed: BLAS rounds a transposed tile
+            # differently, so the layout is part of the numerics
+            s = self._hmx.gemm(q_tiles[lo:hi], keys.swapaxes(1, 2),
+                               np.float32, shape=(n_q, d, width))
+            s = (s * scale).astype(np.float16)
+            np.copyto(s, _NEG_LIMIT, where=masked[lo:hi, :, kv])
 
-                # --- online softmax (FP16 with FP32 row sums) ----------
-                m_old = m[lo:hi]
-                new_m = np.maximum(m_old, s.max(axis=2))
-                # the per-row rescale factor e^(m - m') is produced by the
-                # scalar core fused into the rescale pass, so it carries
-                # no vector charges
-                with np.errstate(over="ignore"):
-                    correction = np.exp(np.minimum(
-                        m_old.astype(np.float32) - new_m.astype(np.float32),
-                        0.0)).astype(np.float16)
-                shifted = (s.astype(np.float32)
-                           - new_m.astype(np.float32)[:, :, np.newaxis]
-                           ).astype(np.float16)
-                p = self._exp(exp_hvx, shifted)
-                row_sum = p.astype(np.float32).sum(axis=2)  # FP32 (Alg. 1)
-                l[lo:hi] = (correction.astype(np.float32)
-                            * l[lo:hi].astype(np.float32)
-                            + row_sum).astype(np.float16)
-                m[lo:hi] = new_m
+            # --- online softmax (FP16 with FP32 row sums) --------------
+            m_old = m[lo:hi]
+            new_m = np.maximum(m_old, s.max(axis=2))
+            new_m32 = new_m.astype(np.float32)
+            # the per-row rescale factor e^(m - m') is produced by the
+            # scalar core fused into the rescale pass, so it carries no
+            # vector charges
+            correction = np.exp(np.minimum(
+                m_old.astype(np.float32) - new_m32, 0.0)
+            ).astype(np.float16).astype(np.float32)
+            shifted = (s.astype(np.float32)
+                       - new_m32[:, :, np.newaxis]).astype(np.float16)
+            p = p_tiles[lo:hi, :, :width]
+            p[:, :n_q] = self._exp_values(shifted)
+            row_sum = p[:, :n_q].sum(axis=2)  # FP32 (Alg. 1)
+            l[lo:hi] = (correction * l[lo:hi].astype(np.float32)
+                        + row_sum).astype(np.float16)
+            m[lo:hi] = new_m
 
-                # --- O = diag(correction) O + P V (HMX) -----------------
-                # (the HMX pads P back to whole query tiles with zeros)
-                rescaled = (out[lo:hi].astype(np.float32)
-                            * correction.astype(np.float32)[:, :, np.newaxis])
-                pv = HMXUnit().gemm(p, v[lo:hi, kv], out_dtype=np.float32)
-                out[lo:hi] = (rescaled + pv).astype(np.float16)
+            # --- O = diag(correction) O + P V (HMX) ---------------------
+            rescaled = (out[lo:hi].astype(np.float32)
+                        * correction[:, :, np.newaxis])
+            pv = self._hmx.gemm(p, values, np.float32,
+                                shape=(n_q, width, d))
+            out[lo:hi] = (rescaled + pv).astype(np.float16)
 
         # --- final normalization O / l ---------------------------------
         denom = l.astype(np.float32)
         denom = np.where(denom > 0, denom, 1.0)
-        result = np.empty((items, n_q, d), dtype=np.float16)
-        result[order] = (out[..., :d].astype(np.float32)
-                         / denom[:, :, np.newaxis]).astype(np.float16)
+        result = (out.astype(np.float32)
+                  / denom[:, :, np.newaxis]).astype(np.float16)
+        if reordered:  # back to stack order
+            result = result[np.argsort(order)]
 
-        breakdown = AttentionBreakdown()
-        for rows, count in zip(*np.unique(kv_rows, return_counts=True)):
-            cost = self._item_cost(n_q, int(rows), v.shape[2])
-            for phase in _PHASES:
-                getattr(breakdown, phase).merge(
-                    getattr(cost, phase).scaled(int(count)))
+        d_pad = q_tiles.shape[2]
+        breakdown = self._stack_cost(n_q, d_pad, tuple(kv_rows))
         tracer = obs_trace.get_tracer()
         if tracer.enabled:
             # one structural span per item, in stack order, with one
             # cost-only child per Algorithm 1 phase — the Fig. 8
             # decomposition, from the trace
-            for i in np.argsort(order).tolist():  # item's place when sorted
-                cost = self._item_cost(n_q, int(kv_rows[i]), v.shape[2])
-                n_kv_i = int(kv_len[i])
+            for n_kv_i, rows in zip(lengths, item_rows):
+                cost = self._item_cost(n_q, rows, d_pad)
                 with tracer.span("kernel.flash_attention", category="kernel",
                                  n_q=n_q, n_kv=n_kv_i, head_dim=d,
                                  method=self.method,
@@ -263,6 +276,26 @@ class FlashAttention:
                             phase_span.add_cost(getattr(cost, phase)
                                                 + KernelCost())
         return (result[0] if one_head else result), breakdown
+
+    def _stack_cost(self, n_q: int, d_pad: int, kv_rows: Tuple[int, ...]
+                    ) -> AttentionBreakdown:
+        """Per-phase charges of a stack: the sum of its items' charges.
+
+        The sum depends on ``n_q``, ``d_pad`` and the multiset of
+        tile-padded ``kv_rows`` alone, so the kernel keeps it per sorted
+        ``kv_rows``; every call gets a fresh record.
+        """
+        key = (n_q, d_pad, kv_rows)
+        total = self._stack_costs.get(key)
+        if total is None:
+            total = AttentionBreakdown()
+            for rows in kv_rows:
+                cost = self._item_cost(n_q, rows, d_pad)
+                for phase in _PHASES:
+                    getattr(total, phase).merge(getattr(cost, phase))
+            self._stack_costs[key] = total
+        return AttentionBreakdown(*(getattr(total, phase) + KernelCost()
+                                    for phase in _PHASES))
 
     def _item_cost(self, n_q: int, kv_rows: int, d_pad: int
                    ) -> AttentionBreakdown:
@@ -310,14 +343,51 @@ class FlashAttention:
         return self._item_costs[key]
 
 
+def _runs(kv_rows: List[int], block: int
+          ) -> Iterator[Tuple[int, int, int, int]]:
+    """``(kv_start, width, lo, hi)`` of every run of a blocked stack.
+
+    ``kv_rows`` are the items' tile-padded KV lengths, longest first.  A
+    KV block is as wide as each item's cache allows, so the items in a
+    block form a prefix of the stack and items of one width a run of it:
+    a block of width ``w < block`` holds the items whose cache ends at
+    ``kv_start + w``.
+    """
+    ascending = kv_rows[::-1]
+    for kv_start in range(0, kv_rows[0] if kv_rows else 0, block):
+        lo = 0
+        for width in range(block, 0, -TILE_DIM):
+            # items whose cache reaches kv_start + width
+            hi = len(kv_rows) - bisect_left(ascending, kv_start + width)
+            if hi > lo:
+                yield kv_start, width, lo, hi
+                lo = hi
+
+
+def _kv_tiles(x: np.ndarray, kv_len: List[int], lo: int, hi: int,
+              kv: slice) -> np.ndarray:
+    """Rows ``kv`` of items ``lo:hi`` of keys or values, as FP32 tiles.
+
+    The block is widened and zero-padded in C order, as the HMX widens
+    it, and rows past an item's length are zeros, as in a one-head call
+    of that item.
+    """
+    tiles = pad_to_tiles(x[lo:hi, kv].astype(np.float32, order="C"))
+    for i in range(lo, hi):
+        if kv_len[i] < kv.stop:
+            tiles[i - lo, kv_len[i] - kv.start:] = 0
+    return tiles
+
+
 def _per_item(positions: np.ndarray, items: int, length: int,
               name: str) -> np.ndarray:
-    """``(length,)`` shared or ``(items, length)`` positions, as the latter."""
+    """``(length,)`` shared or ``(items, length)`` positions, as a
+    ``(1, length)`` or ``(items, length)`` array."""
     positions = np.asarray(positions)
     if positions.shape not in ((length,), (items, length)):
         raise KernelError(f"{name} of shape {positions.shape} must match "
                           f"{items} items of length {length}")
-    return np.broadcast_to(positions, (items, length))
+    return positions.reshape(-1, length)
 
 
 def attention_fp32_reference(q: np.ndarray, k: np.ndarray, v: np.ndarray,

@@ -116,6 +116,9 @@ class MixedPrecisionGemm:
         self.coalesce = coalesce
         self.qfloat_mode = qfloat_mode
         self._charges: Dict[Tuple[int, ...], _Charge] = {}
+        # computes every product; calls are charged from _charges, so
+        # nothing reads its trace
+        self._hmx = HMXUnit()
 
     # ------------------------------------------------------------------
     def prepare_weight(self, weight: np.ndarray) -> PreparedWeight:
@@ -173,8 +176,9 @@ class MixedPrecisionGemm:
                 # differs
                 output = np.zeros((m, out_dim), dtype=np.float16)
             else:
-                output = HMXUnit().gemm(acts, prepared.padded_fp32,
-                                        weight_shape=(in_dim, out_dim))
+                output = self._hmx.gemm(padded_fp32(acts),
+                                        prepared.padded_fp32,
+                                        shape=(m, in_dim, out_dim))
             cost = charge.cost + KernelCost()
             sp.add_cost(cost)
         if obs_trace.enabled():

@@ -139,6 +139,15 @@ class ExpLUT:
         raw = hvx.vgather(table_bytes, offsets)
         return bits_to_fp16(raw).reshape(arr.shape)
 
+    @property
+    def words(self) -> np.ndarray:
+        """The table's TCM bytes as little-endian FP16 words (a view).
+
+        ``words[bits & 0x7FFF]`` reads the memory :meth:`lookup` gathers,
+        without charging it.
+        """
+        return self._tcm.view(self.region)[:EXP_LUT_BYTES].view("<f2")
+
     def free(self) -> None:
         self._tcm.free(self.region)
 

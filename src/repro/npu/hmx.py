@@ -222,7 +222,7 @@ class HMXUnit:
 
     def gemm(self, activations: np.ndarray, weights: np.ndarray,
              out_dtype: np.dtype = np.float16, *,
-             weight_shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
+             shape: Optional[Tuple[int, int, int]] = None) -> np.ndarray:
         """Full GEMM ``activations @ weights`` through tile decomposition.
 
         Both operands are padded to whole tiles; the per-(m,n) tile output
@@ -235,43 +235,44 @@ class HMXUnit:
         single-token decode (m=1) wastes 31/32 of the activation tile —
         the underutilization the paper's test-time scaling exploits.
 
-        A weight that is multiplied many times can instead be passed
-        already padded and widened, as :func:`padded_fp32` of its FP16
-        matrix, with the matrix's own ``(k, n)`` as ``weight_shape``.
-        The activation width is checked against that ``k``, the tile
-        loop reads the weight as it is, and the result is the FP16
-        matrix's, bit for bit.
+        Operands that are widened once and multiplied many times — a
+        stored weight, an attention block — can instead arrive already
+        padded and widened, each as :func:`padded_fp32` of its FP16
+        matrix (zero padding, same memory layout), with the true
+        ``(m, k, n)`` as ``shape``.  The tile loop then reads both as
+        they are, and the result is the FP16 operands', bit for bit.
         """
-        a = np.asarray(activations, dtype=np.float16)
-        padded = weight_shape is not None
-        w = np.asarray(weights, dtype=np.float32 if padded else np.float16)
+        widened = shape is not None
+        a = np.asarray(activations, dtype=None if widened else np.float16)
+        w = np.asarray(weights, dtype=None if widened else np.float16)
         if a.ndim < 2 or a.ndim != w.ndim or a.shape[:-2] != w.shape[:-2]:
             raise TileShapeError(
                 f"gemm expects 2-D operands or equal stacks of them, got "
                 f"{a.shape} @ {w.shape}")
-        batch = a.shape[:-2]
-        m, k = a.shape[-2:]
-        w_k, n = weight_shape if padded else w.shape[-2:]
-        if w_k != k:
+        if a.shape[-1] != w.shape[-2]:
             raise TileShapeError(
-                f"inner dimensions differ: {a.shape} @ "
-                f"{(w_k, n) if padded else w.shape}")
-        if not padded:
-            w_pad = padded_fp32(w)
-        elif w.shape[-2:] != (-(-k // TILE_DIM) * TILE_DIM,
-                              -(-n // TILE_DIM) * TILE_DIM):
-            raise TileShapeError(
-                f"weights of shape {w.shape} are not a {k}x{n} matrix "
-                f"padded to whole tiles")
+                f"inner dimensions differ: {a.shape} @ {w.shape}")
+        if widened:
+            m, k, n = shape
+            if a.dtype != np.float32 or w.dtype != np.float32:
+                raise TileShapeError(
+                    f"pre-widened operands must be FP32, got {a.dtype} @ "
+                    f"{w.dtype}")
+            if a.shape[-2:] + w.shape[-1:] != tuple(
+                    -(-d // TILE_DIM) * TILE_DIM for d in shape):
+                raise TileShapeError(
+                    f"operands {a.shape} @ {w.shape} are not a "
+                    f"({m}, {k}) @ ({k}, {n}) product padded to whole tiles")
         else:
-            w_pad = w
-        a_pad = padded_fp32(a)
-        tiles_m, tiles_k = (d // TILE_DIM for d in a_pad.shape[-2:])
-        tiles_n = w_pad.shape[-1] // TILE_DIM
+            (m, k), n = a.shape[-2:], w.shape[-1]
+            a, w = padded_fp32(a), padded_fp32(w)
+        batch = a.shape[:-2]
+        tiles_m, tiles_k = (d // TILE_DIM for d in a.shape[-2:])
+        tiles_n = w.shape[-1] // TILE_DIM
         # a_tiles[..., i, :, t, :] is activation tile (i, t) and
         # w_tiles[..., t, :, j, :] weight tile (t, j), both views
-        a_tiles = a_pad.reshape(batch + (tiles_m, TILE_DIM, tiles_k, TILE_DIM))
-        w_tiles = w_pad.reshape(batch + (tiles_k, TILE_DIM, tiles_n, TILE_DIM))
+        a_tiles = a.reshape(batch + (tiles_m, TILE_DIM, tiles_k, TILE_DIM))
+        w_tiles = w.reshape(batch + (tiles_k, TILE_DIM, tiles_n, TILE_DIM))
         acc = np.zeros(batch + (tiles_m, tiles_n, TILE_DIM, TILE_DIM),
                        dtype=np.float32)
         for tk in range(tiles_k):

@@ -25,8 +25,9 @@ replaying a repro string reproduces the exact trial.
 Tolerance discipline (calibrated against the seed implementation):
 
 * ``gemm`` — the HMX pipeline (FP16 operands, FP32 tile accumulation,
-  FP16 store) lands within 1 ULP of the float64 reference rounded to
-  FP16; the oracle allows 2.
+  FP16 store) is held to its derived error bound: 2 FP16 ULP of the
+  float64 reference plus the FP32 summation term
+  ``gamma_n * sum_i |a_i * w_ij|`` (see :class:`GemmOracle`).
 * ``attention`` — the pluggable exponent (``lut``/``poly16``/``poly32``)
   is an approximation, so the oracle checks a 0.01 absolute ceiling
   (~5x the worst calibrated error of 0.002) rather than ULPs.
@@ -62,6 +63,7 @@ ConfigValue = Union[int, str]
 Config = Dict[str, ConfigValue]
 
 GEMM_ULP_TOLERANCE = 2
+FP32_UNIT_ROUNDOFF = 2.0 ** -24
 ATTENTION_ABS_TOLERANCE = 0.01
 
 
@@ -323,11 +325,29 @@ class GemmOracle(Oracle):
     float64 and rounds once to FP16 — so the comparison isolates the
     tile decomposition, accumulation order and precision discipline
     from the (intentional) quantization error.
+
+    The tolerance is the kernel's own error bound.  Each output
+    ``s = sum_i a_i * w_ij`` is a sum of products of FP16 values, which
+    are exact in FP32 (two 11-bit significands fit in 24 bits).  The
+    kernel adds them in FP32: the 32 products of a K tile inside one
+    tile product, then each tile's sum into the accumulator.  That is
+    at most ``n = padded k + K tiles`` additions, so whatever their
+    order the FP32 sum ``s'`` satisfies
+    ``|s' - s| <= gamma_n * sum_i |a_i * w_ij|``, with
+    ``gamma_n = n u / (1 - n u)`` and ``u = 2**-24`` (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, §4.2).  Storing ``s'`` in
+    FP16 and rounding the reference ``s`` to FP16 add half an ULP each;
+    2 ULP of the reference cover both, with room for an output rounded
+    into the binade above.  A flat ULP count alone is ill-posed where
+    the sum cancels: a 7.85e-5 output summed from products of total
+    magnitude 6.8 is 3 ULP off with an error of 2.4e-8 of that total.
+    FP16 accumulation between K tiles (``u = 2**-11``) or a dropped K
+    tile still fails the bound.
     """
 
     name = "gemm"
     description = ("MixedPrecisionGemm (HVX dequant + HMX tiles) vs "
-                   "float64 matmul, <= 2 ULP in FP16")
+                   "float64 matmul, <= 2 FP16 ULP + FP32 summation bound")
     SHRINK_MINS = {"m": 1, "k": 32, "n": 32, "seed": 0}
     SHRINK_RESETS = {"bits": 4, "strategy": "ours"}
 
@@ -354,6 +374,7 @@ class GemmOracle(Oracle):
     def run(self, config: Config) -> OracleResult:
         self._check_config(config)
         from ..kernels.gemm import MixedPrecisionGemm
+        from ..npu.hmx import TILE_DIM
 
         m, k, n = int(config["m"]), int(config["k"]), int(config["n"])
         rng = np.random.default_rng(int(config["seed"]))
@@ -364,16 +385,25 @@ class GemmOracle(Oracle):
                                   bits=int(config["bits"]))
         prepared = gemm.prepare_weight(weight)
         out, _ = gemm(activations, prepared)
-        reference = (activations.astype(np.float64)
-                     @ prepared.dequantized_matrix.astype(np.float64)
-                     ).astype(np.float16)
+        a64 = activations.astype(np.float64)
+        w64 = prepared.dequantized_matrix.astype(np.float64)
+        reference = (a64 @ w64).astype(np.float16)
         diff = diff_arrays(out, reference)
         max_ulp = int(ulp_distance_fp16(out, reference).max())
-        if max_ulp > GEMM_ULP_TOLERANCE:
+        k_tiles = -(-k // TILE_DIM)
+        nu = (k_tiles * TILE_DIM + k_tiles) * FP32_UNIT_ROUNDOFF
+        bound = (GEMM_ULP_TOLERANCE
+                 * np.spacing(np.abs(reference)).astype(np.float64)
+                 + nu / (1.0 - nu) * (np.abs(a64) @ np.abs(w64)))
+        error = np.abs(out.astype(np.float64) - reference)
+        worst = np.unravel_index(np.argmax(error - bound), error.shape)
+        if not np.all(error <= bound):
             return self.failed(
                 config, "ulp",
-                f"GEMM output off by {max_ulp} ULP "
-                f"(tolerance {GEMM_ULP_TOLERANCE}) vs float64 reference",
+                f"GEMM output off by {error[worst]:.3g} "
+                f"({max_ulp} ULP max) at {tuple(map(int, worst))}, past "
+                f"its bound {bound[worst]:.3g} (2 FP16 ULP + FP32 "
+                f"summation) vs float64 reference",
                 diff=diff, max_ulp=max_ulp)
         return self.passed(config, max_ulp=max_ulp, max_abs=diff.max_abs)
 
@@ -386,12 +416,21 @@ class AttentionOracle(Oracle):
     an absolute ceiling calibrated at ~5x the seed implementation's
     worst error — tight enough that any masking, block-boundary or
     rescale bug trips it.
+
+    One call runs a stack of ``items`` heads with ragged KV lengths drawn
+    from the seed: item 0 sees all ``n_kv`` keys, the others
+    ``[n_q, n_kv]`` of them when causal (their queries are the last
+    ``n_q`` positions) and ``[0, n_kv]`` otherwise.  Every item must
+    also equal its own one-head call bit for bit, and be charged as it;
+    an item with no keys returns zeros.
     """
 
     name = "attention"
-    description = ("FlashAttention (blockwise FP16, lut/poly exp) vs "
-                   "FP32 reference, |diff| <= 0.01")
-    SHRINK_MINS = {"n_q": 1, "n_kv": 1, "head_dim": 16, "seed": 0}
+    description = ("stacked FlashAttention (blockwise FP16, lut/poly exp) "
+                   "vs FP32 reference, |diff| <= 0.01, and vs one-head "
+                   "calls, bitwise")
+    SHRINK_MINS = {"items": 1, "n_q": 1, "n_kv": 1, "head_dim": 16,
+                   "seed": 0}
     SHRINK_RESETS = {"method": "lut", "causal": 0}
 
     def sample_config(self, rng: np.random.Generator) -> Config:
@@ -402,6 +441,7 @@ class AttentionOracle(Oracle):
             "method": ("lut", "poly16", "poly32")[int(rng.integers(3))],
             "causal": int(rng.integers(2)),
             "seed": int(rng.integers(0, 2**31)),
+            "items": int(rng.integers(1, 17)),
         }
         return self.normalize(config)
 
@@ -416,35 +456,67 @@ class AttentionOracle(Oracle):
     def run(self, config: Config) -> OracleResult:
         self._check_config(config)
         from ..kernels.flash_attention import (
+            AttentionBreakdown,
             FlashAttention,
             attention_fp32_reference,
         )
         from ..npu.memory import TCM
 
-        n_q, n_kv = int(config["n_q"]), int(config["n_kv"])
-        d = int(config["head_dim"])
+        items, n_q = int(config["items"]), int(config["n_q"])
+        n_kv, d = int(config["n_kv"]), int(config["head_dim"])
+        causal = bool(int(config["causal"]))
         rng = np.random.default_rng(int(config["seed"]))
-        q = rng.normal(0.0, 1.0, (n_q, d)).astype(np.float16)
-        k = rng.normal(0.0, 1.0, (n_kv, d)).astype(np.float16)
-        v = rng.normal(0.0, 1.0, (n_kv, d)).astype(np.float16)
+        q = rng.normal(0.0, 1.0, (items, n_q, d)).astype(np.float16)
+        k = rng.normal(0.0, 1.0, (items, n_kv, d)).astype(np.float16)
+        v = rng.normal(0.0, 1.0, (items, n_kv, d)).astype(np.float16)
+        lengths = [n_kv] + rng.integers(n_q if causal else 0, n_kv + 1,
+                                        items - 1).tolist()
         q_pos = k_pos = None
-        if int(config["causal"]):
-            q_pos = np.arange(n_kv - n_q, n_kv)
+        if causal:
+            q_pos = np.array([np.arange(n - n_q, n) for n in lengths])
             k_pos = np.arange(n_kv)
 
         attention = FlashAttention(method=str(config["method"]), tcm=TCM())
         with np.errstate(over="ignore", invalid="ignore"):
-            out, _ = attention(q, k, v, q_positions=q_pos, k_positions=k_pos)
-        reference = attention_fp32_reference(
-            q, k, v, q_positions=q_pos, k_positions=k_pos).astype(np.float16)
-        diff = diff_arrays(out, reference)
-        if diff.max_abs > ATTENTION_ABS_TOLERANCE:
+            out, charged = attention(q, k, v, q_positions=q_pos,
+                                     k_positions=k_pos, kv_lengths=lengths)
+        expected_charge = AttentionBreakdown()
+        max_abs = 0.0
+        for i, n in enumerate(lengths):
+            positions = {} if not causal else {
+                "q_positions": q_pos[i], "k_positions": k_pos[:n]}
+            with np.errstate(over="ignore", invalid="ignore"):
+                single, cost = attention(q[i], k[i, :n], v[i, :n],
+                                         **positions)
+            for phase in ("qk_matmul", "softmax", "pv_matmul", "rescale"):
+                getattr(expected_charge, phase).merge(getattr(cost, phase))
+            diff = diff_arrays(out[i], single)
+            if not diff.bitwise_equal:
+                return self.failed(
+                    config, "bitwise",
+                    f"item {i} ({n} keys) differs from its one-head call",
+                    diff=diff)
+            if n == 0:
+                if np.any(out[i].view(np.uint16)):
+                    return self.failed(
+                        config, "zeros",
+                        f"item {i} has no keys but a non-zero output")
+                continue
+            reference = attention_fp32_reference(
+                q[i], k[i, :n], v[i, :n], **positions).astype(np.float16)
+            diff = diff_arrays(out[i], reference)
+            max_abs = max(max_abs, diff.max_abs)
+            if diff.max_abs > ATTENTION_ABS_TOLERANCE:
+                return self.failed(
+                    config, "abs",
+                    f"item {i} ({n} keys) off by {diff.max_abs:.4f} "
+                    f"(tolerance {ATTENTION_ABS_TOLERANCE}) vs FP32 "
+                    f"reference", diff=diff, max_abs=diff.max_abs)
+        if charged != expected_charge:
             return self.failed(
-                config, "abs",
-                f"attention output off by {diff.max_abs:.4f} "
-                f"(tolerance {ATTENTION_ABS_TOLERANCE}) vs FP32 reference",
-                diff=diff, max_abs=diff.max_abs)
-        return self.passed(config, max_abs=diff.max_abs)
+                config, "cost", "the stack is not charged the sum of its "
+                "items' one-head calls")
+        return self.passed(config, max_abs=max_abs)
 
 
 # ----------------------------------------------------------------------

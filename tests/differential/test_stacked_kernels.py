@@ -22,7 +22,7 @@ from repro.kernels.softmax import (
     LUT_ROW_EXPOSED_PACKETS,
     ROW_REDUCE_PACKETS,
 )
-from repro.npu.hmx import TILE_DIM, HMXUnit
+from repro.npu.hmx import TILE_DIM, HMXUnit, padded_fp32
 from repro.npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from repro.npu.memory import TCM
 from repro.npu.timing import KernelCost
@@ -161,32 +161,65 @@ def _laid_out(matrix: np.ndarray, layout: str) -> np.ndarray:
 
     BLAS rounds a tile product differently when a tile is stored
     transposed, so the stacked GEMM must keep the reference's layouts.
+    A stack of matrices is laid out as a whole.
     """
     if layout == "F":
         return np.asfortranarray(matrix)
     if layout == "transposed-view":  # F-like strides, not contiguous
-        rows, cols = matrix.shape
-        backing = np.zeros((cols + 3, rows + 5), dtype=matrix.dtype)
-        backing[:cols, :rows] = matrix.T
-        return backing.T[:rows, :cols]
+        *stack, rows, cols = matrix.shape
+        backing = np.zeros((*stack, cols + 3, rows + 5), dtype=matrix.dtype)
+        backing[..., :cols, :rows] = matrix.swapaxes(-1, -2)
+        return backing.swapaxes(-1, -2)[..., :rows, :cols]
     return matrix
+
+
+def _gemm(hmx: HMXUnit, a: np.ndarray, w: np.ndarray, widened: bool,
+          out_dtype=np.float16) -> np.ndarray:
+    """``hmx.gemm(a, w)``, or its operands padded and widened first."""
+    if not widened:
+        return hmx.gemm(a, w, out_dtype=out_dtype)
+    shape = a.shape[-2:] + w.shape[-1:]
+    return hmx.gemm(padded_fp32(a), padded_fp32(w), out_dtype=out_dtype,
+                    shape=shape)
 
 
 @pytest.mark.parametrize("m,k,n", GEMM_SHAPES)
 @pytest.mark.parametrize("a_layout", LAYOUTS)
 @pytest.mark.parametrize("w_layout", LAYOUTS)
 @pytest.mark.parametrize("out_dtype", [np.float16, np.float32])
+@pytest.mark.parametrize("widened", [False, True])
 def test_stacked_gemm_matches_tile_loop(m, k, n, a_layout, w_layout,
-                                        out_dtype):
+                                        out_dtype, widened):
     rng = np.random.default_rng([m, k, n])
     a = _laid_out(rng.normal(0, 1, (m, k)).astype(np.float16), a_layout)
     w = _laid_out(rng.normal(0, 0.1, (k, n)).astype(np.float16), w_layout)
     ref_trace, trace = InstructionTrace(), InstructionTrace()
     expected = reference_gemm(ref_trace, a, w, out_dtype)
-    got = HMXUnit(trace).gemm(a, w, out_dtype=out_dtype)
+    got = _gemm(HMXUnit(trace), a, w, widened, out_dtype)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert np.array_equal(_bits(got), _bits(expected))
     assert trace.as_dict() == ref_trace.as_dict()
+
+
+@pytest.mark.parametrize("m,k,n", GEMM_SHAPES)
+@pytest.mark.parametrize("a_layout", LAYOUTS)
+@pytest.mark.parametrize("w_layout", LAYOUTS)
+def test_widened_stack_matches_the_fp16_stack(m, k, n, a_layout, w_layout):
+    """Pre-widened stacks multiply as their FP16 stacks do, per layout.
+
+    (A stack need not match its matrices one by one: an F-ordered stack
+    reaches BLAS with other strides than its slices do.)
+    """
+    rng = np.random.default_rng([m, k, n, 3])
+    a = _laid_out(rng.normal(0, 1, (3, m, k)).astype(np.float16), a_layout)
+    w = _laid_out(rng.normal(0, 0.1, (3, k, n)).astype(np.float16),
+                  w_layout)
+    fp16, widened = HMXUnit(), HMXUnit()
+    expected = _gemm(fp16, a, w, widened=False)
+    got = _gemm(widened, a, w, widened=True)
+    assert got.shape == (3, m, n)
+    assert np.array_equal(_bits(got), _bits(expected))
+    assert widened.trace.as_dict() == fp16.trace.as_dict()
 
 
 def test_stacked_gemm_keeps_negative_zero_semantics():
@@ -198,12 +231,13 @@ def test_stacked_gemm_keeps_negative_zero_semantics():
         InstructionTrace(), a, w, np.float32)))
 
 
-def test_gemm_stack_equals_per_matrix_gemms():
+@pytest.mark.parametrize("widened", [False, True])
+def test_gemm_stack_equals_per_matrix_gemms(widened):
     rng = np.random.default_rng(3)
     a = rng.normal(0, 1, (5, 33, 48)).astype(np.float16)
     w = rng.normal(0, 1, (5, 48, 70)).astype(np.float16)
     stacked, single = HMXUnit(), HMXUnit()
-    got = stacked.gemm(a, w)
+    got = _gemm(stacked, a, w, widened)
     for i in range(5):
         assert np.array_equal(_bits(got[i]), _bits(single.gemm(a[i], w[i])))
     assert stacked.trace.as_dict() == single.trace.as_dict()
@@ -241,7 +275,8 @@ def test_mixed_precision_gemm_matches_tile_loop(strategy, bits, m, width):
         out, _ = kernel(acts, prepared)
         if strategy == "no_dequant":  # computes nothing, by design
             assert np.array_equal(_bits(out), _bits(np.zeros_like(expected)))
-            out = HMXUnit().gemm(acts, stored, weight_shape=(k, width))
+            out = HMXUnit().gemm(padded_fp32(acts), stored,
+                                 shape=(m, k, width))
         assert np.array_equal(_bits(out), _bits(expected))
 
 
@@ -258,7 +293,8 @@ def _items(rng, n_items, n_q, kv_lengths, d):
 
 def _check_stack(fa, q, k, v, kv_lengths, q_positions=None,
                  k_positions=None):
-    """Stacked call vs one reference call per item; returns #items."""
+    """Stacked call vs one reference call per item; returns the call's
+    output and breakdown."""
     out, total = fa(q, k, v, q_positions=q_positions,
                     k_positions=k_positions, kv_lengths=kv_lengths)
     assert out.shape == q.shape and out.dtype == np.float16
@@ -273,7 +309,7 @@ def _check_stack(fa, q, k, v, kv_lengths, q_positions=None,
         for phase in _PHASES:
             getattr(expected_total, phase).merge(getattr(ref_cost, phase))
     assert total == expected_total
-    return len(kv_lengths)
+    return out, total
 
 
 @pytest.mark.parametrize("method", ["lut", "poly16", "poly32"])
@@ -325,6 +361,83 @@ def test_rows_that_see_no_key_match(method):
     q, k, v = _items(rng, len(kv_lengths), 2, kv_lengths, 16)
     _check_stack(fa, q, k, v, kv_lengths, np.array([[0, 1]] * 3),
                  np.arange(max(kv_lengths)) + 5)
+
+
+@pytest.mark.parametrize("method", ["lut", "poly16", "poly32"])
+@pytest.mark.parametrize("causal", [False, True])
+def test_zero_length_items_return_zeros(method, causal):
+    """Empty caches at the tail of a stack: zeros, charged as a reference."""
+    rng = np.random.default_rng([19, causal])
+    kv_lengths = [40, 9, 72, 0, 0]
+    fa = FlashAttention(method, tcm=TCM(), block_kv=64)
+    q, k, v = _items(rng, len(kv_lengths), 1, kv_lengths, 16)
+    positions = ((np.array([[n - 1] for n in kv_lengths]),
+                  np.arange(max(kv_lengths))) if causal else ())
+    out, _ = _check_stack(fa, q, k, v, kv_lengths, *positions)
+    assert not np.any(_bits(out[3:]))
+
+
+def test_consecutive_calls_on_one_kernel_carry_no_state():
+    """Other item counts, n_q, head dims and block widths, call after call."""
+    rng = np.random.default_rng(23)
+    fa = FlashAttention("lut", tcm=TCM(), block_kv=64)
+    for n_q, kv_lengths, d in [(1, [9, 130, 64, 33] * 4, 64),
+                               (40, [40, 104], 80),
+                               (1, [96, 1, 0], 16),
+                               (3, [50, 7, 128], 64),
+                               (33, [70, 33, 64], 64),
+                               (1, [200], 64)]:
+        q, k, v = _items(rng, len(kv_lengths), n_q, kv_lengths, d)
+        q_positions = np.array([np.arange(n - n_q, n) for n in kv_lengths])
+        _check_stack(fa, q, k, v, kv_lengths, q_positions,
+                     np.arange(max(kv_lengths)))
+
+
+class TestStackCharges:
+    """Each stack is charged from a memo on the kernel.
+
+    The memo is keyed by (n_q, padded head dim, sorted tile-padded KV
+    rows) and filled from the per-item charges; ``_check_stack`` holds
+    every call to the per-item reference sum.
+    """
+
+    KV_LENGTHS = [40, 72, 9, 33]  # 64, 96, 32 and 64 tile-padded rows
+
+    def _stack(self, seed, n_q=1, order=(0, 1, 2, 3)):
+        """Four items of ``n_q`` causal queries, in stack ``order``."""
+        order = list(order)
+        q, k, v = _items(np.random.default_rng(seed), 4, n_q,
+                         self.KV_LENGTHS, 16)
+        lengths = [self.KV_LENGTHS[i] for i in order]
+        positions = np.array([np.arange(n - n_q, n) for n in lengths])
+        return (q[order], k[order], v[order], lengths, positions,
+                np.arange(max(lengths)))
+
+    def test_first_call_and_repeats_equal_the_reference(self):
+        fa = FlashAttention("lut", tcm=TCM())
+        stack = self._stack(29)
+        _, first = _check_stack(fa, *stack)  # fills the memo
+        _, second = _check_stack(fa, *stack)  # reads it
+        # the same rows in another stack order are the same charges
+        _, permuted = _check_stack(fa, *self._stack(29, order=(2, 0, 3, 1)))
+        assert first == second == permuted
+
+    def test_a_mutated_breakdown_does_not_reach_the_next_call(self):
+        fa = FlashAttention("lut", tcm=TCM())
+        stack = self._stack(31)
+        _, first = _check_stack(fa, *stack)
+        for phase in _PHASES:
+            getattr(first, phase).merge(getattr(first, phase))
+        _, second = _check_stack(fa, *stack)
+        assert all(getattr(second, phase) is not getattr(first, phase)
+                   for phase in _PHASES)
+
+    def test_decode_and_prefill_stacks_of_equal_rows_have_their_own(self):
+        fa = FlashAttention("lut", tcm=TCM())
+        # a decode, a causal prefill of the same KV rows, the decode again
+        costs = [_check_stack(fa, *self._stack(37, n_q))[1]
+                 for n_q in (1, 8, 1)]
+        assert costs[0] != costs[1] and costs[0] == costs[2]
 
 
 def test_tracing_emits_one_span_tree_per_item_in_stack_order():

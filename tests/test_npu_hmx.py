@@ -203,22 +203,43 @@ class TestHMXUnit:
         with pytest.raises(TileShapeError):
             hmx.gemm(np.zeros(3), np.zeros((3, 4)))
 
-    @pytest.mark.parametrize("order", ["C", "F"])
-    def test_gemm_takes_a_padded_fp32_weight(self, rng, order):
-        a = rng.normal(size=(5, 40)).astype(np.float16)
-        w = np.asarray(rng.normal(size=(40, 33)), np.float16, order=order)
-        hmx, reference = HMXUnit(), HMXUnit()
-        got = hmx.gemm(a, padded_fp32(w), weight_shape=(40, 33))
-        assert got.tobytes() == reference.gemm(a, w).tobytes()
-        assert hmx.trace.as_dict() == reference.trace.as_dict()
-        with pytest.raises(TileShapeError):  # 65 pads to 96 columns
-            hmx.gemm(a, padded_fp32(w), weight_shape=(40, 65))
-        with pytest.raises(TileShapeError):  # not padded
-            hmx.gemm(a, w.astype(np.float32), weight_shape=(40, 33))
-        with pytest.raises(TileShapeError, match="inner dimensions differ"):
-            # 40 and 50 both pad to 64 rows
-            hmx.gemm(a, padded_fp32(np.zeros((50, 33), np.float16)),
-                     weight_shape=(50, 33))
+    @staticmethod
+    def _prewidened(case: str = ""):
+        """A (5, 40) @ (40, 33) product, padded and widened, then ``case``."""
+        a = padded_fp32(np.ones((5, 40), np.float16))     # 32 x 64
+        w = padded_fp32(np.ones((40, 33), np.float16))    # 64 x 64
+        shape = (5, 40, 33)
+        if case == "fp16 activations":
+            a = a.astype(np.float16)
+        elif case == "fp16 weights":
+            w = w.astype(np.float16)
+        elif case == "unpadded activations":
+            a = np.ones((5, 64), np.float32)
+        elif case == "unpadded weights":
+            w = np.ones((64, 33), np.float32)
+        elif case == "inner dimensions":
+            w = np.ones((96, 64), np.float32)
+        elif case == "stacks":
+            a, w = np.stack([a] * 2), np.stack([w] * 3)
+        elif case:
+            shape = {"m too large": (33, 40, 33), "k too small": (5, 32, 33),
+                     "n too large": (5, 40, 65)}[case]
+        return a, w, shape
+
+    def test_prewidened_gemm_crops_to_shape(self):
+        a, w, shape = self._prewidened()
+        out = HMXUnit().gemm(a, w, shape=shape)
+        assert out.shape == (5, 33) and np.all(out == np.float16(40))
+
+    @pytest.mark.parametrize("case", [
+        "fp16 activations", "fp16 weights", "unpadded activations",
+        "unpadded weights", "inner dimensions", "stacks",
+        "m too large", "k too small", "n too large"])
+    def test_prewidened_gemm_checks(self, case):
+        """Pre-widened operands must be FP32, padded, and fit ``shape``."""
+        a, w, shape = self._prewidened(case)
+        with pytest.raises(TileShapeError):
+            HMXUnit().gemm(a, w, shape=shape)
 
     def test_emit_output_tile_scale_bias(self):
         hmx = HMXUnit()

@@ -1,13 +1,17 @@
 """Unit tests for the differential-oracle harness."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.errors import TestingError
+from repro.npu.hmx import HMXUnit
 from repro.testing import (
     ORACLES,
     diff_arrays,
     get_oracle,
+    run_repro,
     ulp_distance_fp16,
 )
 
@@ -139,3 +143,40 @@ def test_speculative_oracle_disagreeing_draft_still_token_identical():
 def test_missing_config_keys_raise_testing_error():
     with pytest.raises(TestingError, match="missing keys"):
         get_oracle("gemm").run({"m": 4})
+
+
+# ----------------------------------------------------------------------
+# the gemm oracle's error bound
+# ----------------------------------------------------------------------
+CANCELLING_GEMM = "gemm::bits=4,k=88,m=31,n=96,seed=785388898,strategy=ours"
+
+
+def test_gemm_oracle_allows_cancellation_within_its_bound():
+    """3 ULP on a 7.85e-5 output cancelled from products totalling 6.8."""
+    result = run_repro(CANCELLING_GEMM)
+    assert result.ok, result.mismatch and result.mismatch.message
+    assert result.notes["max_ulp"] == 3
+
+
+@pytest.mark.parametrize("mutation", ["fp16 between K tiles",
+                                      "last K tile dropped"])
+def test_gemm_oracle_bound_still_catches(monkeypatch, mutation):
+    """The bound is loose only by the FP32 summation term.
+
+    The pinned configuration has three K tiles, so every third K step is
+    the last.
+    """
+    accumulate = HMXUnit._accumulate_k_tile
+    steps = itertools.count()
+
+    def mutated(activation_tiles, weight_tiles, accumulator):
+        last = next(steps) % 3 == 2
+        if mutation == "last K tile dropped" and last:
+            return
+        accumulate(activation_tiles, weight_tiles, accumulator)
+        if mutation == "fp16 between K tiles":
+            accumulator[...] = accumulator.astype(np.float16)
+
+    monkeypatch.setattr(HMXUnit, "_accumulate_k_tile", staticmethod(mutated))
+    result = run_repro(CANCELLING_GEMM)
+    assert not result.ok and result.mismatch.kind == "ulp"
