@@ -214,10 +214,10 @@ class FlashAttention:
             values = _kv_tiles(v, kv_len, lo, hi, kv)
 
             # --- S = Q K^T (HMX, FP32 accumulate, FP16 store) ----------
-            # the HMX multiplies whole 32-row query tiles; the vector side
-            # works on the true query rows only.  Keys are multiplied as
-            # stored, transposed: BLAS rounds a transposed tile
-            # differently, so the layout is part of the numerics
+            # keys are multiplied as stored, transposed: BLAS rounds a
+            # transposed tile differently, so the layout is part of the
+            # numerics, and the HMX multiplies whole 32-row query tiles
+            # here.  The vector side works on the true query rows only
             s = self._hmx.gemm(q_tiles[lo:hi], keys.swapaxes(1, 2),
                                np.float32, shape=(n_q, d, width))
             s = (s * scale).astype(np.float16)
@@ -243,6 +243,8 @@ class FlashAttention:
             m[lo:hi] = new_m
 
             # --- O = diag(correction) O + P V (HMX) ---------------------
+            # P and V are row-major, so only the true query rows of P are
+            # multiplied
             rescaled = (out[lo:hi].astype(np.float32)
                         * correction[:, :, np.newaxis])
             pv = self._hmx.gemm(p, values, np.float32,

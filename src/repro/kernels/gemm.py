@@ -15,7 +15,7 @@ numerics; they differ only in instruction mix and memory traffic.
 
 Host work fixed by the weight or by the call's shape is done once:
 :meth:`MixedPrecisionGemm.prepare_weight` stores the tile-padded FP32
-weight the HMX tile loop reads, and each call is charged from a table
+weight :meth:`HMXUnit.gemm` reads, and each call is charged from a table
 of per-shape costs on the kernel.
 """
 
@@ -54,8 +54,8 @@ __all__ = ["PreparedWeight", "MixedPrecisionGemm"]
 class PreparedWeight:
     """A weight quantized and packed for one dequantization strategy.
 
-    ``padded_fp32`` is the dequantized weight as the HMX tile loop reads
-    it: zero-padded to whole tiles, widened to FP32 and laid out as
+    ``padded_fp32`` is the dequantized weight as :meth:`HMXUnit.gemm`
+    reads it: zero-padded to whole tiles, widened to FP32 and laid out as
     :func:`~repro.npu.hmx.padded_fp32` lays out the FP16 matrix (C order
     for tile groups, F order for the column-major groups of
     ``baseline``).  It is built once, here, instead of on every call.

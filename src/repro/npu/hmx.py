@@ -24,6 +24,7 @@ memory order so dequantized weights stream contiguously into TCM.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Optional, Tuple
 
 import numpy as np
@@ -101,6 +102,8 @@ def padded_fp32(matrix: np.ndarray) -> np.ndarray:
     tile product differently when a weight tile is stored transposed, so
     the layout is part of the numerics.
     """
+    if matrix.ndim < 2:
+        raise TileShapeError(f"expected a 2-D matrix, got shape {matrix.shape}")
     rows, cols = matrix.shape[-2:]
     if rows % TILE_DIM == 0 and cols % TILE_DIM == 0:
         return matrix.astype(np.float32)
@@ -225,22 +228,42 @@ class HMXUnit:
              shape: Optional[Tuple[int, int, int]] = None) -> np.ndarray:
         """Full GEMM ``activations @ weights`` through tile decomposition.
 
-        Both operands are padded to whole tiles; the per-(m,n) tile output
-        is the inner product over the K tile dimension, accumulated in
-        FP32 one K tile at a time exactly as :meth:`tile_mac` would.  Each
-        K step runs every (m, n) tile product as one stacked matmul of
-        32x32 tiles.  Leading dimensions, if any, stack independent GEMMs
-        of one shape.  Tile MAC counts grow as
-        ``ceil(m/32) * ceil(k/32) * ceil(n/32)``, which is why a
+        Both operands are zero-padded to whole tiles and widened to FP32
+        (:func:`padded_fp32`).  Each output is summed in FP32 one K tile
+        at a time, from +0 and in K order, exactly as :meth:`tile_mac`
+        accumulates, then cropped to ``(m, n)``.  Leading dimensions, if
+        any, stack independent GEMMs of one shape.  Tile MAC counts grow
+        as ``ceil(m/32) * ceil(k/32) * ceil(n/32)``, which is why a
         single-token decode (m=1) wastes 31/32 of the activation tile —
         the underutilization the paper's test-time scaling exploits.
 
+        How a K step is computed follows from the operands' strides
+        alone:
+
+        * Both row-major (unit stride along the last axis: projection
+          activations, tile-group weights, attention's P and V): one
+          matmul of the ``m`` real rows across the whole padded N.
+          Padded rows only produce outputs that are cropped away, so
+          they are not computed.  BLAS sums each output over a K tile
+          of such operands in the order it does inside a 32x32x32 tile
+          product, so the result is the tile loop's.
+        * Otherwise (F-order ``baseline`` weights, attention's keys as a
+          transposed view): one stacked matmul per K step of every
+          (m, n) tile pair, each the 32x32x32 product :meth:`tile_mac`
+          makes on tiles stored as the operands store them.  BLAS rounds
+          a product with a transposed operand differently when it has
+          other row or column counts, so these stay tile by tile.
+
+        Both paths charge the same :meth:`record_gemm` counts and give
+        the same bits; the ``hmx`` oracle in :mod:`repro.testing.oracles`
+        holds them to the :meth:`tile_mac` loop over operand layouts.
+
         Operands that are widened once and multiplied many times — a
         stored weight, an attention block — can instead arrive already
-        padded and widened, each as :func:`padded_fp32` of its FP16
-        matrix (zero padding, same memory layout), with the true
-        ``(m, k, n)`` as ``shape``.  The tile loop then reads both as
-        they are, and the result is the FP16 operands', bit for bit.
+        padded and widened, each laid out as :func:`padded_fp32` lays
+        out its FP16 matrix or as a view of such a matrix, with the
+        true ``(m, k, n)`` as ``shape``.  They are read as they are,
+        and the result is the FP16 operands', bit for bit.
         """
         widened = shape is not None
         a = np.asarray(activations, dtype=None if widened else np.float16)
@@ -253,13 +276,18 @@ class HMXUnit:
             raise TileShapeError(
                 f"inner dimensions differ: {a.shape} @ {w.shape}")
         if widened:
-            m, k, n = shape
+            try:
+                m, k, n = (operator.index(d) for d in shape)
+            except (TypeError, ValueError):
+                raise TileShapeError(
+                    f"shape must be three ints (m, k, n), got {shape!r}"
+                ) from None
             if a.dtype != np.float32 or w.dtype != np.float32:
                 raise TileShapeError(
                     f"pre-widened operands must be FP32, got {a.dtype} @ "
                     f"{w.dtype}")
             if a.shape[-2:] + w.shape[-1:] != tuple(
-                    -(-d // TILE_DIM) * TILE_DIM for d in shape):
+                    -(-d // TILE_DIM) * TILE_DIM for d in (m, k, n)):
                 raise TileShapeError(
                     f"operands {a.shape} @ {w.shape} are not a "
                     f"({m}, {k}) @ ({k}, {n}) product padded to whole tiles")
@@ -267,37 +295,43 @@ class HMXUnit:
             (m, k), n = a.shape[-2:], w.shape[-1]
             a, w = padded_fp32(a), padded_fp32(w)
         batch = a.shape[:-2]
-        tiles_m, tiles_k = (d // TILE_DIM for d in a.shape[-2:])
-        tiles_n = w.shape[-1] // TILE_DIM
-        # a_tiles[..., i, :, t, :] is activation tile (i, t) and
-        # w_tiles[..., t, :, j, :] weight tile (t, j), both views
-        a_tiles = a.reshape(batch + (tiles_m, TILE_DIM, tiles_k, TILE_DIM))
-        w_tiles = w.reshape(batch + (tiles_k, TILE_DIM, tiles_n, TILE_DIM))
-        acc = np.zeros(batch + (tiles_m, tiles_n, TILE_DIM, TILE_DIM),
-                       dtype=np.float32)
-        for tk in range(tiles_k):
-            self._accumulate_k_tile(a_tiles[..., tk, :],
-                                    w_tiles[..., tk, :, :, :].swapaxes(-3, -2),
-                                    acc)
+        tiles_m, tiles_k, tiles_n = (
+            d // TILE_DIM for d in a.shape[-2:] + w.shape[-1:])
+        if a.strides[-1] == w.strides[-1] == a.itemsize:
+            out = np.zeros(batch + (m, w.shape[-1]), dtype=np.float32)
+            for t in range(0, tiles_k * TILE_DIM, TILE_DIM):
+                self._accumulate_k_tile(a[..., :m, t:t + TILE_DIM],
+                                        w[..., t:t + TILE_DIM, :], out)
+        else:
+            # a_tiles[..., i, 0, :, t, :] is activation tile (i, t) and
+            # w_tiles[..., 0, t, j, :, :] weight tile (t, j), both views
+            a_tiles = a.reshape(batch + (tiles_m, 1, TILE_DIM, tiles_k,
+                                         TILE_DIM))
+            w_tiles = w.reshape(batch + (1, tiles_k, TILE_DIM, tiles_n,
+                                         TILE_DIM)).swapaxes(-3, -2)
+            acc = np.zeros(batch + (tiles_m, tiles_n, TILE_DIM, TILE_DIM),
+                           dtype=np.float32)
+            for t in range(tiles_k):
+                self._accumulate_k_tile(a_tiles[..., t, :],
+                                        w_tiles[..., t, :, :, :], acc)
+            out = acc.swapaxes(-3, -2).reshape(
+                batch + (tiles_m * TILE_DIM, tiles_n * TILE_DIM))
         self.record_gemm(m, k, n, math.prod(batch))
-        out = acc.swapaxes(-3, -2).reshape(
-            batch + (tiles_m * TILE_DIM, tiles_n * TILE_DIM))
         return out[..., :m, :n].astype(out_dtype)
 
     @staticmethod
-    def _accumulate_k_tile(activation_tiles: np.ndarray,
-                           weight_tiles: np.ndarray,
+    def _accumulate_k_tile(activations: np.ndarray, weights: np.ndarray,
                            accumulator: np.ndarray) -> None:
-        """One K step of :meth:`gemm`: ``acc[.., i, j] += a[.., i] @ w[.., j]``.
+        """One K step of :meth:`gemm`: ``accumulator += activations @ weights``.
 
-        ``activation_tiles`` is ``(..., tiles_m, 32, 32)``,
-        ``weight_tiles`` ``(..., tiles_n, 32, 32)`` and ``accumulator``
-        ``(..., tiles_m, tiles_n, 32, 32)``.  The stacked matmul issues
-        one 32x32x32 FP32 product per tile pair, the same BLAS call
-        :meth:`tile_mac` makes, so the sums match it bit for bit.
+        On the tile path the operands are broadcast stacks of 32x32
+        tiles, ``(..., tiles_m, 1, 32, 32)`` and ``(..., 1, tiles_n, 32,
+        32)``, so the matmul issues one 32x32x32 FP32 product per tile
+        pair, the BLAS call :meth:`tile_mac` makes.  On the row path they
+        are the ``(..., m, 32)`` real activation rows and the ``(..., 32,
+        padded n)`` weight rows of the K tile.
         """
-        accumulator += np.matmul(activation_tiles[..., :, None, :, :],
-                                 weight_tiles[..., None, :, :, :])
+        accumulator += np.matmul(activations, weights)
 
     @staticmethod
     def tile_macs_for_gemm(m: int, k: int, n: int) -> int:

@@ -1,7 +1,8 @@
 """Correctness tooling: differential oracles, fuzzing, golden fixtures.
 
 * :mod:`repro.testing.oracles` — paired-execution harness (HMX-sim vs
-  float64 reference, paged vs contiguous KV, empty fault plan vs none,
+  float64 reference, ``HMXUnit.gemm`` vs the tile-by-tile loop over
+  operand layouts, paged vs contiguous KV, empty fault plan vs none,
   speculative vs plain decode, checkpoint round-trips) with structured
   bitwise/ULP mismatch records;
 * :mod:`repro.testing.fuzz` — seeded random-config fuzzing over the
@@ -18,6 +19,7 @@ intentional numerical break).
 """
 
 from .oracles import (
+    HMX_LAYOUTS,
     ORACLES,
     ArrayDiff,
     MismatchRecord,
@@ -25,6 +27,8 @@ from .oracles import (
     OracleResult,
     diff_arrays,
     get_oracle,
+    laid_out,
+    reference_gemm,
     register_oracle,
     ulp_distance_fp16,
 )
@@ -47,6 +51,7 @@ from .goldens import (
 )
 
 __all__ = [
+    "HMX_LAYOUTS",
     "ORACLES",
     "ArrayDiff",
     "MismatchRecord",
@@ -54,6 +59,8 @@ __all__ = [
     "OracleResult",
     "diff_arrays",
     "get_oracle",
+    "laid_out",
+    "reference_gemm",
     "register_oracle",
     "ulp_distance_fp16",
     "FuzzReport",

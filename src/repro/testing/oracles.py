@@ -31,7 +31,9 @@ Tolerance discipline (calibrated against the seed implementation):
 * ``attention`` — the pluggable exponent (``lut``/``poly16``/``poly32``)
   is an approximation, so the oracle checks a 0.01 absolute ceiling
   (~5x the worst calibrated error of 0.002) rather than ULPs.
-* everything else is **bitwise**: identical tokens, identical
+* everything else is **bitwise**: ``hmx`` holds ``HMXUnit.gemm`` to
+  the tile-by-tile loop (:func:`reference_gemm`), and the engine
+  oracles require identical tokens and identical
   :class:`~repro.llm.model.StepCost` records.
 """
 
@@ -57,6 +59,9 @@ __all__ = [
     "get_oracle",
     "diff_arrays",
     "ulp_distance_fp16",
+    "reference_gemm",
+    "laid_out",
+    "HMX_LAYOUTS",
 ]
 
 ConfigValue = Union[int, str]
@@ -517,6 +522,175 @@ class AttentionOracle(Oracle):
                 config, "cost", "the stack is not charged the sum of its "
                 "items' one-head calls")
         return self.passed(config, max_abs=max_abs)
+
+
+def _tile_padded(matrix: np.ndarray) -> np.ndarray:
+    """``matrix`` zero-padded to whole tiles by ``np.pad``, aligned as is."""
+    from ..npu.hmx import TILE_DIM
+    rows, cols = matrix.shape
+    if rows % TILE_DIM == 0 and cols % TILE_DIM == 0:
+        return matrix
+    return np.pad(matrix, ((0, -rows % TILE_DIM), (0, -cols % TILE_DIM)))
+
+
+def reference_gemm(trace, activations: np.ndarray, weights: np.ndarray,
+                   out_dtype=np.float16) -> np.ndarray:
+    """The one-tile-at-a-time GEMM that ``HMXUnit.gemm`` must equal.
+
+    Both 2-D operands are cast to FP16 and zero-padded by ``np.pad``
+    (which keeps an F-order operand F-order); every (m, n) output tile
+    accumulates its K tiles in order through :meth:`HMXUnit.tile_mac`
+    into a fresh FP32 accumulator, and each drained tile records one
+    ``hmx_tile_out`` on ``trace``.  A tile product multiplies tiles
+    stored as the padded operands store them.
+    """
+    from ..npu.hmx import TILE_DIM, HMXUnit
+
+    hmx = HMXUnit(trace)
+    a_pad = _tile_padded(np.asarray(activations, dtype=np.float16))
+    w_pad = _tile_padded(np.asarray(weights, dtype=np.float16))
+    m, n = activations.shape[0], weights.shape[1]
+    out = np.zeros((a_pad.shape[0], w_pad.shape[1]), dtype=np.float32)
+    for tm in range(0, a_pad.shape[0], TILE_DIM):
+        for tn in range(0, w_pad.shape[1], TILE_DIM):
+            acc = np.zeros((TILE_DIM, TILE_DIM), dtype=np.float32)
+            for tk in range(0, a_pad.shape[1], TILE_DIM):
+                hmx.tile_mac(a_pad[tm:tm + TILE_DIM, tk:tk + TILE_DIM],
+                             w_pad[tk:tk + TILE_DIM, tn:tn + TILE_DIM], acc)
+            out[tm:tm + TILE_DIM, tn:tn + TILE_DIM] = acc
+            trace.record("hmx_tile_out")
+    return out[:m, :n].astype(out_dtype)
+
+
+#: operand memory layouts the ``hmx`` oracle draws
+HMX_LAYOUTS = ("C", "F", "transposed", "strided")
+
+
+def laid_out(matrix: np.ndarray, layout: str) -> np.ndarray:
+    """``matrix`` (a 2-D matrix or a stack) stored in ``layout``.
+
+    ``C`` and ``F`` are contiguous in that order, a stack as a whole;
+    ``transposed`` is a strided view of the transpose of a larger
+    buffer, as attention multiplies its keys; ``strided`` keeps unit
+    column stride but puts rows 32 elements further apart than the
+    width, as attention's P is a ``[..., :width]`` slice of its block
+    buffer when ``block_kv`` is 64.
+    """
+    *stack, rows, cols = matrix.shape
+    if layout == "C":
+        return np.ascontiguousarray(matrix)
+    if layout == "F":
+        return np.asfortranarray(matrix)
+    if layout == "transposed":
+        backing = np.zeros((*stack, cols + 3, rows + 5), dtype=matrix.dtype)
+        backing[..., :cols, :rows] = matrix.swapaxes(-1, -2)
+        return backing.swapaxes(-1, -2)[..., :rows, :cols]
+    if layout == "strided":
+        backing = np.zeros((*stack, rows, cols + 32), dtype=matrix.dtype)
+        backing[..., :cols] = matrix
+        return backing[..., :cols]
+    raise TestingError(f"unknown layout {layout!r}; expected {HMX_LAYOUTS}")
+
+
+@register_oracle
+class HMXOracle(Oracle):
+    """``HMXUnit.gemm`` vs the :meth:`~repro.npu.hmx.HMXUnit.tile_mac` loop.
+
+    ``gemm`` multiplies row-major operands one matmul per K step over
+    the real rows, and other layouts tile by tile.  BLAS rounds a
+    product by its operands' layouts and shapes, so only equality with
+    the tile loop over many layouts shows that routing is sound.  A
+    trial draws each operand's layout (:data:`HMX_LAYOUTS`), an
+    optional stack, the shape and the FP16 values (``normal``;
+    ``wide``, exponents over most of FP16's range, subnormals included;
+    ``sparse``, 70% zeros of either sign).  It runs both entries: the
+    FP16 operands as laid out, and the same matrices zero-padded,
+    widened to FP32 and then laid out, with ``shape``.  Each output must
+    equal :func:`reference_gemm`, matrix by matrix, over what the unit
+    reads (the pre-widened operands, or :func:`~repro.npu.hmx.padded_fp32`
+    of the FP16 ones), compared as raw bits, and each entry must record
+    the loop's tile counts.
+    """
+
+    name = "hmx"
+    description = ("HMXUnit.gemm, both entries, over operand layouts vs "
+                   "the tile_mac loop: bitwise, equal tile counts")
+    SHRINK_MINS = {"m": 1, "k": 1, "n": 1, "stack": 0, "seed": 0}
+    SHRINK_RESETS = {"a_layout": "C", "w_layout": "C", "values": "normal",
+                     "out_dtype": "float16"}
+
+    def sample_config(self, rng: np.random.Generator) -> Config:
+        def pick(options):
+            return options[int(rng.integers(len(options)))]
+
+        return {
+            "m": int(rng.integers(1, 71)),
+            "k": int(rng.integers(1, 601)),
+            "n": int(rng.integers(1, 601)),
+            "stack": pick((0, 0, 1, 2, 3)),
+            "a_layout": pick(HMX_LAYOUTS),
+            "w_layout": pick(HMX_LAYOUTS),
+            "values": pick(("normal", "wide", "sparse")),
+            "out_dtype": pick(("float16", "float32")),
+            "seed": int(rng.integers(0, 2**31)),
+        }
+
+    @staticmethod
+    def _values(rng: np.random.Generator, kind: str, shape) -> np.ndarray:
+        x = rng.normal(0.0, 1.0, shape)
+        if kind == "wide":
+            x *= 2.0 ** rng.integers(-24, 10, shape)
+        elif kind == "sparse":
+            x[rng.random(shape) < 0.7] = 0.0
+            x = np.copysign(x, rng.normal(0.0, 1.0, shape))
+        elif kind != "normal":
+            raise TestingError(f"unknown values kind {kind!r}")
+        return x.astype(np.float16)
+
+    def run(self, config: Config) -> OracleResult:
+        self._check_config(config)
+        from ..npu.hmx import HMXUnit, pad_to_tiles, padded_fp32
+        from ..npu.hvx import InstructionTrace
+
+        m, k, n = int(config["m"]), int(config["k"]), int(config["n"])
+        stack = int(config["stack"])
+        out_dtype = np.dtype(str(config["out_dtype"]))
+        rng = np.random.default_rng(int(config["seed"]))
+        lead = (stack,) if stack else ()
+        a = self._values(rng, str(config["values"]), lead + (m, k))
+        w = self._values(rng, str(config["values"]), lead + (k, n))
+        layouts = str(config["a_layout"]), str(config["w_layout"])
+        padded = pad_to_tiles(a), pad_to_tiles(w)
+        for entry, sources, shape in (("fp16", (a, w), None),
+                                      ("pre-widened", padded, (m, k, n))):
+            operands = [laid_out(x if shape is None else x.astype(np.float32),
+                                 lay) for x, lay in zip(sources, layouts)]
+            read = operands if shape else [padded_fp32(x) for x in operands]
+            trace, ref_trace = InstructionTrace(), InstructionTrace()
+            with np.errstate(over="ignore"):
+                got = HMXUnit(trace).gemm(*operands, out_dtype, shape=shape)
+                pairs = zip(*(x.reshape((-1,) + x.shape[-2:]) for x in read))
+                expected = np.stack([
+                    reference_gemm(ref_trace, ai, wi, out_dtype)[:m, :n]
+                    for ai, wi in pairs]).reshape(lead + (m, n))
+            if got.shape != expected.shape or got.dtype != expected.dtype:
+                return self.failed(
+                    config, "shape", f"{entry} entry returned "
+                    f"{got.dtype}{got.shape}, the tile loop "
+                    f"{expected.dtype}{expected.shape}")
+            bits = {2: np.uint16, 4: np.uint32}[out_dtype.itemsize]
+            diff = diff_arrays(got.view(bits), expected.view(bits))
+            if not diff.bitwise_equal:
+                return self.failed(
+                    config, "bitwise", f"{entry} entry differs from the "
+                    f"tile loop in {diff.n_diff} of {got.size} outputs",
+                    diff=diff)
+            if trace.as_dict() != ref_trace.as_dict():
+                return self.failed(
+                    config, "trace", f"{entry} entry recorded "
+                    f"{trace.as_dict()}, the tile loop "
+                    f"{ref_trace.as_dict()}")
+        return self.passed(config)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Stacked kernels vs the per-head and per-tile loops they replaced.
 
-``HMXUnit.gemm`` runs every (m, n) tile product of a K step as one
-stacked matmul, and ``FlashAttention`` runs a whole stack of (sequence,
-head) items in one call.  The loops below are the one-tile-at-a-time
-GEMM and the one-head-at-a-time attention those replaced, kept as
-references.  Outputs must agree bit for bit (compared as raw bits, so
--0.0 against 0.0 is a mismatch) and every item must be charged exactly
-the per-phase costs its own one-head call records.
+``HMXUnit.gemm`` makes one matmul per K step (of the real rows, or of
+every (m, n) tile pair), and ``FlashAttention`` runs a whole stack of
+(sequence, head) items in one call.  The one-tile-at-a-time GEMM they
+replaced is :func:`repro.testing.reference_gemm`, shared with the
+``hmx`` oracle; the one-head-at-a-time attention loop is kept below.
+Outputs must agree bit for bit (compared as raw bits, so -0.0 against
+0.0 is a mismatch) and every item must be charged exactly the
+per-phase costs its own one-head call records.
 """
 
 from typing import Dict
@@ -28,6 +29,7 @@ from repro.npu.memory import TCM
 from repro.npu.timing import KernelCost
 from repro.obs import trace as obs_trace
 from repro.quant.tile_quant import dequantize_weight
+from repro.testing import HMX_LAYOUTS, laid_out, reference_gemm
 
 _NEG_LIMIT = np.float16(-65504.0)
 _PHASES = ("qk_matmul", "softmax", "pv_matmul", "rescale")
@@ -47,30 +49,6 @@ def _pad(matrix: np.ndarray) -> np.ndarray:
     if rows % TILE_DIM == 0 and cols % TILE_DIM == 0:
         return matrix
     return np.pad(matrix, ((0, -rows % TILE_DIM), (0, -cols % TILE_DIM)))
-
-
-# ----------------------------------------------------------------------
-# reference: the per-tile GEMM loop
-# ----------------------------------------------------------------------
-def reference_gemm(trace: InstructionTrace, activations: np.ndarray,
-                   weights: np.ndarray, out_dtype=np.float16) -> np.ndarray:
-    hmx = HMXUnit(trace)
-    a_pad = _pad(np.asarray(activations, dtype=np.float16))
-    w_pad = _pad(np.asarray(weights, dtype=np.float16))
-    m, n = activations.shape[0], weights.shape[1]
-    out = np.zeros((a_pad.shape[0], w_pad.shape[1]), dtype=np.float32)
-    for tm in range(a_pad.shape[0] // TILE_DIM):
-        for tn in range(w_pad.shape[1] // TILE_DIM):
-            acc = np.zeros((TILE_DIM, TILE_DIM), dtype=np.float32)
-            for tk in range(a_pad.shape[1] // TILE_DIM):
-                hmx.tile_mac(a_pad[tm * TILE_DIM:(tm + 1) * TILE_DIM,
-                                   tk * TILE_DIM:(tk + 1) * TILE_DIM],
-                             w_pad[tk * TILE_DIM:(tk + 1) * TILE_DIM,
-                                   tn * TILE_DIM:(tn + 1) * TILE_DIM], acc)
-            out[tm * TILE_DIM:(tm + 1) * TILE_DIM,
-                tn * TILE_DIM:(tn + 1) * TILE_DIM] = acc
-            trace.record("hmx_tile_out")
-    return out[:m, :n].astype(out_dtype)
 
 
 # ----------------------------------------------------------------------
@@ -152,25 +130,11 @@ def reference_attention(fa: FlashAttention, q, k, v, q_positions=None,
 # GEMM
 # ----------------------------------------------------------------------
 GEMM_SHAPES = [(1, 16, 16), (1, 64, 96), (4, 64, 192), (5, 40, 33),
-               (33, 100, 65), (64, 512, 96), (128, 96, 192)]
-LAYOUTS = ["C", "F", "transposed-view"]
-
-
-def _laid_out(matrix: np.ndarray, layout: str) -> np.ndarray:
-    """``matrix`` stored C-order, F-order, or as a strided transposed view.
-
-    BLAS rounds a tile product differently when a tile is stored
-    transposed, so the stacked GEMM must keep the reference's layouts.
-    A stack of matrices is laid out as a whole.
-    """
-    if layout == "F":
-        return np.asfortranarray(matrix)
-    if layout == "transposed-view":  # F-like strides, not contiguous
-        *stack, rows, cols = matrix.shape
-        backing = np.zeros((*stack, cols + 3, rows + 5), dtype=matrix.dtype)
-        backing[..., :cols, :rows] = matrix.swapaxes(-1, -2)
-        return backing.swapaxes(-1, -2)[..., :rows, :cols]
-    return matrix
+               (31, 96, 160), (32, 64, 96), (33, 100, 65), (64, 512, 96),
+               (128, 96, 192),
+               # the prefill.wide benchmark's decode and prefill projections
+               (2, 512, 512), (2, 512, 1536), (2, 1536, 512),
+               (64, 512, 1536)]
 
 
 def _gemm(hmx: HMXUnit, a: np.ndarray, w: np.ndarray, widened: bool,
@@ -184,26 +148,30 @@ def _gemm(hmx: HMXUnit, a: np.ndarray, w: np.ndarray, widened: bool,
 
 
 @pytest.mark.parametrize("m,k,n", GEMM_SHAPES)
-@pytest.mark.parametrize("a_layout", LAYOUTS)
-@pytest.mark.parametrize("w_layout", LAYOUTS)
-@pytest.mark.parametrize("out_dtype", [np.float16, np.float32])
-@pytest.mark.parametrize("widened", [False, True])
-def test_stacked_gemm_matches_tile_loop(m, k, n, a_layout, w_layout,
-                                        out_dtype, widened):
+@pytest.mark.parametrize("a_layout", HMX_LAYOUTS)
+@pytest.mark.parametrize("w_layout", HMX_LAYOUTS)
+def test_stacked_gemm_matches_tile_loop(m, k, n, a_layout, w_layout):
+    """Both entries, FP16 and FP32 out, against one tile-loop run (its
+    FP16 output is its FP32 output cast)."""
     rng = np.random.default_rng([m, k, n])
-    a = _laid_out(rng.normal(0, 1, (m, k)).astype(np.float16), a_layout)
-    w = _laid_out(rng.normal(0, 0.1, (k, n)).astype(np.float16), w_layout)
-    ref_trace, trace = InstructionTrace(), InstructionTrace()
-    expected = reference_gemm(ref_trace, a, w, out_dtype)
-    got = _gemm(HMXUnit(trace), a, w, widened, out_dtype)
-    assert got.dtype == expected.dtype and got.shape == expected.shape
-    assert np.array_equal(_bits(got), _bits(expected))
-    assert trace.as_dict() == ref_trace.as_dict()
+    a = laid_out(rng.normal(0, 1, (m, k)).astype(np.float16), a_layout)
+    w = laid_out(rng.normal(0, 0.1, (k, n)).astype(np.float16), w_layout)
+    ref_trace = InstructionTrace()
+    reference = reference_gemm(ref_trace, a, w, np.float32)
+    for out_dtype in (np.float16, np.float32):
+        expected = reference.astype(out_dtype)
+        for widened in (False, True):
+            trace = InstructionTrace()
+            got = _gemm(HMXUnit(trace), a, w, widened, out_dtype)
+            assert got.dtype == expected.dtype
+            assert got.shape == expected.shape
+            assert np.array_equal(_bits(got), _bits(expected))
+            assert trace.as_dict() == ref_trace.as_dict()
 
 
 @pytest.mark.parametrize("m,k,n", GEMM_SHAPES)
-@pytest.mark.parametrize("a_layout", LAYOUTS)
-@pytest.mark.parametrize("w_layout", LAYOUTS)
+@pytest.mark.parametrize("a_layout", HMX_LAYOUTS)
+@pytest.mark.parametrize("w_layout", HMX_LAYOUTS)
 def test_widened_stack_matches_the_fp16_stack(m, k, n, a_layout, w_layout):
     """Pre-widened stacks multiply as their FP16 stacks do, per layout.
 
@@ -211,9 +179,9 @@ def test_widened_stack_matches_the_fp16_stack(m, k, n, a_layout, w_layout):
     reaches BLAS with other strides than its slices do.)
     """
     rng = np.random.default_rng([m, k, n, 3])
-    a = _laid_out(rng.normal(0, 1, (3, m, k)).astype(np.float16), a_layout)
-    w = _laid_out(rng.normal(0, 0.1, (3, k, n)).astype(np.float16),
-                  w_layout)
+    a = laid_out(rng.normal(0, 1, (3, m, k)).astype(np.float16), a_layout)
+    w = laid_out(rng.normal(0, 0.1, (3, k, n)).astype(np.float16),
+                 w_layout)
     fp16, widened = HMXUnit(), HMXUnit()
     expected = _gemm(fp16, a, w, widened=False)
     got = _gemm(widened, a, w, widened=True)

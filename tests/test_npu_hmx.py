@@ -18,6 +18,7 @@ from repro.npu.hmx import (
     tile_permute,
     tile_unpermute,
 )
+from repro.testing import laid_out
 
 
 class TestTilePermute:
@@ -170,6 +171,31 @@ class TestHMXUnit:
         hmx.gemm(a, b)
         assert hmx.trace.count("hmx_tile_mac") == 1 * 2 * 3
 
+    @pytest.mark.parametrize("a_layout,w_layout,k_step", [
+        ("C", "C", (2, TILE_DIM)),                       # the real rows
+        ("strided", "C", (2, TILE_DIM)),
+        ("C", "F", (1, 1, TILE_DIM, TILE_DIM)),          # tile pairs
+        ("C", "transposed", (1, 1, TILE_DIM, TILE_DIM)),
+        ("F", "C", (1, 1, TILE_DIM, TILE_DIM)),
+    ])
+    def test_gemm_routes_by_operand_strides(self, monkeypatch, a_layout,
+                                            w_layout, k_step):
+        """Row-major operands multiply only their real rows per K step;
+        any other layout is multiplied tile by tile."""
+        steps = []
+        accumulate = HMXUnit._accumulate_k_tile
+
+        def spy(activations, weights, accumulator):
+            steps.append(activations.shape)
+            accumulate(activations, weights, accumulator)
+
+        monkeypatch.setattr(HMXUnit, "_accumulate_k_tile", staticmethod(spy))
+        a = laid_out(padded_fp32(np.ones((2, 64), np.float16)), a_layout)
+        w = laid_out(padded_fp32(np.ones((64, 96), np.float16)), w_layout)
+        out = HMXUnit().gemm(a, w, shape=(2, 64, 96))
+        assert steps == [k_step] * 2
+        assert np.all(out == np.float16(64))
+
     def test_single_token_wastes_tile(self):
         """The paper's core observation: m=1 costs as much as m=32."""
         assert HMXUnit.tile_macs_for_gemm(1, 64, 64) == \
@@ -221,9 +247,11 @@ class TestHMXUnit:
             w = np.ones((96, 64), np.float32)
         elif case == "stacks":
             a, w = np.stack([a] * 2), np.stack([w] * 3)
+        elif case == "1-D matrix":
+            a = padded_fp32(np.zeros(5, np.float16))
         elif case:
             shape = {"m too large": (33, 40, 33), "k too small": (5, 32, 33),
-                     "n too large": (5, 40, 65)}[case]
+                     "n too large": (5, 40, 65), "two dims": (2, 32)}[case]
         return a, w, shape
 
     def test_prewidened_gemm_crops_to_shape(self):
@@ -234,11 +262,13 @@ class TestHMXUnit:
     @pytest.mark.parametrize("case", [
         "fp16 activations", "fp16 weights", "unpadded activations",
         "unpadded weights", "inner dimensions", "stacks",
-        "m too large", "k too small", "n too large"])
+        "m too large", "k too small", "n too large", "two dims",
+        "1-D matrix"])
     def test_prewidened_gemm_checks(self, case):
-        """Pre-widened operands must be FP32, padded, and fit ``shape``."""
-        a, w, shape = self._prewidened(case)
+        """Pre-widened operands must be FP32, padded, and fit ``shape``,
+        which is three ints; a 1-D matrix cannot be widened."""
         with pytest.raises(TileShapeError):
+            a, w, shape = self._prewidened(case)
             HMXUnit().gemm(a, w, shape=shape)
 
     def test_emit_output_tile_scale_bias(self):

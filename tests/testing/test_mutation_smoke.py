@@ -1,10 +1,11 @@
 """Mutation smoke test: the oracle harness must catch an injected bug.
 
-Perturbs a single element of the HMX GEMM's stacked K-tile
-accumulation — the kind of off-by-one-ULP bug a layout or pipelining
-optimisation could introduce — and asserts the differential harness
-flags it.  If this test ever passes with the mutation active, the oracle
-tolerances have drifted too loose.
+Perturbs a single element of the HMX GEMM's K-step accumulation — the
+kind of off-by-one-ULP bug a layout or pipelining optimisation could
+introduce — and asserts the differential harness flags it, on the row
+path (row-major weights) and the tile path (``baseline``'s F-order
+weights) alike.  If this test ever passes with the mutation active, the
+oracle tolerances have drifted too loose.
 """
 
 import numpy as np
@@ -40,8 +41,15 @@ def test_unmutated_gemm_oracle_passes():
     assert get_oracle("gemm").run(GEMM_CONFIG).ok
 
 
-def test_gemm_oracle_flags_perturbed_accumulation(perturb_one_tile_mac):
-    result = get_oracle("gemm").run(GEMM_CONFIG)
+@pytest.mark.parametrize("config", [
+    GEMM_CONFIG,
+    dict(GEMM_CONFIG, m=1),  # decode shapes, on the row path
+    dict(GEMM_CONFIG, m=2),
+    dict(GEMM_CONFIG, strategy="baseline"),  # F-order weights, tile path
+], ids=["m16", "m1", "m2", "baseline"])
+def test_gemm_oracle_flags_perturbed_accumulation(perturb_one_tile_mac,
+                                                  config):
+    result = get_oracle("gemm").run(config)
     assert perturb_one_tile_mac["calls"] > 0, "mutation never exercised"
     assert not result.ok, "oracle failed to flag a perturbed tile MAC"
     mismatch = result.mismatch
@@ -50,10 +58,3 @@ def test_gemm_oracle_flags_perturbed_accumulation(perturb_one_tile_mac):
     # the corrupted element sits in the first output tile
     assert mismatch.diff.first_index[0] < 32
     assert "ULP" in mismatch.message
-
-
-def test_baseline_strategy_also_flags_perturbation(perturb_one_tile_mac):
-    config = dict(GEMM_CONFIG, strategy="baseline")
-    result = get_oracle("gemm").run(config)
-    assert not result.ok
-    assert result.mismatch.kind == "ulp"

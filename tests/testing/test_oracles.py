@@ -15,7 +15,7 @@ from repro.testing import (
     ulp_distance_fp16,
 )
 
-EXPECTED_ORACLES = {"gemm", "attention", "paged_kv", "fault_noop",
+EXPECTED_ORACLES = {"gemm", "hmx", "attention", "paged_kv", "fault_noop",
                     "speculative", "checkpoint"}
 
 
