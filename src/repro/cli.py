@@ -142,14 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="render the comparison report as markdown")
     bench.add_argument("--list-scenarios", action="store_true",
                        help="list registered scenarios and exit")
-    bench.add_argument("--self-profile", action="store_true",
-                       help="run each scenario under cProfile and write a "
-                            "top-N cumulative-time table per scenario "
-                            "(simulator host-time attribution; never "
-                            "gated or fingerprinted)")
-    bench.add_argument("--profile-out", default=None, metavar="PATH",
-                       help="self-profile artifact path ('-' for stdout; "
-                            "default: benchmarks/profile.txt)")
 
     monitor = sub.add_parser(
         "monitor",
@@ -179,14 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     monitor.add_argument("--trace-out", default=None, metavar="PATH",
                          help="also export a chrome://tracing JSON with "
                               "per-request timeline lanes")
-    monitor.add_argument("--min-anomalies", type=int, default=None,
-                         metavar="N",
-                         help="exit 2 unless at least N anomalies were "
-                              "flagged (CI chaos gate)")
-    monitor.add_argument("--max-anomalies", type=int, default=None,
-                         metavar="N",
-                         help="exit 2 if more than N anomalies were "
-                              "flagged (CI quiet-scenario gate)")
 
     explain = sub.add_parser(
         "explain",
@@ -607,9 +591,7 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
 def _cmd_bench(check: bool, update_baseline: bool, baseline: Optional[str],
                only, fast: bool, device: Optional[str], seed: int,
                out_dir: Optional[str], json_out: Optional[str],
-               markdown: bool, list_scenarios: bool, out,
-               self_profile: bool = False,
-               profile_out: Optional[str] = None) -> int:
+               markdown: bool, list_scenarios: bool, out) -> int:
     import json
     import os
 
@@ -621,7 +603,6 @@ def _cmd_bench(check: bool, update_baseline: bool, baseline: Optional[str],
         BenchSnapshot,
         compare_snapshots,
         next_snapshot_path,
-        render_profile_table,
         run_suite,
     )
 
@@ -635,18 +616,7 @@ def _cmd_bench(check: bool, update_baseline: bool, baseline: Optional[str],
     baseline_path = baseline if baseline is not None else DEFAULT_BASELINE_PATH
     device_key = device if device is not None else DEFAULT_DEVICE
     snapshot = run_suite(only=only, device_key=device_key, seed=seed,
-                         fast_only=fast, self_profile=self_profile)
-    if self_profile:
-        table = render_profile_table(snapshot.profiles or {})
-        if profile_out == "-":
-            out.write(table)
-        else:
-            path = profile_out if profile_out is not None \
-                else os.path.join("benchmarks", "profile.txt")
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            with open(path, "w") as handle:
-                handle.write(table)
-            out.write(f"self-profile written to {path}\n")
+                         fast_only=fast)
     out.write(f"ran {len(snapshot.records)} scenario(s) on {device_key} "
               f"(seed {seed}, git {snapshot.fingerprint['git_sha'][:12]})\n")
     for name in sorted(snapshot.records):
@@ -696,8 +666,7 @@ def _cmd_bench(check: bool, update_baseline: bool, baseline: Optional[str],
 
 def _cmd_monitor(scenario: str, device: str, seed: int, windows: int,
                  window_ms: Optional[float], json_out: Optional[str],
-                 trace_out: Optional[str], min_anomalies: Optional[int],
-                 max_anomalies: Optional[int], out) -> int:
+                 trace_out: Optional[str], out) -> int:
     from .errors import ReproError
     from .obs.monitor import run_monitor
 
@@ -727,16 +696,6 @@ def _cmd_monitor(scenario: str, device: str, seed: int, windows: int,
         out.write(f"trace written to {trace_out} "
                   f"({len(trace['traceEvents'])} events); open in "
                   f"https://ui.perfetto.dev\n")
-
-    n_anomalies = len(report.anomalies)
-    if min_anomalies is not None and n_anomalies < min_anomalies:
-        out.write(f"error: expected >= {min_anomalies} anomalies, "
-                  f"detected {n_anomalies}\n")
-        return 2
-    if max_anomalies is not None and n_anomalies > max_anomalies:
-        out.write(f"error: expected <= {max_anomalies} anomalies, "
-                  f"detected {n_anomalies}\n")
-        return 2
     return 0
 
 
@@ -882,14 +841,11 @@ def _dispatch(args, out) -> int:
         return _cmd_bench(args.check, args.update_baseline, args.baseline,
                           args.only, args.fast, args.device, args.seed,
                           args.out_dir, args.json_out, args.markdown,
-                          args.list_scenarios, out,
-                          self_profile=args.self_profile,
-                          profile_out=args.profile_out)
+                          args.list_scenarios, out)
     if args.command == "monitor":
         return _cmd_monitor(args.scenario, args.device, args.seed,
                             args.windows, args.window_ms, args.json_out,
-                            args.trace_out, args.min_anomalies,
-                            args.max_anomalies, out)
+                            args.trace_out, out)
     if args.command == "explain":
         return _cmd_explain(args.scenario, args.device, args.seed,
                             args.top_k, args.json_out, args.trace_out, out)

@@ -24,8 +24,7 @@ Determinism is the contract everywhere: "jitter" draws come from
 :func:`numpy.random.default_rng` streams keyed by ``(seed, identity,
 attempt)``, so the same fault schedule always produces the same
 failovers, cooldowns and hedges — byte-identical ``repro.fleet/v1``
-reports across replays, which is what the ``fleet.chaos`` fuzz oracle
-pins.
+reports across replays, which is what the ``fleet`` fuzz oracle pins.
 
 Each mechanism has a fixed address in the critical-path blame taxonomy
 (:mod:`repro.obs.critical_path`): a failover retry charges the wait

@@ -23,7 +23,7 @@ conservation invariant::
 
 with no request served twice (hedge losers are cancelled before their
 completion fires) — checked at the end of every run and fuzzed by the
-``fleet.chaos`` oracle.
+``fleet`` oracle.
 
 Timeline integration: with the structured event log armed
 (:mod:`repro.obs.timeline`), the simulation emits ``queue`` /

@@ -24,7 +24,6 @@ from .hvx import VECTOR_BYTES, HVXContext, InstructionTrace
 from .memory import DMAEngine, MultiSessionHeap, RpcMemHeap, SharedBuffer, TCM
 from .power_mgmt import GOVERNORS, PowerGovernor, apply_governor
 from .soc import DEVICES, CPUModel, Device, FastRPCSession, get_device
-from .threadpool import KernelJob, NPUThreadPool, ScheduleResult
 from .timing import GENERATIONS, V73, V75, V79, KernelCost, TimingModel
 
 __all__ = [
@@ -46,9 +45,6 @@ __all__ = [
     "GOVERNORS",
     "PowerGovernor",
     "apply_governor",
-    "KernelJob",
-    "NPUThreadPool",
-    "ScheduleResult",
     "DEVICES",
     "CPUModel",
     "Device",

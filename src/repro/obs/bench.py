@@ -56,8 +56,6 @@ __all__ = [
     "bench_scenario",
     "run_scenario",
     "run_suite",
-    "render_profile_table",
-    "PROFILE_TOP_N",
     "next_snapshot_path",
     "validate_snapshot",
     "Threshold",
@@ -454,59 +452,13 @@ def _bench_fleet_chaos(ctx: BenchContext) -> BenchRecord:
 # ----------------------------------------------------------------------
 # runner
 # ----------------------------------------------------------------------
-#: Rows kept per scenario in a ``--self-profile`` table.
-PROFILE_TOP_N = 25
-
-
-def _profile_rows(profiler: Any, top_n: int = PROFILE_TOP_N
-                  ) -> List[Dict[str, Any]]:
-    """Top-``top_n`` cumulative-time rows from a cProfile run.
-
-    Host wall clock, so the rows are informational (never gated, never
-    fingerprinted) — they answer ROADMAP's "where does the *simulator*
-    spend its host time" question, not a paper claim.
-    """
-    import pstats
-
-    stats = pstats.Stats(profiler)
-    rows: List[Dict[str, Any]] = []
-    for func, (cc, nc, tottime, cumtime, _callers) in stats.stats.items():
-        filename, lineno, name = func
-        where = name if filename == "~" \
-            else f"{os.path.basename(filename)}:{lineno}:{name}"
-        rows.append({"function": where, "ncalls": int(nc),
-                     "tottime": float(tottime), "cumtime": float(cumtime)})
-    rows.sort(key=lambda r: (-r["cumtime"], r["function"]))
-    return rows[:max(top_n, 0)]
-
-
-def render_profile_table(profiles: Dict[str, List[Dict[str, Any]]]) -> str:
-    """Per-scenario top-N cumulative-time tables as one text artifact."""
-    lines: List[str] = []
-    for name in sorted(profiles):
-        lines.append(f"== self-profile: {name} "
-                     f"(top {len(profiles[name])} by cumulative time) ==")
-        lines.append(f"{'function':<56s} {'ncalls':>8s} {'tottime s':>10s} "
-                     f"{'cumtime s':>10s}")
-        for row in profiles[name]:
-            lines.append(f"{row['function']:<56.56s} {row['ncalls']:>8d} "
-                         f"{row['tottime']:>10.4f} {row['cumtime']:>10.4f}")
-        lines.append("")
-    return "\n".join(lines) + ("\n" if lines and lines[-1] else "")
-
-
 def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
-                 seed: int = DEFAULT_SEED,
-                 self_profile: bool = False) -> BenchRecord:
+                 seed: int = DEFAULT_SEED) -> BenchRecord:
     """Run one registered scenario under fresh tracer/metrics state.
 
     The record is augmented with the scenario's wall clock
     (informational) and, when the traced run carries kernel costs, the
     per-engine HMX/HVX/DMA/CPU busy fractions of the simulated timeline.
-    With ``self_profile`` the scenario body runs under :mod:`cProfile`
-    and the top cumulative-time rows are attached as a non-serialized
-    ``profile`` attribute on the record (host-side data stays out of
-    the snapshot so fingerprints and byte-diffs are unaffected).
     """
     scenario = SCENARIOS.get(name)
     if scenario is None:
@@ -524,22 +476,13 @@ def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
                        registry=obs_metrics.MetricsRegistry(), seed=seed)
     prev_tracer = obs_trace.set_tracer(ctx.tracer)
     prev_metrics = obs_metrics.set_metrics(ctx.registry)
-    profiler = None
-    if self_profile:
-        import cProfile
-        profiler = cProfile.Profile()
     wall = time.perf_counter()
     try:
-        if profiler is not None:
-            record = profiler.runcall(scenario.fn, ctx)
-        else:
-            record = scenario.fn(ctx)
+        record = scenario.fn(ctx)
     finally:
         obs_trace.set_tracer(prev_tracer)
         obs_metrics.set_metrics(prev_metrics)
     record.metrics["wall_seconds"] = time.perf_counter() - wall
-    record.profile = _profile_rows(profiler) if profiler is not None \
-        else None
     try:
         util = engine_utilization(chrome_trace(ctx.tracer,
                                                timing=ctx.timing))
@@ -641,15 +584,8 @@ def validate_snapshot(data: Any) -> None:
 def run_suite(only: Optional[Sequence[str]] = None,
               device_key: str = DEFAULT_DEVICE,
               seed: int = DEFAULT_SEED,
-              fast_only: bool = False,
-              self_profile: bool = False) -> BenchSnapshot:
-    """Run the registered scenarios and return a fingerprinted snapshot.
-
-    With ``self_profile`` each scenario runs under :mod:`cProfile` and
-    the snapshot carries a non-serialized ``profiles`` attribute
-    (scenario name -> top cumulative rows) for the CLI's profile
-    artifact; ``to_json`` and the fingerprint are unchanged.
-    """
+              fast_only: bool = False) -> BenchSnapshot:
+    """Run the registered scenarios and return a fingerprinted snapshot."""
     names = list(only) if only else sorted(SCENARIOS)
     if fast_only:
         names = [n for n in names
@@ -658,16 +594,10 @@ def run_suite(only: Optional[Sequence[str]] = None,
     if unknown:
         raise BenchError(
             f"unknown bench scenario(s) {unknown}; known: {sorted(SCENARIOS)}")
-    records = {name: run_scenario(name, device_key=device_key, seed=seed,
-                                  self_profile=self_profile)
+    records = {name: run_scenario(name, device_key=device_key, seed=seed)
                for name in names}
-    snapshot = BenchSnapshot(fingerprint=environment_fingerprint(seed),
-                             records=records)
-    snapshot.profiles = {name: record.profile
-                         for name, record in records.items()
-                         if getattr(record, "profile", None)} \
-        if self_profile else None
-    return snapshot
+    return BenchSnapshot(fingerprint=environment_fingerprint(seed),
+                         records=records)
 
 
 def next_snapshot_path(directory: str) -> str:

@@ -20,8 +20,8 @@ keys and integer ledgers, so a double run of the same (scenario,
 device, seed) — or the same fleet config — produces byte-identical
 JSON.  Two checks diff exactly that: the ``explain`` case of
 ``test_cli_replays_across_hash_seeds`` in
-``tests/test_host_clock_poisoning.py``, and the ``explain`` fuzz
-oracle, which CI's ``fuzz-smoke`` job runs.  Conservation is asserted
+``tests/test_host_clock_poisoning.py``, and the ``fleet`` fuzz
+oracle's ``explain`` trials.  Conservation is asserted
 while aggregating: a report cannot be built from explanations whose
 blame does not sum to their latency.
 """

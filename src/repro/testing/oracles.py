@@ -1146,24 +1146,40 @@ class CheckpointOracle(Oracle):
 
 @register_oracle
 class FleetOracle(Oracle):
-    """Fleet simulation replay: two runs of one config, byte-identical.
+    """Fleet replay: two runs of one config, byte-identical, ledgers closed.
 
-    The PR-7 guarantee: the ``repro.fleet/v1`` report is a pure
-    function of its configuration — same trace seed, same population,
-    same admission bound reproduce the serialized report bytewise —
-    and the frontend conserves requests
-    (``offered == completed + shed + unserved``).  The capacity plan is
-    left off so a shrunk repro stays one simulation, not a search.
+    The ``repro.fleet/v1`` report is a pure function of its config:
+    trace seed and pattern, population, admission bound, a seeded fleet
+    fault schedule (crashes, stragglers, dropped dispatches, battery
+    drains) and hedging, both off in half the configs, and whether blame
+    is recorded (``explain``).  Two runs must serialize to the same
+    bytes, and the report must close every ledger it carries:
+
+    * ``offered == completed + shed + failed_permanently + unserved``,
+      and the chaos section's ledger agrees with the requests section
+      (the simulation itself raises if a hedged request is served twice);
+    * token-latency percentiles are in order;
+    * with ``explain``, every offered request is explained, and blame
+      nanoseconds and energy nanojoules sum exactly to their totals
+      (per-request conservation is asserted inside
+      :func:`~repro.obs.blame.aggregate_blame`).
+
+    The capacity plan is left off so a shrunk repro stays one
+    simulation, not a search.
     """
 
     name = "fleet"
-    description = ("fleet serving simulation, run twice: byte-identical "
-                   "repro.fleet/v1 JSON + request conservation")
+    description = ("fleet run twice with drawn faults, hedging and explain: "
+                   "byte-identical repro.fleet/v1 JSON, request "
+                   "conservation, blame totality")
     SHRINK_MINS = {"devices": 1, "qps": 1, "horizon_ds": 1,
-                   "queue_depth": 1, "seed": 0}
+                   "queue_depth": 1, "seed": 0, "fault_seed": 0,
+                   "n_crashes": 0, "n_straggles": 0, "n_drops": 0,
+                   "n_battery": 0, "hedge": 0, "explain": 0}
     SHRINK_RESETS = {"pattern": "poisson"}
 
     def sample_config(self, rng: np.random.Generator) -> Config:
+        chaos = int(rng.integers(0, 2))  # 0: no faults, no hedging
         return {
             "devices": int(rng.integers(1, 41)),
             "qps": int(rng.integers(1, 25)),
@@ -1171,23 +1187,41 @@ class FleetOracle(Oracle):
             "queue_depth": int(rng.integers(1, 33)),
             "pattern": ("poisson", "diurnal")[int(rng.integers(2))],
             "seed": int(rng.integers(0, 2**31)),
+            "fault_seed": int(rng.integers(0, 2**31)),
+            "n_crashes": chaos * int(rng.integers(0, 4)),
+            "n_straggles": chaos * int(rng.integers(0, 4)),
+            "n_drops": chaos * int(rng.integers(0, 4)),
+            "n_battery": chaos * int(rng.integers(0, 2)),
+            "hedge": chaos * int(rng.integers(0, 2)),
+            "explain": int(rng.integers(0, 2)),
         }
 
     def _report(self, config: Config):
         from ..fleet import run_fleet
+        from ..resilience.faults import FaultPlan
 
+        horizon = int(config["horizon_ds"]) / 10.0
+        plan = FaultPlan.random(
+            int(config["fault_seed"]), n_aborts=0, n_dma=0, n_allocs=0,
+            n_throttles=0, n_crashes=int(config["n_crashes"]),
+            n_straggles=int(config["n_straggles"]),
+            n_drops=int(config["n_drops"]),
+            n_battery=int(config["n_battery"]),
+            n_devices=int(config["devices"]), horizon_seconds=horizon)
         return run_fleet(
             int(config["devices"]), float(config["qps"]),
-            horizon_seconds=int(config["horizon_ds"]) / 10.0,
-            seed=int(config["seed"]), pattern=str(config["pattern"]),
+            horizon_seconds=horizon, seed=int(config["seed"]),
+            pattern=str(config["pattern"]),
             queue_depth=int(config["queue_depth"]),
-            with_capacity_plan=False)
+            with_capacity_plan=False, fault_spec=plan.spec(),
+            hedge=bool(int(config["hedge"])),
+            explain=bool(int(config["explain"])))
 
     def run(self, config: Config) -> OracleResult:
         self._check_config(config)
         first = self._report(config)
-        second = self._report(config)
-        text_a, text_b = first.to_json_text(), second.to_json_text()
+        text_a = first.to_json_text()
+        text_b = self._report(config).to_json_text()
         if text_a != text_b:
             for line_a, line_b in zip(text_a.splitlines(),
                                       text_b.splitlines()):
@@ -1197,104 +1231,7 @@ class FleetOracle(Oracle):
                         f"replay diverged: {line_a!r} vs {line_b!r}")
             return self.failed(config, "state",
                                "replay diverged in length only")
-        requests = first.requests
-        served = (requests["completed"] + requests["shed"]
-                  + requests["unserved"])
-        if requests["offered"] != served:
-            return self.failed(
-                config, "state",
-                f"request conservation violated: offered "
-                f"{requests['offered']} != completed+shed+unserved "
-                f"{served}")
-        token = first.latency["token"]
-        if token["count"] and token["p99"] < token["p50"]:
-            return self.failed(
-                config, "state",
-                f"token latency percentiles inverted: p99 {token['p99']} "
-                f"< p50 {token['p50']}")
-        return self.passed(config,
-                           n_offered=float(requests["offered"]),
-                           n_completed=float(requests["completed"]),
-                           n_shed=float(requests["shed"]))
-
-
-@register_oracle
-class FleetChaosOracle(Oracle):
-    """Chaos replay: a faulted, hedged fleet run is still deterministic.
-
-    The PR-8 guarantee on top of :class:`FleetOracle`: under **any**
-    seeded fleet fault schedule (crashes, stragglers, dropped
-    dispatches, battery drains) with failover and hedging armed, the
-    ``repro.fleet/v1`` report — chaos section included — replays
-    byte-identically, and the conservation invariant widens to
-    ``offered == completed + shed + failed_permanently + unserved``
-    (the simulation itself raises if a hedged request is served twice).
-    """
-
-    name = "fleet.chaos"
-    description = ("faulted fleet run, twice: byte-identical chaos "
-                   "report + request conservation with failover/hedging")
-    SHRINK_MINS = {"devices": 1, "qps": 1, "horizon_ds": 1,
-                   "queue_depth": 1, "seed": 0, "fault_seed": 0,
-                   "n_crashes": 0, "n_straggles": 0, "n_drops": 0,
-                   "n_battery": 0, "hedge": 0}
-
-    def sample_config(self, rng: np.random.Generator) -> Config:
-        return {
-            "devices": int(rng.integers(1, 25)),
-            "qps": int(rng.integers(1, 25)),
-            "horizon_ds": int(rng.integers(10, 201)),  # deciseconds
-            "queue_depth": int(rng.integers(1, 33)),
-            "seed": int(rng.integers(0, 2**31)),
-            "fault_seed": int(rng.integers(0, 2**31)),
-            "n_crashes": int(rng.integers(0, 4)),
-            "n_straggles": int(rng.integers(0, 4)),
-            "n_drops": int(rng.integers(0, 4)),
-            "n_battery": int(rng.integers(0, 2)),
-            "hedge": int(rng.integers(0, 2)),
-        }
-
-    def _fault_spec(self, config: Config) -> str:
-        from ..resilience.faults import FaultPlan
-
-        plan = FaultPlan.random(
-            int(config["fault_seed"]), n_aborts=0, n_dma=0, n_allocs=0,
-            n_throttles=0, n_crashes=int(config["n_crashes"]),
-            n_straggles=int(config["n_straggles"]),
-            n_drops=int(config["n_drops"]),
-            n_battery=int(config["n_battery"]),
-            n_devices=int(config["devices"]),
-            horizon_seconds=int(config["horizon_ds"]) / 10.0)
-        return plan.spec()
-
-    def _report(self, config: Config, fault_spec: str):
-        from ..fleet import run_fleet
-
-        return run_fleet(
-            int(config["devices"]), float(config["qps"]),
-            horizon_seconds=int(config["horizon_ds"]) / 10.0,
-            seed=int(config["seed"]),
-            queue_depth=int(config["queue_depth"]),
-            with_capacity_plan=False,
-            fault_spec=fault_spec, hedge=bool(int(config["hedge"])))
-
-    def run(self, config: Config) -> OracleResult:
-        self._check_config(config)
-        fault_spec = self._fault_spec(config)
-        first = self._report(config, fault_spec)
-        second = self._report(config, fault_spec)
-        text_a, text_b = first.to_json_text(), second.to_json_text()
-        if text_a != text_b:
-            for line_a, line_b in zip(text_a.splitlines(),
-                                      text_b.splitlines()):
-                if line_a != line_b:
-                    return self.failed(
-                        config, "state",
-                        f"chaos replay diverged: {line_a!r} vs {line_b!r}")
-            return self.failed(config, "state",
-                               "chaos replay diverged in length only")
-        requests = first.requests
-        chaos = first.chaos
+        requests, chaos = first.requests, first.chaos
         failed = (chaos["recovery"]["failed_permanently"]
                   if chaos is not None else 0)
         terminal = (requests["completed"] + requests["shed"] + failed
@@ -1302,7 +1239,7 @@ class FleetChaosOracle(Oracle):
         if requests["offered"] != terminal:
             return self.failed(
                 config, "state",
-                f"request conservation violated under chaos: offered "
+                f"request conservation violated: offered "
                 f"{requests['offered']} != completed+shed+failed+unserved "
                 f"{terminal}")
         if chaos is not None and chaos["conservation"]["offered"] != (
@@ -1310,116 +1247,34 @@ class FleetChaosOracle(Oracle):
             return self.failed(
                 config, "state",
                 "chaos ledger disagrees with the requests section")
-        n_faults = (chaos["faults"]["fleet_events"]
-                    if chaos is not None else 0)
+        token = first.latency["token"]
+        if token["count"] and not (
+                token["p50"] <= token["p95"] <= token["p99"]):
+            return self.failed(
+                config, "state",
+                f"token latency percentiles out of order: p50 "
+                f"{token['p50']}, p95 {token['p95']}, p99 {token['p99']}")
+        if int(config["explain"]):
+            if first.explain is None:
+                return self.failed(config, "state",
+                                   "explain=1 produced no explain section")
+            aggregate = first.explain["aggregate"]
+            if aggregate["n_requests"] != requests["offered"]:
+                return self.failed(
+                    config, "state",
+                    f"explain ledger not total: offered "
+                    f"{requests['offered']} != explained "
+                    f"{aggregate['n_requests']}")
+            for phases, total in (("blame_ns", "total_latency_ns"),
+                                  ("energy_nj", "total_nj")):
+                phase_sum = sum(aggregate[phases].values())
+                if phase_sum != aggregate[total]:
+                    return self.failed(
+                        config, "state",
+                        f"{phases} phases sum to {phase_sum}, not the "
+                        f"attributed {total} {aggregate[total]}")
         return self.passed(config,
                            n_offered=float(requests["offered"]),
                            n_completed=float(requests["completed"]),
-                           n_fleet_faults=float(n_faults),
+                           n_shed=float(requests["shed"]),
                            n_failed=float(failed))
-
-
-@register_oracle
-class ExplainOracle(Oracle):
-    """Blame attribution replay: critical paths are a pure function too.
-
-    The PR-10 guarantee: a faulted, hedged fleet run with the timeline
-    armed and every request's critical path reconstructed
-    (``run_fleet(..., explain=True)``) replays byte-identically — the
-    blame ledger included — and the ledger is *total*: every offered
-    request is explained, per-phase nanoseconds sum exactly to the total
-    attributed latency, and per-phase nanojoules sum exactly to the
-    attributed energy.  Per-request bitwise conservation is asserted
-    inside :func:`~repro.obs.blame.aggregate_blame` while the report is
-    built, so it is covered by the run itself; this oracle pins the
-    aggregate ledger and the replay.
-    """
-
-    name = "explain"
-    description = ("faulted fleet run with explain armed, twice: "
-                   "byte-identical blame ledger, offered == explained, "
-                   "phase sums == totals")
-    SHRINK_MINS = {"devices": 1, "qps": 1, "horizon_ds": 10,
-                   "queue_depth": 1, "seed": 0, "fault_seed": 0,
-                   "n_crashes": 0, "n_straggles": 0, "n_drops": 0,
-                   "hedge": 0}
-
-    def sample_config(self, rng: np.random.Generator) -> Config:
-        return {
-            "devices": int(rng.integers(1, 17)),
-            "qps": int(rng.integers(1, 17)),
-            "horizon_ds": int(rng.integers(10, 151)),  # deciseconds
-            "queue_depth": int(rng.integers(1, 33)),
-            "seed": int(rng.integers(0, 2**31)),
-            "fault_seed": int(rng.integers(0, 2**31)),
-            "n_crashes": int(rng.integers(0, 3)),
-            "n_straggles": int(rng.integers(0, 3)),
-            "n_drops": int(rng.integers(0, 3)),
-            "hedge": int(rng.integers(0, 2)),
-        }
-
-    def _report(self, config: Config, fault_spec: str):
-        from ..fleet import run_fleet
-
-        return run_fleet(
-            int(config["devices"]), float(config["qps"]),
-            horizon_seconds=int(config["horizon_ds"]) / 10.0,
-            seed=int(config["seed"]),
-            queue_depth=int(config["queue_depth"]),
-            with_capacity_plan=False,
-            fault_spec=fault_spec, hedge=bool(int(config["hedge"])),
-            explain=True)
-
-    def run(self, config: Config) -> OracleResult:
-        from ..resilience.faults import FaultPlan
-
-        self._check_config(config)
-        plan = FaultPlan.random(
-            int(config["fault_seed"]), n_aborts=0, n_dma=0, n_allocs=0,
-            n_throttles=0, n_crashes=int(config["n_crashes"]),
-            n_straggles=int(config["n_straggles"]),
-            n_drops=int(config["n_drops"]), n_battery=0,
-            n_devices=int(config["devices"]),
-            horizon_seconds=int(config["horizon_ds"]) / 10.0)
-        fault_spec = plan.spec()
-        first = self._report(config, fault_spec)
-        second = self._report(config, fault_spec)
-        text_a, text_b = first.to_json_text(), second.to_json_text()
-        if text_a != text_b:
-            for line_a, line_b in zip(text_a.splitlines(),
-                                      text_b.splitlines()):
-                if line_a != line_b:
-                    return self.failed(
-                        config, "state",
-                        f"explain replay diverged: {line_a!r} vs "
-                        f"{line_b!r}")
-            return self.failed(config, "state",
-                               "explain replay diverged in length only")
-        explain = first.explain
-        if explain is None:
-            return self.failed(config, "state",
-                               "explain=True produced no explain section")
-        aggregate = explain["aggregate"]
-        offered = first.requests["offered"]
-        if aggregate["n_requests"] != offered:
-            return self.failed(
-                config, "state",
-                f"explain ledger not total: offered {offered} != "
-                f"explained {aggregate['n_requests']}")
-        blame_sum = sum(aggregate["blame_ns"].values())
-        if blame_sum != aggregate["total_latency_ns"]:
-            return self.failed(
-                config, "state",
-                f"blame phases sum to {blame_sum} ns, not the attributed "
-                f"total {aggregate['total_latency_ns']} ns")
-        energy_sum = sum(aggregate["energy_nj"].values())
-        if energy_sum != aggregate["total_nj"]:
-            return self.failed(
-                config, "state",
-                f"energy phases sum to {energy_sum} nJ, not the "
-                f"attributed total {aggregate['total_nj']} nJ")
-        return self.passed(
-            config,
-            n_offered=float(offered),
-            n_explained=float(aggregate["n_requests"]),
-            blame_ns=float(aggregate["total_latency_ns"]))

@@ -1,5 +1,4 @@
-"""Tests for ``repro explain``, ``repro fleet --explain`` and
-``repro bench --self-profile`` CLI wiring."""
+"""Tests for ``repro explain`` and ``repro fleet --explain`` CLI wiring."""
 
 from __future__ import annotations
 
@@ -87,23 +86,3 @@ class TestFleetExplainCli:
         assert status == 0
         assert "== blame" not in text
         assert "explain" not in json.loads(path.read_text())
-
-
-class TestBenchSelfProfileCli:
-    def test_profile_artifact_written(self, tmp_path):
-        path = tmp_path / "profile.txt"
-        status, text = _run("bench", "run", "--only", "kernel.gemm",
-                            "--self-profile", "--profile-out", str(path),
-                            "--out-dir", str(tmp_path / "hist"))
-        assert status == 0
-        assert f"self-profile written to {path}" in text
-        table = path.read_text()
-        assert "self-profile: kernel.gemm" in table
-        assert "cumtime" in table
-
-    def test_profile_to_stdout(self, tmp_path):
-        status, text = _run("bench", "run", "--only", "kernel.gemm",
-                            "--self-profile", "--profile-out", "-",
-                            "--out-dir", str(tmp_path / "hist"))
-        assert status == 0
-        assert "self-profile: kernel.gemm" in text

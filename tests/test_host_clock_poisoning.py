@@ -6,9 +6,9 @@ bench metrics, goldens, oracle verdicts — must be a pure function of
 ``time.monotonic`` and ``time.time`` with a seeded, strictly increasing
 random walk and run each workload under two different walks: anything
 that leaks host time into a simulated output serializes differently.
-The faulted fleet explain, monitor and explain CLI replays run in
-subprocesses under two ``PYTHONHASHSEED`` values, so hash-ordered
-iteration cannot leak into their reports either.
+The fleet, monitor and explain CLI replays run in subprocesses under
+two ``PYTHONHASHSEED`` values, so hash-ordered iteration cannot leak
+into their reports either.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ FLEET_EXPLAIN_ARGS = [
     "--faults", "dev#0:crash@5:10,dev#7:straggle@3:3:20,dev#13:drop@8,"
                 "dev#21:battery@12,dev#34:crash@15",
     "--hedge", "--explain"]
+
+FLEET_DIURNAL_ARGS = [
+    "fleet", "--devices", "50", "--qps", "25", "--requests", "500",
+    "--horizon-seconds", "120", "--seed", "0", "--pattern", "diurnal"]
 
 
 def _poison_clock(monkeypatch, seed: int) -> None:
@@ -149,23 +153,42 @@ def test_one_fuzz_trial_per_oracle(monkeypatch):
 
 @pytest.mark.parametrize("args", [
     pytest.param(FLEET_EXPLAIN_ARGS, id="fleet-explain"),
+    pytest.param(FLEET_DIURNAL_ARGS, id="fleet-diurnal"),
     pytest.param(["monitor", "--scenario", "chaos.waves"], id="monitor"),
+    pytest.param(["monitor", "--scenario", "mixed.prefill_decode"],
+                 id="monitor-mixed"),
     pytest.param(["explain", "--scenario", "chaos.waves"], id="explain")])
 def test_cli_replays_across_hash_seeds(tmp_path, args):
     package_root = os.path.dirname(os.path.dirname(repro.__file__))
     search_path = [package_root, os.environ.get("PYTHONPATH", "")]
-    outputs = []
+    paths, runs = [], []
     for hash_seed in ("1", "2"):
         path = tmp_path / f"{args[0]}_{hash_seed}.json"
         env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                    PYTHONPATH=os.pathsep.join(filter(None, search_path)))
-        subprocess.run(
-            [sys.executable, "-m", "repro", *args, "--json", str(path)],
-            env=env, check=True, capture_output=True, cwd=tmp_path)
-        outputs.append(path.read_bytes())
+        paths.append(path)
+        # stderr goes to a file, so neither child blocks on a full pipe
+        with open(path.with_suffix(".err"), "wb") as stderr:
+            runs.append(subprocess.Popen(
+                [sys.executable, "-m", "repro", *args, "--json", str(path)],
+                env=env, stdout=subprocess.DEVNULL, stderr=stderr,
+                cwd=tmp_path))
+    try:
+        for run in runs:
+            run.wait(timeout=120)
+    finally:
+        for run in runs:
+            run.kill()
+            run.wait()
+    for path, run in zip(paths, runs):
+        assert run.returncode == 0, path.with_suffix(".err").read_text()
+    outputs = [path.read_bytes() for path in paths]
     assert outputs[0] == outputs[1]
     report = json.loads(outputs[0])
-    if args[0] == "fleet":
+    if "--explain" in args:
         assert report["explain"]["aggregate"]["n_requests"] > 0
+    elif args[0] == "fleet":
+        assert "explain" not in report
+        assert report["capacity"]["points"]
     else:
         assert report["n_events"] > 0

@@ -310,12 +310,31 @@ class TestCLI:
         assert data["workload"] == "scheduler"
         assert "SLO token-latency percentiles" in text
 
-    def test_profile_placement_prints_crossover_table(self, tmp_path):
+    def test_profile_chaos_mode_reports_resilience(self, tmp_path):
+        json_path = tmp_path / "profile.json"
+        # every fault step lands inside the 4-token run, so all four fire
+        status, text = self._run([
+            "profile", "--scheduler", "--batch", "2", "--candidates", "4",
+            "--new-tokens", "4",
+            "--faults", "abort@1,dma@3,alloc@2,throttle@0:efficiency:3",
+            "--trace-out", str(tmp_path / "t.json"),
+            "--json", str(json_path)])
+        assert status == 0
+        assert "== resilience (chaos mode) ==" in text
+        with open(json_path) as handle:
+            resilience = json.load(handle)["resilience"]
+        assert resilience["fault_kinds"] == {
+            "session_abort": 1, "dma_timeout": 1, "alloc_fail": 1,
+            "thermal_throttle": 1}
+
+    @pytest.mark.parametrize("device", ["oneplus_ace3", "oneplus_12",
+                                        "oneplus_ace5_pro"])
+    def test_profile_placement_prints_crossover_table(self, tmp_path, device):
         json_path = tmp_path / "profile.json"
         status, text = self._run([
             "profile", "--placement", "--scheduler", "--batch", "2",
             "--candidates", "4", "--prompt-tokens", "3", "--new-tokens", "3",
-            "--trace-out", str(tmp_path / "t.json"),
+            "--device", device, "--trace-out", str(tmp_path / "t.json"),
             "--json", str(json_path)])
         assert status == 0
         assert "stage-level placement" in text

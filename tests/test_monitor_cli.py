@@ -140,21 +140,6 @@ class TestMonitorCli:
         data = json.loads(path.read_text())
         assert data["schema"] == MONITOR_SCHEMA
 
-    def test_min_anomalies_gate(self):
-        status, _ = self._run("monitor", "--min-anomalies", "1")
-        assert status == 0
-        status, text = self._run("monitor", "--min-anomalies", "99")
-        assert status == 2
-        assert "expected >= 99" in text
-
-    def test_max_anomalies_gate_on_quiet_scenario(self):
-        status, _ = self._run("monitor", "--scenario", "decode.greedy",
-                              "--max-anomalies", "0")
-        assert status == 0
-        status, text = self._run("monitor", "--max-anomalies", "0")
-        assert status == 2
-        assert "expected <= 0" in text
-
     def test_trace_out_contains_request_lanes(self, tmp_path):
         path = tmp_path / "trace.json"
         status, text = self._run("monitor", "--trace-out", str(path))

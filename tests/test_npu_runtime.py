@@ -1,8 +1,8 @@
-"""Tests for the NPU runtime layer: thread pool, DVFS, HVX GEMM, Q8 KV.
+"""Tests for the NPU runtime layer: DVFS, HVX GEMM, Q8 KV.
 
-These cover the §6 operator-library components (computation thread pool,
-power management) and two further substrates: the vector-unit GEMM that
-anchors Table 2 and the INT8 KV-cache extension.
+These cover the §6 power-management component and two further
+substrates: the vector-unit GEMM that anchors Table 2 and the INT8
+KV-cache extension.
 """
 
 import numpy as np
@@ -20,70 +20,11 @@ from repro.llm import (
 from repro.llm.kv_cache import KVCache, LayerKVCache
 from repro.npu import (
     GOVERNORS,
-    KernelJob,
     KernelCost,
-    NPUThreadPool,
     TimingModel,
     V75,
     apply_governor,
 )
-
-
-class TestThreadPool:
-    def test_parallel_jobs_overlap(self):
-        pool = NPUThreadPool(V75)
-        jobs = [KernelJob(f"j{i}", KernelCost(hvx_packets=1000))
-                for i in range(V75.hvx_contexts)]
-        result = pool.schedule(jobs)
-        serial = V75.hvx_contexts * 1000 / V75.clock_hz
-        assert result.makespan_seconds == pytest.approx(serial
-                                                        / V75.hvx_contexts)
-        assert result.utilization == pytest.approx(1.0)
-
-    def test_dependencies_serialize(self):
-        pool = NPUThreadPool(V75)
-        jobs = [KernelJob("a", KernelCost(hvx_packets=1000)),
-                KernelJob("b", KernelCost(hvx_packets=1000),
-                          depends_on=("a",))]
-        result = pool.schedule(jobs)
-        assert result.makespan_seconds == pytest.approx(2000 / V75.clock_hz)
-
-    def test_lpt_beats_naive_on_skewed_jobs(self):
-        """One huge job plus many small ones: the scheduler fills other
-        contexts while the big one runs."""
-        pool = NPUThreadPool(V75)
-        jobs = [KernelJob("big", KernelCost(hvx_packets=10000))]
-        jobs += [KernelJob(f"s{i}", KernelCost(hvx_packets=500))
-                 for i in range(10)]
-        result = pool.schedule(jobs)
-        assert result.makespan_seconds == pytest.approx(10000 / V75.clock_hz)
-
-    def test_idealization_gap_bounded(self):
-        """For balanced job sets the even-split timing assumption holds
-        within the classic LPT bound."""
-        pool = NPUThreadPool(V75)
-        rng = np.random.default_rng(0)
-        jobs = [KernelJob(f"j{i}", KernelCost(hvx_packets=int(rng.integers(
-            100, 5000)))) for i in range(32)]
-        assert 1.0 <= pool.idealization_gap(jobs) < 4.0 / 3.0 + 0.01
-
-    def test_cycle_detected(self):
-        pool = NPUThreadPool(V75)
-        jobs = [KernelJob("a", KernelCost(hvx_packets=1), depends_on=("b",)),
-                KernelJob("b", KernelCost(hvx_packets=1), depends_on=("a",))]
-        with pytest.raises(NPUError):
-            pool.schedule(jobs)
-
-    def test_unknown_dependency(self):
-        pool = NPUThreadPool(V75)
-        with pytest.raises(NPUError):
-            pool.schedule([KernelJob("a", KernelCost(), depends_on=("x",))])
-
-    def test_duplicate_names(self):
-        pool = NPUThreadPool(V75)
-        with pytest.raises(NPUError):
-            pool.schedule([KernelJob("a", KernelCost()),
-                           KernelJob("a", KernelCost())])
 
 
 class TestPowerGovernors:

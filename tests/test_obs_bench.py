@@ -240,25 +240,3 @@ class TestFingerprint:
     def test_run_suite_unknown_scenario_raises(self):
         with pytest.raises(BenchError, match="unknown bench scenario"):
             bench.run_suite(only=["nope"])
-
-
-class TestSelfProfile:
-    def test_profile_rows_attached_and_not_serialized(self):
-        snap = bench.run_suite(only=["kernel.gemm"], self_profile=True)
-        rows = snap.profiles["kernel.gemm"]
-        assert rows and rows[0]["cumtime"] >= rows[-1]["cumtime"]
-        for row in rows:
-            assert set(row) == {"function", "ncalls", "tottime", "cumtime"}
-        # host-side data never leaks into the snapshot
-        assert "profiles" not in snap.to_json()
-        assert "profile" not in snap.to_json()["records"]["kernel.gemm"]
-
-    def test_profile_off_by_default(self):
-        record = bench.run_scenario("kernel.gemm")
-        assert record.profile is None
-
-    def test_render_profile_table(self):
-        snap = bench.run_suite(only=["kernel.gemm"], self_profile=True)
-        table = bench.render_profile_table(snap.profiles)
-        assert "self-profile: kernel.gemm" in table
-        assert "cumtime" in table

@@ -16,7 +16,7 @@ from repro.testing import (
 )
 
 EXPECTED_ORACLES = {"gemm", "hmx", "attention", "paged_kv", "fault_noop",
-                    "speculative", "checkpoint"}
+                    "speculative", "checkpoint", "fleet"}
 
 
 def test_registry_contains_the_paper_pairings():
@@ -180,3 +180,56 @@ def test_gemm_oracle_bound_still_catches(monkeypatch, mutation):
     monkeypatch.setattr(HMXUnit, "_accumulate_k_tile", staticmethod(mutated))
     result = run_repro(CANCELLING_GEMM)
     assert not result.ok and result.mismatch.kind == "ulp"
+
+
+# ----------------------------------------------------------------------
+# the fleet oracle fails on a diverged replay or an open ledger
+# ----------------------------------------------------------------------
+# mutation -> (config fields it needs, the check its failure must name)
+FLEET_MUTATIONS = {
+    "second replay differs": ({}, "replay diverged"),
+    "completed request lost": ({}, "request conservation violated"),
+    "chaos ledger disagrees": ({"hedge": 1}, "chaos ledger disagrees"),
+    "token p95 above p99": ({}, "percentiles out of order"),
+    "explain under-counts": ({"explain": 1}, "explain ledger not total"),
+    "blame phase off total": ({"explain": 1}, "blame_ns phases sum"),
+    "energy phase off total": ({"explain": 1}, "energy_nj phases sum"),
+}
+
+
+@pytest.mark.parametrize("mutation", list(FLEET_MUTATIONS))
+def test_fleet_oracle_catches(monkeypatch, mutation):
+    import repro.fleet
+
+    run_fleet = repro.fleet.run_fleet
+    calls = itertools.count()
+
+    def mutated(*args, **kwargs):
+        report = run_fleet(*args, **kwargs)
+        second = next(calls) % 2 == 1
+        if mutation == "second replay differs" and second:
+            report.throughput["makespan_seconds"] += 1.0
+        elif mutation == "completed request lost":
+            report.requests["completed"] -= 1
+        elif mutation == "chaos ledger disagrees":
+            report.chaos["conservation"]["offered"] += 1
+        elif mutation == "token p95 above p99":
+            token = report.latency["token"]
+            token["p95"] = token["p99"] + 1.0
+        elif mutation == "explain under-counts":
+            report.explain["aggregate"]["n_requests"] -= 1
+        elif mutation in ("blame phase off total", "energy phase off total"):
+            phases = report.explain["aggregate"][
+                "blame_ns" if mutation.startswith("blame") else "energy_nj"]
+            phases[next(iter(phases))] += 1
+        return report
+
+    monkeypatch.setattr(repro.fleet, "run_fleet", mutated)
+    oracle = get_oracle("fleet")
+    overrides, check = FLEET_MUTATIONS[mutation]
+    # each mutation is deterministic, so one sampled config shows it
+    config = oracle.sample_config(np.random.default_rng(21))
+    config.update(overrides)
+    result = oracle.run(config)
+    assert not result.ok and result.mismatch.kind == "state", config
+    assert check in result.mismatch.message, result.mismatch.message
