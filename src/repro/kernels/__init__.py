@@ -21,7 +21,7 @@ from .flash_attention import (
     FlashAttention,
     attention_fp32_reference,
 )
-from .gemm import MixedPrecisionGemm, PreparedWeight
+from .gemm import FusedWeight, MixedPrecisionGemm, PreparedWeight
 from .hvx_gemm import hvx_gemm
 from .lut import (
     EXP_LUT_BYTES,
@@ -55,6 +55,7 @@ __all__ = [
     "MixedPrecisionGemm",
     "hvx_gemm",
     "PreparedWeight",
+    "FusedWeight",
     "EXP_LUT_BYTES",
     "EXP_LUT_ENTRIES",
     "ExpLUT",

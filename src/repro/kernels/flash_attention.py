@@ -19,7 +19,9 @@ cost breakdown (``qk_matmul`` / ``softmax`` / ``pv_matmul`` /
 
 One invocation runs a whole stack of heads — every (sequence, head) of
 a decode step, with ragged KV lengths — and computes and charges each
-item exactly as a one-head call of its shape would.
+item exactly as a one-head call of its shape would.  The query heads of
+a GQA group share their KV item, whose blocks are widened and multiplied
+once for the whole group.
 """
 
 from __future__ import annotations
@@ -132,17 +134,25 @@ class FlashAttention:
         """Attention over one head or a stack: ``softmax(Q K^T * scale) V``.
 
         ``q`` is ``(n_q, d)`` for one head or ``(items, n_q, d)`` for a
-        stack of heads; ``k``/``v`` are ``(n_kv, d)`` or
-        ``(items, n_kv, d)``.  ``kv_lengths`` gives each item's number
-        of real keys (all ``n_kv`` by default); keys past it are ignored,
-        so one call covers caches of ragged lengths.  Optional position
-        arrays, ``(n_q,)``/``(n_kv,)`` shared by all items or one row per
-        item, enable causal masking (a key is visible to a query iff
-        ``k_pos <= q_pos``).  Returns the FP16 output, shaped like ``q``,
-        and the per-phase cost breakdown summed over the items.
+        stack of query heads; ``k``/``v`` are ``(n_kv, d)`` or
+        ``(kv_items, n_kv, d)``.  A stack may hold fewer key/value items
+        than query items, as grouped-query attention does: query item
+        ``i`` reads KV item ``i // group``, where ``group = items //
+        kv_items`` must divide evenly.  ``kv_lengths`` gives each KV
+        item's number of real keys (all ``n_kv`` by default); keys past
+        it are ignored, so one call covers caches of ragged lengths.
+        Optional position arrays enable causal masking (a key is visible
+        to a query iff ``k_pos <= q_pos``): ``q_positions`` is ``(n_q,)``
+        shared by all items or ``(items, n_q)``, one row per query item;
+        ``k_positions`` is ``(n_kv,)`` or ``(kv_items, n_kv)``, one row
+        per KV item.  Returns the FP16 output, shaped like ``q``, and the
+        per-phase cost breakdown summed over the query items.
 
-        Each item computes and is charged exactly what a one-head call
-        of its shape does; a one-head call is a stack of one.
+        A group's query rows are stacked into one ``Q K^T`` and one
+        ``P V`` product per KV item, so each key/value block is widened
+        and multiplied once, not once per query head.  Each query item
+        still computes, is charged and is traced exactly as a one-head
+        call on its KV item; a one-head call is a stack of one.
         """
         q = np.asarray(q, dtype=np.float16)
         k = np.asarray(k, dtype=np.float16)
@@ -154,30 +164,40 @@ class FlashAttention:
             raise KernelError("attention operands must be (tokens, head_dim) "
                               "or (items, tokens, head_dim)")
         items, n_q, d = q.shape
-        n_kv = k.shape[1]
-        if k.shape != v.shape or (k.shape[0], k.shape[2]) != (items, d):
+        kv_items, n_kv = k.shape[:2]
+        if k.shape != v.shape or k.shape[2] != d \
+                or not 0 < kv_items <= items or items % kv_items:
             raise KernelError(
-                f"shape mismatch: q{q.shape}, k{k.shape}, v{v.shape}")
+                f"shape mismatch: q{q.shape}, k{k.shape}, v{v.shape} (query "
+                f"items must be a whole multiple of key/value items)")
+        group = items // kv_items
+        q_rows = group * n_q  # query rows multiplied per KV item
         scale = np.float32(1.0 / float(np.sqrt(d)) if scale is None
                            else scale)
         kv_len = np.asarray(n_kv if kv_lengths is None else kv_lengths,
                             dtype=np.int64)
-        lengths = kv_len.tolist() if kv_len.ndim else [int(kv_len)] * items
-        if kv_len.shape not in ((), (items,)) \
+        lengths = kv_len.tolist() if kv_len.ndim else [int(kv_len)] * kv_items
+        if kv_len.shape not in ((), (kv_items,)) \
                 or min(lengths, default=0) < 0 \
                 or max(lengths, default=0) > n_kv:
-            raise KernelError(f"kv_lengths must be {items} values in "
+            raise KernelError(f"kv_lengths must be {kv_items} values in "
                               f"[0, {n_kv}], got {kv_len}")
+        # query item i is row block i % group of KV item i // group
+        q = q.reshape(kv_items, q_rows, d)
         causal = q_positions is not None and k_positions is not None
         if causal:
             q_positions = _per_item(q_positions, items, n_q, "q_positions")
-            k_positions = _per_item(k_positions, items, n_kv, "k_positions")
+            q_positions = (np.tile(q_positions, group) if len(q_positions) == 1
+                           else q_positions.reshape(kv_items, q_rows))
+            k_positions = _per_item(k_positions, kv_items, n_kv,
+                                    "k_positions")
 
-        # items run longest cache first, so the items taking part in
+        # KV items run longest cache first, so the items taking part in
         # any KV block form a prefix of the stack
         item_rows = [-(-n // TILE_DIM) * TILE_DIM for n in lengths]
-        order = sorted(range(items), key=item_rows.__getitem__, reverse=True)
-        reordered = order != list(range(items))
+        order = sorted(range(kv_items), key=item_rows.__getitem__,
+                       reverse=True)
+        reordered = order != list(range(kv_items))
         if reordered:
             q, k, v = q[order], k[order], v[order]
             if causal:  # shared positions need no reordering
@@ -191,7 +211,7 @@ class FlashAttention:
         # with positions, in the query's future
         masked = np.arange(n_kv_pad) >= np.array(kv_len)[:, None, None]
         if causal:
-            future = np.zeros((items, n_q, n_kv_pad), dtype=bool)
+            future = np.zeros((kv_items, q_rows, n_kv_pad), dtype=bool)
             future[..., :n_kv] = (q_positions[:, :, np.newaxis]
                                   < k_positions[:, np.newaxis, :])
             masked = masked | future
@@ -200,13 +220,13 @@ class FlashAttention:
         # the query tiles here, each block's keys and values in
         # _kv_tiles, P into zero rows past the true queries
         q_tiles = pad_to_tiles(q.astype(np.float32, order="C"))
-        p_tiles = np.zeros((items, q_tiles.shape[1], self.block_kv),
+        p_tiles = np.zeros((kv_items, q_tiles.shape[1], self.block_kv),
                            dtype=np.float32)
         # running state of the true query rows only: the padded rows of a
         # query tile never reach the output
-        out = np.zeros((items, n_q, d), dtype=np.float16)
-        m = np.full((items, n_q), _NEG_LIMIT, dtype=np.float16)
-        l = np.zeros((items, n_q), dtype=np.float16)
+        out = np.zeros((kv_items, q_rows, d), dtype=np.float16)
+        m = np.full((kv_items, q_rows), _NEG_LIMIT, dtype=np.float16)
+        l = np.zeros((kv_items, q_rows), dtype=np.float16)
 
         for kv_start, width, lo, hi in _runs(kv_rows, self.block_kv):
             kv = slice(kv_start, kv_start + width)
@@ -219,7 +239,7 @@ class FlashAttention:
             # numerics, and the HMX multiplies whole 32-row query tiles
             # here.  The vector side works on the true query rows only
             s = self._hmx.gemm(q_tiles[lo:hi], keys.swapaxes(1, 2),
-                               np.float32, shape=(n_q, d, width))
+                               np.float32, shape=(q_rows, d, width))
             s = (s * scale).astype(np.float16)
             np.copyto(s, _NEG_LIMIT, where=masked[lo:hi, :, kv])
 
@@ -236,8 +256,8 @@ class FlashAttention:
             shifted = (s.astype(np.float32)
                        - new_m32[:, :, np.newaxis]).astype(np.float16)
             p = p_tiles[lo:hi, :, :width]
-            p[:, :n_q] = self._exp_values(shifted)
-            row_sum = p[:, :n_q].sum(axis=2)  # FP32 (Alg. 1)
+            p[:, :q_rows] = self._exp_values(shifted)
+            row_sum = p[:, :q_rows].sum(axis=2)  # FP32 (Alg. 1)
             l[lo:hi] = (correction * l[lo:hi].astype(np.float32)
                         + row_sum).astype(np.float16)
             m[lo:hi] = new_m
@@ -248,7 +268,7 @@ class FlashAttention:
             rescaled = (out[lo:hi].astype(np.float32)
                         * correction[:, :, np.newaxis])
             pv = self._hmx.gemm(p, values, np.float32,
-                                shape=(n_q, width, d))
+                                shape=(q_rows, width, d))
             out[lo:hi] = (rescaled + pv).astype(np.float16)
 
         # --- final normalization O / l ---------------------------------
@@ -258,20 +278,22 @@ class FlashAttention:
                   / denom[:, :, np.newaxis]).astype(np.float16)
         if reordered:  # back to stack order
             result = result[np.argsort(order)]
+        result = result.reshape(items, n_q, d)
 
         d_pad = q_tiles.shape[2]
-        breakdown = self._stack_cost(n_q, d_pad, tuple(kv_rows))
+        breakdown = self._stack_cost(n_q, d_pad, tuple(
+            n for n in kv_rows for _ in range(group)))
         tracer = obs_trace.get_tracer()
         if tracer.enabled:
-            # one structural span per item, in stack order, with one
-            # cost-only child per Algorithm 1 phase — the Fig. 8
+            # one structural span per query item, in stack order, with
+            # one cost-only child per Algorithm 1 phase — the Fig. 8
             # decomposition, from the trace
-            for n_kv_i, rows in zip(lengths, item_rows):
-                cost = self._item_cost(n_q, rows, d_pad)
+            for i in range(items):
+                cost = self._item_cost(n_q, item_rows[i // group], d_pad)
                 with tracer.span("kernel.flash_attention", category="kernel",
-                                 n_q=n_q, n_kv=n_kv_i, head_dim=d,
-                                 method=self.method,
-                                 flops=4.0 * n_q * n_kv_i * d):
+                                 n_q=n_q, n_kv=lengths[i // group],
+                                 head_dim=d, method=self.method,
+                                 flops=4.0 * n_q * lengths[i // group] * d):
                     for phase in _PHASES:
                         with tracer.span(f"kernel.attention.{phase}",
                                          category="kernel") as phase_span:

@@ -16,13 +16,15 @@ numerics; they differ only in instruction mix and memory traffic.
 Host work fixed by the weight or by the call's shape is done once:
 :meth:`MixedPrecisionGemm.prepare_weight` stores the tile-padded FP32
 weight :meth:`HMXUnit.gemm` reads, and each call is charged from a table
-of per-shape costs on the kernel.
+of per-shape costs on the kernel.  Weights that multiply the same
+activations (a layer's q/k/v, its gate/up) can be held as one
+:class:`FusedWeight` and multiplied in one product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from ..errors import KernelError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..npu.hvx import HVXContext, InstructionTrace
-from ..npu.hmx import HMXUnit, padded_fp32
+from ..npu.hmx import TILE_DIM, HMXUnit, padded_fp32
 from ..npu.memory import DMAEngine
 from ..npu.timing import KernelCost
 from ..quant.codebooks import Codebook, Q4_0_CODEBOOK
@@ -47,7 +49,7 @@ from ..quant.tile_quant import (
 )
 from .dequant import DEQUANT_STRATEGIES, dequantize_stream
 
-__all__ = ["PreparedWeight", "MixedPrecisionGemm"]
+__all__ = ["PreparedWeight", "FusedWeight", "MixedPrecisionGemm"]
 
 
 @dataclass
@@ -77,6 +79,26 @@ class PreparedWeight:
         if self.packed is not None:
             return int(self.packed.data.size)
         return self.quantized.storage_bytes
+
+    @property
+    def parts(self) -> Tuple["PreparedWeight", ...]:
+        """A weight on its own is a fused weight of one part."""
+        return (self,)
+
+
+@dataclass(frozen=True)
+class FusedWeight:
+    """Weights that multiply the same activations, held as one matrix.
+
+    ``padded_fp32`` holds the parts' tile-padded FP32 weights side by
+    side, in the strategy's memory order (F for ``baseline``), and each
+    part's own ``padded_fp32`` is a column view of it, so no weight is
+    stored twice.  A call multiplies the whole matrix in one product and
+    charges and traces each part as a call on it alone would.
+    """
+
+    parts: Tuple[PreparedWeight, ...]
+    padded_fp32: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -123,6 +145,49 @@ class MixedPrecisionGemm:
     # ------------------------------------------------------------------
     def prepare_weight(self, weight: np.ndarray) -> PreparedWeight:
         """Offline pipeline: layout transform, quantize, pack (§5.1)."""
+        quantized, packed = self._quantize(weight)
+        return PreparedWeight(quantized=quantized, packed=packed,
+                              padded_fp32=padded_fp32(
+                                  dequantize_weight(quantized)),
+                              strategy=self.strategy)
+
+    def prepare_fused(self, weights: Sequence[np.ndarray]) -> FusedWeight:
+        """Prepare weights that multiply the same activations as one matrix.
+
+        Each part is quantized and packed as by :meth:`prepare_weight`,
+        and its dequantized weight is written, tile-padded, into its
+        columns of one FP32 matrix.  The matrix is F-ordered for
+        ``baseline``, as its parts would be on their own: BLAS rounds a
+        tile product differently when the weight tile is stored the
+        other way, so the order is part of the numerics.
+        """
+        # quantized first, so quantization temporaries are freed before
+        # the matrix is filled: the peak stays below separate weights'
+        quantized = [self._quantize(weight) for weight in weights]
+        in_dims = {q.original_shape[0] for q, _ in quantized}
+        if len(in_dims) != 1:
+            raise KernelError(f"fused weights must share one input dim, "
+                              f"got {sorted(in_dims)}")
+        k = in_dims.pop()
+        widths = [-(-q.original_shape[1] // TILE_DIM) * TILE_DIM
+                  for q, _ in quantized]
+        matrix = np.zeros((-(-k // TILE_DIM) * TILE_DIM, sum(widths)),
+                          dtype=np.float32,
+                          order="F" if self.strategy == "baseline" else "C")
+        parts, start = [], 0
+        for (q, packed), width in zip(quantized, widths):
+            matrix[:k, start:start + q.original_shape[1]] = \
+                dequantize_weight(q)
+            parts.append(PreparedWeight(
+                quantized=q, packed=packed,
+                padded_fp32=matrix[:, start:start + width],
+                strategy=self.strategy))
+            start += width
+        return FusedWeight(parts=tuple(parts), padded_fp32=matrix)
+
+    def _quantize(self, weight: np.ndarray
+                  ) -> Tuple[QuantizedWeight, Optional[PackedWeight]]:
+        """Layout transform, quantization and packing of one weight."""
         w = np.asarray(weight, dtype=np.float32)
         if self.strategy == "baseline":
             quantized = quantize_conventional_group(w, bits=self.bits)
@@ -134,59 +199,79 @@ class MixedPrecisionGemm:
                 packed = pack_supergroups_q4(quantized.groups, self.coalesce)
             else:
                 packed = pack_aos_q4(quantized.groups)
-        return PreparedWeight(quantized=quantized, packed=packed,
-                              padded_fp32=padded_fp32(
-                                  dequantize_weight(quantized)),
-                              strategy=self.strategy)
+        return quantized, packed
 
     # ------------------------------------------------------------------
-    def __call__(self, activations: np.ndarray, prepared: PreparedWeight
+    def __call__(self, activations: np.ndarray,
+                 prepared: "PreparedWeight | FusedWeight"
                  ) -> Tuple[np.ndarray, KernelCost]:
-        """Run ``activations @ weight`` and return (output, cost)."""
-        if prepared.strategy != self.strategy:
-            raise KernelError(
-                f"weight was prepared for strategy {prepared.strategy!r}, "
-                f"kernel runs {self.strategy!r}")
+        """Run ``activations @ weight`` and return (output, cost).
+
+        ``prepared`` is one weight or a :class:`FusedWeight`, whose
+        output is its parts' outputs side by side, from one HMX product
+        of the whole matrix; each part's columns equal a call on that
+        part alone, bit for bit.  The cost is the sum of the parts'
+        charges, and a traced call emits each part's ``kernel.gemm``
+        span, charge spans and counters in part order, as calling the
+        parts one by one would.
+        """
+        parts = prepared.parts
         acts = np.asarray(activations, dtype=np.float16)
         if acts.ndim != 2:
             raise KernelError(f"activations must be 2-D, got shape {acts.shape}")
-        in_dim, out_dim = prepared.quantized.original_shape
+        in_dim = parts[0].quantized.original_shape[0]
         if acts.shape[1] != in_dim:
             raise KernelError(
                 f"activation width {acts.shape[1]} != weight input dim {in_dim}")
-
         m = acts.shape[0]
-        flops = 2.0 * m * in_dim * out_dim
-        with obs_trace.span("kernel.gemm", category="kernel",
-                            m=m, k=in_dim, n=out_dim,
-                            strategy=self.strategy, bits=self.bits,
-                            flops=flops,
-                            weight_bytes=prepared.storage_bytes) as sp:
-            charge = self._charge(m, prepared)
+        cost = KernelCost()
+        for part in parts:
+            if part.strategy != self.strategy:
+                raise KernelError(
+                    f"weight was prepared for strategy {part.strategy!r}, "
+                    f"kernel runs {self.strategy!r}")
+            charge = self._charge(m, part)
             if obs_trace.enabled():
-                for name, category, attrs in charge.spans:
-                    with obs_trace.span(name, category, **attrs):
-                        pass
-                reg = obs_metrics.get_metrics()
-                for name, value in charge.counters:
-                    reg.counter(name).inc(value)
-            if self.strategy == "no_dequant":
-                # upper-bound variant computes nothing; it is charged the
-                # MACs the real kernel would issue so only dequantization
-                # differs
-                output = np.zeros((m, out_dim), dtype=np.float16)
-            else:
-                output = self._hmx.gemm(padded_fp32(acts),
-                                        prepared.padded_fp32,
-                                        shape=(m, in_dim, out_dim))
-            cost = charge.cost + KernelCost()
-            sp.add_cost(cost)
-        if obs_trace.enabled():
-            reg = obs_metrics.get_metrics()
-            reg.counter("repro.kernels.gemm_flops").inc(flops)
-            reg.counter("repro.kernels.gemm_weight_bytes").inc(
-                prepared.storage_bytes)
+                self._emit(m, part, charge)
+            cost.merge(charge.cost)
+
+        widths = [part.quantized.original_shape[1] for part in parts]
+        if self.strategy == "no_dequant":
+            # upper-bound variant computes nothing; it is charged the
+            # MACs the real kernel would issue so only dequantization
+            # differs
+            return np.zeros((m, sum(widths)), dtype=np.float16), cost
+        # the product's true width ends at the last part's real columns
+        matrix = prepared.padded_fp32
+        n = matrix.shape[1] - parts[-1].padded_fp32.shape[1] + widths[-1]
+        output = self._hmx.gemm(padded_fp32(acts), matrix,
+                                shape=(m, in_dim, n))
+        if n != sum(widths):  # drop the tile padding between parts
+            starts = np.cumsum([0] + [p.padded_fp32.shape[1]
+                                      for p in parts[:-1]])
+            output = np.concatenate([output[:, start:start + width]
+                                     for start, width in zip(starts, widths)],
+                                    axis=1)
         return output, cost
+
+    def _emit(self, m: int, part: PreparedWeight, charge: _Charge) -> None:
+        """Record a traced call on ``part``: its ``kernel.gemm`` span,
+        carrying the call's cost, with the charge's spans and counters."""
+        k, n = part.quantized.original_shape
+        flops = 2.0 * m * k * n
+        reg = obs_metrics.get_metrics()
+        with obs_trace.span("kernel.gemm", category="kernel",
+                            m=m, k=k, n=n, strategy=self.strategy,
+                            bits=self.bits, flops=flops,
+                            weight_bytes=part.storage_bytes) as sp:
+            for name, category, attrs in charge.spans:
+                with obs_trace.span(name, category, **attrs):
+                    pass
+            for name, value in charge.counters:
+                reg.counter(name).inc(value)
+            sp.add_cost(charge.cost + KernelCost())
+        reg.counter("repro.kernels.gemm_flops").inc(flops)
+        reg.counter("repro.kernels.gemm_weight_bytes").inc(part.storage_bytes)
 
     def _charge(self, m: int, prepared: PreparedWeight) -> _Charge:
         """The charges of an ``(m, k) @ (k, n)`` call on ``prepared``.

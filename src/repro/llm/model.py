@@ -6,7 +6,8 @@ Gaussian weights (substitution S2 in DESIGN.md) and runs the paper's
 operator placement:
 
 * all projection GEMMs through :class:`~repro.kernels.gemm.MixedPrecisionGemm`
-  (Q4_0, Q8_0 for the FFN down projection — §7.1);
+  (Q4_0, Q8_0 for the FFN down projection — §7.1), with q/k/v and
+  gate/up each fused into one product over their shared activations;
 * attention through the FP16 FlashAttention of Algorithm 1;
 * embeddings and the ``lm_head`` vocabulary projection on the CPU
   (§7.2.2) in FP16/FP32.
@@ -31,7 +32,7 @@ from ..kernels.flash_attention import (
     attention_fp32_reference,
 )
 from ..obs import trace as obs_trace
-from ..kernels.gemm import MixedPrecisionGemm, PreparedWeight
+from ..kernels.gemm import FusedWeight, MixedPrecisionGemm, PreparedWeight
 from ..kernels.ops import (
     residual_add,
     rms_norm,
@@ -47,7 +48,9 @@ from .kv_cache import KVCache
 __all__ = ["TransformerWeights", "StepCost", "NPUTransformer",
            "reference_forward"]
 
-_Q4_PROJECTIONS = ("wq", "wk", "wv", "wo", "w_gate", "w_up")
+#: projections that multiply the same activations, prepared as one
+#: fused weight each
+_FUSED = {"qkv": ("wq", "wk", "wv"), "gate_up": ("w_gate", "w_up")}
 
 
 @dataclass
@@ -174,13 +177,15 @@ class NPUTransformer:
                                            qfloat_mode=qfloat_mode)
         self._gemm_down = MixedPrecisionGemm(strategy=strategy, bits=down_bits,
                                              qfloat_mode=qfloat_mode)
-        self._prepared: List[Dict[str, PreparedWeight]] = []
+        self._prepared: List[Dict[str, "PreparedWeight | FusedWeight"]] = []
         for layer in weights.layers:
-            prepared = {}
-            for name in _Q4_PROJECTIONS:
-                prepared[name] = self._gemm_q4.prepare_weight(layer[name])
-            prepared["w_down"] = self._gemm_down.prepare_weight(layer["w_down"])
-            self._prepared.append(prepared)
+            self._prepared.append({
+                "qkv": self._gemm_q4.prepare_fused(
+                    [layer[name] for name in _FUSED["qkv"]]),
+                "wo": self._gemm_q4.prepare_weight(layer["wo"]),
+                "gate_up": self._gemm_q4.prepare_fused(
+                    [layer[name] for name in _FUSED["gate_up"]]),
+                "w_down": self._gemm_down.prepare_weight(layer["w_down"])})
         self._cos, self._sin = rope_frequencies(
             self.config.head_dim, self.config.max_position, self.config.rope_theta)
 
@@ -257,12 +262,11 @@ class NPUTransformer:
                     # --- attention block -------------------------------
                     normed = rms_norm(flat,
                                       layer["norm_attn"].astype(np.float16))
-                    q, c = self._gemm_q4(normed, prepared["wq"])
+                    qkv, c = self._gemm_q4(normed, prepared["qkv"])
                     cost.npu.merge(c)
-                    k, c = self._gemm_q4(normed, prepared["wk"])
-                    cost.npu.merge(c)
-                    v, c = self._gemm_q4(normed, prepared["wv"])
-                    cost.npu.merge(c)
+                    q = qkv[:, :cfg.q_dim]
+                    k = qkv[:, cfg.q_dim:cfg.q_dim + cfg.kv_dim]
+                    v = qkv[:, cfg.q_dim + cfg.kv_dim:]
 
                     # RoPE is elementwise, so one call covers every
                     # (token, head) row, each at its token's position
@@ -290,11 +294,10 @@ class NPUTransformer:
                     # --- FFN block --------------------------------------
                     normed = rms_norm(flat,
                                       layer["norm_ffn"].astype(np.float16))
-                    gate, c = self._gemm_q4(normed, prepared["w_gate"])
+                    gate_up, c = self._gemm_q4(normed, prepared["gate_up"])
                     cost.npu.merge(c)
-                    up, c = self._gemm_q4(normed, prepared["w_up"])
-                    cost.npu.merge(c)
-                    activated = swiglu(gate, up)
+                    activated = swiglu(gate_up[:, :cfg.intermediate_dim],
+                                       gate_up[:, cfg.intermediate_dim:])
                     down, c = self._gemm_down(activated, prepared["w_down"])
                     cost.npu.merge(c)
                     flat = residual_add(down, flat)
@@ -322,29 +325,27 @@ class NPUTransformer:
         head_dim)`` in (sequence, token, head) order; ``views`` each
         sequence's cached ``(kv_len, n_kv_heads, head_dim)`` keys and
         values; ``positions`` the ``(batch, n_new)`` query positions.
-        Heads of one GQA group read their KV head's cache.  Returns the
-        ``(batch * n_new, q_dim)`` output and the summed breakdown.
+        Each (sequence, KV head) cache is passed once, and the query
+        heads of its GQA group read it.  Returns the ``(batch * n_new,
+        q_dim)`` output and the summed breakdown.
         """
         cfg = self.config
         batch, n_new = positions.shape
-        items = batch * cfg.n_heads
         kv_lengths = np.array([keys.shape[0] for keys, _ in views])
-        kv_head = np.arange(cfg.n_heads) // cfg.gqa_group
-        keys = np.zeros((batch, cfg.n_heads, int(kv_lengths.max()),
+        keys = np.zeros((batch, cfg.n_kv_heads, int(kv_lengths.max()),
                          cfg.head_dim), dtype=np.float16)
         values = np.zeros_like(keys)
         for b, (seq_keys, seq_values) in enumerate(views):
-            keys[b, :, :len(seq_keys)] = seq_keys[:, kv_head].swapaxes(0, 1)
-            values[b, :, :len(seq_values)] = \
-                seq_values[:, kv_head].swapaxes(0, 1)
+            keys[b, :, :len(seq_keys)] = seq_keys.swapaxes(0, 1)
+            values[b, :, :len(seq_values)] = seq_values.swapaxes(0, 1)
         out, breakdown = self._attention(
             q.reshape(batch, n_new, cfg.n_heads, cfg.head_dim)
-            .swapaxes(1, 2).reshape(items, n_new, cfg.head_dim),
-            keys.reshape(items, -1, cfg.head_dim),
-            values.reshape(items, -1, cfg.head_dim),
+            .swapaxes(1, 2).reshape(batch * cfg.n_heads, n_new, cfg.head_dim),
+            keys.reshape(-1, keys.shape[2], cfg.head_dim),
+            values.reshape(-1, keys.shape[2], cfg.head_dim),
             q_positions=np.repeat(positions, cfg.n_heads, axis=0),
             k_positions=np.arange(keys.shape[2]),
-            kv_lengths=np.repeat(kv_lengths, cfg.n_heads))
+            kv_lengths=np.repeat(kv_lengths, cfg.n_kv_heads))
         out = out.reshape(batch, cfg.n_heads, n_new, cfg.head_dim)
         return out.swapaxes(1, 2).reshape(batch * n_new, cfg.q_dim), breakdown
 
@@ -367,8 +368,11 @@ class NPUTransformer:
         """The effective (quantize-dequantize round-trip) projections."""
         out = []
         for prepared in self._prepared:
-            out.append({name: p.dequantized_matrix.astype(np.float32)
-                        for name, p in prepared.items()})
+            out.append({
+                part_name: part.dequantized_matrix.astype(np.float32)
+                for name, weight in prepared.items()
+                for part_name, part in zip(_FUSED.get(name, (name,)),
+                                           weight.parts)})
         return out
 
 

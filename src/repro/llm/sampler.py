@@ -26,7 +26,7 @@ def softmax_logits(logits: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Sampler:
-    """Sampling policy applied to one logits row at a time.
+    """Sampling policy applied to every row of a logits batch.
 
     ``temperature = 0`` means greedy; ``top_k``/``top_p`` restrict the
     candidate set before renormalization.
@@ -52,27 +52,45 @@ class Sampler:
     def sample(self, logits: np.ndarray) -> int:
         """Draw one token id from a single logits vector."""
         row = np.asarray(logits, dtype=np.float64).ravel()
-        if row.size == 0:
-            raise EngineError("cannot sample from empty logits")
-        if self.temperature == 0.0:
-            return int(row.argmax())
-        probs = softmax_logits(row / self.temperature)
-        if self.top_k is not None and self.top_k < probs.size:
-            cutoff = np.partition(probs, -self.top_k)[-self.top_k]
-            probs = np.where(probs >= cutoff, probs, 0.0)
-        if self.top_p is not None:
-            order = np.argsort(probs)[::-1]
-            cumulative = np.cumsum(probs[order])
-            keep = cumulative - probs[order] < self.top_p
-            mask = np.zeros_like(probs, dtype=bool)
-            mask[order[keep]] = True
-            probs = np.where(mask, probs, 0.0)
-        total = probs.sum()
-        if total <= 0:
-            return int(row.argmax())
-        return int(self._rng.choice(probs.size, p=probs / total))
+        return int(self.sample_batch(row[np.newaxis])[0])
 
     def sample_batch(self, logits: np.ndarray) -> np.ndarray:
-        """Draw one token per row of a ``(batch, vocab)`` logits matrix."""
-        matrix = np.atleast_2d(np.asarray(logits))
-        return np.array([self.sample(row) for row in matrix], dtype=np.int64)
+        """Draw one token per row of a ``(batch, vocab)`` logits matrix.
+
+        Every row is filtered along the last axis at once.  Rows that
+        keep some probability draw through one ``rng.random(k)`` in row
+        order and pick by the ``searchsorted(side="right")`` rule of
+        ``Generator.choice``, so a batch draws the tokens, and leaves the
+        RNG state, of one ``choice`` call per row.  Greedy rows, and rows
+        left with no probability, take the argmax and draw nothing.
+        """
+        matrix = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+        if matrix.shape[-1] == 0:
+            raise EngineError("cannot sample from empty logits")
+        finite = np.isfinite(matrix)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise EngineError(f"logits row {row} holds {matrix[row, col]} "
+                              f"at token {col}; logits must be finite")
+        tokens = matrix.argmax(axis=-1)
+        if self.temperature == 0.0:
+            return tokens
+        probs = softmax_logits(matrix / self.temperature)
+        if self.top_k is not None and self.top_k < probs.shape[-1]:
+            cutoff = np.partition(probs, -self.top_k, axis=-1)[:, [-self.top_k]]
+            probs = np.where(probs >= cutoff, probs, 0.0)
+        if self.top_p is not None:
+            order = np.argsort(probs, axis=-1)[:, ::-1]
+            ranked = np.take_along_axis(probs, order, axis=-1)
+            keep = np.cumsum(ranked, axis=-1) - ranked < self.top_p
+            mask = np.zeros(probs.shape, dtype=bool)
+            np.put_along_axis(mask, order, keep, axis=-1)
+            probs = np.where(mask, probs, 0.0)
+        total = probs.sum(axis=-1)
+        drawn = total > 0
+        if drawn.any():
+            cdf = np.cumsum(probs[drawn] / total[drawn, np.newaxis], axis=-1)
+            cdf /= cdf[:, -1:]
+            uniform = self._rng.random(int(drawn.sum()))
+            tokens[drawn] = (cdf <= uniform[:, np.newaxis]).sum(axis=-1)
+        return tokens

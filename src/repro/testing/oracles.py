@@ -422,20 +422,24 @@ class AttentionOracle(Oracle):
     worst error — tight enough that any masking, block-boundary or
     rescale bug trips it.
 
-    One call runs a stack of ``items`` heads with ragged KV lengths drawn
-    from the seed: item 0 sees all ``n_kv`` keys, the others
-    ``[n_q, n_kv]`` of them when causal (their queries are the last
-    ``n_q`` positions) and ``[0, n_kv]`` otherwise.  Every item must
-    also equal its own one-head call bit for bit, and be charged as it;
-    an item with no keys returns zeros.
+    One call runs a stack of ``items`` KV items with ragged lengths drawn
+    from the seed, read by ``items * group`` query items (query item
+    ``i`` reads KV item ``i // group``, as GQA heads share a KV head):
+    KV item 0 holds all ``n_kv`` keys, the others ``[n_q, n_kv]`` of
+    them when causal (their queries are the last ``n_q`` positions) and
+    ``[0, n_kv]`` otherwise.  Every query item must also equal its own
+    one-head call on its KV item bit for bit, the stack must be charged
+    the sum of those calls, and a query item with no keys returns zeros.
+    The query items stay at most 16, so large groups draw few KV items.
+    A config without ``group`` (one written before groups) runs group 1.
     """
 
     name = "attention"
-    description = ("stacked FlashAttention (blockwise FP16, lut/poly exp) "
-                   "vs FP32 reference, |diff| <= 0.01, and vs one-head "
-                   "calls, bitwise")
-    SHRINK_MINS = {"items": 1, "n_q": 1, "n_kv": 1, "head_dim": 16,
-                   "seed": 0}
+    description = ("stacked, grouped FlashAttention (blockwise FP16, "
+                   "lut/poly exp) vs FP32 reference, |diff| <= 0.01, and "
+                   "vs one-head calls, bitwise")
+    SHRINK_MINS = {"items": 1, "group": 1, "n_q": 1, "n_kv": 1,
+                   "head_dim": 16, "seed": 0}
     SHRINK_RESETS = {"method": "lut", "causal": 0}
 
     def sample_config(self, rng: np.random.Generator) -> Config:
@@ -446,8 +450,9 @@ class AttentionOracle(Oracle):
             "method": ("lut", "poly16", "poly32")[int(rng.integers(3))],
             "causal": int(rng.integers(2)),
             "seed": int(rng.integers(0, 2**31)),
-            "items": int(rng.integers(1, 17)),
+            "group": int(rng.integers(1, 9)),
         }
+        config["items"] = int(rng.integers(1, 16 // config["group"] + 1))
         return self.normalize(config)
 
     def normalize(self, config: Config) -> Config:
@@ -459,6 +464,7 @@ class AttentionOracle(Oracle):
         return config
 
     def run(self, config: Config) -> OracleResult:
+        config = {"group": 1, **config}
         self._check_config(config)
         from ..kernels.flash_attention import (
             AttentionBreakdown,
@@ -467,18 +473,20 @@ class AttentionOracle(Oracle):
         )
         from ..npu.memory import TCM
 
-        items, n_q = int(config["items"]), int(config["n_q"])
-        n_kv, d = int(config["n_kv"]), int(config["head_dim"])
+        kv_items, group = int(config["items"]), int(config["group"])
+        n_q, n_kv = int(config["n_q"]), int(config["n_kv"])
+        d = int(config["head_dim"])
         causal = bool(int(config["causal"]))
         rng = np.random.default_rng(int(config["seed"]))
-        q = rng.normal(0.0, 1.0, (items, n_q, d)).astype(np.float16)
-        k = rng.normal(0.0, 1.0, (items, n_kv, d)).astype(np.float16)
-        v = rng.normal(0.0, 1.0, (items, n_kv, d)).astype(np.float16)
+        q = rng.normal(0.0, 1.0, (kv_items * group, n_q, d)).astype(np.float16)
+        k = rng.normal(0.0, 1.0, (kv_items, n_kv, d)).astype(np.float16)
+        v = rng.normal(0.0, 1.0, (kv_items, n_kv, d)).astype(np.float16)
         lengths = [n_kv] + rng.integers(n_q if causal else 0, n_kv + 1,
-                                        items - 1).tolist()
+                                        kv_items - 1).tolist()
         q_pos = k_pos = None
         if causal:
-            q_pos = np.array([np.arange(n - n_q, n) for n in lengths])
+            q_pos = np.repeat([np.arange(n - n_q, n) for n in lengths],
+                              group, axis=0)
             k_pos = np.arange(n_kv)
 
         attention = FlashAttention(method=str(config["method"]), tcm=TCM())
@@ -487,11 +495,13 @@ class AttentionOracle(Oracle):
                                      k_positions=k_pos, kv_lengths=lengths)
         expected_charge = AttentionBreakdown()
         max_abs = 0.0
-        for i, n in enumerate(lengths):
+        for i in range(len(q)):
+            j = i // group
+            n = lengths[j]
             positions = {} if not causal else {
                 "q_positions": q_pos[i], "k_positions": k_pos[:n]}
             with np.errstate(over="ignore", invalid="ignore"):
-                single, cost = attention(q[i], k[i, :n], v[i, :n],
+                single, cost = attention(q[i], k[j, :n], v[j, :n],
                                          **positions)
             for phase in ("qk_matmul", "softmax", "pv_matmul", "rescale"):
                 getattr(expected_charge, phase).merge(getattr(cost, phase))
@@ -499,28 +509,28 @@ class AttentionOracle(Oracle):
             if not diff.bitwise_equal:
                 return self.failed(
                     config, "bitwise",
-                    f"item {i} ({n} keys) differs from its one-head call",
-                    diff=diff)
+                    f"query item {i} (KV item {j}, {n} keys) differs from "
+                    f"its one-head call", diff=diff)
             if n == 0:
                 if np.any(out[i].view(np.uint16)):
                     return self.failed(
                         config, "zeros",
-                        f"item {i} has no keys but a non-zero output")
+                        f"query item {i} has no keys but a non-zero output")
                 continue
             reference = attention_fp32_reference(
-                q[i], k[i, :n], v[i, :n], **positions).astype(np.float16)
+                q[i], k[j, :n], v[j, :n], **positions).astype(np.float16)
             diff = diff_arrays(out[i], reference)
             max_abs = max(max_abs, diff.max_abs)
             if diff.max_abs > ATTENTION_ABS_TOLERANCE:
                 return self.failed(
                     config, "abs",
-                    f"item {i} ({n} keys) off by {diff.max_abs:.4f} "
+                    f"query item {i} ({n} keys) off by {diff.max_abs:.4f} "
                     f"(tolerance {ATTENTION_ABS_TOLERANCE}) vs FP32 "
                     f"reference", diff=diff, max_abs=diff.max_abs)
         if charged != expected_charge:
             return self.failed(
                 config, "cost", "the stack is not charged the sum of its "
-                "items' one-head calls")
+                "query items' one-head calls")
         return self.passed(config, max_abs=max_abs)
 
 

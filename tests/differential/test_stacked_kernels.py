@@ -1,23 +1,27 @@
 """Stacked kernels vs the per-head and per-tile loops they replaced.
 
 ``HMXUnit.gemm`` makes one matmul per K step (of the real rows, or of
-every (m, n) tile pair), and ``FlashAttention`` runs a whole stack of
-(sequence, head) items in one call.  The one-tile-at-a-time GEMM they
-replaced is :func:`repro.testing.reference_gemm`, shared with the
-``hmx`` oracle; the one-head-at-a-time attention loop is kept below.
-Outputs must agree bit for bit (compared as raw bits, so -0.0 against
-0.0 is a mismatch) and every item must be charged exactly the
-per-phase costs its own one-head call records.
+every (m, n) tile pair), ``FlashAttention`` runs a whole stack of
+(sequence, head) items in one call, its GQA groups sharing their KV
+items, and ``MixedPrecisionGemm`` multiplies a fused q/k/v or gate/up
+weight in one product.  The one-tile-at-a-time GEMM they replaced is
+:func:`repro.testing.reference_gemm`, shared with the ``hmx`` oracle;
+the one-head-at-a-time attention loop is kept below, and a fused weight
+is held to calling its parts one by one.  Outputs must agree bit for
+bit (compared as raw bits, so -0.0 against 0.0 is a mismatch) and every
+item must be charged exactly the per-phase costs its own one-head call
+records.
 """
 
-from typing import Dict
+import functools
+from typing import Dict, List
 
 import numpy as np
 import pytest
 
 from repro.kernels.dequant import DEQUANT_STRATEGIES
 from repro.kernels.flash_attention import AttentionBreakdown, FlashAttention
-from repro.kernels.gemm import MixedPrecisionGemm
+from repro.kernels.gemm import FusedWeight, MixedPrecisionGemm
 from repro.kernels.softmax import (
     CALL_FIXED_PACKETS,
     LUT_ROW_EXPOSED_PACKETS,
@@ -27,6 +31,7 @@ from repro.npu.hmx import TILE_DIM, HMXUnit, padded_fp32
 from repro.npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from repro.npu.memory import TCM
 from repro.npu.timing import KernelCost
+from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.quant.tile_quant import dequantize_weight
 from repro.testing import HMX_LAYOUTS, laid_out, reference_gemm
@@ -249,6 +254,113 @@ def test_mixed_precision_gemm_matches_tile_loop(strategy, bits, m, width):
 
 
 # ----------------------------------------------------------------------
+# fused projections
+# ----------------------------------------------------------------------
+#: (k, widths) of the q/k/v and gate/up weights of the tiny model and of
+#: the prefill.wide benchmark's model, and parts padded in between
+FUSED_GROUPS = [(64, (64, 32, 32)), (64, (128, 128)),
+                (512, (512, 128, 128)), (512, (1536, 1536)),
+                (64, (33, 70))]
+FUSED_M = [1, 2, 3, 4, 16, 31, 33, 64, 70]
+
+
+@functools.lru_cache(maxsize=None)
+def _fused_case(strategy, k, widths):
+    """A fused weight, and each of its parts prepared on its own."""
+    rng = np.random.default_rng([k, *widths])
+    weights = [rng.normal(0, 0.05, (k, n)) for n in widths]
+    kernel = MixedPrecisionGemm(strategy=strategy)
+    return (kernel.prepare_fused(weights),
+            [kernel.prepare_weight(w) for w in weights])
+
+
+def _traced(call):
+    """``call()``, with the spans and counters it recorded."""
+    tracer, registry = obs_trace.Tracer(), obs_metrics.MetricsRegistry()
+    outer_tracer = obs_trace.set_tracer(tracer)
+    outer_registry = obs_metrics.set_metrics(registry)
+    try:
+        result = call()
+    finally:
+        obs_trace.set_tracer(outer_tracer)
+        obs_metrics.set_metrics(outer_registry)
+    spans = [(s.name, s.category, s.attrs, s.costs, s.parent)
+             for s in tracer.finished_spans()]
+    return result, spans, registry.snapshot()
+
+
+def _fused_differs(strategy, fused, parts, m) -> List[str]:
+    """What a traced call on ``fused`` records other than calling
+    ``parts`` one by one: its output bits, cost, spans or counters."""
+    acts = np.random.default_rng([m, 7]).normal(
+        0, 1, (m, parts[0].quantized.original_shape[0])).astype(np.float16)
+
+    def one_by_one():
+        kernel, total = MixedPrecisionGemm(strategy=strategy), KernelCost()
+        outputs = []
+        for part in parts:
+            output, cost = kernel(acts, part)
+            outputs.append(output)
+            total.merge(cost)
+        return np.concatenate(outputs, axis=1), total
+
+    got = _traced(lambda: MixedPrecisionGemm(strategy=strategy)(acts, fused))
+    expected = _traced(one_by_one)
+    (out, cost), spans, counters = got
+    (ref_out, ref_cost), ref_spans, ref_counters = expected
+    return [name for name, same in (
+        ("output", out.shape == ref_out.shape
+         and np.array_equal(_bits(out), _bits(ref_out))),
+        ("cost", cost == ref_cost),
+        ("spans", spans == ref_spans),
+        ("counters", counters == ref_counters)) if not same]
+
+
+@pytest.mark.parametrize("k,widths", FUSED_GROUPS,
+                         ids=lambda g: "x".join(map(str, np.ravel(g))))
+@pytest.mark.parametrize("m", FUSED_M)
+@pytest.mark.parametrize("strategy", ["baseline", "hmx_layout", "ours",
+                                      "no_dequant"])
+def test_fused_projection_equals_per_part_calls(strategy, m, k, widths):
+    fused, parts = _fused_case(strategy, k, widths)
+    assert _fused_differs(strategy, fused, parts, m) == []
+
+
+@pytest.mark.parametrize("strategy", DEQUANT_STRATEGIES)
+def test_fused_weight_stores_each_part_once(strategy):
+    """Each part's weight is a column view of the fused matrix, holding
+    the bits of the part prepared on its own."""
+    fused, parts = _fused_case(strategy, 64, (33, 70))
+    assert fused.padded_fp32.flags.f_contiguous == (strategy == "baseline")
+    start = 0
+    for view, alone in zip(fused.parts, parts):
+        assert view.padded_fp32.base is fused.padded_fp32
+        assert view.padded_fp32.shape == alone.padded_fp32.shape
+        assert np.array_equal(_bits(view.padded_fp32),
+                              _bits(alone.padded_fp32))
+        assert np.shares_memory(view.padded_fp32,
+                                fused.padded_fp32[:, start:])
+        assert view.dequantized_matrix.tobytes() == \
+            alone.dequantized_matrix.tobytes()
+        start += view.padded_fp32.shape[1]
+    assert start == fused.padded_fp32.shape[1]
+
+
+def test_fused_baseline_weight_in_c_order_fails():
+    """The memory order is part of the numerics: ``baseline``'s fused
+    weight stored in C order does not multiply as its parts do."""
+    failing = []
+    for k, widths in FUSED_GROUPS:
+        fused, parts = _fused_case("baseline", k, widths)
+        c_order = FusedWeight(
+            parts=fused.parts,
+            padded_fp32=np.ascontiguousarray(fused.padded_fp32))
+        failing += [(k, widths, m) for m in FUSED_M if "output"
+                    in _fused_differs("baseline", c_order, parts, m)]
+    assert failing
+
+
+# ----------------------------------------------------------------------
 # attention
 # ----------------------------------------------------------------------
 def _items(rng, n_items, n_q, kv_lengths, d):
@@ -261,18 +373,21 @@ def _items(rng, n_items, n_q, kv_lengths, d):
 
 def _check_stack(fa, q, k, v, kv_lengths, q_positions=None,
                  k_positions=None):
-    """Stacked call vs one reference call per item; returns the call's
-    output and breakdown."""
+    """Stacked call vs one reference call per query item, each on its KV
+    item (``i // group``); returns the call's output and breakdown."""
     out, total = fa(q, k, v, q_positions=q_positions,
                     k_positions=k_positions, kv_lengths=kv_lengths)
     assert out.shape == q.shape and out.dtype == np.float16
+    group = len(q) // len(k)
     expected_total = AttentionBreakdown()
-    for i, n_kv in enumerate(kv_lengths):
+    for i in range(len(q)):
+        j = i // group
+        n_kv = kv_lengths[j]
         causal = {} if q_positions is None else {
             "q_positions": np.asarray(q_positions)[i],
             "k_positions": np.asarray(k_positions)[:n_kv]}
-        ref_out, ref_cost = reference_attention(fa, q[i], k[i, :n_kv],
-                                                v[i, :n_kv], **causal)
+        ref_out, ref_cost = reference_attention(fa, q[i], k[j, :n_kv],
+                                                v[j, :n_kv], **causal)
         assert np.array_equal(_bits(out[i]), _bits(ref_out)), f"item {i}"
         for phase in _PHASES:
             getattr(expected_total, phase).merge(getattr(ref_cost, phase))
@@ -309,6 +424,33 @@ def test_stacked_causal_prefill_attention(method, block_kv, d):
     q_positions = np.array([np.arange(n - n_q, n) for n in kv_lengths])
     _check_stack(fa, q, k, v, kv_lengths, q_positions,
                  np.arange(max(kv_lengths)))
+
+
+@pytest.mark.parametrize("method", ["lut", "poly16", "poly32"])
+@pytest.mark.parametrize("group", [2, 3, 8])
+@pytest.mark.parametrize("n_q", [1, 5, 40])
+def test_grouped_attention(method, group, n_q):
+    """GQA stacks: query item i reads KV item i // group, ragged caches."""
+    rng = np.random.default_rng([group, n_q])
+    kv_lengths = [72, 40, 130, 40]
+    fa = FlashAttention(method, tcm=TCM(), block_kv=64)
+    q, _, _ = _items(rng, group * len(kv_lengths), n_q, kv_lengths, 64)
+    _, k, v = _items(rng, len(kv_lengths), n_q, kv_lengths, 64)
+    q_positions = np.repeat([np.arange(n - n_q, n) for n in kv_lengths],
+                            group, axis=0)
+    _check_stack(fa, q, k, v, kv_lengths, q_positions,
+                 np.arange(max(kv_lengths)))
+
+
+@pytest.mark.parametrize("group", [2, 4])
+def test_grouped_non_causal_attention_with_empty_caches(group):
+    rng = np.random.default_rng(group)
+    kv_lengths = [50, 0, 7, 128]
+    fa = FlashAttention("lut", tcm=TCM(), block_kv=64)
+    q, _, _ = _items(rng, group * len(kv_lengths), 3, kv_lengths, 48)
+    _, k, v = _items(rng, len(kv_lengths), 3, kv_lengths, 48)
+    out, _ = _check_stack(fa, q, k, v, kv_lengths)
+    assert not np.any(_bits(out[group:2 * group]))
 
 
 @pytest.mark.parametrize("method", ["lut", "poly16", "poly32"])
@@ -408,11 +550,13 @@ class TestStackCharges:
         assert costs[0] != costs[1] and costs[0] == costs[2]
 
 
-def test_tracing_emits_one_span_tree_per_item_in_stack_order():
+@pytest.mark.parametrize("group", [1, 2])
+def test_tracing_emits_one_span_tree_per_item_in_stack_order(group):
     rng = np.random.default_rng(17)
     kv_lengths = [9, 72, 33, 9]
     fa = FlashAttention("lut", tcm=TCM())
-    q, k, v = _items(rng, len(kv_lengths), 1, kv_lengths, 16)
+    q, _, _ = _items(rng, group * len(kv_lengths), 1, kv_lengths, 16)
+    _, k, v = _items(rng, len(kv_lengths), 1, kv_lengths, 16)
     tracer = obs_trace.Tracer(enabled=True)
     previous = obs_trace.set_tracer(tracer)
     try:
@@ -421,9 +565,11 @@ def test_tracing_emits_one_span_tree_per_item_in_stack_order():
         obs_trace.set_tracer(previous)
     spans = tracer.finished_spans()
     items = [s for s in spans if s.name == "kernel.flash_attention"]
-    assert [s.attrs["n_kv"] for s in items] == kv_lengths
-    for i, (span, n_kv) in enumerate(zip(items, kv_lengths)):
-        _, ref_cost = reference_attention(fa, q[i], k[i, :n_kv], v[i, :n_kv])
+    query_lengths = np.repeat(kv_lengths, group).tolist()
+    assert [s.attrs["n_kv"] for s in items] == query_lengths
+    for i, (span, n_kv) in enumerate(zip(items, query_lengths)):
+        j = i // group
+        _, ref_cost = reference_attention(fa, q[i], k[j, :n_kv], v[j, :n_kv])
         children = [s for s in spans if s.parent == span.index]
         assert [s.name for s in children] == [f"kernel.attention.{phase}"
                                               for phase in _PHASES]

@@ -136,6 +136,15 @@ class TestCostAccounting:
         with pytest.raises(KernelError):
             FlashAttention("lut", tcm=None)
 
+    @pytest.mark.parametrize("items,kv_items", [(3, 2), (2, 3), (2, 0)])
+    def test_query_items_must_be_a_multiple_of_kv_items(self, items,
+                                                         kv_items):
+        fa = FlashAttention("poly32")
+        with pytest.raises(KernelError, match="whole multiple"):
+            fa(np.zeros((items, 1, 16), dtype=np.float16),
+               np.zeros((kv_items, 4, 16), dtype=np.float16),
+               np.zeros((kv_items, 4, 16), dtype=np.float16))
+
     def test_operand_validation(self, rng):
         fa = FlashAttention("poly32")
         with pytest.raises(KernelError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import EngineError
+from repro.kernels.gemm import MixedPrecisionGemm
 from repro.llm.config import tiny_config
 from repro.llm.model import (
     NPUTransformer,
@@ -13,6 +14,8 @@ from repro.llm.model import (
 )
 from repro.llm.perplexity import top1_agreement
 from repro.npu.timing import KernelCost
+from repro.obs import metrics as obs_metrics
+from repro.obs import trace as obs_trace
 
 
 class TestStepCost:
@@ -164,6 +167,51 @@ class TestNPUForward:
         too_long = np.zeros((1, cfg.max_position + 1), dtype=np.int64)
         with pytest.raises(EngineError):
             model.forward(too_long, cache)
+
+
+def _traced_decode_step(model):
+    """Logits, cost, spans and counters of one traced decode step of two
+    sequences with ragged caches."""
+    cache = model.new_cache(2, 16)
+    model.forward(np.array([[5, 9, 13]]), cache, sequences=[0])
+    model.forward(np.array([[7, 2, 4, 8, 1]]), cache, sequences=[1])
+    tracer, registry = obs_trace.Tracer(), obs_metrics.MetricsRegistry()
+    outer_tracer = obs_trace.set_tracer(tracer)
+    outer_registry = obs_metrics.set_metrics(registry)
+    try:
+        logits, cost = model.forward(np.array([[3], [11]]), cache)
+    finally:
+        obs_trace.set_tracer(outer_tracer)
+        obs_metrics.set_metrics(outer_registry)
+    spans = [(s.name, s.category, s.attrs, s.costs, s.parent)
+             for s in tracer.finished_spans()]
+    return logits, cost, spans, registry.snapshot()
+
+
+def test_fused_projections_trace_as_their_parts(tiny_model, monkeypatch):
+    """A traced decode step through the fused q/k/v and gate/up weights
+    records what calling each projection's one-part weight in order does:
+    the same spans (names, attrs, costs, nesting) and counters."""
+    fused = _traced_decode_step(tiny_model)
+    call = MixedPrecisionGemm.__call__
+
+    def part_by_part(kernel, activations, prepared):
+        outputs, total = [], KernelCost()
+        for part in prepared.parts:
+            output, cost = call(kernel, activations, part)
+            outputs.append(output)
+            total.merge(cost)
+        return np.concatenate(outputs, axis=1), total
+
+    monkeypatch.setattr(MixedPrecisionGemm, "__call__", part_by_part)
+    logits, cost, spans, counters = _traced_decode_step(tiny_model)
+    assert np.array_equal(fused[0], logits)
+    assert fused[1] == cost
+    gemm_spans = [s for s in spans if s[0] == "kernel.gemm"]
+    # seven projections per layer, each its own span
+    assert len(gemm_spans) == 7 * tiny_model.config.n_layers
+    assert fused[2] == spans
+    assert fused[3] == counters
 
 
 class TestReferenceForward:

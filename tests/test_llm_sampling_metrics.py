@@ -67,6 +67,89 @@ class TestSampler:
         assert 0 <= sampler.sample(logits) < 64
 
 
+def _per_row_sample(sampler, rng, logits):
+    """The one-row sampler that ``sample_batch`` replaced, drawing from
+    ``rng``: the reference the batched sampler must equal."""
+    row = np.asarray(logits, dtype=np.float64).ravel()
+    if sampler.temperature == 0.0:
+        return int(row.argmax())
+    probs = softmax_logits(row / sampler.temperature)
+    if sampler.top_k is not None and sampler.top_k < probs.size:
+        cutoff = np.partition(probs, -sampler.top_k)[-sampler.top_k]
+        probs = np.where(probs >= cutoff, probs, 0.0)
+    if sampler.top_p is not None:
+        order = np.argsort(probs)[::-1]
+        cumulative = np.cumsum(probs[order])
+        keep = cumulative - probs[order] < sampler.top_p
+        mask = np.zeros_like(probs, dtype=bool)
+        mask[order[keep]] = True
+        probs = np.where(mask, probs, 0.0)
+    total = probs.sum()
+    if total <= 0:
+        return int(row.argmax())
+    return int(rng.choice(probs.size, p=probs / total))
+
+
+class TestBatchSampling:
+    """``sample_batch`` draws what one ``choice`` per row drew."""
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8, 1.5])
+    @pytest.mark.parametrize("top_k", [None, 1, 5])
+    @pytest.mark.parametrize("top_p", [None, 0.3, 0.9])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_matches_per_row_choice(self, temperature, top_k, top_p, ties):
+        seed = 17
+        sampler = Sampler(temperature=temperature, top_k=top_k, top_p=top_p,
+                          seed=seed)
+        reference = np.random.default_rng(seed)
+        data = np.random.default_rng([seed, top_k or 0, ties])
+        for rows in range(1, 17):
+            vocab = (8, 64, 512)[rows % 3]
+            logits = data.normal(0, 3, (rows, vocab)).astype(np.float32)
+            if ties:  # few distinct values, so ranks tie
+                logits = np.round(logits / 2)
+            expected = [_per_row_sample(sampler, reference, row)
+                        for row in logits]
+            tokens = sampler.sample_batch(logits)
+            assert tokens.dtype == np.int64
+            assert tokens.tolist() == expected
+            assert sampler._rng.bit_generator.state == \
+                reference.bit_generator.state
+
+    def test_sample_draws_one_choice(self):
+        sampler = Sampler(temperature=0.8, top_p=0.9, seed=3)
+        reference = np.random.default_rng(3)
+        logits = np.random.default_rng(4).normal(size=(6, 40))
+        assert [sampler.sample(row) for row in logits] == \
+            [_per_row_sample(sampler, reference, row) for row in logits]
+        assert sampler._rng.bit_generator.state == \
+            reference.bit_generator.state
+
+
+class TestNonFiniteLogits:
+    """A row holding NaN or an infinity raises, naming row and value."""
+
+    @pytest.mark.parametrize("temperature", [0.0, 0.8])
+    @pytest.mark.parametrize("row,value", [
+        ([np.nan, 1.0, 2.0], "nan"),
+        ([-np.inf, -np.inf], "-inf"),
+        ([np.inf, 1.0], "inf"),
+    ], ids=["nan", "all-neg-inf", "pos-inf"])
+    def test_raises_engine_error(self, temperature, row, value):
+        sampler = Sampler(temperature=temperature, seed=0)
+        with pytest.raises(EngineError, match=rf"row 0 holds {value} "):
+            sampler.sample(np.array(row))
+
+    def test_names_the_offending_row_of_a_batch(self):
+        logits = np.zeros((4, 3))
+        logits[2, 1] = np.nan
+        sampler = Sampler(temperature=0.8, seed=0)
+        state = sampler._rng.bit_generator.state
+        with pytest.raises(EngineError, match=r"row 2 holds nan at token 1"):
+            sampler.sample_batch(logits)
+        assert sampler._rng.bit_generator.state == state
+
+
 class TestSoftmaxLogits:
     def test_rows_sum_to_one(self, rng):
         probs = softmax_logits(rng.normal(size=(4, 32)))

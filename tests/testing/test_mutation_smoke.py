@@ -5,12 +5,14 @@ kind of off-by-one-ULP bug a layout or pipelining optimisation could
 introduce — and asserts the differential harness flags it, on the row
 path (row-major weights) and the tile path (``baseline``'s F-order
 weights) alike.  If this test ever passes with the mutation active, the
-oracle tolerances have drifted too loose.
+oracle tolerances have drifted too loose.  Grouped attention gets the
+same treatment: query heads wired to the wrong KV head must be caught.
 """
 
 import numpy as np
 import pytest
 
+from repro.kernels.flash_attention import FlashAttention
 from repro.npu.hmx import HMXUnit
 from repro.testing import get_oracle
 
@@ -58,3 +60,43 @@ def test_gemm_oracle_flags_perturbed_accumulation(perturb_one_tile_mac,
     # the corrupted element sits in the first output tile
     assert mismatch.diff.first_index[0] < 32
     assert "ULP" in mismatch.message
+
+
+ATTENTION_CONFIG = {"items": 3, "group": 2, "n_q": 2, "n_kv": 40,
+                    "head_dim": 16, "method": "lut", "causal": 1, "seed": 5}
+
+
+def test_unmutated_attention_oracle_passes():
+    assert get_oracle("attention").run(ATTENTION_CONFIG).ok
+
+
+def test_attention_oracle_flags_query_items_on_the_wrong_kv_item(
+        monkeypatch):
+    """Query item i reads KV item i % kv_items, not i // group.
+
+    The mutant feeds the kernel its query items reordered so that stack
+    position p, which reads KV item p // group, holds an item i with
+    i % kv_items == p // group, and puts the outputs back in order.
+    """
+    original = FlashAttention.__call__
+    calls = {"grouped": 0}
+
+    def mutated(self, q, k, v, scale=None, q_positions=None,
+                k_positions=None, kv_lengths=None):
+        if np.ndim(q) == 2 or len(q) == len(k):
+            return original(self, q, k, v, scale, q_positions, k_positions,
+                            kv_lengths)
+        calls["grouped"] += 1
+        perm = np.argsort(np.arange(len(q)) % len(k), kind="stable")
+        if q_positions is not None and np.ndim(q_positions) == 2:
+            q_positions = np.asarray(q_positions)[perm]
+        out, cost = original(self, np.asarray(q)[perm], k, v, scale,
+                             q_positions, k_positions, kv_lengths)
+        return out[np.argsort(perm)], cost
+
+    monkeypatch.setattr(FlashAttention, "__call__", mutated)
+    result = get_oracle("attention").run(ATTENTION_CONFIG)
+    assert calls["grouped"] == 1, "mutation never exercised"
+    assert not result.ok, "oracle missed query items on the wrong KV item"
+    assert result.mismatch.kind == "bitwise"
+    assert "differs from its one-head call" in result.mismatch.message

@@ -124,6 +124,18 @@ def test_attention_normalize_keeps_causal_queries_covered():
     assert config["n_kv"] >= config["n_q"]
 
 
+def test_attention_repro_without_group_replays_as_group_one():
+    """A repro string written before groups runs its old trial."""
+    old = ("attention::causal=1,head_dim=16,items=4,method=lut,n_kv=70,"
+           "n_q=3,seed=5")
+    result = run_repro(old)
+    assert result.ok, result.mismatch and result.mismatch.message
+    assert result.config["group"] == 1
+    # the error the trial measured before groups existed
+    assert result.notes == {"max_abs": 0.00048828125}
+    assert result.notes == run_repro(old + ",group=1").notes
+
+
 def test_speculative_oracle_same_draft_always_agrees():
     oracle = get_oracle("speculative")
     result = oracle.run({"draft_len": 4, "prompt_len": 6, "new_tokens": 12,
