@@ -3,11 +3,11 @@
 The observability instrumentation (spans in the engine, model, kernels
 and memory subsystem) is always compiled in; when the global tracer is
 disabled every site pays one method call that returns the shared no-op
-span.  This benchmark measures that residual cost directly: it counts
-the instrumentation sites a small ``generate()`` run actually hits
-(by tracing it once), times the same number of disabled no-op span
-calls, and asserts the total is under 5% of the untraced run's wall
-clock.
+span, or one ``enabled()`` check that skips the traced branch.  This
+benchmark measures that residual cost directly: it counts both kinds of
+call an untraced ``generate()`` run makes (through a counting disabled
+tracer), times the same number of disabled calls, and asserts the total
+is under 5% of the untraced run's wall clock.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import time
 from repro.llm import InferenceEngine, NPUTransformer, TransformerWeights
 from repro.llm.config import tiny_config
 from repro.llm.sampler import Sampler
-from repro.obs.trace import Tracer, set_tracer
+from repro.obs import trace as obs_trace
+from repro.obs.trace import NULL_SPAN, Tracer, set_tracer
 
 MAX_OVERHEAD_FRACTION = 0.05
 PROMPT = [1, 2, 3, 4]
@@ -38,19 +39,42 @@ def _run(engine: InferenceEngine) -> None:
                     sampler=Sampler(temperature=1.0, seed=0))
 
 
+class _CountingTracer(Tracer):
+    """A disabled tracer that counts the span calls and ``enabled``
+    reads (``obs.trace.enabled()`` and ``tracer.enabled``) made on it."""
+
+    def __init__(self) -> None:
+        self.spans_opened = 0
+        self.checks = 0
+        super().__init__(enabled=False)
+
+    @property
+    def enabled(self) -> bool:
+        self.checks += 1
+        return False
+
+    @enabled.setter
+    def enabled(self, value: bool) -> None:
+        assert not value
+
+    def span(self, name: str, category: str = "repro", **attrs):
+        self.spans_opened += 1
+        return NULL_SPAN
+
+
 def test_disabled_tracing_overhead_under_5_percent():
     engine = _build_engine()
 
-    # count the instrumentation sites the workload actually hits
-    enabled_tracer = Tracer(enabled=True)
-    previous = set_tracer(enabled_tracer)
+    # count the calls an untraced run makes on the tracer
+    counting = _CountingTracer()
+    previous = set_tracer(counting)
     try:
         _run(engine)
-        n_sites = len(enabled_tracer.finished_spans())
     finally:
         set_tracer(previous)
+    n_spans, n_checks = counting.spans_opened, counting.checks
 
-    assert n_sites > 100  # the workload is genuinely instrumented
+    assert n_spans + n_checks > 10  # the workload is genuinely instrumented
 
     # wall clock of the run with tracing disabled (the shipped default)
     disabled_tracer = Tracer(enabled=False)
@@ -59,25 +83,28 @@ def test_disabled_tracing_overhead_under_5_percent():
         _run(engine)  # warm-up
         run_seconds = min(
             _timed(_run, engine) for _ in range(3))
+
+        # cost of the same numbers of disabled span calls, with the
+        # kwargs dicts the call sites build, and of enabled() checks
+        def noop_calls() -> None:
+            span, enabled = disabled_tracer.span, obs_trace.enabled
+            for i in range(n_spans):
+                with span("kernel.gemm", category="kernel", m=i, k=64,
+                          n=64, strategy="ours", bits=4):
+                    pass
+            for _ in range(n_checks):
+                enabled()
+
+        noop_calls()  # warm-up
+        noop_seconds = min(_timed(noop_calls) for _ in range(5))
     finally:
         set_tracer(previous)
 
-    # cost of the same number of disabled no-op span calls, with the
-    # kwargs dicts the call sites build
-    def noop_calls() -> None:
-        span = disabled_tracer.span
-        for i in range(n_sites):
-            with span("kernel.gemm", category="kernel", m=i, k=64, n=64,
-                      strategy="ours", bits=4):
-                pass
-
-    noop_calls()  # warm-up
-    noop_seconds = min(_timed(noop_calls) for _ in range(5))
-
     overhead = noop_seconds / run_seconds
     assert overhead < MAX_OVERHEAD_FRACTION, (
-        f"{n_sites} disabled span calls cost {noop_seconds * 1e3:.3f} ms, "
-        f"{100 * overhead:.2f}% of the {run_seconds * 1e3:.1f} ms run "
+        f"{n_spans} disabled span calls and {n_checks} enabled() checks "
+        f"cost {noop_seconds * 1e3:.3f} ms, {100 * overhead:.2f}% of the "
+        f"{run_seconds * 1e3:.1f} ms run "
         f"(limit {100 * MAX_OVERHEAD_FRACTION:.0f}%)")
 
 

@@ -1,9 +1,10 @@
-"""Trace a batched decode and read engine utilization off the trace.
+"""Trace a batched decode and read engine utilization off the run.
 
-Enables the span tracer, runs a batch-8 decode on the OnePlus 12 (V75)
-profile, exports a Perfetto/Chrome trace with one lane per simulated
-engine (HMX / HVX / DMA / CPU), and prints the HMX idle fraction — the
-headroom that test-time scaling converts into accuracy (paper §4).
+Enables the span tracer and the event log, runs a batch-8 decode on the
+OnePlus 12 (V75) profile, exports a Perfetto/Chrome trace with one lane
+per simulated engine (HMX / HVX / DMA / CPU), drawn from the run's
+energy-ledger charges, and prints the HMX idle fraction the run reports
+— the headroom that test-time scaling converts into accuracy (paper §4).
 
 Run:  python examples/profile_decode.py
 Then open profile_decode_trace.json in https://ui.perfetto.dev
@@ -21,11 +22,12 @@ from repro.llm import (
     TransformerWeights,
     tiny_config,
 )
-from repro.npu import TimingModel, get_device
+from repro.npu import get_device
 from repro.obs import (
+    EventLog,
     MetricsRegistry,
     Tracer,
-    engine_utilization,
+    set_event_log,
     set_metrics,
     set_tracer,
     write_chrome_trace,
@@ -45,9 +47,10 @@ def main() -> None:
                              device=device)
     print(f"device: {device.name} ({device.soc}, NPU {device.npu.name})")
 
-    # install a fresh tracer + metrics registry for this run
-    tracer = Tracer(enabled=True)
+    # install a fresh tracer, event log and metrics registry for this run
+    tracer, log = Tracer(enabled=True), EventLog(enabled=True)
     previous_tracer = set_tracer(tracer)
+    previous_log = set_event_log(log)
     previous_metrics = set_metrics(MetricsRegistry())
     try:
         tokenizer = ByteTokenizer(config.vocab_size)
@@ -56,25 +59,25 @@ def main() -> None:
                                  sampler=Sampler(temperature=1.0, seed=7))
     finally:
         set_tracer(previous_tracer)
+        set_event_log(previous_log)
         set_metrics(previous_metrics)
 
     print(f"decoded {result.total_generated_tokens} tokens across "
           f"{len(result.sequences)} candidates "
           f"({result.n_decode_steps} batched steps)")
 
-    timing = TimingModel(device.npu)
-    trace = write_chrome_trace(TRACE_PATH, tracer, timing=timing)
+    trace = write_chrome_trace(TRACE_PATH, tracer, events=log)
     print(f"trace: {len(trace['traceEvents'])} events -> {TRACE_PATH} "
           "(open in https://ui.perfetto.dev)")
 
-    # the paper's headline observation, recovered from the trace alone:
-    # even at batch 8 the matrix engine spends most of the decode idle.
-    util = engine_utilization(trace)
+    # the paper's headline observation, as the run reports it: even at
+    # batch 8 the matrix engine spends most of the decode idle.
+    util = result.utilization
     print(f"\nengine utilization over the simulated timeline (batch "
           f"{engine_batch}):")
-    for lane in ("HMX", "HVX", "DMA", "CPU"):
-        print(f"  {lane:4s} busy {100 * util[lane]:5.1f}%")
-    hmx_idle = 1.0 - util["HMX"]
+    for lane, fraction in util.items():
+        print(f"  {lane.upper():4s} busy {100 * fraction:5.1f}%")
+    hmx_idle = 1.0 - util["hmx"]
     print(f"\nHMX idle fraction: {hmx_idle:.1%} — the slack test-time "
           "scaling spends on extra candidates instead of latency.")
 

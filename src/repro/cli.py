@@ -390,17 +390,18 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
                  placement: bool = False) -> int:
     import json
 
-    from .errors import ObservabilityError, ReproError
+    from .errors import ReproError
     from .harness.report import render_metrics
     from .npu import DEVICES
     from .npu.timing import TimingModel
     from .obs import (
+        EventLog,
         MetricsRegistry,
         Tracer,
-        engine_utilization,
         get_metrics,
         get_tracer,
         report_data,
+        set_event_log,
         set_metrics,
         set_tracer,
         text_report,
@@ -459,9 +460,13 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
 
     tracer = Tracer(enabled=True)
     registry = MetricsRegistry()
+    log = EventLog(enabled=True)
     prev_tracer, prev_metrics = get_tracer(), get_metrics()
     set_tracer(tracer)
     set_metrics(registry)
+    prev_log = set_event_log(log)
+    # the sweep workload prices no kernels, so it reports no utilization
+    util = None
     try:
         if workload == "decode":
             from .llm import (
@@ -495,6 +500,7 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
                     dispatch=dispatch,
                     deadline_seconds=(deadline_ms / 1e3
                                       if deadline_ms is not None else None))
+                util = result.utilization
                 out.write(
                     f"scheduled {result.total_generated_tokens} tokens "
                     f"across {n_candidates} candidates on batch {batch} "
@@ -530,6 +536,7 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
             else:
                 result = engine.generate(list(range(1, prompt_tokens + 1)),
                                          max_new_tokens=new_tokens)
+                util = result.utilization
                 out.write(f"generated {result.total_generated_tokens} tokens "
                           f"across {batch} candidates "
                           f"({result.n_decode_steps} decode steps)\n")
@@ -547,8 +554,9 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
     finally:
         set_tracer(prev_tracer)
         set_metrics(prev_metrics)
+        set_event_log(prev_log)
 
-    trace = write_chrome_trace(trace_out, tracer, timing=timing,
+    trace = write_chrome_trace(trace_out, tracer, events=log,
                                process_name=f"repro profile ({device_key})")
     report = text_report(tracer, timing=timing, metrics=registry)
     if report_out is not None:
@@ -569,15 +577,10 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
                 json.dump(data, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             out.write(f"profile JSON written to {json_out}\n")
-    try:
-        util = engine_utilization(trace)
-    except ObservabilityError:
-        # the sweep workload traces control flow, not kernel costs
-        util = None
     if util is not None:
         out.write("\n== simulated engine utilization ==\n")
         for lane, fraction in util.items():
-            out.write(f"{lane:<4s} busy {100 * fraction:5.1f}%  "
+            out.write(f"{lane.upper():<4s} busy {100 * fraction:5.1f}%  "
                       f"idle {100 * (1 - fraction):5.1f}%\n")
     snapshot = registry.snapshot()
     if snapshot:
@@ -690,8 +693,7 @@ def _cmd_monitor(scenario: str, device: str, seed: int, windows: int,
     if trace_out is not None:
         from .obs import write_chrome_trace
         trace = write_chrome_trace(
-            trace_out, report.tracer, timing=report.timing,
-            events=report.log,
+            trace_out, report.tracer, events=report.log,
             process_name=f"repro monitor ({scenario} on {device})")
         out.write(f"trace written to {trace_out} "
                   f"({len(trace['traceEvents'])} events); open in "
@@ -723,8 +725,8 @@ def _cmd_explain(scenario: str, device: str, seed: int, top_k: int,
     if trace_out is not None:
         from .obs import write_chrome_trace
         trace = write_chrome_trace(
-            trace_out, report.tracer, timing=report.timing,
-            events=report.log, critical_paths=report.critical_paths(),
+            trace_out, report.tracer, events=report.log,
+            critical_paths=report.critical_paths(),
             process_name=f"repro explain ({scenario} on {device})")
         out.write(f"trace written to {trace_out} "
                   f"({len(trace['traceEvents'])} events); open in "

@@ -151,8 +151,10 @@ class FlashAttention:
         A group's query rows are stacked into one ``Q K^T`` and one
         ``P V`` product per KV item, so each key/value block is widened
         and multiplied once, not once per query head.  Each query item
-        still computes, is charged and is traced exactly as a one-head
-        call on its KV item; a one-head call is a stack of one.
+        still computes and is charged exactly as a one-head call on its
+        KV item; a one-head call is a stack of one.  A traced call
+        records one ``kernel.flash_attention`` span whose phase children
+        carry the returned breakdown.
         """
         q = np.asarray(q, dtype=np.float16)
         k = np.asarray(k, dtype=np.float16)
@@ -280,25 +282,21 @@ class FlashAttention:
             result = result[np.argsort(order)]
         result = result.reshape(items, n_q, d)
 
-        d_pad = q_tiles.shape[2]
-        breakdown = self._stack_cost(n_q, d_pad, tuple(
+        breakdown = self._stack_cost(n_q, q_tiles.shape[2], tuple(
             n for n in kv_rows for _ in range(group)))
-        tracer = obs_trace.get_tracer()
-        if tracer.enabled:
-            # one structural span per query item, in stack order, with
-            # one cost-only child per Algorithm 1 phase — the Fig. 8
+        if obs_trace.enabled():
+            # one span per call, with one cost-only child per Algorithm 1
+            # phase carrying the call's charges — the Fig. 8
             # decomposition, from the trace
-            for i in range(items):
-                cost = self._item_cost(n_q, item_rows[i // group], d_pad)
-                with tracer.span("kernel.flash_attention", category="kernel",
-                                 n_q=n_q, n_kv=lengths[i // group],
-                                 head_dim=d, method=self.method,
-                                 flops=4.0 * n_q * lengths[i // group] * d):
-                    for phase in _PHASES:
-                        with tracer.span(f"kernel.attention.{phase}",
-                                         category="kernel") as phase_span:
-                            phase_span.add_cost(getattr(cost, phase)
-                                                + KernelCost())
+            with obs_trace.span("kernel.flash_attention", category="kernel",
+                                items=items, n_q=n_q, n_kv=n_kv, head_dim=d,
+                                method=self.method,
+                                flops=4.0 * n_q * d * group * sum(lengths)):
+                for phase in _PHASES:
+                    with obs_trace.span(f"kernel.attention.{phase}",
+                                        category="kernel") as phase_span:
+                        phase_span.add_cost(getattr(breakdown, phase)
+                                            + KernelCost())
         return (result[0] if one_head else result), breakdown
 
     def _stack_cost(self, n_q: int, d_pad: int, kv_rows: Tuple[int, ...]

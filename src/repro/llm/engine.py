@@ -44,6 +44,9 @@ class GenerationResult:
     prompt_tokens: int = 0
     sim_seconds: float = 0.0
     joules: float = 0.0
+    #: busy fraction of ``sim_seconds`` per engine lane
+    #: (:data:`~repro.obs.energy.LANES`), folded from the energy ledger
+    utilization: Dict[str, float] = field(default_factory=dict)
 
     @property
     def n_decode_steps(self) -> int:
@@ -205,11 +208,10 @@ class InferenceEngine:
                 f"prompt of {len(prompt)} tokens exceeds context {self.max_context}")
         tokens = np.asarray(prompt, dtype=np.int64)[np.newaxis, :]
         with obs_trace.span("engine.prefill", category="engine",
-                            n_tokens=len(prompt), seq=seq) as sp:
+                            n_tokens=len(prompt), seq=seq):
             logits, cost = self.model.forward(tokens, self.cache,
                                               sequences=[seq],
                                               stable_lm_head=True)
-            sp.set(cpu_seconds=self._cpu_seconds(cost))
         return logits[0, -1], cost
 
     def prefill_chunk(self, chunk: Sequence[int], seq: int = 0
@@ -235,11 +237,10 @@ class InferenceEngine:
         tokens = np.asarray(chunk, dtype=np.int64)[np.newaxis, :]
         with obs_trace.span("engine.prefill_chunk", category="engine",
                             n_tokens=len(chunk), seq=seq,
-                            cached=cached) as sp:
+                            cached=cached):
             logits, cost = self.model.forward(tokens, self.cache,
                                               sequences=[seq],
                                               stable_lm_head=True)
-            sp.set(cpu_seconds=self._cpu_seconds(cost))
         return logits[0, -1], cost
 
     def offloaded_step_energy(self, step_seconds: float
@@ -279,10 +280,9 @@ class InferenceEngine:
             return None
         token_arr = np.asarray(tokens, dtype=np.int64)[np.newaxis, :]
         with obs_trace.span("engine.rebuild_sequence", category="engine",
-                            slot=slot, n_tokens=len(tokens)) as sp:
+                            slot=slot, n_tokens=len(tokens)):
             _, cost = self.model.forward(token_arr, self.cache,
                                          sequences=[slot])
-            sp.set(cpu_seconds=self._cpu_seconds(cost))
         return cost
 
     def decode_step(self, tokens: Sequence[int],
@@ -295,10 +295,9 @@ class InferenceEngine:
         """
         token_arr = np.asarray(list(tokens), dtype=np.int64)[:, np.newaxis]
         with obs_trace.span("engine.decode_step", category="engine",
-                            batch=token_arr.shape[0]) as sp:
+                            batch=token_arr.shape[0]):
             logits, cost = self.model.forward(token_arr, self.cache,
                                               sequences=sequences)
-            sp.set(cpu_seconds=self._cpu_seconds(cost))
         self._step_latency.observe(self.step_seconds(cost))
         return logits[:, 0, :], cost
 
@@ -324,14 +323,15 @@ class InferenceEngine:
                             prompt_tokens=len(prompt),
                             max_new_tokens=max_new_tokens,
                             n_candidates=n):
+            accountant = obs_energy.EnergyAccountant()
             last_logits, prefill_cost = self.prefill(prompt, seq=0)
             prefill_seconds = self.step_seconds(prefill_cost)
-            prefill_energy = self.step_energy(prefill_cost, prefill_seconds)
+            attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt),
+                         **self.step_energy(prefill_cost, prefill_seconds)
+                         .charge_attrs())
+            accountant.charge("prefill", attrs)
             if obs_timeline.timeline_enabled():
-                obs_timeline.emit("prefill", prefill_seconds,
-                                  seconds=prefill_seconds,
-                                  n_tokens=len(prompt),
-                                  joules=prefill_energy.joules)
+                obs_timeline.emit("prefill", prefill_seconds, **attrs)
             if n > 1:
                 with obs_trace.span("engine.fork", category="engine",
                                     n_targets=n - 1):
@@ -348,21 +348,21 @@ class InferenceEngine:
                                       prompt_tokens=len(prompt))
 
             decode_seconds = 0.0
-            joules = prefill_energy.joules
             for step_index in range(max_new_tokens - 1):
                 if all(finished):
                     break
                 logits, cost = self.decode_step(current, sequences)
                 step_seconds = self.step_seconds(cost)
                 decode_seconds += step_seconds
-                step_energy = self.step_energy(cost, step_seconds)
-                joules += step_energy.joules
+                attrs = dict(seconds=step_seconds,
+                             live_batch=sum(1 for f in finished if not f),
+                             **self.step_energy(cost, step_seconds)
+                             .charge_attrs())
+                accountant.charge("decode_step", attrs)
                 if obs_timeline.timeline_enabled():
                     obs_timeline.emit(
                         "decode_step", prefill_seconds + decode_seconds,
-                        step=step_index, seconds=step_seconds,
-                        live_batch=sum(1 for f in finished if not f),
-                        joules=step_energy.joules)
+                        step=step_index, **attrs)
                 result.decode_costs.append(cost)
                 next_tokens = sampler.sample_batch(logits)
                 for i in range(n):
@@ -377,7 +377,9 @@ class InferenceEngine:
 
             self._tokens_counter.inc(result.total_generated_tokens)
             result.sim_seconds = prefill_seconds + decode_seconds
-            result.joules = joules
+            result.joules = accountant.total_j
+            result.utilization = obs_energy.utilization(
+                accountant.busy_s, result.sim_seconds)
             if obs_timeline.timeline_enabled():
                 for i in range(n):
                     obs_timeline.emit("complete", result.sim_seconds,

@@ -247,7 +247,7 @@ class NPUTransformer:
 
         tracer = obs_trace.get_tracer()
         with tracer.span("model.forward", category="model",
-                         batch=batch, n_new=n_new) as forward_span:
+                         batch=batch, n_new=n_new):
             # CPU-side embedding lookup (FP16 storage)
             hidden = self.weights.embedding[tokens].astype(np.float16)
             flat = hidden.reshape(batch * n_new, cfg.hidden_dim)
@@ -314,7 +314,6 @@ class NPUTransformer:
                 else:
                     logits = final32 @ self.weights.lm_head
             cost.cpu_gemms.append((batch * n_new, cfg.hidden_dim, cfg.vocab_size))
-            forward_span.add_cost(cost.npu + KernelCost())
         return logits.reshape(batch, n_new, cfg.vocab_size), cost
 
     def _attend(self, q: np.ndarray, views: List[Tuple[np.ndarray, np.ndarray]],

@@ -425,10 +425,12 @@ class ContinuousBatchingScheduler:
         # of the TimingModel's NPU path, and the dispatcher scales them
         prev_backend = "npu"
 
-        def charge(kind: str, request_id: Optional[int] = None,
+        def charge(kind: str, energy: "obs_energy.EnergyBreakdown",
+                   request_id: Optional[int] = None,
                    step: Optional[int] = None, **attrs) -> None:
-            # every joule is one charging event: the ledger folds
-            # exactly the attrs the timeline records
+            # every joule and lane-busy second is one charging event:
+            # the ledger folds exactly the attrs the timeline records
+            attrs.update(energy.charge_attrs())
             accountant.charge(kind, attrs, request_id)
             if tlog.enabled:
                 tlog.emit(kind, clock.total_seconds, request_id=request_id,
@@ -447,17 +449,19 @@ class ContinuousBatchingScheduler:
             clock.advance(seconds)
             result.migration_seconds += seconds
             result.n_backend_switches += 1
-            charge("backend_switch", step=step, stage=stage,
-                   backend_from=prev_backend, backend_to=decision.backend,
-                   crossing_seconds=seconds, kv_bytes=kv_bytes,
-                   joules=engine.energy_model.idle_energy(seconds).joules)
+            charge("backend_switch",
+                   engine.energy_model.idle_energy(seconds),
+                   step=step, stage=stage, backend_from=prev_backend,
+                   backend_to=decision.backend, crossing_seconds=seconds,
+                   kv_bytes=kv_bytes)
             prev_backend = decision.backend
 
         def price(cost, decision=None
                   ) -> "tuple[float, obs_energy.EnergyBreakdown]":
-            # the one place a forward becomes simulated seconds and
-            # joules: an off-NPU backend scales the NPU-modeled step by
-            # its modeled ratio and draws no NPU dynamic power
+            # the one place a forward becomes simulated seconds, joules
+            # and lane-busy seconds: an off-NPU backend scales the
+            # NPU-modeled step by its modeled ratio, draws no NPU
+            # dynamic power and keeps only the CPU lane busy
             seconds = engine.step_seconds(cost)
             offloaded = decision is not None and decision.backend != "npu"
             if offloaded:
@@ -505,10 +509,10 @@ class ContinuousBatchingScheduler:
             if request.request_id == 0:
                 result.prefill_cost = cost
             attrs = dict(seconds=seconds, n_tokens=len(chunk), offset=start,
-                         request=request.request_id, joules=breakdown.joules)
+                         request=request.request_id)
             if decision is not None:
                 attrs["backend"] = decision.backend
-            charge("prefill_chunk", step=step, **attrs)
+            charge("prefill_chunk", breakdown, step=step, **attrs)
             if request.prefilled >= len(request.prompt):
                 request.anchor = cache.snapshot_sequence(slot)
                 cache.free_sequence(slot)
@@ -615,7 +619,7 @@ class ContinuousBatchingScheduler:
             for slot in sorted(live):
                 candidate = live[slot]
                 prefix = candidate.tokens[:-1]
-                rebuild_joules = 0.0
+                rebuild_energy = obs_energy.ZERO_ENERGY
                 rebuild_seconds = 0.0
                 with obs_trace.span("resilience.rebuild",
                                     category="resilience", slot=slot,
@@ -626,14 +630,13 @@ class ContinuousBatchingScheduler:
                         slot, requests[candidate.request_id].anchor)
                     if prefix:
                         cost = engine.rebuild_sequence(slot, prefix)
-                        rebuild_seconds, breakdown = price(cost)
-                        rebuild_joules = breakdown.joules
+                        rebuild_seconds, rebuild_energy = price(cost)
                 result.n_rebuilds += 1
                 result.rebuilt_tokens += len(prefix)
                 self._rebuilds.inc()
-                charge("rebuild", request_id=candidate.candidate_id,
-                       step=step, tokens=len(prefix), seconds=rebuild_seconds,
-                       joules=rebuild_joules)
+                charge("rebuild", rebuild_energy,
+                       request_id=candidate.candidate_id, step=step,
+                       tokens=len(prefix), seconds=rebuild_seconds)
             # in-flight partial prefills lost their KV too: restart them
             # from scratch on the next service round
             for request in requests:
@@ -680,10 +683,9 @@ class ContinuousBatchingScheduler:
                                 kind=kind, step=step,
                                 backoff_ms=seconds * 1e3):
                 clock.advance(seconds)
-            # backoff burns baseline power while the NPU sits idle
-            charge("retry", step=step, retry_kind=kind,
-                   backoff_seconds=seconds,
-                   joules=engine.energy_model.idle_energy(seconds).joules)
+            # backoff burns baseline power while every lane sits idle
+            charge("retry", engine.energy_model.idle_energy(seconds),
+                   step=step, retry_kind=kind, backoff_seconds=seconds)
 
         if prefill_chunk is None:
             last_logits, prefill_cost = engine.prefill(prompt, seq=0)
@@ -693,11 +695,10 @@ class ContinuousBatchingScheduler:
                                            engine.governor.name)
                 migrate(decision, "prefill")
             prefill_seconds, prefill_energy = price(prefill_cost, decision)
-            attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt),
-                         joules=prefill_energy.joules)
+            attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt))
             if selector is not None:
                 attrs["backend"] = prev_backend
-            charge("prefill", **attrs)
+            charge("prefill", prefill_energy, **attrs)
             result.prefill_cost = prefill_cost
             requests[0].last_logits = last_logits
             requests[0].anchor = cache.snapshot_sequence(0)
@@ -839,10 +840,10 @@ class ContinuousBatchingScheduler:
             attrs = dict(seconds=step_seconds, live_batch=len(slots),
                          kv_blocks=cache.pool.blocks_in_use,
                          governor_level=governor_level(engine.governor.name),
-                         joules=step_energy.joules, live_ids=live_ids)
+                         live_ids=live_ids)
             if selector is not None:
                 attrs["backend"] = prev_backend
-            charge("decode_step", step=step, **attrs)
+            charge("decode_step", step_energy, step=step, **attrs)
             slo.observe_step(step_seconds, live_ids)
             step += 1
             next_tokens = sampler.sample_batch(logits)
@@ -881,6 +882,8 @@ class ContinuousBatchingScheduler:
         result.cow_copies = cache.pool.cow_copies
         result.sim_seconds = clock.total_seconds - run_start
         result.joules = accountant.total_j
+        result.utilization = obs_energy.utilization(
+            accountant.busy_s, result.sim_seconds, clock.total_seconds)
         result.prefill_joules = accountant.phase_j["prefill"]
         result.idle_joules = accountant.phase_j["idle"]
 

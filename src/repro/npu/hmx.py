@@ -23,7 +23,6 @@ memory order so dequantized weights stream contiguously into TCM.
 
 from __future__ import annotations
 
-import math
 import operator
 from typing import Optional, Tuple
 
@@ -169,8 +168,10 @@ class HMXUnit:
     32x32 FP16 weight tile and accumulates into an FP32 accumulator,
     which models the "higher-precision floating point numbers for
     accumulation internally" noted in Section 5.2.1.  The trace records
-    one ``hmx_tile_mac`` per operation for the timing model;
-    :meth:`gemm` charges the same counts per GEMM (:meth:`record_gemm`).
+    one ``hmx_tile_mac`` per operation for the timing model, and
+    :meth:`record_gemm` charges a whole GEMM's counts.  :meth:`gemm`
+    records nothing: the kernels charge each call from their tables,
+    which :meth:`record_gemm` fills.
     """
 
     def __init__(self, trace: Optional[InstructionTrace] = None) -> None:
@@ -254,9 +255,10 @@ class HMXUnit:
           a product with a transposed operand differently when it has
           other row or column counts, so these stay tile by tile.
 
-        Both paths charge the same :meth:`record_gemm` counts and give
-        the same bits; the ``hmx`` oracle in :mod:`repro.testing.oracles`
-        holds them to the :meth:`tile_mac` loop over operand layouts.
+        Both paths give the same bits; the ``hmx`` oracle in
+        :mod:`repro.testing.oracles` holds them to the :meth:`tile_mac`
+        loop over operand layouts, and :meth:`record_gemm` to its tile
+        counts.
 
         Operands that are widened once and multiplied many times — a
         stored weight, an attention block — can instead arrive already
@@ -316,7 +318,6 @@ class HMXUnit:
                                         w_tiles[..., t, :, :, :], acc)
             out = acc.swapaxes(-3, -2).reshape(
                 batch + (tiles_m * TILE_DIM, tiles_n * TILE_DIM))
-        self.record_gemm(m, k, n, math.prod(batch))
         return out[..., :m, :n].astype(out_dtype)
 
     @staticmethod

@@ -5,8 +5,9 @@
 * :mod:`repro.obs.metrics` — counters, gauges, fixed-bucket histograms
   under the ``repro.<layer>.<name>`` naming convention.
 * :mod:`repro.obs.export` — ``chrome://tracing`` JSON (opens in
-  Perfetto) with HMX/HVX/DMA/CPU engine lanes plus per-request timeline
-  lanes, and a flamegraph-style text report.
+  Perfetto) with host spans, HMX/HVX/DMA/CPU engine lanes drawn from a
+  recorded log's charges and per-request timeline lanes, and a
+  flamegraph-style text report.
 * :mod:`repro.obs.timeline` — the structured event log: typed causal
   events (admit/wave_assign/decode_step/fault/retry/evict/...) keyed by
   request id.
@@ -14,8 +15,10 @@
   fixed sim-time windows of counters/gauges/histograms.
 * :mod:`repro.obs.anomaly` — deterministic online detectors (EWMA,
   median/MAD z-score, rate-of-change) over stream series.
-* :mod:`repro.obs.energy` — simulated-joule attribution per step,
-  phase and request, from the :mod:`repro.perf.power` budget.
+* :mod:`repro.obs.energy` — the one ledger: simulated joules per step,
+  phase and request, from the :mod:`repro.perf.power` budget, and each
+  engine lane's busy seconds, from which ``util_*`` and the engine lanes
+  are folded.
 * :mod:`repro.obs.monitor` — the ``repro monitor`` replay + report
   (imported lazily by the CLI; not re-exported here).
 * :mod:`repro.obs.critical_path` — per-request critical-path
@@ -25,13 +28,15 @@
   cohorts, per-device/per-tenant splits, exemplar waterfalls) and the
   ``repro explain`` report (schema ``repro.explain/v1``).
 
-Tracing is disabled by default; enable it for a run with::
+Tracing and the event log are disabled by default; enable them for a
+run with::
 
     from repro import obs
-    tracer = obs.Tracer()
+    tracer, log = obs.Tracer(), obs.EventLog()
     obs.set_tracer(tracer)
+    obs.set_event_log(log)
     ...                                  # run the instrumented workload
-    obs.write_chrome_trace("trace.json", tracer, timing=TimingModel(V75))
+    obs.write_chrome_trace("trace.json", tracer, events=log)
 
 or use the ``python -m repro profile`` CLI, which wires this up around a
 generation or TTS sweep.
@@ -51,9 +56,7 @@ from .bench import (
     run_suite,
 )
 from .export import (
-    ENGINE_LANES,
     chrome_trace,
-    engine_utilization,
     report_data,
     text_report,
     write_chrome_trace,
@@ -135,9 +138,7 @@ __all__ = [
     "compare_snapshots",
     "run_scenario",
     "run_suite",
-    "ENGINE_LANES",
     "chrome_trace",
-    "engine_utilization",
     "report_data",
     "text_report",
     "write_chrome_trace",

@@ -9,9 +9,9 @@ loop on top of :mod:`repro.obs`:
 * a **registry** of canonical scenarios (greedy decode, prefill, paged
   Best-of-N waves, chaos Best-of-N under a fixed fault plan, greedy
   speculative decode, GEMM/attention kernel microbenches), each run
-  under a fresh :class:`~repro.obs.trace.Tracer` and
-  :class:`~repro.obs.metrics.MetricsRegistry` and returning a
-  structured :class:`BenchRecord`;
+  untraced under a fresh :class:`~repro.obs.metrics.MetricsRegistry`
+  and returning a structured :class:`BenchRecord`, whose ``util_*``
+  are the energy ledger's lane busy seconds over ``sim_seconds``;
 * a **snapshot writer** that serializes a suite run to
   ``BENCH_<n>.json`` with an environment fingerprint (git sha,
   python/numpy versions, seed) so the bench history is machine
@@ -43,7 +43,7 @@ from ..errors import ObservabilityError
 from ..npu.soc import DEFAULT_DEVICE
 from . import metrics as obs_metrics
 from . import trace as obs_trace
-from .export import chrome_trace, engine_utilization
+from .energy import LANES, EnergyAccountant, lane_seconds, utilization
 from .slo import slo_summary
 
 __all__ = [
@@ -80,11 +80,10 @@ class BenchError(ObservabilityError):
 # ----------------------------------------------------------------------
 @dataclass
 class BenchContext:
-    """Everything a scenario needs: device, timing and fresh obs state."""
+    """Everything a scenario needs: device, timing and a fresh registry."""
 
     device: Any
     timing: Any
-    tracer: obs_trace.Tracer
     registry: obs_metrics.MetricsRegistry
     seed: int
 
@@ -161,6 +160,22 @@ def _heap_peak_bytes(engine) -> float:
     return float(sum(s.peak_mapped_bytes for s in engine.heap.sessions))
 
 
+def _util_metrics(fractions: Dict[str, float]) -> Dict[str, float]:
+    """A run's lane busy fractions as ``util_<lane>`` metrics."""
+    return {f"util_{lane}": fraction for lane, fraction in fractions.items()}
+
+
+def _kernel_util(ctx: BenchContext, costs: Sequence[Any],
+                 sim: float) -> Dict[str, float]:
+    """``util_*`` of NPU work priced cost by cost, summing to ``sim``."""
+    busy = dict.fromkeys(LANES, 0.0)
+    for cost in costs:
+        lanes = lane_seconds(ctx.timing, cost, 0.0, ctx.timing.seconds(cost))
+        for lane, seconds in zip(LANES, lanes):
+            busy[lane] += seconds
+    return _util_metrics(utilization(busy, sim))
+
+
 def _slo_metrics(ctx: BenchContext) -> Dict[str, float]:
     """Token-latency percentiles of the run, flattened for gating."""
     summary = slo_summary(ctx.registry)
@@ -189,6 +204,7 @@ def _bench_decode(ctx: BenchContext) -> BenchRecord:
         "tokens_per_second": tokens / result.sim_seconds,
         "tokens_per_joule": result.tokens_per_joule,
         "decode_steps": float(result.n_decode_steps),
+        **_util_metrics(result.utilization),
     }, info={"batch": 4, "prompt_tokens": len(_BENCH_PROMPT),
              "new_tokens": 8, "generated_tokens": tokens})
 
@@ -200,9 +216,12 @@ def _bench_prefill(ctx: BenchContext) -> BenchRecord:
     prompt = [(i % 500) + 1 for i in range(64)]
     _, cost = engine.prefill(prompt)
     sim = engine.step_seconds(cost)
+    ledger = EnergyAccountant()
+    ledger.charge("prefill", engine.step_energy(cost, sim).charge_attrs())
     return BenchRecord("prefill", metrics={
         "sim_seconds": sim,
         "tokens_per_second": len(prompt) / sim,
+        **_util_metrics(utilization(ledger.busy_s, sim)),
     }, info={"prompt_tokens": len(prompt)})
 
 
@@ -232,6 +251,7 @@ def _bench_waves(ctx: BenchContext, name: str, n_candidates: int,
         "peak_kv_bytes": float(result.peak_kv_bytes),
         "rpcmem_peak_bytes": _heap_peak_bytes(engine),
         "decode_steps": float(result.n_steps),
+        **_util_metrics(result.utilization),
     }
     metrics.update(_slo_metrics(ctx))
     if plan is not None:
@@ -296,6 +316,7 @@ def _bench_mixed_prefill_decode(ctx: BenchContext) -> BenchRecord:
         "backend_switches": float(result.n_backend_switches),
         "migration_seconds": result.migration_seconds,
         "prefill_joules": result.prefill_joules,
+        **_util_metrics(result.utilization),
     }
     metrics.update(_slo_metrics(ctx))
     summary = slo_summary(ctx.registry)
@@ -336,13 +357,14 @@ def _bench_speculative(ctx: BenchContext) -> BenchRecord:
     decoder = SpeculativeDecoder(target, draft, draft_len=4)
     result = decoder.generate([1, 2, 3, 4, 5], 16, temperature=0.0,
                               seed=ctx.seed)
-    sim = (ctx.timing.seconds(result.target_cost.npu)
-           + ctx.timing.seconds(result.draft_cost.npu))
+    costs = (result.target_cost.npu, result.draft_cost.npu)
+    sim = ctx.timing.seconds(costs[0]) + ctx.timing.seconds(costs[1])
     return BenchRecord("speculative.greedy", metrics={
         "sim_seconds": sim,
         "tokens_per_second": len(result.tokens) / sim,
         "acceptance_rate": result.acceptance_rate,
         "tokens_per_target_pass": result.tokens_per_target_pass,
+        **_kernel_util(ctx, costs, sim),
     }, info={"draft_len": 4, "new_tokens": len(result.tokens),
              "target_passes": result.target_forward_passes})
 
@@ -367,6 +389,7 @@ def _bench_gemm(ctx: BenchContext) -> BenchRecord:
         "sim_seconds": sim,
         "effective_gflops": ctx.timing.effective_gflops(flops, sim),
         "dma_seconds": ctx.timing.dma_seconds(cost),
+        **_kernel_util(ctx, [cost], sim),
     }, info={"m": m, "k": k, "n": n, "strategy": "ours", "bits": 4})
 
 
@@ -389,6 +412,7 @@ def _bench_attention(ctx: BenchContext) -> BenchRecord:
     return BenchRecord("kernel.attention", metrics={
         "sim_seconds": sim,
         "hvx_seconds": ctx.timing.hvx_seconds(cost),
+        **_kernel_util(ctx, [cost], sim),
     }, info={"n_q": n_q, "n_kv": n_kv, "head_dim": d, "method": "lut"})
 
 
@@ -454,11 +478,11 @@ def _bench_fleet_chaos(ctx: BenchContext) -> BenchRecord:
 # ----------------------------------------------------------------------
 def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
                  seed: int = DEFAULT_SEED) -> BenchRecord:
-    """Run one registered scenario under fresh tracer/metrics state.
+    """Run one registered scenario, untraced, under a fresh registry.
 
-    The record is augmented with the scenario's wall clock
-    (informational) and, when the traced run carries kernel costs, the
-    per-engine HMX/HVX/DMA/CPU busy fractions of the simulated timeline.
+    A disabled tracer stands in for the caller's, so the record is the
+    same whatever the caller traces.  The record is augmented with the
+    scenario's wall clock (informational).
     """
     scenario = SCENARIOS.get(name)
     if scenario is None:
@@ -472,9 +496,8 @@ def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
             f"unknown device {device_key!r}; known: {sorted(DEVICES)}")
     device = DEVICES[device_key]
     ctx = BenchContext(device=device, timing=TimingModel(device.npu),
-                       tracer=obs_trace.Tracer(enabled=True),
                        registry=obs_metrics.MetricsRegistry(), seed=seed)
-    prev_tracer = obs_trace.set_tracer(ctx.tracer)
+    prev_tracer = obs_trace.set_tracer(obs_trace.Tracer(enabled=False))
     prev_metrics = obs_metrics.set_metrics(ctx.registry)
     wall = time.perf_counter()
     try:
@@ -483,14 +506,6 @@ def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
         obs_trace.set_tracer(prev_tracer)
         obs_metrics.set_metrics(prev_metrics)
     record.metrics["wall_seconds"] = time.perf_counter() - wall
-    try:
-        util = engine_utilization(chrome_trace(ctx.tracer,
-                                               timing=ctx.timing))
-    except ObservabilityError:
-        util = None
-    if util is not None:
-        for lane, fraction in util.items():
-            record.metrics[f"util_{lane.lower()}"] = fraction
     record.info.setdefault("device", device_key)
     return record
 

@@ -194,7 +194,6 @@ class ExplainReport:
     # run artifacts for trace export; never serialized
     log: Any = None
     tracer: Any = None
-    timing: Any = None
 
     def critical_paths(self) -> Dict[int, Any]:
         """Request id -> phase slices, the shape the trace exporter takes."""
@@ -282,7 +281,7 @@ def run_explain(scenario: str = "chaos.waves",
         aggregate=aggregate_blame(explanations, top_k=top_k),
         lifecycle_problems=validate_lifecycle(log),
         explanations=explanations, log=log,
-        tracer=monitor.tracer, timing=monitor.timing)
+        tracer=monitor.tracer)
 
 
 def explain_section(log: EventLog,

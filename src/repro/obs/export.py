@@ -7,19 +7,18 @@ one process:
 
 * **host threads** — the wall-clock span hierarchy as recorded, one
   Chrome thread per Python thread;
-* **engine lanes** — ``HMX`` / ``HVX`` / ``DMA`` / ``CPU`` occupancy on
-  a *simulated* timeline.  Every cost-bearing span (kernels attach their
-  :class:`~repro.npu.timing.KernelCost`) becomes one bar per engine,
-  all bars starting at the span's simulated start and each lasting that
-  engine's component time.  The gap between an engine's bar and the
-  span's critical-path time is idle capacity — the HMX lane during
+* **the simulated timeline** of a recorded event log: one lane per
+  request, critical-path blame bars, and ``HMX`` / ``HVX`` / ``DMA`` /
+  ``CPU`` engine lanes folded from the energy ledger's charges (the
+  figures ``util_*`` folds, :mod:`repro.obs.energy`).  The gap between
+  an engine's bars and its steps is idle capacity — the HMX lane during
   batched decode shows exactly the Fig. 8 / §4 headroom the paper's
   test-time scaling rides on.
 
-The module deliberately imports nothing from :mod:`repro.npu`: the
-timing model is passed in by the caller and used duck-typed
-(``hmx_seconds`` / ``hvx_seconds`` / ``dma_seconds`` / ``seconds``), so
-the observability layer sits below every subsystem without cycles.
+:func:`text_report` prices each cost-bearing kernel span with a timing
+model passed in by the caller and used duck-typed, so the module
+imports nothing from :mod:`repro.npu` and the observability layer sits
+below every subsystem without cycles.
 """
 
 from __future__ import annotations
@@ -27,22 +26,19 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from ..errors import ObservabilityError
+from .energy import CHARGE_PHASES, LANES
 from .trace import Span, Tracer
 
 __all__ = [
-    "ENGINE_LANES",
     "chrome_trace",
     "write_chrome_trace",
-    "engine_utilization",
     "text_report",
     "report_data",
 ]
 
 _PID = 1
 _HOST_TID_BASE = 1
-ENGINE_LANES = ("HMX", "HVX", "DMA", "CPU")
-_ENGINE_TIDS = {"HMX": 100, "HVX": 101, "DMA": 102, "CPU": 103}
+_ENGINE_TIDS = {lane: 100 + i for i, lane in enumerate(LANES)}
 #: Run-level timeline events (no request id) land on this lane; request
 #: lanes are ``_REQUEST_TID_BASE + request_id``.
 _RUN_EVENTS_TID = 199
@@ -53,36 +49,6 @@ def _spans_of(source: Union[Tracer, Sequence[Span]]) -> List[Span]:
     if isinstance(source, Tracer):
         return source.finished_spans()
     return list(source)
-
-
-def _engine_seconds(timing: Any, cost: Any) -> Dict[str, float]:
-    """Per-engine component times of one cost record (duck-typed)."""
-    return {
-        "HMX": float(timing.hmx_seconds(cost)),
-        "HVX": float(timing.hvx_seconds(cost)),
-        "DMA": float(timing.dma_seconds(cost)),
-    }
-
-
-def _leaf_cost_spans(spans: List[Span]) -> List[Span]:
-    """Cost-bearing spans with no cost-bearing descendants.
-
-    Costs are attached at several nesting levels (``model.forward``
-    carries the whole step, its kernel children carry the pieces);
-    pricing every level would double-count engine time, so only the
-    deepest attribution is used.
-    """
-    costed = [s for s in spans if s.costs]
-    has_cost_descendant = set()
-    costed_indices = {s.index for s in costed}
-    by_index = {s.index: s for s in spans}
-    for span in costed:
-        parent = span.parent
-        while parent is not None:
-            if parent in costed_indices:
-                has_cost_descendant.add(parent)
-            parent = by_index[parent].parent if parent in by_index else None
-    return [s for s in costed if s.index not in has_cost_descendant]
 
 
 def _json_safe(value: Any) -> Any:
@@ -98,6 +64,34 @@ def _events_of(events: Any) -> List[Any]:
     if hasattr(events, "events"):
         return list(events.events())
     return list(events)
+
+
+def _engine_lane_events(timeline_events: List[Any]) -> List[Dict[str, Any]]:
+    """One bar per busy lane of each charge, inside its step.
+
+    A charge is emitted when its step of ``seconds`` ends.  The NPU
+    lanes open at the step's start; the CPU lane (the lm_head, which
+    consumes the NPU's output) closes at its end.  Each lane's bars sum
+    to the ledger's busy seconds.
+    """
+    out: List[Dict[str, Any]] = []
+    for event in timeline_events:
+        if event.kind not in CHARGE_PHASES:
+            continue
+        end = event.sim_time
+        start = end - float(event.attrs.get("seconds", 0.0))
+        for lane in LANES:
+            busy = float(event.attrs.get(f"{lane}_s", 0.0))
+            if busy <= 0.0:
+                continue
+            out.append({
+                "name": event.kind, "cat": "sim.engine", "ph": "X",
+                "ts": (end - busy if lane == "cpu" else start) * 1e6,
+                "dur": busy * 1e6, "pid": _PID,
+                "tid": _ENGINE_TIDS[lane],
+                "args": {"engine": lane.upper(), "step": event.step},
+            })
+    return out
 
 
 def _request_lane_events(timeline_events: List[Any]) -> List[Dict[str, Any]]:
@@ -194,21 +188,18 @@ def _critical_path_events(critical_paths: Any) -> List[Dict[str, Any]]:
 
 
 def chrome_trace(source: Union[Tracer, Sequence[Span]],
-                 timing: Optional[Any] = None,
                  process_name: str = "repro",
                  events: Optional[Any] = None,
                  critical_paths: Optional[Any] = None) -> Dict[str, Any]:
     """Build a ``chrome://tracing`` JSON object from finished spans.
 
-    ``timing`` (a :class:`~repro.npu.timing.TimingModel`) prices each
-    span's attached kernel costs onto the four engine lanes; without it
-    only the host-thread timeline is emitted.  ``events`` (a
-    :class:`~repro.obs.timeline.EventLog` or its event list) adds one
-    lane per request on the simulated timeline — admit-to-complete bars
-    with fault/retry/evict markers.  ``critical_paths`` (request id ->
-    phase slices, the :mod:`repro.obs.critical_path` waterfall) overlays
-    blame-phase bars on those lanes.  The result round-trips through
-    :func:`json.dumps` and loads in Perfetto.
+    ``events`` (a :class:`~repro.obs.timeline.EventLog` or its event
+    list) adds the simulated timeline: the four engine lanes, drawn from
+    its charging events, and one lane per request — admit-to-complete
+    bars with fault/retry/evict markers.  ``critical_paths`` (request id
+    -> phase slices, the :mod:`repro.obs.critical_path` waterfall)
+    overlays blame-phase bars on those lanes.  The result round-trips
+    through :func:`json.dumps` and loads in Perfetto.
     """
     spans = _spans_of(source)
     timeline_events = _events_of(events)  # before the local list shadows it
@@ -223,9 +214,10 @@ def chrome_trace(source: Union[Tracer, Sequence[Span]],
     for name, tid in host_tids.items():
         events.append({"name": "thread_name", "ph": "M", "pid": _PID,
                        "tid": tid, "args": {"name": f"host:{name}"}})
-    for lane in ENGINE_LANES:
+    for lane in LANES:
         events.append({"name": "thread_name", "ph": "M", "pid": _PID,
-                       "tid": _ENGINE_TIDS[lane], "args": {"name": lane}})
+                       "tid": _ENGINE_TIDS[lane],
+                       "args": {"name": lane.upper()}})
 
     t0 = min((s.start for s in spans), default=0.0)
     for span in spans:
@@ -238,52 +230,7 @@ def chrome_trace(source: Union[Tracer, Sequence[Span]],
             "pid": _PID, "tid": host_tids[span.thread], "args": args,
         })
 
-    # engine lanes on the simulated timeline (deepest attribution only).
-    # The span forest is walked depth-first in start order: each leaf
-    # cost span contributes concurrent HMX/HVX/DMA bars at the current
-    # simulated cursor, and a span's ``cpu_seconds`` attr (the lm_head on
-    # the CPU) is emitted *after* its descendants — the CPU consumes the
-    # NPU's final hidden states, so it serializes behind them.
-    if timing is not None:
-        by_index = {s.index: s for s in spans}
-        children: Dict[Optional[int], List[Span]] = {}
-        for span in spans:
-            parent = span.parent if span.parent in by_index else None
-            children.setdefault(parent, []).append(span)
-        for siblings in children.values():
-            siblings.sort(key=lambda s: s.start)
-        leaves = {s.index for s in _leaf_cost_spans(spans)}
-        cursor_us = [0.0]
-
-        def emit_engine(span: Span) -> None:
-            cost = span.total_cost() if span.index in leaves else None
-            if cost is not None:
-                step_us = float(timing.seconds(cost)) * 1e6
-                for lane, seconds in _engine_seconds(timing, cost).items():
-                    if seconds <= 0.0:
-                        continue
-                    events.append({
-                        "name": span.name, "cat": "sim.engine", "ph": "X",
-                        "ts": cursor_us[0], "dur": seconds * 1e6,
-                        "pid": _PID, "tid": _ENGINE_TIDS[lane],
-                        "args": {"engine": lane},
-                    })
-                cursor_us[0] += step_us
-            for child in children.get(span.index, []):
-                emit_engine(child)
-            cpu_seconds = float(span.attrs.get("cpu_seconds", 0.0))
-            if cpu_seconds > 0.0:
-                events.append({
-                    "name": span.name, "cat": "sim.engine", "ph": "X",
-                    "ts": cursor_us[0], "dur": cpu_seconds * 1e6,
-                    "pid": _PID, "tid": _ENGINE_TIDS["CPU"],
-                    "args": {"engine": "CPU"},
-                })
-                cursor_us[0] += cpu_seconds * 1e6
-
-        for root in children.get(None, []):
-            emit_engine(root)
-
+    events.extend(_engine_lane_events(timeline_events))
     events.extend(_request_lane_events(timeline_events))
     events.extend(_critical_path_events(critical_paths))
 
@@ -292,40 +239,15 @@ def chrome_trace(source: Union[Tracer, Sequence[Span]],
 
 
 def write_chrome_trace(path: str, source: Union[Tracer, Sequence[Span]],
-                       timing: Optional[Any] = None,
                        process_name: str = "repro",
                        events: Optional[Any] = None,
                        critical_paths: Optional[Any] = None) -> Dict[str, Any]:
     """Write the Chrome-trace JSON to ``path``; returns the trace dict."""
-    trace = chrome_trace(source, timing=timing, process_name=process_name,
+    trace = chrome_trace(source, process_name=process_name,
                          events=events, critical_paths=critical_paths)
     with open(path, "w") as handle:
         json.dump(trace, handle)
     return trace
-
-
-def engine_utilization(trace: Dict[str, Any]) -> Dict[str, float]:
-    """Busy fraction per engine lane over the simulated timeline.
-
-    ``1 - engine_utilization(trace)["HMX"]`` is the HMX-idle fraction —
-    the quantity §4 of the paper builds its whole argument on.
-    """
-    events = [e for e in trace.get("traceEvents", [])
-              if e.get("cat") == "sim.engine" and e.get("ph") == "X"]
-    if not events:
-        raise ObservabilityError(
-            "trace has no engine-lane events; was it exported with a "
-            "TimingModel?")
-    span_us = max(e["ts"] + e["dur"] for e in events)
-    tid_to_lane = {tid: lane for lane, tid in _ENGINE_TIDS.items()}
-    busy: Dict[str, float] = {lane: 0.0 for lane in ENGINE_LANES}
-    for event in events:
-        lane = tid_to_lane.get(event["tid"])
-        if lane is not None:
-            busy[lane] += event["dur"]
-    if span_us <= 0:
-        raise ObservabilityError("engine timeline has zero extent")
-    return {lane: busy[lane] / span_us for lane in ENGINE_LANES}
 
 
 # ----------------------------------------------------------------------
@@ -397,9 +319,13 @@ def _resilience_stats(spans: List[Span]) -> Optional[Dict[str, Any]]:
 
 def _kernel_attribution(spans: List[Span],
                         timing: Any) -> Dict[str, Dict[str, float]]:
-    """Per-kernel simulated engine seconds (deepest attribution only)."""
+    """Per-kernel simulated engine seconds of the cost-bearing spans.
+
+    Only kernel spans carry costs (``kernel.gemm`` and the
+    ``kernel.attention.*`` phases), and none encloses another.
+    """
     costed: Dict[str, Dict[str, float]] = {}
-    for span in _leaf_cost_spans(spans):
+    for span in spans:
         cost = span.total_cost()
         if cost is None:
             continue
@@ -407,10 +333,9 @@ def _kernel_attribution(spans: List[Span],
             "count": 0, "sim": 0.0, "hmx": 0.0, "hvx": 0.0, "dma": 0.0})
         entry["count"] += 1
         entry["sim"] += float(timing.seconds(cost))
-        engines = _engine_seconds(timing, cost)
-        entry["hmx"] += engines["HMX"]
-        entry["hvx"] += engines["HVX"]
-        entry["dma"] += engines["DMA"]
+        entry["hmx"] += float(timing.hmx_seconds(cost))
+        entry["hvx"] += float(timing.hvx_seconds(cost))
+        entry["dma"] += float(timing.dma_seconds(cost))
     return costed
 
 

@@ -80,7 +80,6 @@ class MonitorReport:
     # run artifacts for trace export; never serialized into to_json()
     tracer: Any = None
     log: Any = None
-    timing: Any = None
 
     @property
     def tokens_per_joule(self) -> float:
@@ -264,10 +263,9 @@ def run_monitor(scenario: str = "chaos.waves",
             f"unknown device {device_key!r}; known: {sorted(DEVICES)}")
     device = DEVICES[device_key]
     ctx = BenchContext(device=device, timing=TimingModel(device.npu),
-                       tracer=obs_trace.Tracer(enabled=True),
                        registry=obs_metrics.MetricsRegistry(), seed=seed)
-    log = EventLog(enabled=True)
-    prev_tracer = obs_trace.set_tracer(ctx.tracer)
+    tracer, log = obs_trace.Tracer(enabled=True), EventLog(enabled=True)
+    prev_tracer = obs_trace.set_tracer(tracer)
     prev_metrics = obs_metrics.set_metrics(ctx.registry)
     prev_log = set_event_log(log)
     try:
@@ -315,4 +313,4 @@ def run_monitor(scenario: str = "chaos.waves",
         energy=energy,
         tokens=sum((w.value("tokens") for w in windows), 0.0),
         bench_metrics={k: float(v) for k, v in record.metrics.items()},
-        tracer=ctx.tracer, log=log, timing=ctx.timing)
+        tracer=tracer, log=log)

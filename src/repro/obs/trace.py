@@ -3,10 +3,13 @@
 The paper's analysis lives or dies on *where time goes* — HMX idle
 capacity during decode (§4), vgather-dominated softmax (§5.2.1), DMA vs
 core-path bandwidth (Table 2).  This module provides the measurement
-substrate: nested spans opened as context managers around engine steps,
-model layers and kernels, each optionally carrying the
-:class:`~repro.npu.timing.KernelCost` it produced so the exporter
-(:mod:`repro.obs.export`) can reconstruct per-engine occupancy lanes.
+substrate for *host* time: nested spans opened as context managers
+around engine steps, model layers and kernels.  A kernel span carries
+the :class:`~repro.npu.timing.KernelCost` it produced, which the text
+report (:mod:`repro.obs.export`) prices per kernel.  Simulated engine
+occupancy is not derived from spans: ``util_*`` and Perfetto's engine
+lanes are folded from the energy ledger's charges
+(:mod:`repro.obs.energy`), so they read the same with tracing off.
 
 Design constraints, in order:
 
@@ -43,9 +46,9 @@ class Span:
 
     ``start``/``end`` are host-clock seconds (``time.perf_counter``
     epoch); ``costs`` holds the kernel cost records attached while the
-    span was open, from which the exporter derives *simulated* engine
-    time.  ``parent`` is the index of the enclosing span in the tracer's
-    finished list, or ``None`` for roots.
+    span was open, which the text report prices per kernel.  ``parent``
+    is the index of the enclosing span in the tracer's finished list, or
+    ``None`` for roots.
     """
 
     name: str

@@ -618,13 +618,16 @@ class HMXOracle(Oracle):
     widened to FP32 and then laid out, with ``shape``.  Each output must
     equal :func:`reference_gemm`, matrix by matrix, over what the unit
     reads (the pre-widened operands, or :func:`~repro.npu.hmx.padded_fp32`
-    of the FP16 ones), compared as raw bits, and each entry must record
-    the loop's tile counts.
+    of the FP16 ones), compared as raw bits.  ``gemm`` records no charges
+    (the kernels charge each call from tables that
+    :meth:`~repro.npu.hmx.HMXUnit.record_gemm` fills), so ``record_gemm``
+    for the drawn shape and stack must record the loop's tile counts.
     """
 
     name = "hmx"
     description = ("HMXUnit.gemm, both entries, over operand layouts vs "
-                   "the tile_mac loop: bitwise, equal tile counts")
+                   "the tile_mac loop: bitwise; record_gemm, equal tile "
+                   "counts")
     SHRINK_MINS = {"m": 1, "k": 1, "n": 1, "stack": 0, "seed": 0}
     SHRINK_RESETS = {"a_layout": "C", "w_layout": "C", "values": "normal",
                      "out_dtype": "float16"}
@@ -676,9 +679,9 @@ class HMXOracle(Oracle):
             operands = [laid_out(x if shape is None else x.astype(np.float32),
                                  lay) for x, lay in zip(sources, layouts)]
             read = operands if shape else [padded_fp32(x) for x in operands]
-            trace, ref_trace = InstructionTrace(), InstructionTrace()
+            ref_trace = InstructionTrace()
             with np.errstate(over="ignore"):
-                got = HMXUnit(trace).gemm(*operands, out_dtype, shape=shape)
+                got = HMXUnit().gemm(*operands, out_dtype, shape=shape)
                 pairs = zip(*(x.reshape((-1,) + x.shape[-2:]) for x in read))
                 expected = np.stack([
                     reference_gemm(ref_trace, ai, wi, out_dtype)[:m, :n]
@@ -695,11 +698,12 @@ class HMXOracle(Oracle):
                     config, "bitwise", f"{entry} entry differs from the "
                     f"tile loop in {diff.n_diff} of {got.size} outputs",
                     diff=diff)
-            if trace.as_dict() != ref_trace.as_dict():
-                return self.failed(
-                    config, "trace", f"{entry} entry recorded "
-                    f"{trace.as_dict()}, the tile loop "
-                    f"{ref_trace.as_dict()}")
+        charged = InstructionTrace()
+        HMXUnit(charged).record_gemm(m, k, n, max(stack, 1))
+        if charged.as_dict() != ref_trace.as_dict():
+            return self.failed(
+                config, "trace", f"record_gemm charged {charged.as_dict()}, "
+                f"the tile loop recorded {ref_trace.as_dict()}")
         return self.passed(config)
 
 

@@ -157,7 +157,8 @@ def _gemm(hmx: HMXUnit, a: np.ndarray, w: np.ndarray, widened: bool,
 @pytest.mark.parametrize("w_layout", HMX_LAYOUTS)
 def test_stacked_gemm_matches_tile_loop(m, k, n, a_layout, w_layout):
     """Both entries, FP16 and FP32 out, against one tile-loop run (its
-    FP16 output is its FP32 output cast)."""
+    FP16 output is its FP32 output cast), whose tile counts
+    ``record_gemm`` charges."""
     rng = np.random.default_rng([m, k, n])
     a = laid_out(rng.normal(0, 1, (m, k)).astype(np.float16), a_layout)
     w = laid_out(rng.normal(0, 0.1, (k, n)).astype(np.float16), w_layout)
@@ -166,12 +167,13 @@ def test_stacked_gemm_matches_tile_loop(m, k, n, a_layout, w_layout):
     for out_dtype in (np.float16, np.float32):
         expected = reference.astype(out_dtype)
         for widened in (False, True):
-            trace = InstructionTrace()
-            got = _gemm(HMXUnit(trace), a, w, widened, out_dtype)
+            got = _gemm(HMXUnit(), a, w, widened, out_dtype)
             assert got.dtype == expected.dtype
             assert got.shape == expected.shape
             assert np.array_equal(_bits(got), _bits(expected))
-            assert trace.as_dict() == ref_trace.as_dict()
+    charged = InstructionTrace()
+    HMXUnit(charged).record_gemm(m, k, n)
+    assert charged.as_dict() == ref_trace.as_dict()
 
 
 @pytest.mark.parametrize("m,k,n", GEMM_SHAPES)
@@ -192,7 +194,8 @@ def test_widened_stack_matches_the_fp16_stack(m, k, n, a_layout, w_layout):
     got = _gemm(widened, a, w, widened=True)
     assert got.shape == (3, m, n)
     assert np.array_equal(_bits(got), _bits(expected))
-    assert widened.trace.as_dict() == fp16.trace.as_dict()
+    # products are charged by the kernels' tables, never by gemm
+    assert widened.trace.as_dict() == fp16.trace.as_dict() == {}
 
 
 def test_stacked_gemm_keeps_negative_zero_semantics():
@@ -213,6 +216,8 @@ def test_gemm_stack_equals_per_matrix_gemms(widened):
     got = _gemm(stacked, a, w, widened)
     for i in range(5):
         assert np.array_equal(_bits(got[i]), _bits(single.gemm(a[i], w[i])))
+        single.record_gemm(33, 48, 70)
+    stacked.record_gemm(33, 48, 70, 5)
     assert stacked.trace.as_dict() == single.trace.as_dict()
 
 
@@ -551,7 +556,10 @@ class TestStackCharges:
 
 
 @pytest.mark.parametrize("group", [1, 2])
-def test_tracing_emits_one_span_tree_per_item_in_stack_order(group):
+def test_tracing_emits_one_span_tree_per_call(group):
+    """A traced call is one ``kernel.flash_attention`` span whose phase
+    children carry the returned breakdown, the sum of the items'
+    one-head charges."""
     rng = np.random.default_rng(17)
     kv_lengths = [9, 72, 33, 9]
     fa = FlashAttention("lut", tcm=TCM())
@@ -560,21 +568,28 @@ def test_tracing_emits_one_span_tree_per_item_in_stack_order(group):
     tracer = obs_trace.Tracer(enabled=True)
     previous = obs_trace.set_tracer(tracer)
     try:
-        fa(q, k, v, kv_lengths=kv_lengths)
+        _, breakdown = fa(q, k, v, kv_lengths=kv_lengths)
     finally:
         obs_trace.set_tracer(previous)
     spans = tracer.finished_spans()
-    items = [s for s in spans if s.name == "kernel.flash_attention"]
-    query_lengths = np.repeat(kv_lengths, group).tolist()
-    assert [s.attrs["n_kv"] for s in items] == query_lengths
-    for i, (span, n_kv) in enumerate(zip(items, query_lengths)):
+    (call,) = [s for s in spans if s.parent is None]
+    assert call.name == "kernel.flash_attention"
+    assert call.attrs["items"] == group * len(kv_lengths)
+    assert call.attrs["flops"] == 4.0 * 16 * group * sum(kv_lengths)
+    assert not call.costs
+    children = [s for s in spans if s.parent == call.index]
+    assert len(spans) == 1 + len(children)
+    assert [s.name for s in children] == [f"kernel.attention.{phase}"
+                                          for phase in _PHASES]
+    assert [s.costs for s in children] == [[getattr(breakdown, phase)]
+                                           for phase in _PHASES]
+    expected = AttentionBreakdown()
+    for i, n_kv in enumerate(np.repeat(kv_lengths, group).tolist()):
         j = i // group
         _, ref_cost = reference_attention(fa, q[i], k[j, :n_kv], v[j, :n_kv])
-        children = [s for s in spans if s.parent == span.index]
-        assert [s.name for s in children] == [f"kernel.attention.{phase}"
-                                              for phase in _PHASES]
-        assert [s.costs for s in children] == [[getattr(ref_cost, phase)]
-                                               for phase in _PHASES]
+        for phase in _PHASES:
+            getattr(expected, phase).merge(getattr(ref_cost, phase))
+    assert breakdown == expected
 
 
 def test_one_head_call_is_a_stack_of_one():

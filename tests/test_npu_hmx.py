@@ -164,12 +164,15 @@ class TestHMXUnit:
         assert out.shape == (5, 33)
         assert np.allclose(out.astype(np.float32), ref, rtol=2e-3, atol=2e-3)
 
-    def test_gemm_counts_tile_macs(self, rng):
+    def test_record_gemm_counts_tile_macs_and_gemm_records_none(self, rng):
         a = rng.normal(size=(1, 64)).astype(np.float16)
         b = rng.normal(size=(64, 96)).astype(np.float16)
         hmx = HMXUnit()
         hmx.gemm(a, b)
+        assert hmx.trace.as_dict() == {}
+        hmx.record_gemm(1, 64, 96)
         assert hmx.trace.count("hmx_tile_mac") == 1 * 2 * 3
+        assert hmx.trace.count("hmx_tile_out") == 1 * 3
 
     @pytest.mark.parametrize("a_layout,w_layout,k_step", [
         ("C", "C", (2, TILE_DIM)),                       # the real rows

@@ -81,7 +81,7 @@ class TestHVXGemm:
         b = rng.normal(0, 0.3, (256, 32)).astype(np.float16)
         _, hvx_cost = hvx_gemm(a, b)
         hmx = HMXUnit()
-        hmx.gemm(a, b)
+        hmx.record_gemm(32, 256, 32)
         hmx_cost = KernelCost.from_trace(hmx.trace)
         timing = TimingModel(V75)
         assert timing.hvx_seconds(hvx_cost, hvx_threads=1) > \

@@ -64,6 +64,28 @@ class TestRegistry:
         assert "wall_seconds" in record.metrics
         assert record.info["device"] == "oneplus_12"
 
+    @pytest.mark.parametrize("name", ["waves.n4", "kernel.gemm"])
+    def test_record_is_the_same_whether_the_caller_traces(self, name):
+        """``util_*`` comes from the energy ledger, and the scenario runs
+        untraced under its own tracer, so a caller's tracer changes
+        nothing in the record and records nothing."""
+        from repro.obs import trace as obs_trace
+
+        plain = run_scenario(name)
+        tracer = obs_trace.Tracer(enabled=True)
+        previous = obs_trace.set_tracer(tracer)
+        try:
+            traced = run_scenario(name)
+        finally:
+            obs_trace.set_tracer(previous)
+        for record in (plain, traced):
+            del record.metrics["wall_seconds"]
+        assert traced == plain
+        assert tracer.finished_spans() == []
+        assert {f"util_{lane}" for lane in ("hmx", "hvx", "dma", "cpu")} \
+            <= set(plain.metrics)
+        assert 0.0 < plain.metrics["util_hmx"] < 1.0
+
     def test_scenario_is_deterministic_in_sim_metrics(self):
         first = run_scenario("kernel.attention")
         second = run_scenario("kernel.attention")

@@ -6,17 +6,16 @@ import json
 
 import pytest
 
-from repro.errors import ObservabilityError
 from repro.npu.timing import KernelCost, TimingModel, V75
+from repro.obs.energy import LANES, EnergyAccountant
 from repro.obs.export import (
-    ENGINE_LANES,
     chrome_trace,
-    engine_utilization,
     report_data,
     text_report,
     write_chrome_trace,
 )
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeline import EventLog
 from repro.obs.trace import Tracer
 
 
@@ -26,51 +25,62 @@ def timing():
 
 
 def make_traced_run() -> Tracer:
-    """A small span tree with costs at two nesting levels."""
+    """A small span tree whose kernel spans carry costs."""
     tracer = Tracer()
-    with tracer.span("engine.decode_step", category="engine") as step:
-        step.set(cpu_seconds=1e-4)
-        with tracer.span("model.forward", category="model") as fwd:
+    with tracer.span("engine.decode_step", category="engine"):
+        with tracer.span("model.forward", category="model"):
             with tracer.span("kernel.gemm", category="kernel", m=8) as gemm:
                 gemm.add_cost(KernelCost(hmx_tile_macs=64, hvx_packets=1000,
                                          dma_bytes=4096))
             with tracer.span("kernel.softmax", category="kernel") as sm:
                 sm.add_cost(KernelCost(hvx_packets=500, vgather_instrs=8))
-            # aggregate attached at the parent too: must NOT double-count
-            fwd.add_cost(KernelCost(hmx_tile_macs=64, hvx_packets=1500,
-                                    vgather_instrs=8, dma_bytes=4096))
     return tracer
 
 
+def make_charged_log() -> EventLog:
+    """A decode step, a retry backoff and an off-NPU decode step."""
+    log = EventLog()
+    log.emit("decode_step", 3e-5, step=0, seconds=3e-5, joules=1e-4,
+             hmx_s=5e-6, hvx_s=2e-5, dma_s=1e-5, cpu_s=8e-6)
+    log.emit("retry", 4e-5, step=1, backoff_seconds=1e-5, joules=2e-5,
+             hmx_s=0.0, hvx_s=0.0, dma_s=0.0, cpu_s=0.0)
+    log.emit("decode_step", 6e-5, step=1, seconds=2e-5, joules=5e-5,
+             hmx_s=0.0, hvx_s=0.0, dma_s=0.0, cpu_s=2e-5)
+    return log
+
+
+def engine_bars(trace):
+    return [e for e in trace["traceEvents"] if e.get("cat") == "sim.engine"]
+
+
 class TestChromeTrace:
-    def test_round_trips_through_json(self, timing):
-        trace = chrome_trace(make_traced_run(), timing=timing)
+    def test_round_trips_through_json(self):
+        trace = chrome_trace(make_traced_run(), events=make_charged_log())
         reloaded = json.loads(json.dumps(trace))
         assert isinstance(reloaded["traceEvents"], list)
         assert reloaded["traceEvents"]
         assert reloaded["displayTimeUnit"] == "ms"
 
-    def test_event_schema(self, timing):
-        trace = chrome_trace(make_traced_run(), timing=timing)
+    def test_event_schema(self):
+        trace = chrome_trace(make_traced_run(), events=make_charged_log())
         for event in trace["traceEvents"]:
-            assert event["ph"] in ("X", "M")
+            assert event["ph"] in ("X", "M", "i")
             assert isinstance(event["pid"], int)
             assert isinstance(event["tid"], int)
             if event["ph"] == "X":
                 assert event["ts"] >= 0.0
                 assert event["dur"] >= 0.0
 
-    def test_engine_lanes_have_distinct_named_threads(self, timing):
-        trace = chrome_trace(make_traced_run(), timing=timing)
+    def test_engine_lanes_have_distinct_named_threads(self):
+        trace = chrome_trace(make_traced_run())
         names = {e["args"]["name"]: e["tid"] for e in trace["traceEvents"]
                  if e.get("name") == "thread_name"}
-        for lane in ENGINE_LANES:
-            assert lane in names
-        lane_tids = [names[lane] for lane in ENGINE_LANES]
-        assert len(set(lane_tids)) == len(ENGINE_LANES)
+        lanes = [lane.upper() for lane in LANES]
+        assert set(lanes) <= set(names)
+        assert len({names[lane] for lane in lanes}) == len(lanes)
 
-    def test_host_spans_present_with_attrs(self, timing):
-        trace = chrome_trace(make_traced_run(), timing=timing)
+    def test_host_spans_present_with_attrs(self):
+        trace = chrome_trace(make_traced_run())
         gemm = [e for e in trace["traceEvents"]
                 if e.get("name") == "kernel.gemm" and e.get("cat") == "kernel"]
         assert gemm and gemm[0]["args"]["m"] == 8
@@ -91,59 +101,78 @@ class TestChromeTrace:
         trace = chrome_trace(tracer)
         json.dumps(trace)  # must not raise
 
-    def test_leaf_only_pricing_no_double_count(self, timing):
-        """model.forward's aggregate cost must not add engine time."""
-        trace = chrome_trace(make_traced_run(), timing=timing)
-        engine_events = [e for e in trace["traceEvents"]
-                        if e.get("cat") == "sim.engine"]
-        names = {e["name"] for e in engine_events}
-        assert "model.forward" not in names
-        assert "kernel.gemm" in names and "kernel.softmax" in names
-        leaf_cost = KernelCost(hmx_tile_macs=64, hvx_packets=1000,
-                               dma_bytes=4096).combined(
-            KernelCost(hvx_packets=500, vgather_instrs=8))
-        hmx_us = sum(e["dur"] for e in engine_events
-                     if e["args"].get("engine") == "HMX")
-        assert hmx_us == pytest.approx(timing.hmx_seconds(leaf_cost) * 1e6)
+    def test_engine_bars_are_the_charges_busy_lanes(self):
+        """One bar per busy lane of each charge, none for the backoff:
+        the NPU lanes open at the step's start, the CPU lane closes at
+        its end."""
+        bars = engine_bars(chrome_trace(Tracer(), events=make_charged_log()))
+        got = sorted((b["args"]["engine"], b["args"]["step"], b["ts"],
+                      b["dur"]) for b in bars)
+        expected = sorted([
+            ("HMX", 0, 0.0, 5.0), ("HVX", 0, 0.0, 20.0),
+            ("DMA", 0, 0.0, 10.0), ("CPU", 0, 22.0, 8.0),
+            ("CPU", 1, 40.0, 20.0)])
+        assert [g[:2] for g in got] == [e[:2] for e in expected]
+        for g, e in zip(got, expected):
+            assert g[2:] == pytest.approx(e[2:])
+        assert {b["name"] for b in bars} == {"decode_step"}
 
-    def test_cpu_bar_emitted_after_npu_children(self, timing):
-        trace = chrome_trace(make_traced_run(), timing=timing)
-        engine_events = [e for e in trace["traceEvents"]
-                        if e.get("cat") == "sim.engine"]
-        cpu = [e for e in engine_events if e["args"].get("engine") == "CPU"]
-        npu = [e for e in engine_events if e["args"].get("engine") != "CPU"]
-        assert len(cpu) == 1
-        assert cpu[0]["dur"] == pytest.approx(1e-4 * 1e6)
-        assert cpu[0]["ts"] >= max(e["ts"] for e in npu)
+    def test_without_events_no_engine_bars(self):
+        assert not engine_bars(chrome_trace(make_traced_run()))
 
-    def test_without_timing_no_engine_events(self):
-        trace = chrome_trace(make_traced_run())
-        assert not any(e.get("cat") == "sim.engine"
-                       for e in trace["traceEvents"])
-
-    def test_write_chrome_trace_creates_loadable_file(self, timing, tmp_path):
+    def test_write_chrome_trace_creates_loadable_file(self, tmp_path):
         path = tmp_path / "trace.json"
         returned = write_chrome_trace(str(path), make_traced_run(),
-                                      timing=timing)
+                                      events=make_charged_log())
         with open(path) as handle:
             loaded = json.load(handle)
         assert loaded["traceEvents"]
         assert len(loaded["traceEvents"]) == len(returned["traceEvents"])
 
 
-class TestEngineUtilization:
-    def test_fractions_in_unit_interval(self, timing):
-        trace = chrome_trace(make_traced_run(), timing=timing)
-        util = engine_utilization(trace)
-        assert set(util) == set(ENGINE_LANES)
-        for fraction in util.values():
-            assert 0.0 <= fraction <= 1.0
-        assert util["HVX"] > 0.0
+class TestEngineLanesFromTheLedger:
+    """Perfetto's engine lanes and ``util_*`` fold the same charges."""
 
-    def test_raises_without_engine_events(self):
-        trace = chrome_trace(make_traced_run())  # no timing model
-        with pytest.raises(ObservabilityError):
-            engine_utilization(trace)
+    @staticmethod
+    def recorded_run(tiny_model, fault_plan=None):
+        from repro.llm import ContinuousBatchingScheduler, InferenceEngine
+        from repro.llm.sampler import Sampler
+        from repro.obs.timeline import set_event_log
+
+        engine = InferenceEngine(tiny_model, batch=2, max_context=32,
+                                 kv_backend="paged")
+        log = EventLog()
+        previous = set_event_log(log)
+        try:
+            result = ContinuousBatchingScheduler(engine).generate(
+                [1, 2, 3], n_candidates=4, max_new_tokens=4,
+                sampler=Sampler(temperature=0.8, seed=0),
+                fault_plan=fault_plan)
+        finally:
+            set_event_log(previous)
+        return result, log
+
+    @pytest.mark.parametrize("faults", [None, "abort@1,dma@2"])
+    def test_lane_bars_sum_to_the_ledgers_busy_seconds(self, tiny_model,
+                                                       faults):
+        from repro.resilience import FaultPlan
+
+        plan = FaultPlan.parse(faults) if faults else None
+        result, log = self.recorded_run(tiny_model, plan)
+        ledger = EnergyAccountant()
+        for event in log.events():
+            ledger.charge(event.kind, event.attrs, event.request_id)
+        bars = engine_bars(chrome_trace(Tracer(), events=log))
+        for lane in LANES:
+            lane_us = sum(b["dur"] for b in bars
+                          if b["args"]["engine"] == lane.upper())
+            assert lane_us == pytest.approx(ledger.busy_s[lane] * 1e6)
+            assert ledger.busy_s[lane] == pytest.approx(
+                result.utilization[lane] * result.sim_seconds)
+        assert ledger.busy_s["hmx"] > 0.0
+        for bar in bars:  # every bar lies inside the run
+            assert bar["ts"] >= -1e-6
+            assert bar["ts"] + bar["dur"] <= result.sim_seconds * 1e6 + 1e-6
 
 
 class TestTextReport:
@@ -153,7 +182,7 @@ class TestTextReport:
         assert "per-kernel simulated time attribution" in report
         assert "engine.decode_step" in report
         assert "kernel.gemm" in report
-        # leaf-only: the aggregate carrier is not an attribution row
+        # only cost-bearing spans are attribution rows
         attribution = report.split("attribution")[1]
         assert "model.forward" not in attribution
 
@@ -183,12 +212,10 @@ class TestTextReport:
 class TestExportEdgeCases:
     """Degenerate traces must export, not crash (satellite: obs.export)."""
 
-    def test_empty_tracer_chrome_trace(self, timing):
-        trace = chrome_trace(Tracer(), timing=timing)
+    def test_empty_tracer_chrome_trace(self):
+        trace = chrome_trace(Tracer(), events=EventLog())
         json.dumps(trace)  # serializable
         assert all(e["ph"] == "M" for e in trace["traceEvents"])
-        with pytest.raises(ObservabilityError):
-            engine_utilization(trace)
 
     def test_empty_tracer_report_data(self):
         data = report_data(Tracer())
@@ -202,9 +229,8 @@ class TestExportEdgeCases:
         with tracer.span("outer"):
             with tracer.span("inner", category="kernel") as k:
                 k.add_cost(KernelCost(hvx_packets=10))
-        trace = chrome_trace(tracer, timing=timing)
-        host = [e for e in trace["traceEvents"] if e["ph"] == "X"
-                and e.get("cat") != "sim.engine"]
+        trace = chrome_trace(tracer)
+        host = [e for e in trace["traceEvents"] if e["ph"] == "X"]
         assert all(e["dur"] == 0.0 for e in host)
         report = text_report(tracer, timing=timing)  # no ZeroDivisionError
         assert "span tree" in report
@@ -218,7 +244,7 @@ class TestExportEdgeCases:
             k.add_cost(KernelCost(hmx_tile_macs=8))
         # export while "outer" is still open: only the finished child is
         # visible, with its unfinished parent degraded to a root
-        trace = chrome_trace(tracer, timing=timing)
+        trace = chrome_trace(tracer)
         json.dumps(trace)
         names = [e["name"] for e in trace["traceEvents"] if e["ph"] == "X"]
         assert "inner" in names and "outer" not in names
@@ -251,7 +277,7 @@ class TestReportData:
         roots = [e for e in data["span_tree"] if len(e["path"]) == 1]
         assert roots[0]["path"] == ["engine.decode_step"]
         kernels = {k["kernel"] for k in data["kernels"]}
-        assert kernels == {"kernel.gemm", "kernel.softmax"}  # leaf-only
+        assert kernels == {"kernel.gemm", "kernel.softmax"}
         for entry in data["kernels"]:
             assert entry["sim_seconds"] > 0.0
         assert "repro.slo.step_latency_seconds" in data["slo"]
