@@ -26,6 +26,16 @@ devices and millions of tokens — and :class:`EngineFleetDevice` drives
 a real :class:`~repro.llm.scheduler.ContinuousBatchingScheduler` on a
 device-local :class:`~repro.sim.SimClock` (the differential-test path
 proving the shared-kernel extraction is a no-op).
+
+Every pricing memo lives in this module as an ``lru_cache``, so one
+``cache_clear`` per function drops all of them:
+:func:`_request_pricing` (per request shape) reads
+:func:`_decode_pricing` (step seconds and watts from one
+:meth:`~repro.perf.power.PowerModel.sample`, so a cold shape prices its
+decode step once) and :func:`_prefill_seconds`, both on the models
+:func:`_governed_models` builds per (device, governor, model).  Those
+models keep their layer GEMM costs per row count, so clearing the
+caches drops that state too.
 """
 
 from __future__ import annotations
@@ -90,19 +100,15 @@ def _latency_bounds(precision_bits: int) -> Tuple[float, ...]:
 @lru_cache(maxsize=None)
 def _governed_models(device: Device, governor_name: str, model_name: str
                      ) -> "tuple[DecodePerformanceModel, PowerModel]":
-    """(latency, power) models of ``device`` at a DVFS operating point."""
+    """(latency, power) models of ``device`` at a DVFS operating point.
+
+    The latency model is the power model's own, so prefill and decode
+    pricing share the layer GEMM costs it keeps per row count.
+    """
     governor = GOVERNORS[governor_name]
     scaled = replace(device, npu=apply_governor(device.npu, governor))
-    config = get_model_config(model_name)
-    return (DecodePerformanceModel(config, scaled),
-            PowerModel(config, scaled))
-
-
-@lru_cache(maxsize=None)
-def _decode_step_seconds(device: Device, governor_name: str,
-                         model_name: str, batch: int, context: int) -> float:
-    perf, _ = _governed_models(device, governor_name, model_name)
-    return perf.decode_step(batch, context).total_seconds
+    power = PowerModel(get_model_config(model_name), scaled)
+    return power.performance, power
 
 
 @lru_cache(maxsize=None)
@@ -113,14 +119,20 @@ def _prefill_seconds(device: Device, governor_name: str,
 
 
 @lru_cache(maxsize=None)
-def _power_watts(device: Device, governor_name: str,
-                 model_name: str, batch: int, context: int) -> float:
-    """Whole-SoC watts while decoding, with DVFS-scaled dynamic power."""
+def _decode_pricing(device: Device, governor_name: str, model_name: str,
+                    batch: int, context: int) -> Tuple[float, float]:
+    """(decode-step seconds, whole-SoC watts) of one decode shape.
+
+    Both come from one :meth:`~repro.perf.power.PowerModel.sample`,
+    whose ``latency_s`` is the step's ``total_seconds``, so a new shape
+    prices its decode step once.  The watts carry DVFS-scaled dynamic
+    power.
+    """
     _, power = _governed_models(device, governor_name, model_name)
     sample = power.sample(batch, context)
-    governor = GOVERNORS[governor_name]
     base = power.budget.base_w
-    return base + (sample.power_w - base) * governor.power_scale
+    scale = GOVERNORS[governor_name].power_scale
+    return sample.latency_s, base + (sample.power_w - base) * scale
 
 
 @lru_cache(maxsize=None)
@@ -130,9 +142,9 @@ def _request_pricing(device: Device, governor_name: str, model_name: str,
     """(decode-step seconds, prefill seconds, watts, dynamic watts above
     the idle base) of one quantized request shape: a single lookup, so
     a request hashes ``device`` once."""
-    watts = _power_watts(device, governor_name, model_name, batch, context)
-    return (_decode_step_seconds(device, governor_name, model_name,
-                                 batch, context),
+    step_seconds, watts = _decode_pricing(device, governor_name,
+                                          model_name, batch, context)
+    return (step_seconds,
             _prefill_seconds(device, governor_name, model_name,
                              prompt_tokens),
             watts,
@@ -268,9 +280,10 @@ class FleetDevice:
         """
         self.busy = False
         self.idle_since = completion_seconds
+        tokens = max(1, outcome.tokens)
         token_latency = ((completion_seconds - request.arrival_seconds)
-                         / max(1, outcome.tokens))
-        self.histogram.observe_many(token_latency, max(1, outcome.tokens))
+                         / tokens)
+        self.histogram.observe_many(token_latency, tokens)
         return token_latency
 
     def release(self, release_seconds: float,

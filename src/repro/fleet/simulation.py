@@ -45,7 +45,7 @@ from ..obs import timeline as obs_timeline
 from ..obs.metrics import Histogram
 from ..obs.slo import hdr_buckets
 from ..sim import EventHandle, EventLoop
-from .devices import FleetDevice
+from .devices import FleetDevice, ServiceOutcome
 from .health import FleetHealth, FailoverPolicy, HedgePolicy
 from .requests import AdmissionController, FleetRequest
 
@@ -62,16 +62,21 @@ def _fleet_histogram(name: str, lo: float, hi: float) -> Histogram:
         lo, hi, precision_bits=_FLEET_HDR_BITS))
 
 
-@dataclass
 class _Dispatch:
     """One in-flight (request, device) service; a hedged request has two."""
 
-    request: FleetRequest
-    device_id: int
-    outcome: object  # ServiceOutcome
-    handle: EventHandle
-    start_seconds: float
-    hedged: bool = False
+    __slots__ = ("request", "device_id", "outcome", "handle",
+                 "start_seconds", "hedged")
+
+    def __init__(self, request: FleetRequest, device_id: int,
+                 outcome: ServiceOutcome, start_seconds: float,
+                 hedged: bool) -> None:
+        self.request = request
+        self.device_id = device_id
+        self.outcome = outcome
+        self.handle: Optional[EventHandle] = None  # set once scheduled
+        self.start_seconds = start_seconds
+        self.hedged = hedged
 
 
 @dataclass
@@ -223,12 +228,12 @@ class FleetSimulation:
 
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
-        # fault events enter the heap first: at equal timestamps a
-        # fault fires before an arrival, deterministically
+        # fault events are scheduled first: at equal timestamps a fault
+        # fires before an arrival, deterministically
         for event in self._fault_events:
             self.loop.at(event.time_seconds, self._fault, event)
-        for request in self.requests:
-            self.loop.at(request.arrival_seconds, self._arrive, request)
+        self.loop.feed([r.arrival_seconds for r in self.requests],
+                       self._arrive, self.requests)
         self.loop.run()
         # whatever is still queued after the last completion can never
         # be served (every device depleted/offline): account, don't lose
@@ -244,14 +249,15 @@ class FleetSimulation:
     def _arrive(self, request: FleetRequest) -> None:
         now = self.loop.now
         self.result.n_arrivals += 1
-        obs_timeline.emit("queue", now, request_id=request.request_id,
-                          tenant=request.tenant)
+        if obs_timeline.timeline_enabled():
+            obs_timeline.emit("queue", now, request_id=request.request_id,
+                              tenant=request.tenant)
         admitted, shed = self.admission.offer(request)
         if not admitted:
             self._shed(request, now)
         elif shed is not None:
             self._shed(shed, now)
-        self._dispatch()
+        self._dispatch(now)
 
     def _shed(self, request: FleetRequest, now: float) -> None:
         self.result.n_shed += 1
@@ -286,24 +292,28 @@ class FleetSimulation:
         heapq.heappush(self._idle, (now, device.device_id))
         self._in_rotation.add(device.device_id)
 
-    def _dispatch(self) -> None:
-        now = self.loop.now
+    def _dispatch(self, now: float) -> None:
+        """Serve queued requests on idle devices at sim-time ``now``."""
+        admission = self.admission
+        queue_wait = self.result.queue_wait
         hedge = self.health.hedge
-        while len(self.admission) > 0 and self._idle:
+        while len(admission) > 0 and self._idle:
             device = self._pop_idle_device()
             if device is None:
                 return
-            request = self.admission.pop()
+            request = admission.pop()
             assert request is not None
             wait = now - request.arrival_seconds
-            self.queue_wait_observe(wait)
+            # zero waits (dispatch at arrival) sit below the first
+            # bound; the histogram's first bucket covers them
+            queue_wait.observe_many(wait, 1)
             self._start_dispatch(request, device, now, wait, hedged=False)
-            if (hedge is not None
-                    and hedge.should_hedge(wait, self.result.queue_wait)):
+            if hedge is not None and hedge.should_hedge(wait, queue_wait):
                 # p99 queue tail: eligible for a hedge copy once the
                 # fleet has spare capacity
                 self._hedge_pending.append(request.request_id)
-        self._service_hedges(now)
+        if hedge is not None:
+            self._service_hedges(now)
 
     def _service_hedges(self, now: float) -> None:
         """Hedge the queue tail onto spare devices.
@@ -313,9 +323,7 @@ class FleetSimulation:
         and a device idles — never ahead of real queued work.  The two
         legs race; the first completion wins and cancels the other.
         """
-        if self.health.hedge is None or not self._hedge_pending:
-            return
-        if len(self.admission) > 0:
+        if not self._hedge_pending or len(self.admission) > 0:
             return
         while self._hedge_pending:
             rid = self._hedge_pending[0]
@@ -344,26 +352,21 @@ class FleetSimulation:
         outcome = device.serve(request, now,
                                service_multiplier=multiplier)
         self.result.n_dispatched += 1
-        attrs = dict(request_id=request.request_id,
-                     device=device.device_id,
-                     generation=device.generation,
-                     wait_seconds=wait,
-                     service_seconds=outcome.service_seconds,
-                     joules=outcome.joules)
-        if hedged:
-            attrs["hedged"] = True
-        obs_timeline.emit("dispatch", now, **attrs)
-        dispatch = _Dispatch(request=request, device_id=device.device_id,
-                             outcome=outcome, handle=None,  # set below
-                             start_seconds=now, hedged=hedged)
-        dispatch.handle = self.loop.after(outcome.service_seconds,
-                                          self._complete, dispatch)
+        if obs_timeline.timeline_enabled():
+            attrs = dict(request_id=request.request_id,
+                         device=device.device_id,
+                         generation=device.generation,
+                         wait_seconds=wait,
+                         service_seconds=outcome.service_seconds,
+                         joules=outcome.joules)
+            if hedged:
+                attrs["hedged"] = True
+            obs_timeline.emit("dispatch", now, **attrs)
+        dispatch = _Dispatch(request, device.device_id, outcome, now,
+                             hedged)
+        dispatch.handle = self.loop.at(now + outcome.service_seconds,
+                                       self._complete, dispatch)
         self._inflight.setdefault(request.request_id, []).append(dispatch)
-
-    def queue_wait_observe(self, wait: float) -> None:
-        # zero waits (dispatch at arrival) sit below the first bound —
-        # fine, the histogram's first bucket covers them
-        self.result.queue_wait.observe(wait)
 
     # ------------------------------------------------------------------
     # completion (and first-completion-wins hedge cancellation)
@@ -372,8 +375,10 @@ class FleetSimulation:
         now = self.loop.now
         request = dispatch.request
         rid = request.request_id
-        legs = self._inflight.pop(rid, [dispatch])
-        losers = [leg for leg in legs if leg is not dispatch]
+        legs = self._inflight.pop(rid, ())
+        # only a hedged request has a second leg to cancel
+        losers = ([leg for leg in legs if leg is not dispatch]
+                  if len(legs) > 1 else ())
         for loser in losers:
             self.loop.cancel(loser.handle)
             loser_device = self._by_id[loser.device_id]
@@ -402,14 +407,17 @@ class FleetSimulation:
         result.joules += outcome.joules
         result.n_faults += outcome.n_faults
         result.n_retries += outcome.n_retries
-        result.makespan_seconds = max(result.makespan_seconds, now)
-        result.request_latency.observe(now - request.arrival_seconds)
-        obs_timeline.emit("complete", now, request_id=rid,
-                          reason="served", tokens=outcome.tokens,
-                          latency_seconds=now - request.arrival_seconds,
-                          joules=outcome.joules,
-                          device=dispatch.device_id,
-                          tenant=request.tenant)
+        if now > result.makespan_seconds:
+            result.makespan_seconds = now
+        latency = now - request.arrival_seconds
+        result.request_latency.observe_many(latency, 1)
+        if obs_timeline.timeline_enabled():
+            obs_timeline.emit("complete", now, request_id=rid,
+                              reason="served", tokens=outcome.tokens,
+                              latency_seconds=latency,
+                              joules=outcome.joules,
+                              device=dispatch.device_id,
+                              tenant=request.tenant)
         breaker = self.health[device.device_id].breaker
         if breaker.record_success():  # half-open probe succeeded
             obs_timeline.emit("breaker_close", now,
@@ -417,7 +425,7 @@ class FleetSimulation:
         self._try_rejoin(device, now)
         for loser in losers:
             self._try_rejoin(self._by_id[loser.device_id], now)
-        self._dispatch()
+        self._dispatch(now)
 
     # ------------------------------------------------------------------
     # fleet-level faults
@@ -451,7 +459,7 @@ class FleetSimulation:
                 self.result.n_drops += dropped
                 health.n_drops += dropped
                 self._try_rejoin(device, now)
-                self._dispatch()
+                self._dispatch(now)
         elif event.kind == "battery_drain":
             device.battery.deplete()
             self.result.n_battery_faults += 1
@@ -507,9 +515,10 @@ class FleetSimulation:
             self.loop.after(cooldown, self._half_open, device)
 
     def _half_open(self, device: FleetDevice) -> None:
+        now = self.loop.now
         self.health[device.device_id].breaker.half_open()
-        self._try_rejoin(device, self.loop.now)
-        self._dispatch()
+        self._try_rejoin(device, now)
+        self._dispatch(now)
 
     def _reboot(self, device: FleetDevice) -> None:
         health = self.health[device.device_id]
@@ -520,7 +529,7 @@ class FleetSimulation:
         self.result.n_reboots += 1
         obs_timeline.emit("device_up", now, device=device.device_id)
         self._try_rejoin(device, now)
-        self._dispatch()
+        self._dispatch(now)
 
     # ------------------------------------------------------------------
     # failover
@@ -562,4 +571,4 @@ class FleetSimulation:
             self._shed(request, now)
         elif shed is not None:
             self._shed(shed, now)
-        self._dispatch()
+        self._dispatch(now)

@@ -186,8 +186,13 @@ class Histogram:
             self.overflow += n
         self.count += n
         self.total += value * n
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
+        # min()/max() keep their first argument unless the second is
+        # strictly smaller/larger; these comparisons do the same (NaN
+        # and signed zeros included) without two builtin calls
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
 
     @property
     def mean(self) -> float:

@@ -17,8 +17,8 @@ per-step latency:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -232,16 +232,24 @@ class DecodePerformanceModel:
         self.lm_head_on_npu = lm_head_on_npu
         self.timing = TimingModel(device.npu)
         self._qfloat = not device.npu.ieee_float
+        self._gemm_costs: Dict[int, KernelCost] = {}
 
     # ------------------------------------------------------------------
     def _layer_gemm_cost(self, m: int) -> KernelCost:
-        cfg = self.config
-        cost = KernelCost()
-        for name, (k, n) in cfg.projection_shapes().items():
-            bits = 8 if name == "w_down" else 4
-            cost.merge(gemm_cost(m, k, n, strategy=self.strategy, bits=bits,
-                                 qfloat=self._qfloat))
-        return cost
+        """One layer's projection GEMMs at ``m`` rows.
+
+        The model composes each ``m``'s cost once and hands out copies,
+        so a caller that mutates its cost leaves the next call intact.
+        """
+        cost = self._gemm_costs.get(m)
+        if cost is None:
+            cost = KernelCost()
+            for name, (k, n) in self.config.projection_shapes().items():
+                bits = 8 if name == "w_down" else 4
+                cost.merge(gemm_cost(m, k, n, strategy=self.strategy,
+                                     bits=bits, qfloat=self._qfloat))
+            self._gemm_costs[m] = cost
+        return replace(cost)
 
     def _layer_attention_cost(self, batch: int, n_q: int, kv_len: int) -> KernelCost:
         cfg = self.config
@@ -253,6 +261,13 @@ class DecodePerformanceModel:
     # ------------------------------------------------------------------
     def decode_step(self, batch: int, context: int) -> StepLatency:
         """One batched decode step at the given context length."""
+        return self._decode_step(batch, context)[0]
+
+    def _decode_step(self, batch: int, context: int
+                     ) -> Tuple[StepLatency, KernelCost]:
+        """:meth:`decode_step` and the NPU cost it composed, which
+        :class:`~repro.perf.power.PowerModel` splits into engine
+        utilizations without pricing the step again."""
         if batch <= 0 or context <= 0:
             raise EngineError(
                 f"batch/context must be positive, got {batch}/{context}")
@@ -277,7 +292,7 @@ class DecodePerformanceModel:
             cpu_seconds=cpu,
             gemm_seconds=self.timing.seconds(gemm),
             attention_seconds=self.timing.seconds(attn),
-        )
+        ), npu
 
     def decode_latency(self, batch: int, context: int) -> float:
         return self.decode_step(batch, context).total_seconds

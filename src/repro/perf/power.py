@@ -5,9 +5,12 @@ weighted by engine utilization over a decode step:
 
     P = P_base + P_dram * u_dram + P_hmx * u_hmx + P_hvx * u_hvx + P_cpu * u_cpu
 
-Utilizations come from the latency model's per-engine times, so power
-inherits the same batch-scaling behaviour the paper measures on the
-OnePlus 12 rails: rising with batch for the 1.5B model but staying under
+Utilizations come from the latency model's per-engine times, split from
+the NPU cost :meth:`~repro.perf.latency.DecodePerformanceModel.decode_step`
+composes, so one :meth:`PowerModel.sample` prices the decode step once
+and its ``latency_s`` is that step's ``total_seconds``.  Power inherits
+the same batch-scaling behaviour the paper measures on the OnePlus 12
+rails: rising with batch for the 1.5B model but staying under
 5 W, and a ~4.3 W plateau for the 3B model (whose DMA/CPU terms are
 already saturated at batch 1).  Energy per token is power times
 per-token latency, reproducing the Fig. 12 claim that the 1.5B model at
@@ -22,7 +25,6 @@ from typing import Dict
 from ..errors import EngineError
 from ..llm.config import ModelConfig
 from ..npu.soc import Device
-from ..npu.timing import KernelCost
 from .latency import DecodePerformanceModel
 
 __all__ = ["PowerBudget", "PowerModel", "PowerSample"]
@@ -61,13 +63,8 @@ class PowerModel:
         self.performance = DecodePerformanceModel(config, device)
 
     def _utilizations(self, batch: int, context: int) -> "tuple[Dict[str, float], float]":
-        cfg = self.config
-        perf = self.performance
-        gemm = perf._layer_gemm_cost(batch).scaled(cfg.n_layers)
-        attn = perf._layer_attention_cost(batch, 1, context).scaled(cfg.n_layers)
-        npu = KernelCost().merge(gemm).merge(attn)
-        timing = perf.timing
-        step = perf.decode_step(batch, context)
+        step, npu = self.performance._decode_step(batch, context)
+        timing = self.performance.timing
         total = step.total_seconds
         if total <= 0:
             raise EngineError("non-positive step latency")

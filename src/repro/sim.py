@@ -15,7 +15,7 @@ primitives defined here:
   advances its clock to each event's timestamp before invoking it.
 
 Determinism contract: given the same sequence of ``at``/``after``/
-``cancel`` calls, the loop fires the same callbacks at the same
+``feed``/``cancel`` calls, the loop fires the same callbacks at the same
 simulated times in the same order — there is no randomness, no host
 clock, and no hash/iteration-order dependence anywhere in the kernel.
 The hypothesis suite in ``tests/test_fleet_clock_property.py`` pins
@@ -26,7 +26,7 @@ handle, identical seed → identical event sequence).
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from .errors import FleetError, NPUError
 
@@ -113,13 +113,16 @@ class EventLoop:
     the insertion sequence number, so simultaneous events fire in the
     order they were scheduled.  Cancelled handles stay in the heap and
     are skipped lazily at pop time — O(1) cancellation without
-    disturbing heap order.
+    disturbing heap order.  A time-sorted schedule given to
+    :meth:`feed` enters the heap one entry at a time, so the heap holds
+    the in-flight work, not a whole arrival trace.
     """
 
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self._heap: List[Tuple[float, int, EventHandle]] = []
         self._seq = 0
+        self._unfed = 0  # fed entries not yet pushed onto the heap
         self.n_fired = 0
         self.n_cancelled = 0
 
@@ -129,7 +132,7 @@ class EventLoop:
 
     def __len__(self) -> int:
         """Number of pending (not yet fired, not cancelled) events."""
-        return sum(1 for _, _, h in self._heap if h.pending)
+        return self._unfed + sum(1 for _, _, h in self._heap if h.pending)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -137,14 +140,14 @@ class EventLoop:
     def at(self, time: float, callback: Callable[..., Any],
            *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute sim-time ``time``."""
-        if time < self.now:
+        now = self.clock.total_seconds
+        if time < now:
             raise FleetError(
                 f"cannot schedule an event at t={time:.6g}s, "
-                f"already at t={self.now:.6g}s")
-        handle = EventHandle(self._seq, time, callback, args)
-        self._seq += 1
-        heapq.heappush(self._heap, (time, handle.seq, handle))
-        return handle
+                f"already at t={now:.6g}s")
+        seq = self._seq
+        self._seq = seq + 1
+        return self._push(time, seq, callback, args)
 
     def after(self, delay: float, callback: Callable[..., Any],
               *args: Any) -> EventHandle:
@@ -152,7 +155,56 @@ class EventLoop:
         if delay < 0:
             raise FleetError(
                 f"cannot schedule an event {delay:.6g} seconds in the past")
-        return self.at(self.now + delay, callback, *args)
+        return self.at(self.clock.total_seconds + delay, callback, *args)
+
+    def feed(self, times: Sequence[float], callback: Callable[[Any], Any],
+             items: Sequence[Any]) -> None:
+        """Schedule ``callback(items[i])`` at sim-time ``times[i]`` for
+        every ``i`` of a time-sorted schedule, exactly as one :meth:`at`
+        call per entry, in order, would.
+
+        The entries take their insertion sequence numbers now, so they
+        tie-break with every other event as if scheduled up front.  But
+        each enters the heap only when the entry before it fires, so
+        the heap stays the size of the in-flight work and every pop
+        stays cheap however long the schedule is.
+        """
+        if len(times) != len(items):
+            raise FleetError(
+                f"fed schedule has {len(times)} times for {len(items)} "
+                f"items")
+        now = self.clock.total_seconds
+        if times and times[0] < now:
+            raise FleetError(
+                f"cannot schedule an event at t={times[0]:.6g}s, "
+                f"already at t={now:.6g}s")
+        for index in range(1, len(times)):
+            if times[index] < times[index - 1]:
+                raise FleetError(
+                    f"fed schedule is not time-sorted: entry {index} at "
+                    f"t={times[index]:.6g}s follows "
+                    f"t={times[index - 1]:.6g}s")
+        if not times:
+            return
+        first = self._seq
+        last = len(times) - 1
+        self._seq += len(times)
+        self._unfed += last
+
+        def fire(index: int) -> None:
+            if index < last:
+                self._unfed -= 1
+                self._push(times[index + 1], first + index + 1, fire,
+                           (index + 1,))
+            callback(items[index])
+
+        self._push(times[0], first, fire, (0,))
+
+    def _push(self, time: float, seq: int, callback: Callable[..., Any],
+              args: Tuple[Any, ...]) -> EventHandle:
+        handle = EventHandle(seq, time, callback, args)
+        heapq.heappush(self._heap, (time, seq, handle))
+        return handle
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a pending handle; returns False if fired/cancelled."""
@@ -165,40 +217,32 @@ class EventLoop:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def peek_time(self) -> Optional[float]:
-        """Sim-time of the next pending event, or None when drained."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
-
-    def step(self) -> Optional[EventHandle]:
-        """Fire the next pending event; None when the loop is drained.
-
-        Advances the clock to the event's timestamp before invoking the
-        callback, so callbacks observe ``loop.now == handle.time`` and
-        may schedule further events at or after that instant.
-        """
-        while self._heap:
-            _, _, handle = heapq.heappop(self._heap)
-            if handle.cancelled:
-                continue
-            self.clock.advance_to(handle.time)
-            handle.fired = True
-            self.n_fired += 1
-            handle.callback(*handle.args)
-            return handle
-        return None
-
     def run(self, until: Optional[float] = None) -> int:
         """Fire events until drained (or past ``until``); returns count.
 
-        With ``until`` set, events scheduled strictly after it stay
-        pending and the clock is left at the last fired event.
+        One pass per heap entry: pop it, drop it if cancelled, advance
+        the clock to its timestamp through :meth:`SimClock.advance_to`
+        (which rejects travel into the past), then fire it.  Callbacks
+        observe ``loop.now == handle.time`` and may schedule further
+        events at or after that instant.  With ``until`` set, events
+        scheduled strictly after it stay pending and the clock is left
+        at the last fired event.
         """
+        heap = self._heap
+        advance_to = self.clock.advance_to
+        pop = heapq.heappop
         fired = 0
-        while True:
-            next_time = self.peek_time()
-            if next_time is None or (until is not None and next_time > until):
-                return fired
-            self.step()
+        while heap:
+            entry = pop(heap)
+            handle = entry[2]
+            if handle.cancelled:
+                continue
+            if until is not None and entry[0] > until:
+                heapq.heappush(heap, entry)
+                break
+            advance_to(entry[0])
+            handle.fired = True
+            self.n_fired += 1
             fired += 1
+            handle.callback(*handle.args)
+        return fired

@@ -325,26 +325,34 @@ class TestHeterogeneousDispatch:
 
 
 def _reference_service(device, request):
-    """Reference analytic pricing: waves list-scheduled by ``plan_waves``,
-    three separate cached lookups, and the idle base read from a fresh
-    ``PowerBudget``."""
+    """Reference analytic pricing, built from the models rather than the
+    device module's memos: waves list-scheduled by ``plan_waves``, step
+    and prefill seconds from a fresh ``DecodePerformanceModel``, watts
+    from a fresh ``PowerModel`` on the governed device, and the idle
+    base read from a fresh ``PowerBudget``."""
+    from dataclasses import replace
+
     from repro.llm.config import get_model_config
     from repro.llm.placement import crossing_for_bytes
     from repro.llm.scheduler import plan_waves
-    from repro.perf.power import PowerBudget
+    from repro.npu.power_mgmt import apply_governor
+    from repro.perf.latency import DecodePerformanceModel
+    from repro.perf.power import PowerBudget, PowerModel
 
     fd = fleet_devices
     governor = device.thermal.governor
+    governed = replace(device.device,
+                       npu=apply_governor(device.device.npu, governor))
+    config = get_model_config(device.model_name)
     batch = min(request.n_candidates, fd.SERVICE_BATCH)
     prompt = fd._quantize(request.prompt_tokens, fd._PROMPT_QUANT)
     context = fd._quantize(
         request.prompt_tokens + request.max_new_tokens // 2, fd._CTX_QUANT)
     steps = plan_waves([request.max_new_tokens] * request.n_candidates,
                        batch).continuous_steps
-    step_seconds = fd._decode_step_seconds(
-        device.device, governor.name, device.model_name, batch, context)
-    prefill = fd._prefill_seconds(
-        device.device, governor.name, device.model_name, prompt)
+    perf = DecodePerformanceModel(config, governed)
+    step_seconds = perf.decode_step(batch, context).total_seconds
+    prefill = perf.prefill_latency(prompt)
     migration = 0.0
     if device.selector is not None:
         pre = device.selector.select("prefill", prompt, governor.name)
@@ -352,16 +360,15 @@ def _reference_service(device, request):
         prefill *= pre.npu_ratio
         step_seconds *= dec.npu_ratio
         if pre.backend != dec.backend:
-            config = get_model_config(device.model_name)
             kv_bytes = (batch * context * config.n_layers
                         * 2 * config.kv_dim * 2)
             migration = crossing_for_bytes(device.device, kv_bytes)
             device.n_backend_switches += 1
     service = prefill + steps * step_seconds + migration
-    watts = fd._power_watts(device.device, governor.name, device.model_name,
-                            batch, context)
-    joules = watts * service
     base_w = PowerBudget().base_w
+    sample = PowerModel(config, governed).sample(batch, context)
+    watts = base_w + (sample.power_w - base_w) * governor.power_scale
+    joules = watts * service
     device.thermal.absorb(max(0.0, watts - base_w) * service)
     return fd.ServiceOutcome(service_seconds=service,
                              tokens=request.total_new_tokens, joules=joules)

@@ -387,6 +387,58 @@ class TestChaosTimeline:
         assert totals.get("device_ups", 0) == 1
 
 
+    @pytest.mark.parametrize("hedged", [False, True])
+    def test_fed_arrivals_fire_as_one_at_per_arrival(self, monkeypatch,
+                                                      hedged):
+        """Arrivals enter the loop through ``EventLoop.feed``; scheduling
+        each with its own ``at`` call gives the same run, event for
+        event, even where arrivals tie with reboots, breaker half-opens
+        and other arrivals (integer arrival and fault times)."""
+        import numpy as np
+
+        from repro.obs import timeline as obs_timeline
+        from repro.sim import EventLoop
+
+        rng = np.random.default_rng(11)
+        requests = [_request(i, arrival=float(rng.integers(0, 8)),
+                             tenant=("interactive", "batch")[i % 2],
+                             prompt_tokens=int(rng.integers(1, 200)),
+                             n_candidates=int(rng.integers(1, 9)),
+                             max_new_tokens=int(rng.integers(1, 40)))
+                    for i in range(60)]
+
+        def run():
+            log = obs_timeline.EventLog(enabled=True)
+            previous = obs_timeline.set_event_log(log)
+            try:
+                result = FleetSimulation(
+                    build_population(4), requests,
+                    fault_plan=FaultPlan.parse(
+                        "dev#0:crash@1:1,dev#1:crash@2:3,dev#2:drop@3,"
+                        "dev#1:straggle@1:2:4,dev#3:crash@4:1"),
+                    hedge=(HedgePolicy(threshold_seconds=0.5) if hedged
+                           else None),
+                    breaker_failure_threshold=1,
+                    breaker_cooldown_seconds=1.0).run()
+            finally:
+                obs_timeline.set_event_log(previous)
+            return ([(e.kind, e.sim_time, e.request_id, e.attrs)
+                     for e in log.events()],
+                    result.conservation(), result.joules.hex(),
+                    result.makespan_seconds.hex())
+
+        fed = run()
+        assert any(kind == "device_up" and time in {2.0, 5.0}
+                   for kind, time, _, _ in fed[0])
+
+        def one_at_per_entry(loop, times, callback, items):
+            for time, item in zip(times, items):
+                loop.at(time, callback, item)
+
+        monkeypatch.setattr(EventLoop, "feed", one_at_per_entry)
+        assert run() == fed
+
+
 # ----------------------------------------------------------------------
 # admission-controller edges (satellite)
 # ----------------------------------------------------------------------

@@ -221,6 +221,21 @@ class TestHistogramObserveMany:
         b.observe_many(1.5, 5)
         assert a.snapshot() == b.snapshot()
 
+    @pytest.mark.parametrize("values", [
+        (0.0, -0.0, 1.0), (-0.0, 0.0, -1.0), (float("nan"), 2.0, -2.0),
+        (2.0, float("nan"), 0.5), (float("inf"), -0.0, float("-inf")),
+    ])
+    def test_min_max_fold_like_builtins(self, values):
+        """``min``/``max`` keep their first argument unless the second is
+        strictly smaller/larger; the histogram folds the same way, NaN and
+        signed zeros included."""
+        h = Histogram("repro.test.extremes", buckets=[1.0])
+        low, high = h.min, h.max
+        for value in values:
+            h.observe_many(value, 2)
+            low, high = min(low, value), max(high, value)
+            assert (repr(h.min), repr(h.max)) == (repr(low), repr(high))
+
     def test_rejects_non_positive_count(self):
         h = Histogram("repro.test.many", buckets=[1.0])
         with pytest.raises(ObservabilityError):

@@ -162,6 +162,18 @@ class TestDecodePerformanceModel:
         cost16 = perf._layer_gemm_cost(16)
         assert cost1.hmx_tile_macs == cost16.hmx_tile_macs
 
+    def test_layer_gemm_cost_hands_out_copies(self, perf):
+        """The model keeps one GEMM cost per ``m``; mutating a returned
+        cost must not reach the next call."""
+        fresh = DecodePerformanceModel(perf.config, perf.device)
+        first = perf._layer_gemm_cost(4)
+        first.merge(first)
+        first.dma_bytes = -1
+        again = perf._layer_gemm_cost(4)
+        assert again is not first
+        assert again == fresh._layer_gemm_cost(4)
+        assert perf.decode_step(4, 512) == fresh.decode_step(4, 512)
+
     def test_validation(self, perf):
         with pytest.raises(EngineError):
             perf.decode_step(0, 100)

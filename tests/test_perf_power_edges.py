@@ -50,6 +50,44 @@ class TestPowerModelEdges:
             assert math.isfinite(watts) and watts > 0.0
 
 
+class TestSampleSharesTheDecodeStep:
+    """``PowerModel.sample`` prices a decode step once: its latency is the
+    latency model's step and its utilizations split that step's cost."""
+
+    @pytest.mark.parametrize("key", sorted(DEVICES))
+    def test_latency_and_utilizations_match_the_decode_step(self, key):
+        from dataclasses import replace
+
+        from repro.npu.power_mgmt import apply_governor
+        from repro.perf.latency import DecodePerformanceModel
+
+        config = get_model_config("qwen2.5-1.5b")
+        for name in sorted(GOVERNORS):
+            device = replace(DEVICES[key], npu=apply_governor(
+                DEVICES[key].npu, GOVERNORS[name]))
+            power = PowerModel(config, device)
+            perf = DecodePerformanceModel(config, device)
+            for batch in range(1, 9):
+                for context in (64, 1024, 4096):
+                    sample = power.sample(batch, context)
+                    step = perf.decode_step(batch, context)
+                    assert (sample.latency_s.hex()
+                            == step.total_seconds.hex()), (name, batch,
+                                                           context)
+                    npu = KernelCost().merge(
+                        perf._layer_gemm_cost(batch).scaled(config.n_layers)
+                    ).merge(perf._layer_attention_cost(
+                        batch, 1, context).scaled(config.n_layers))
+                    total = step.total_seconds
+                    timing = perf.timing
+                    assert sample.utilization == {
+                        "dram": min(1.0, timing.dma_seconds(npu) / total),
+                        "hmx": min(1.0, timing.hmx_seconds(npu) / total),
+                        "hvx": min(1.0, timing.hvx_seconds(npu) / total),
+                        "cpu": min(1.0, step.cpu_seconds / total),
+                    }, (name, batch, context)
+
+
 class TestZeroDurationSteps:
     def test_zero_step_is_the_shared_zero_breakdown(self):
         model = EnergyModel(PowerBudget(),
