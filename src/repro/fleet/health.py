@@ -261,7 +261,9 @@ class HedgePolicy:
                      queue_wait: Histogram) -> bool:
         if self.threshold_seconds is not None:
             return wait_seconds >= self.threshold_seconds
-        if queue_wait.count < self.min_samples:
+        # a wait that is not > 0 (zero, negative or NaN) is never >= a
+        # positive tail, and a tail <= 0 never hedges: skip the estimate
+        if not wait_seconds > 0.0 or queue_wait.count < self.min_samples:
             return False
         tail = queue_wait.percentile(self.quantile)
         if tail <= 0.0:

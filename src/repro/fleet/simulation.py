@@ -353,15 +353,21 @@ class FleetSimulation:
                                service_multiplier=multiplier)
         self.result.n_dispatched += 1
         if obs_timeline.timeline_enabled():
-            attrs = dict(request_id=request.request_id,
-                         device=device.device_id,
-                         generation=device.generation,
-                         wait_seconds=wait,
-                         service_seconds=outcome.service_seconds,
-                         joules=outcome.joules)
+            # only a hedge leg carries the ``hedged`` attr
             if hedged:
-                attrs["hedged"] = True
-            obs_timeline.emit("dispatch", now, **attrs)
+                obs_timeline.emit(
+                    "dispatch", now, request_id=request.request_id,
+                    device=device.device_id, generation=device.generation,
+                    wait_seconds=wait,
+                    service_seconds=outcome.service_seconds,
+                    joules=outcome.joules, hedged=True)
+            else:
+                obs_timeline.emit(
+                    "dispatch", now, request_id=request.request_id,
+                    device=device.device_id, generation=device.generation,
+                    wait_seconds=wait,
+                    service_seconds=outcome.service_seconds,
+                    joules=outcome.joules)
         dispatch = _Dispatch(request, device.device_id, outcome, now,
                              hedged)
         dispatch.handle = self.loop.at(now + outcome.service_seconds,

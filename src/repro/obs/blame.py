@@ -28,6 +28,7 @@ blame does not sum to their latency.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
@@ -62,27 +63,63 @@ def _fold(into: Dict[str, int], blame_ns: Dict[str, int]) -> None:
         into[phase] = into.get(phase, 0) + ns
 
 
+def _slowest(explanations: List[RequestExplanation],
+             top_k: int) -> List[RequestExplanation]:
+    """The ``top_k`` slowest requests, ties to the lower request id.
+
+    Request ids are unique, so the key is a total order and
+    ``heapq.nsmallest`` returns exactly the head of the full sort.
+    """
+    return heapq.nsmallest(max(top_k, 0), explanations,
+                           key=lambda e: (-e.latency_ns, e.request_id))
+
+
+def _fold_group(groups: Dict[str, List[Any]], key: Any,
+                blame_ns: Dict[str, int]) -> None:
+    """Count one request into ``groups[str(key)]`` (``[n, blame]``)."""
+    if key is not None:
+        group = groups.setdefault(str(key), [0, {}])
+        group[0] += 1
+        _fold(group[1], blame_ns)
+
+
+def _entry(n_requests: int, blame: Dict[str, int]) -> Dict[str, Any]:
+    return {"n_requests": n_requests,
+            "blame_ns": {k: blame[k] for k in sorted(blame)},
+            "dominant_phase": _dominant(blame)}
+
+
 def aggregate_blame(explanations: List[RequestExplanation],
                     top_k: int = DEFAULT_TOP_K) -> Dict[str, Any]:
     """Fold per-request explanations into the fleet-wide blame section.
 
-    Conservation is asserted per request before anything folds; the
-    returned dict is JSON-ready (integers, strings, floats only) and
-    deterministic for a deterministic input list.
+    One pass checks each request's conservation before folding it, then
+    folds its outcome, the totals and (fleet requests) its per-device
+    and per-tenant groups.  The percentile cohorts fold after it, with
+    cutoffs from one sorted latency list.  The returned dict is
+    JSON-ready (integers, strings, floats only) and deterministic for a
+    deterministic input list.
     """
-    for expl in explanations:
-        expl.check_conservation()
     outcomes: Dict[str, int] = {}
     blame_total: Dict[str, int] = {}
     energy_total: Dict[str, int] = {}
-    total_latency = 0
+    per_device: Dict[str, List[Any]] = {}
+    per_tenant: Dict[str, List[Any]] = {}
+    latencies: List[int] = []
     total_nj = 0
+    any_fleet = False
     for expl in explanations:
+        expl.check_conservation()
+        latencies.append(expl.latency_ns)
+        total_nj += expl.total_nj
         outcomes[expl.outcome] = outcomes.get(expl.outcome, 0) + 1
         _fold(blame_total, expl.blame_ns)
         _fold(energy_total, expl.energy_nj)
-        total_latency += expl.latency_ns
-        total_nj += expl.total_nj
+        if expl.kind == "fleet":
+            any_fleet = True
+            _fold_group(per_device, expl.device, expl.blame_ns)
+            _fold_group(per_tenant, expl.tenant, expl.blame_ns)
+    total_latency = sum(latencies)
 
     out: Dict[str, Any] = {
         "n_requests": len(explanations),
@@ -97,52 +134,27 @@ def aggregate_blame(explanations: List[RequestExplanation],
         "energy_nj": {k: energy_total[k] for k in sorted(energy_total)},
     }
 
-    latencies = [e.latency_ns for e in explanations]
     cohorts: Dict[str, Any] = {}
     if latencies:
+        ranked = sorted(latencies)
         for q in BLAME_PERCENTILES:
-            cutoff = percentile_cutoff(latencies, q)
-            members = [e for e in explanations if e.latency_ns >= cutoff]
+            cutoff = percentile_cutoff(ranked, q)
+            members = 0
             blame: Dict[str, int] = {}
-            for member in members:
-                _fold(blame, member.blame_ns)
-            cohorts[f"p{q:g}"] = {
-                "cutoff_ns": cutoff,
-                "n_requests": len(members),
-                "blame_ns": {k: blame[k] for k in sorted(blame)},
-                "dominant_phase": _dominant(blame),
-            }
+            for expl, latency in zip(explanations, latencies):
+                if latency >= cutoff:
+                    members += 1
+                    _fold(blame, expl.blame_ns)
+            cohorts[f"p{q:g}"] = {"cutoff_ns": cutoff,
+                                  **_entry(members, blame)}
     out["cohorts"] = cohorts
 
-    fleet = [e for e in explanations if e.kind == "fleet"]
-    if fleet:
-        out["per_device"] = _split(fleet, lambda e: e.device)
-        out["per_tenant"] = _split(fleet, lambda e: e.tenant)
+    if any_fleet:
+        for name, groups in (("per_device", per_device),
+                             ("per_tenant", per_tenant)):
+            out[name] = {k: _entry(*groups[k]) for k in sorted(groups)}
 
-    ranked = sorted(explanations,
-                    key=lambda e: (-e.latency_ns, e.request_id))
-    out["exemplars"] = [e.to_json() for e in ranked[:max(top_k, 0)]]
-    return out
-
-
-def _split(explanations: List[RequestExplanation],
-           key) -> Dict[str, Any]:
-    groups: Dict[str, List[RequestExplanation]] = {}
-    for expl in explanations:
-        k = key(expl)
-        if k is None:
-            continue
-        groups.setdefault(str(k), []).append(expl)
-    out: Dict[str, Any] = {}
-    for name in sorted(groups):
-        blame: Dict[str, int] = {}
-        for expl in groups[name]:
-            _fold(blame, expl.blame_ns)
-        out[name] = {
-            "n_requests": len(groups[name]),
-            "blame_ns": {k: blame[k] for k in sorted(blame)},
-            "dominant_phase": _dominant(blame),
-        }
+    out["exemplars"] = [e.to_json() for e in _slowest(explanations, top_k)]
     return out
 
 
@@ -243,10 +255,7 @@ class ExplainReport:
                 f"dominant {cohort['dominant_phase']}) ==")
             total = sum(cohort["blame_ns"].values())
             lines.extend(_blame_table(cohort["blame_ns"], total))
-        exemplars = [e for e in
-                     sorted(self.explanations,
-                            key=lambda e: (-e.latency_ns, e.request_id))
-                     ][:max(top_k, 0)]
+        exemplars = _slowest(self.explanations, top_k)
         if exemplars:
             lines.append("")
             lines.append(f"== slowest {len(exemplars)} requests ==")

@@ -32,12 +32,20 @@ reconstruct before anything is blamed: it rejects orphaned phases (a
 ``complete`` without an ``admit``), overlapping legs (a second
 non-hedged dispatch while one is in flight), time regressions, and
 unclosed dispatch legs.
+
+Both fleet walks, the validator's and :func:`explain_fleet_log`'s,
+read each request's chain from the log's index
+(:meth:`~repro.obs.timeline.EventLog.chains`) and close dispatch legs
+by one rule, :func:`_close_leg`, so the legs the validator calls
+unclosed are exactly those whose joules the explanation charges to
+``other``.  The fleet walk extends the current :class:`PhaseSlice`
+while the phase holds and starts a new one only when it changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ObservabilityError
 from .energy import EnergyAccountant, quantize_nj
@@ -90,8 +98,7 @@ def quantize_ns(seconds: float) -> int:
     return int(round(float(seconds) * 1e9))
 
 
-@dataclass(frozen=True)
-class PhaseSlice:
+class PhaseSlice(NamedTuple):
     """One contiguous same-phase span of a request's waterfall."""
 
     phase: str
@@ -263,8 +270,7 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
             _charge(energy.setdefault(cid, {}),
                     _classify_scheduler_segment(event), quantize_nj(joules))
     out: List[RequestExplanation] = []
-    for cid in log.request_ids():
-        chain = log.timeline(cid)
+    for cid, chain in log.chains():
         queue = next((e for e in chain if e.kind == "queue"), None)
         admit = next((e for e in chain if e.kind == "admit"), None)
         complete = next((e for e in chain if e.kind == "complete"), None)
@@ -300,10 +306,29 @@ def explain_scheduler_log(log: EventLog) -> List[RequestExplanation]:
 # ----------------------------------------------------------------------
 # fleet-side reconstruction
 # ----------------------------------------------------------------------
-@dataclass
-class _Leg:
-    device: int
-    nj: int
+def _close_leg(legs: List[TimelineEvent],
+               device: Any) -> Optional[TimelineEvent]:
+    """Pop and return the open leg a closing event names, or ``None``.
+
+    ``legs`` holds a request's open ``dispatch`` events, oldest first.
+    A ``complete``, ``failover`` or cancelled ``hedge`` names a device
+    (``device``, ``from_device`` or ``loser``) and closes the oldest
+    leg whose ``device`` attr equals it (an absent attr is ``None``),
+    or the oldest leg of all when it names none.
+    """
+    for i, leg in enumerate(legs):
+        if device is None or leg.attrs.get("device") == device:
+            return legs.pop(i)
+    return None
+
+
+def _first_fleet_event(chain: List[TimelineEvent]
+                       ) -> Optional[TimelineEvent]:
+    """The first fleet-level event of a chain (engine events skipped)."""
+    for event in chain:
+        if event.kind in _FLEET_KINDS:
+            return event
+    return None
 
 
 def explain_fleet_log(log: EventLog) -> List[RequestExplanation]:
@@ -317,73 +342,81 @@ def explain_fleet_log(log: EventLog) -> List[RequestExplanation]:
     reasoned hedge cancellation), or sleeping out a failover backoff
     (ends at a re-offer ``queue``).  Dispatch legs carry their energy:
     the winning leg's joules are ``service``, legs destroyed by faults
-    ``service_lost``, losing hedge legs ``hedge_wasted``.
+    ``service_lost``, losing hedge legs ``hedge_wasted``, and a leg no
+    event closes (which :func:`validate_lifecycle` flags) ``other``.
     """
     out: List[RequestExplanation] = []
-    for rid in log.request_ids():
-        chain = [e for e in log.timeline(rid) if e.kind in _FLEET_KINDS]
-        if not chain or chain[0].kind != "queue":
+    for rid, chain in log.chains():
+        first = _first_fleet_event(chain)
+        if first is None or first.kind != "queue":
             continue
-        start_ns = quantize_ns(chain[0].sim_time)
+        start_ns = quantize_ns(first.sim_time)
         expl = RequestExplanation(
             request_id=rid, kind="fleet", outcome="unserved",
             start_ns=start_ns, end_ns=start_ns,
-            tenant=chain[0].attrs.get("tenant"))
-        legs: List[_Leg] = []
-
-        def close_leg(device: Optional[int], phase: str) -> None:
-            for i, leg in enumerate(legs):
-                if device is None or leg.device == device:
-                    _charge(expl.energy_nj, phase, leg.nj)
-                    expl.total_nj += leg.nj
-                    legs.pop(i)
-                    return
-
-        prev_ns = start_ns
+            tenant=first.attrs.get("tenant"))
+        blame, slices, energy = expl.blame_ns, expl.slices, expl.energy_nj
+        legs: List[TimelineEvent] = []
+        # the slice being extended: its phase and where it started
+        current: Optional[str] = None
+        since_ns = prev_ns = start_ns
         for event in chain:
+            kind = event.kind
+            if kind not in _FLEET_KINDS:
+                continue
             t_ns = quantize_ns(event.sim_time)
             if t_ns < prev_ns:
                 raise ObservabilityError(
                     f"request {rid} chain regresses at seq {event.seq}")
-            kind = event.kind
             attrs = event.attrs
-            if kind == "dispatch":
+            closing = None  # energy phase of the leg this event closes
+            if kind == "queue":
+                phase = ("failover_backoff" if attrs.get("reoffer")
+                         else "queue_wait")
+            elif kind == "dispatch":
                 phase = "service" if attrs.get("hedged") else "queue_wait"
-                legs.append(_Leg(device=int(attrs.get("device", -1)),
-                                 nj=quantize_nj(attrs.get("joules", 0.0))))
+                legs.append(event)
                 expl.n_legs += 1
             elif kind == "complete":
-                phase = "service"
+                phase = closing = "service"
+                named = expl.device = attrs.get("device")
                 expl.outcome = "completed"
                 expl.tokens = int(attrs.get("tokens", 0))
-                expl.device = attrs.get("device")
-                close_leg(attrs.get("device"), "service")
             elif kind == "shed":
                 phase = "queue_wait"
                 expl.outcome = "shed"
             elif kind == "failover":
-                phase = "service_lost"
-                close_leg(attrs.get("from_device"), "service_lost")
+                phase = closing = "service_lost"
+                named = attrs.get("from_device")
                 if attrs.get("outcome") == "exhausted":
                     expl.outcome = "failed"
-            elif kind == "queue":
-                phase = ("failover_backoff" if attrs.get("reoffer")
-                         else "queue_wait")
-            elif kind == "hedge":
+            else:  # hedge: a launch, or a losing leg cancelled
                 phase = "service"
                 if attrs.get("cancelled"):
-                    close_leg(attrs.get("loser"),
-                              "service_lost" if "reason" in attrs
-                              else "hedge_wasted")
-            else:  # pragma: no cover — _FLEET_KINDS filter forbids this
-                phase = "other"
-            _charge(expl.blame_ns, phase, t_ns - prev_ns)
-            _push_slice(expl.slices, phase, prev_ns, t_ns)
-            prev_ns = t_ns
-            expl.end_ns = t_ns
-        for leg in legs:  # unclosed legs: flagged by validate_lifecycle
-            _charge(expl.energy_nj, "other", leg.nj)
-            expl.total_nj += leg.nj
+                    closing = ("service_lost" if "reason" in attrs
+                               else "hedge_wasted")
+                    named = attrs.get("loser")
+            if closing is not None:
+                leg = _close_leg(legs, named)
+                if leg is not None:
+                    nj = quantize_nj(leg.attrs.get("joules", 0.0))
+                    _charge(energy, closing, nj)
+                    expl.total_nj += nj
+            if t_ns > prev_ns:
+                if phase != current:
+                    if current is not None:
+                        _charge(blame, current, prev_ns - since_ns)
+                        slices.append(PhaseSlice(current, since_ns, prev_ns))
+                    current, since_ns = phase, prev_ns
+                prev_ns = t_ns
+        if current is not None:
+            _charge(blame, current, prev_ns - since_ns)
+            slices.append(PhaseSlice(current, since_ns, prev_ns))
+        expl.end_ns = prev_ns
+        for leg in legs:
+            nj = quantize_nj(leg.attrs.get("joules", 0.0))
+            _charge(energy, "other", nj)
+            expl.total_nj += nj
         out.append(expl)
     return out
 
@@ -420,52 +453,51 @@ def validate_lifecycle(log: EventLog) -> List[str]:
                 f"{event.sim_time} after {prev.kind} at {prev.sim_time}")
         prev = event
 
-    kind = classify_log(log)
-    if kind == "fleet":
-        for rid in log.request_ids():
-            chain = [e for e in log.timeline(rid)
-                     if e.kind in _FLEET_KINDS]
-            if not chain:
+    if classify_log(log) == "fleet":
+        for rid, chain in log.chains():
+            first = _first_fleet_event(chain)
+            if first is None:
                 continue
-            if chain[0].kind != "queue":
+            if first.kind != "queue":
                 problems.append(
                     f"request {rid}: chain starts with "
-                    f"{chain[0].kind!r}, not 'queue'")
-            open_legs: List[int] = []
+                    f"{first.kind!r}, not 'queue'")
+            open_legs: List[TimelineEvent] = []
             terminal = None
-            for event in chain:
-                if terminal is not None and event.kind in (
+            for event in chain:  # engine events match no branch below
+                kind = event.kind
+                if terminal is not None and kind in (
                         "dispatch", "complete", "shed"):
                     problems.append(
-                        f"request {rid}: {event.kind} at seq {event.seq} "
+                        f"request {rid}: {kind} at seq {event.seq} "
                         f"after terminal {terminal}")
-                if event.kind == "dispatch":
-                    device = event.attrs.get("device")
-                    if open_legs and not event.attrs.get("hedged"):
+                attrs = event.attrs
+                if kind == "dispatch":
+                    if open_legs and not attrs.get("hedged"):
                         problems.append(
                             f"request {rid}: overlapping non-hedged "
                             f"dispatch at seq {event.seq}")
-                    open_legs.append(device)
-                elif event.kind == "complete":
+                    open_legs.append(event)
+                elif kind == "complete":
                     if terminal is not None:
                         problems.append(
                             f"request {rid}: duplicate complete at seq "
                             f"{event.seq}")
                     terminal = "complete"
-                    _close(open_legs, event.attrs.get("device"))
-                elif event.kind == "shed":
+                    _close_leg(open_legs, attrs.get("device"))
+                elif kind == "shed":
                     terminal = "shed"
-                elif event.kind == "failover":
-                    _close(open_legs, event.attrs.get("from_device"))
-                    if event.attrs.get("outcome") == "exhausted":
+                elif kind == "failover":
+                    _close_leg(open_legs, attrs.get("from_device"))
+                    if attrs.get("outcome") == "exhausted":
                         terminal = "failover:exhausted"
-                elif event.kind == "hedge" \
-                        and event.attrs.get("cancelled"):
-                    _close(open_legs, event.attrs.get("loser"))
+                elif kind == "hedge" and attrs.get("cancelled"):
+                    _close_leg(open_legs, attrs.get("loser"))
             if open_legs:
                 problems.append(
                     f"request {rid}: {len(open_legs)} dispatch leg(s) "
-                    f"never closed (devices {open_legs})")
+                    f"never closed (devices "
+                    f"{[leg.attrs.get('device') for leg in open_legs]})")
     else:
         wave_starts = {e.attrs.get("wave")
                        for e in log.by_kind("wave_start")}
@@ -474,8 +506,7 @@ def validate_lifecycle(log: EventLog) -> List[str]:
                 problems.append(
                     f"wave_end for wave {e.attrs.get('wave')} at seq "
                     f"{e.seq} has no wave_start")
-        for cid in log.request_ids():
-            chain = log.timeline(cid)
+        for cid, chain in log.chains():
             kinds = [e.kind for e in chain]
             if kinds and kinds[0] != "queue":
                 problems.append(
@@ -505,13 +536,6 @@ def validate_lifecycle(log: EventLog) -> List[str]:
                     problems.append(
                         f"candidate {cid}: events {tail} after complete")
     return problems
-
-
-def _close(open_legs: List[int], device: Optional[int]) -> None:
-    for i, d in enumerate(open_legs):
-        if device is None or d == device:
-            open_legs.pop(i)
-            return
 
 
 def assert_lifecycle(log: EventLog) -> None:

@@ -257,19 +257,28 @@ class Histogram:
         if self.count == 0:
             return EMPTY_PERCENTILE
         rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.counts):
-            if seen + n >= rank and n > 0:
-                lo = self.buckets[i - 1] if i > 0 else self.min
-                hi = self.buckets[i] if i < len(self.buckets) else self.max
-                lo = max(lo, self.min)
-                hi = min(hi, self.max)
-                if hi <= lo:
-                    return lo
-                fraction = (rank - seen) / n
-                return lo + fraction * (hi - lo)
-            seen += n
-        return self.max
+        # land in the lowest non-empty bucket whose cumulative count
+        # reaches rank, walking down from the highest non-empty one (not
+        # max's: a mixed-resolution merge can put counts above it); seen
+        # is the integer count below bucket i, as an upward walk sums it
+        counts = self.counts
+        seen = self.count
+        for i in range(len(counts) - 1, -1, -1):
+            n = counts[i]
+            if n:
+                seen -= n
+                if seen < rank or not seen:
+                    break
+        else:
+            return self.max
+        lo = self.buckets[i - 1] if i > 0 else self.min
+        hi = self.buckets[i] if i < len(self.buckets) else self.max
+        lo = max(lo, self.min)
+        hi = min(hi, self.max)
+        if hi <= lo:
+            return lo
+        fraction = (rank - seen) / n
+        return lo + fraction * (hi - lo)
 
     def percentile(self, p: float) -> float:
         """Estimate the ``p``-th percentile (``p`` in [0, 100]).

@@ -20,12 +20,20 @@ what lets ``repro monitor`` diff two runs and what the anomaly layer
 Like the tracer, the default global log is **disabled** and the
 module-level :func:`emit` is a cheap guard-and-return, so the scheduler
 hot loop pays one function call per site when nobody is monitoring.
+
+An armed log pays for each event once.  :class:`TimelineEvent` is a
+:class:`~typing.NamedTuple`: immutable, equal by value, and cheaper to
+build than a frozen dataclass.  The ``**attrs`` an emit site passes are
+packed once, into the dict the event keeps; an event without attrs
+shares one immutable empty mapping.  :meth:`EventLog.chains` hands the
+per-request index to the critical-path walks without copying it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+import math
+from types import MappingProxyType
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..errors import ObservabilityError
 
@@ -89,8 +97,12 @@ EVENT_KINDS = (
 _KIND_SET = frozenset(EVENT_KINDS)
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+#: The ``attrs`` of every event emitted without any: one immutable
+#: empty mapping, so no event can reach another's attrs through it.
+_NO_ATTRS: Mapping[str, Any] = MappingProxyType({})
+
+
+class TimelineEvent(NamedTuple):
     """One typed event on the simulated timeline.
 
     ``seq`` is the log-global emission index (total order even when two
@@ -104,7 +116,7 @@ class TimelineEvent:
     sim_time: float
     request_id: Optional[int] = None
     step: Optional[int] = None
-    attrs: Dict[str, Any] = field(default_factory=dict)
+    attrs: Mapping[str, Any] = _NO_ATTRS
 
     def to_json(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {"seq": self.seq, "kind": self.kind,
@@ -139,17 +151,23 @@ class EventLog:
         """Append one event; returns it, or ``None`` while disabled."""
         if not self.enabled:
             return None
+        return self._append(kind, sim_time, request_id, step, attrs)
+
+    def _append(self, kind: str, sim_time: float,
+                request_id: Optional[int], step: Optional[int],
+                attrs: Dict[str, Any]) -> TimelineEvent:
+        """Record one event whose ``attrs`` dict is already packed; the
+        event keeps that dict, so each emit site packs it exactly once."""
         if kind not in _KIND_SET:
             raise ObservabilityError(
                 f"unknown timeline event kind {kind!r}; known: {EVENT_KINDS}")
         sim_time = float(sim_time)
-        if not sim_time >= 0.0:  # also rejects NaN
+        if not 0.0 <= sim_time < math.inf:  # rejects NaN and inf too
             raise ObservabilityError(
-                f"timeline event {kind} needs a non-negative simulated "
-                f"time, got {sim_time}")
-        event = TimelineEvent(seq=len(self._events), kind=kind,
-                              sim_time=sim_time, request_id=request_id,
-                              step=step, attrs=attrs)
+                f"timeline event {kind} needs a finite, non-negative "
+                f"simulated time, got {sim_time}")
+        event = TimelineEvent(len(self._events), kind, sim_time, request_id,
+                              step, attrs or _NO_ATTRS)
         self._events.append(event)
         if request_id is not None:
             self._chains.setdefault(request_id, []).append(event)
@@ -169,6 +187,15 @@ class EventLog:
         index in O(chain length); ``[]`` for an unseen id.
         """
         return list(self._chains.get(request_id, ()))
+
+    def chains(self) -> List[Tuple[int, List[TimelineEvent]]]:
+        """``(request id, chain)`` for every request, ids ascending.
+
+        The chains are the log's own index lists, not copies: read them,
+        never edit them (:meth:`timeline` hands out a copy to edit).
+        """
+        chains = self._chains
+        return [(rid, chains[rid]) for rid in sorted(chains)]
 
     def by_kind(self, kind: str) -> List[TimelineEvent]:
         if kind not in _KIND_SET:
@@ -223,7 +250,7 @@ def emit(kind: str, sim_time: float, request_id: Optional[int] = None,
     log = _default_log
     if not log.enabled:
         return None
-    return log.emit(kind, sim_time, request_id=request_id, step=step, **attrs)
+    return log._append(kind, sim_time, request_id, step, attrs)
 
 
 def timeline_enabled() -> bool:

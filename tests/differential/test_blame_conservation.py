@@ -17,8 +17,9 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.fleet import run_fleet
-from repro.obs.blame import aggregate_blame, run_explain
-from repro.obs.critical_path import (assert_lifecycle, explain_log,
+from repro.obs.blame import aggregate_blame, explain_section, run_explain
+from repro.obs.critical_path import (PhaseSlice, assert_lifecycle,
+                                     explain_fleet_log, explain_log,
                                      quantize_ns, validate_lifecycle)
 from repro.obs.energy import EnergyAccountant
 from repro.obs.slo import percentile_cutoff
@@ -130,6 +131,19 @@ def test_fleet_outcomes_match_report_ledger(fleet_run):
     assert by_outcome.get("shed", 0) == report.requests["shed"]
 
 
+def test_fleet_dispatch_attrs_in_emit_order(fleet_run):
+    # trace exports write attrs in this order; only hedge legs say so
+    _report, log, _explanations = fleet_run
+    dispatches = log.by_kind("dispatch")
+    plain = ["device", "generation", "wait_seconds", "service_seconds",
+             "joules"]
+    assert any(e.attrs.get("hedged") for e in dispatches)
+    for event in dispatches:
+        expected = plain + (["hedged"] if "hedged" in event.attrs else [])
+        assert list(event.attrs) == expected
+        assert event.attrs.get("hedged", True) is True
+
+
 def test_fleet_lifecycle_is_clean(fleet_run):
     _report, log, _explanations = fleet_run
     assert validate_lifecycle(log) == []
@@ -212,15 +226,76 @@ def test_percentile_cutoff_nearest_rank():
         percentile_cutoff([1], 0.0)
 
 
+def test_fleet_slices_match_the_per_event_fold(fleet_run):
+    # the walk extends the open slice while the phase holds; folding one
+    # slice per event and merging same-phase neighbours must give the
+    # same waterfall and blame
+    _report, log, explanations = fleet_run
+    for expl in explanations:
+        chain = log.timeline(expl.request_id)
+        slices, blame = [], {}
+        for prev, event in zip(chain, chain[1:]):
+            start, end = quantize_ns(prev.sim_time), quantize_ns(
+                event.sim_time)
+            if end <= start:
+                continue
+            phase = _span_phase(event)
+            blame[phase] = blame.get(phase, 0) + end - start
+            if slices and slices[-1][0] == phase and slices[-1][2] == start:
+                slices[-1] = (phase, slices[-1][1], end)
+            else:
+                slices.append((phase, start, end))
+        assert [tuple(s) for s in expl.slices] == slices
+        assert expl.blame_ns == blame
+
+
+def _span_phase(event) -> str:
+    """The phase of the span a fleet event ends (the walk's taxonomy)."""
+    attrs = event.attrs
+    if event.kind == "dispatch":
+        return "service" if attrs.get("hedged") else "queue_wait"
+    if event.kind == "failover":
+        return "service_lost"
+    if event.kind == "queue":
+        return "failover_backoff" if attrs.get("reoffer") else "queue_wait"
+    if event.kind == "shed":
+        return "queue_wait"
+    return "service"  # a completion, a hedge launch or a hedge cancel
+
+
+def test_phase_slice_is_an_immutable_value():
+    piece = PhaseSlice("service", 10, 35)
+    assert piece == PhaseSlice("service", 10, 35)
+    assert piece != PhaseSlice("service", 10, 36)
+    assert piece.duration_ns == 25
+    assert piece.to_json() == ["service", 10, 35]
+    for field in PhaseSlice._fields:
+        with pytest.raises(AttributeError):
+            setattr(piece, field, 0)
+
+
 # ----------------------------------------------------------------------
 # lifecycle validator catches synthetic violations
 # ----------------------------------------------------------------------
+def _assert_explain_refuses(log: EventLog) -> None:
+    """explain_section must refuse the log with exactly the problems
+    validate_lifecycle lists, in order."""
+    problems = validate_lifecycle(log)
+    assert problems
+    with pytest.raises(ObservabilityError) as refused:
+        explain_section(log)
+    assert str(refused.value) == (
+        "cannot explain an incomplete timeline:\n  "
+        + "\n  ".join(problems))
+
+
 def test_validator_flags_complete_without_admit():
     log = EventLog(enabled=True)
     log.emit("queue", 0.0, request_id=0)
     log.emit("complete", 1.0, request_id=0, reason="length")
     problems = validate_lifecycle(log)
     assert any("complete without an admit" in p for p in problems)
+    _assert_explain_refuses(log)
 
 
 def test_validator_flags_time_regression():
@@ -229,6 +304,7 @@ def test_validator_flags_time_regression():
     log.emit("admit", 0.5, request_id=0)
     problems = validate_lifecycle(log)
     assert any("time regresses" in p for p in problems)
+    _assert_explain_refuses(log)
 
 
 def test_validator_flags_overlapping_dispatch_legs():
@@ -239,6 +315,7 @@ def test_validator_flags_overlapping_dispatch_legs():
     log.emit("complete", 0.3, request_id=0, device=1)
     problems = validate_lifecycle(log)
     assert any("overlapping non-hedged dispatch" in p for p in problems)
+    _assert_explain_refuses(log)
 
 
 def test_validator_flags_unclosed_leg():
@@ -247,6 +324,7 @@ def test_validator_flags_unclosed_leg():
     log.emit("dispatch", 0.1, request_id=0, device=1)
     problems = validate_lifecycle(log)
     assert any("never closed" in p for p in problems)
+    _assert_explain_refuses(log)
 
 
 def test_validator_flags_events_after_terminal():
@@ -257,6 +335,7 @@ def test_validator_flags_events_after_terminal():
     log.emit("dispatch", 0.3, request_id=0, device=2)
     problems = validate_lifecycle(log)
     assert any("after terminal" in p for p in problems)
+    _assert_explain_refuses(log)
 
 
 def test_assert_lifecycle_raises_with_every_problem():
@@ -265,3 +344,63 @@ def test_assert_lifecycle_raises_with_every_problem():
     log.emit("dispatch", 0.5, request_id=0, device=1)
     with pytest.raises(ObservabilityError, match="lifecycle"):
         assert_lifecycle(log)
+
+
+# ----------------------------------------------------------------------
+# one leg-closing rule: validate and explain agree on every leg
+# ----------------------------------------------------------------------
+def _leg_chain(*events) -> EventLog:
+    log = EventLog(enabled=True)
+    log.emit("queue", 0.0, request_id=0, tenant="interactive")
+    for t, kind, attrs in events:
+        log.emit(kind, t, request_id=0, **attrs)
+    return log
+
+
+def _open_legs(problems) -> str:
+    """The devices validate_lifecycle calls never closed ('' if none)."""
+    found = [p for p in problems if "never closed" in p]
+    assert len(found) <= 1
+    return found[0].split("(devices ")[1].rstrip(")") if found else ""
+
+
+@pytest.mark.parametrize("events, unclosed, other_nj, energy", [
+    # a complete naming a device with no open leg closes nothing
+    ([(0.1, "dispatch", {"device": 1, "joules": 1.0}),
+      (0.3, "complete", {"device": 2, "tokens": 4})],
+     "[1]", 1_000_000_000, {}),
+    # a dispatch without a device attr is closed only by an event that
+    # names no device ...
+    ([(0.1, "dispatch", {"joules": 2.0}),
+      (0.3, "complete", {"device": 1, "tokens": 4})],
+     "[None]", 2_000_000_000, {}),
+    ([(0.1, "dispatch", {"joules": 2.0}),
+      (0.3, "complete", {"tokens": 4})],
+     "", 0, {"service": 2_000_000_000}),
+    # ... and such an event closes the oldest open leg, whatever its
+    # device
+    ([(0.1, "dispatch", {"device": 1, "joules": 1.0}),
+      (0.2, "dispatch", {"device": 2, "joules": 2.0, "hedged": True}),
+      (0.3, "complete", {"tokens": 4})],
+     "[2]", 2_000_000_000, {"service": 1_000_000_000}),
+    # a hedged pair: the named winner closes its own leg, the cancel
+    # closes the loser's
+    ([(0.1, "dispatch", {"device": 1, "joules": 1.0}),
+      (0.2, "dispatch", {"device": 2, "joules": 2.0, "hedged": True}),
+      (0.3, "complete", {"device": 2, "tokens": 4}),
+      (0.3, "hedge", {"loser": 1, "winner": 2, "cancelled": True})],
+     "", 0, {"service": 2_000_000_000, "hedge_wasted": 1_000_000_000}),
+])
+def test_explain_and_validate_close_the_same_legs(events, unclosed,
+                                                  other_nj, energy):
+    log = _leg_chain(*events)
+    assert _open_legs(validate_lifecycle(log)) == unclosed
+    (expl,) = explain_fleet_log(log)
+    assert expl.energy_nj.get("other", 0) == other_nj
+    assert {k: v for k, v in expl.energy_nj.items() if k != "other"} \
+        == energy
+    assert expl.total_nj == sum(expl.energy_nj.values())
+    if unclosed:
+        _assert_explain_refuses(log)
+    else:
+        assert explain_section(log)["aggregate"]["n_requests"] == 1

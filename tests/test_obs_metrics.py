@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import bisect
+import random
+import struct
+
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.fleet.health import HedgePolicy
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.slo import hdr_buckets
 
 
 class TestCounter:
@@ -321,3 +327,179 @@ class TestHistogramMerge:
         assert fleet.count == 3 * len(values)
         assert fleet.overflow == 3
         assert fleet.total == pytest.approx(3 * sum(values))
+
+
+# ----------------------------------------------------------------------
+# the top-down quantile walk against the bottom-up reference
+# ----------------------------------------------------------------------
+def _reference_quantile(h: Histogram, q: float) -> float:
+    """The quantile walk up from bucket 0: the reference every result of
+    ``Histogram.quantile`` must match bit for bit."""
+    if h.count == 0:
+        return obs_metrics.EMPTY_PERCENTILE
+    rank = q * h.count
+    seen = 0
+    for i, n in enumerate(h.counts):
+        if seen + n >= rank and n > 0:
+            lo = h.buckets[i - 1] if i > 0 else h.min
+            hi = h.buckets[i] if i < len(h.buckets) else h.max
+            lo = max(lo, h.min)
+            hi = min(hi, h.max)
+            if hi <= lo:
+                return lo
+            fraction = (rank - seen) / n
+            return lo + fraction * (hi - lo)
+        seen += n
+    return h.max
+
+
+def _bits(value: float) -> bytes:
+    """The IEEE-754 bits of ``value``, which tell -0.0 from 0.0."""
+    return struct.pack("<d", value)
+
+
+_QS = (0.0, 0.5, 0.95, 0.99, 1.0)
+
+
+def _seeded_histogram(rng: random.Random, lo: float = 1e-4,
+                      hi: float = 134.0) -> Histogram:
+    """An HDR histogram (1-3 bits) holding zeros of both signs, NaN,
+    values past the last bound and weighted observations (``n > 1``)."""
+    bits = rng.choice((1, 2, 3))
+    h = Histogram(f"repro.test.hdr{bits}",
+                  buckets=hdr_buckets(lo, hi, precision_bits=bits))
+    special = (0.0, -0.0, float("nan"), lo, hi, 500.0, 1e4)
+    for _ in range(rng.randint(1, 40)):
+        draw = rng.random()
+        if draw < 0.25:
+            value = rng.choice(special)
+        elif draw < 0.6:
+            value = 10.0 ** rng.uniform(-4.5, 2.5)
+        else:
+            value = rng.expovariate(20.0)
+        h.observe_many(value, rng.choice((1, 1, 2, 7, 1000)))
+    return h
+
+
+def _assert_walks_agree(h: Histogram, rng: random.Random) -> None:
+    for q in _QS + (rng.random(),):
+        assert _bits(h.quantile(q)) == _bits(_reference_quantile(h, q)), (
+            q, h.counts, h.min, h.max)
+
+
+class TestQuantileWalk:
+    def test_matches_the_bottom_up_walk_bit_for_bit(self):
+        rng = random.Random(2024)
+        for _ in range(300):
+            _assert_walks_agree(_seeded_histogram(rng), rng)
+
+    def test_edge_histograms_match(self):
+        rng = random.Random(5)
+        buckets = hdr_buckets(1e-4, 134.0, precision_bits=2)
+        for values in ([], [-0.0], [0.0, -0.0], [-0.0, 0.0],
+                       [float("nan")], [float("nan"), 0.5], [900.0],
+                       [900.0, 1e6], [134.0], [1e-4, 1e-4]):
+            h = Histogram("repro.test.edge", buckets=buckets)
+            for value in values:
+                h.observe(value)
+            _assert_walks_agree(h, rng)
+
+    def test_matches_after_mixed_resolution_merges(self):
+        rng = random.Random(77)
+        for _ in range(200):
+            into = (_seeded_histogram(rng) if rng.random() < 0.8 else
+                    Histogram("repro.test.empty",
+                              buckets=hdr_buckets(1e-4, 134.0,
+                                                  precision_bits=2)))
+            for _ in range(rng.randint(1, 3)):
+                # shifted ranges re-bucket onto bounds that are not a
+                # subset of the target's
+                lo = rng.choice((1e-4, 1e-4, 3e-4, 1e-3))
+                into.merge(_seeded_histogram(rng, lo=lo, hi=lo * 2e6))
+            _assert_walks_agree(into, rng)
+
+    def test_counts_above_max_bucket_read_above_max(self):
+        """A coarse histogram merged into a finer one re-buckets each
+        count at its coarse upper bound, so the highest non-empty bucket
+        can sit above the one ``max`` falls in, and the top quantiles
+        read above ``max``.  That is how the bottom-up walk behaved, and
+        it is pinned here: the top-down walk starts from the highest
+        non-empty bucket, not from ``max``'s."""
+        lo, hi = 1e-4, 134.0
+        fine = Histogram("repro.test.fine",
+                         buckets=hdr_buckets(lo, hi, precision_bits=3))
+        coarse = Histogram("repro.test.coarse",
+                           buckets=hdr_buckets(lo, hi, precision_bits=1))
+        for value in (0.0011, 0.0011, 0.02):
+            coarse.observe(value)
+        fine.merge(coarse)
+        top = max(i for i, n in enumerate(fine.counts) if n)
+        assert top > bisect.bisect_left(fine.buckets, fine.max)
+        assert fine.quantile(1.0) > fine.max
+        assert fine.quantile(1.0) == _reference_quantile(fine, 1.0)
+        _assert_walks_agree(fine, random.Random(0))
+
+
+# ----------------------------------------------------------------------
+# the hedge rule reads the tail estimate only for a positive wait
+# ----------------------------------------------------------------------
+class _CountingHistogram(Histogram):
+    """A histogram that counts the percentile estimates asked of it."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.percentile_calls = 0
+
+    def percentile(self, p: float) -> float:
+        self.percentile_calls += 1
+        return super().percentile(p)
+
+
+def _reference_should_hedge(policy: HedgePolicy, wait_seconds: float,
+                            queue_wait: Histogram) -> bool:
+    """The hedge rule estimating the tail for every wait, zero and
+    negative ones included: the reference ``should_hedge`` must match."""
+    if policy.threshold_seconds is not None:
+        return wait_seconds >= policy.threshold_seconds
+    if queue_wait.count < policy.min_samples:
+        return False
+    tail = queue_wait.percentile(policy.quantile)
+    if tail <= 0.0:
+        return False
+    return wait_seconds >= tail
+
+
+class TestHedgeTailEstimate:
+    def test_no_percentile_for_a_wait_that_is_not_positive(self):
+        policy = HedgePolicy(min_samples=4)
+        waits = _CountingHistogram(
+            "repro.test.waits",
+            buckets=hdr_buckets(1e-4, 100.0, precision_bits=2))
+        for value in (0.0, 0.5, 1.0, 2.0, 3.0):
+            waits.observe(value)
+        for wait in (0.0, -0.0, -1e-9, -5.0, float("nan"), float("-inf")):
+            assert policy.should_hedge(wait, waits) is False
+        assert waits.percentile_calls == 0
+        assert policy.should_hedge(3.0, waits) is True
+        assert waits.percentile_calls == 1
+
+    def test_matches_the_rule_that_always_estimated(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            policy = HedgePolicy(
+                quantile=rng.choice((50.0, 90.0, 99.0, 100.0)),
+                min_samples=rng.choice((1, 4, 32)),
+                threshold_seconds=rng.choice((None, None, None, 0.0,
+                                              0.25)))
+            waits = Histogram(
+                "repro.test.waits",
+                buckets=hdr_buckets(1e-4, 100.0, precision_bits=2))
+            for _ in range(rng.randint(0, 60)):
+                waits.observe(0.0 if rng.random() < 0.5
+                              else rng.expovariate(5.0))
+            tail = waits.percentile(policy.quantile)
+            for wait in (0.0, -0.0, -1.0, float("nan"), float("inf"),
+                         1e-12, tail, rng.expovariate(5.0)):
+                assert policy.should_hedge(wait, waits) == \
+                    _reference_should_hedge(policy, wait, waits), (
+                        policy, wait, tail)

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.errors import ObservabilityError
+from repro.obs.blame import explain_section
 from repro.obs.timeline import (
     EVENT_KINDS,
     EventLog,
+    TimelineEvent,
     emit,
     get_event_log,
     set_event_log,
@@ -45,6 +49,22 @@ class TestEventLog:
             log.emit("queue", -1e-9)
         with pytest.raises(ObservabilityError):
             log.emit("queue", float("nan"))
+        for t in (float("inf"), float("-inf")):
+            with pytest.raises(ObservabilityError,
+                               match=f"complete .* got {t}"):
+                log.emit("complete", t, request_id=0)
+        assert len(log) == 0
+
+    def test_infinite_completion_is_refused_before_explain(self):
+        # explain_section quantizes every time to integer nanoseconds,
+        # which an infinite time cannot be: emit must refuse it first
+        log = EventLog()
+        log.emit("queue", 0.0, request_id=0)
+        log.emit("dispatch", 1.0, request_id=0, device=0, joules=0.1)
+        with pytest.raises(ObservabilityError, match="complete .* got inf"):
+            log.emit("complete", float("inf"), request_id=0, device=0)
+        log.emit("complete", 2.0, request_id=0, device=0)
+        assert explain_section(log)["aggregate"]["n_requests"] == 1
 
     def test_timeline_filters_one_request_in_emission_order(self):
         log = EventLog()
@@ -91,11 +111,76 @@ class TestEventLog:
         assert list(run_level.to_json()["attrs"]) == ["governor", "restored"]
         assert scoped.to_json()["request_id"] == 3
 
+    def test_chains_are_the_index_in_id_order(self):
+        log = EventLog()
+        log.emit("queue", 0.0, request_id=5)
+        log.emit("queue", 0.0, request_id=2)
+        log.emit("decode_step", 0.001, step=0)  # run-level: no chain
+        log.emit("complete", 0.002, request_id=5, reason="served")
+        chains = log.chains()
+        assert [rid for rid, _ in chains] == log.request_ids() == [2, 5]
+        for rid, chain in chains:
+            assert chain == log.timeline(rid)
+            assert all(a is b for a, b in zip(chain, log.timeline(rid)))
+
     def test_event_kinds_cover_the_serving_lifecycle(self):
         for kind in ("queue", "admit", "wave_assign", "prefill",
                      "decode_step", "fault", "retry", "rebuild", "evict",
                      "throttle", "deadline", "complete"):
             assert kind in EVENT_KINDS
+
+
+class TestEventRecord:
+    def test_refuses_field_assignment(self):
+        event = EventLog().emit("admit", 0.5, request_id=1, slot=2)
+        for field in TimelineEvent._fields:
+            with pytest.raises(AttributeError):
+                setattr(event, field, None)
+        assert not dataclasses.is_dataclass(event)
+
+    def test_compares_by_value(self):
+        a = EventLog().emit("admit", 0.5, request_id=1, slot=2)
+        b = EventLog().emit("admit", 0.5, request_id=1, slot=2)
+        assert a is not b and a == b
+        assert a == TimelineEvent(0, "admit", 0.5, 1, None, {"slot": 2})
+        assert a != EventLog().emit("admit", 0.5, request_id=1, slot=3)
+
+    def test_to_json_is_unchanged(self):
+        log = EventLog()
+        log.emit("queue", 0.0, request_id=9)
+        event = log.emit("decode_step", 0.25, step=3, b=1, a=2.5)
+        assert event.to_json() == {"seq": 1, "kind": "decode_step",
+                                   "sim_time": 0.25, "step": 3,
+                                   "attrs": {"a": 2.5, "b": 1}}
+        assert list(event.to_json()["attrs"]) == ["a", "b"]
+        assert log.events()[0].to_json() == {
+            "seq": 0, "kind": "queue", "sim_time": 0.0, "request_id": 9}
+
+    def test_no_attrs_is_an_immutable_empty_mapping(self):
+        log = EventLog()
+        bare = log.emit("queue", 0.0, request_id=0)
+        other = log.emit("queue", 0.0, request_id=1)
+        default = TimelineEvent(0, "queue", 0.0)
+        for event in (bare, other, default):
+            assert event.attrs == {} and not event.attrs
+            with pytest.raises(TypeError):
+                event.attrs["leak"] = True  # type: ignore[index]
+        assert "leak" not in other.attrs and "leak" not in default.attrs
+
+    def test_module_emit_records_what_log_emit_records(self):
+        direct = EventLog()
+        installed = EventLog()
+        previous = set_event_log(installed)
+        try:
+            for log_emit in (direct.emit, emit):
+                log_emit("queue", 0.0, request_id=4, tenant="batch")
+                log_emit("dispatch", 0.5, request_id=4, device=2,
+                         joules=1.5, hedged=True)
+                log_emit("decode_step", 0.75, step=1)
+        finally:
+            set_event_log(previous)
+        assert installed.events() == direct.events()
+        assert installed.chains() == direct.chains()
 
 
 class TestGlobalLog:
