@@ -144,8 +144,8 @@ def test_disabled_span_fast_path_is_allocation_free():
 
 def test_slo_recording_overhead_in_scheduler_step_loop():
     """Metrics + SLO histogram recording must stay a rounding error of a
-    scheduler run: the hot loop pays one observe_step per decode step and
-    one observe_candidate per retirement."""
+    scheduler run: the hot loop folds one decode_step per decode step and
+    one complete per retirement."""
     from repro.llm import ContinuousBatchingScheduler
     from repro.obs.metrics import MetricsRegistry, set_metrics
     from repro.obs.slo import SLOTracker
@@ -176,11 +176,14 @@ def test_slo_recording_overhead_in_scheduler_step_loop():
     tracker = SLOTracker(MetricsRegistry(), engine_batch=BATCH)
     live = list(range(BATCH))
 
+    step_attrs = {"seconds": 1e-4, "live_ids": live}
+    complete_attrs = {"latency_seconds": 1e-3}
+
     def replay() -> None:
         for step in range(n_steps):
-            tracker.observe_step(1e-4, live)
+            tracker.fold("decode_step", step_attrs)
         for candidate in range(n_candidates):
-            tracker.observe_candidate(candidate, 1e-3)
+            tracker.fold("complete", complete_attrs)
 
     replay()  # warm-up
     record_seconds = min(_timed(replay) for _ in range(5))

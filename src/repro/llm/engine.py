@@ -116,10 +116,16 @@ class InferenceEngine:
         from ..perf.power import PowerBudget
         self.energy_model = obs_energy.EnergyModel(PowerBudget(),
                                                    self._timing)
+
+    def bind_metrics(self) -> "obs_metrics.Histogram":
+        """Bind the ``repro.engine.*`` instruments from the registry
+        installed now; every run (lock-step or scheduled) binds when it
+        starts.  Returns the decode-step latency histogram, which the
+        caller observes from its own pricing of each step."""
         reg = obs_metrics.get_metrics()
         self._tokens_counter = reg.counter("repro.engine.generated_tokens")
-        self._step_latency = reg.histogram("repro.engine.decode_step_seconds")
         self._tokens_per_second = reg.gauge("repro.engine.tokens_per_second")
+        return reg.histogram("repro.engine.decode_step_seconds")
 
     def _map_buffers(self, device: Device) -> MultiSessionHeap:
         """Map weights, KV cache and workspace into the NPU VA space.
@@ -298,7 +304,6 @@ class InferenceEngine:
                             batch=token_arr.shape[0]):
             logits, cost = self.model.forward(token_arr, self.cache,
                                               sequences=sequences)
-        self._step_latency.observe(self.step_seconds(cost))
         return logits[:, 0, :], cost
 
     # ------------------------------------------------------------------
@@ -318,6 +323,7 @@ class InferenceEngine:
                 f"context {self.max_context}")
         sampler = sampler if sampler is not None else Sampler(temperature=0.8)
         self.reset()
+        step_latency = self.bind_metrics()
 
         with obs_trace.span("engine.generate", category="engine",
                             prompt_tokens=len(prompt),
@@ -353,6 +359,7 @@ class InferenceEngine:
                     break
                 logits, cost = self.decode_step(current, sequences)
                 step_seconds = self.step_seconds(cost)
+                step_latency.observe(step_seconds)
                 decode_seconds += step_seconds
                 attrs = dict(seconds=step_seconds,
                              live_batch=sum(1 for f in finished if not f),

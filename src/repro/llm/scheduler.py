@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,7 +48,6 @@ from ..obs import trace as obs_trace
 from ..obs.slo import SLOTracker
 from ..resilience.faults import FaultInjector, FaultPlan, FaultRecord
 from ..resilience.recovery import RetryPolicy
-from .block_pool import PagedKVCache
 from .dispatch import BackendSelector
 from .engine import GenerationResult, InferenceEngine
 from .placement import crossing_for_bytes
@@ -195,9 +195,10 @@ class _LiveCandidate:
     admitted_sim: float = 0.0
     request_id: int = 0
 
-    @property
-    def last_token(self) -> int:
-        return self.tokens[-1]
+    def eviction_rank(self) -> Tuple[int, int]:
+        # lowest-value candidate first: least decoded progress, breaking
+        # ties toward the most recently admitted (highest id)
+        return len(self.tokens), -self.candidate_id
 
 
 @dataclass
@@ -216,6 +217,48 @@ class _Request:
     prefilled: int = 0                    # prompt tokens forwarded so far
     next_local: int = 0                   # candidates admitted so far
 
+    @classmethod
+    def checked(cls, request_id: int, spec: PromptAdmission,
+                first_candidate: int, max_context: int,
+                length_schedule: Optional[Sequence[int]] = None
+                ) -> "_Request":
+        """Check one prompt, primary (id 0) or admitted, and build it."""
+        what = "prompt" if request_id == 0 else f"admitted prompt {request_id}"
+        prompt = list(spec.prompt)
+        if not prompt:
+            raise EngineError(f"{what}: prompts must be non-empty")
+        for name, value, least in (("candidate count", spec.n_candidates, 1),
+                                   ("max_new_tokens", spec.max_new_tokens, 1),
+                                   ("at_step", spec.at_step, 0)):
+            if value < least:
+                raise EngineError(
+                    f"{what}: {name} must be >= {least}, got {value}")
+        if len(prompt) + spec.max_new_tokens > max_context:
+            raise EngineError(
+                f"{what}: {len(prompt)} + {spec.max_new_tokens} new tokens "
+                f"exceed context {max_context}")
+        schedule = ([spec.max_new_tokens] if length_schedule is None
+                    else [int(b) for b in length_schedule])
+        if not schedule or any(b <= 0 for b in schedule):
+            raise EngineError(
+                f"length schedule entries must be positive, got {schedule}")
+        budgets = [min(schedule[i % len(schedule)], spec.max_new_tokens)
+                   for i in range(spec.n_candidates)]
+        return cls(request_id=request_id, prompt=prompt,
+                   n_candidates=spec.n_candidates, budgets=budgets,
+                   first_candidate=first_candidate, at_step=spec.at_step)
+
+
+#: The run's retry ladder: capped exponential backoff, a session reopen
+#: after an abort, ``max_retries`` attempts per decode step.
+_RETRY = RetryPolicy()
+
+#: Injected decode-step faults in the order one step raises them: the
+#: fault kind, the error it raises and the words of its message.
+_STEP_FAULTS = (("session_abort", SessionAbortError, "FastRPC session abort"),
+                ("dma_timeout", DMATimeoutError, "DMA timeout"),
+                ("alloc_fail", KVPoolExhausted, "KV pool exhaustion"))
+
 
 class ContinuousBatchingScheduler:
     """Waved Best-of-N decode over an engine with a paged KV cache."""
@@ -224,25 +267,15 @@ class ContinuousBatchingScheduler:
         if engine.kv_backend != "paged":
             raise EngineError(
                 "the continuous-batching scheduler requires an engine with "
-                "kv_backend='paged' (got "
-                f"{engine.kv_backend!r})")
+                f"kv_backend='paged' (got {engine.kv_backend!r})")
         self.engine = engine
-        reg = obs_metrics.get_metrics()
-        self._admissions = reg.counter("repro.scheduler.admissions")
-        self._retired = reg.counter("repro.scheduler.retired")
-        self._live_batch = reg.gauge("repro.scheduler.live_batch")
-        self._step_retries = reg.counter("repro.resilience.step_retries")
-        self._evictions = reg.counter("repro.resilience.evictions")
-        self._rebuilds = reg.counter("repro.resilience.rebuilds")
 
-    # ------------------------------------------------------------------
     def generate(self, prompt: Sequence[int], n_candidates: int,
                  max_new_tokens: int, sampler: Optional[Sampler] = None,
                  eos_id: Optional[int] = None,
                  length_schedule: Optional[Sequence[int]] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  deadline_seconds: Optional[float] = None,
-                 retry_policy: Optional[RetryPolicy] = None,
                  clock: Optional[SimClock] = None,
                  prefill_chunk: Optional[int] = None,
                  dispatch: Optional[BackendSelector] = None,
@@ -261,8 +294,9 @@ class ContinuousBatchingScheduler:
         pay a reopen penalty and rebuild every live candidate's KV from
         the prompt anchor snapshot), allocation failures evict the
         least-progressed candidate, and thermal throttling downgrades
-        the engine's DVFS governor for ``duration_steps``.  An empty or
-        ``None`` plan leaves the decode loop bitwise identical to the
+        the engine's DVFS governor for ``duration_steps``.  Retries
+        follow the default :class:`RetryPolicy`.  An empty or ``None``
+        plan leaves the decode loop bitwise identical to the
         non-resilient path.  ``deadline_seconds`` bounds simulated
         wall-clock: once exceeded, live candidates retire with their
         tokens so far (``finish_reason="deadline"``) and no further
@@ -293,614 +327,575 @@ class ContinuousBatchingScheduler:
         continuous batching.
         """
         engine = self.engine
-        if n_candidates <= 0:
-            raise EngineError(
-                f"candidate count must be positive, got {n_candidates}")
-        if max_new_tokens <= 0:
-            raise EngineError(
-                f"max_new_tokens must be positive, got {max_new_tokens}")
-        prompt = list(prompt)
-        if len(prompt) + max_new_tokens > engine.max_context:
-            raise EngineError(
-                f"prompt {len(prompt)} + {max_new_tokens} new tokens exceed "
-                f"context {engine.max_context}")
-        budgets = self._budgets(n_candidates, max_new_tokens, length_schedule)
         if prefill_chunk is not None and prefill_chunk <= 0:
             raise EngineError(
                 f"prefill_chunk must be positive, got {prefill_chunk}")
-        admitted = list(admissions) if admissions is not None else []
-        for admission in admitted:
-            extra = list(admission.prompt)
-            if not extra:
-                raise EngineError("admitted prompts must be non-empty")
-            if admission.n_candidates <= 0:
-                raise EngineError(
-                    "admitted candidate count must be positive, got "
-                    f"{admission.n_candidates}")
-            if admission.max_new_tokens <= 0:
-                raise EngineError(
-                    "admitted max_new_tokens must be positive, got "
-                    f"{admission.max_new_tokens}")
-            if admission.at_step < 0:
-                raise EngineError(
-                    f"admission at_step must be >= 0, got {admission.at_step}")
-            if len(extra) + admission.max_new_tokens > engine.max_context:
-                raise EngineError(
-                    f"admitted prompt {len(extra)} + "
-                    f"{admission.max_new_tokens} new tokens exceed context "
-                    f"{engine.max_context}")
+        requests: List[_Request] = []
+        first_candidate = 0
+        for spec in [PromptAdmission(prompt, n_candidates, max_new_tokens),
+                     *(admissions or ())]:
+            requests.append(_Request.checked(
+                len(requests), spec, first_candidate, engine.max_context,
+                length_schedule if not requests else None))
+            first_candidate += spec.n_candidates
         if dispatch is not None and dispatch.config != engine.model.config:
             raise EngineError(
                 "dispatch selector was built for a different model config "
                 "than the engine's")
-        sampler = sampler if sampler is not None else Sampler(temperature=0.8)
-        injector: Optional[FaultInjector] = None
-        if fault_plan is not None and len(fault_plan) > 0:
-            injector = FaultInjector(fault_plan)
-        policy = retry_policy if retry_policy is not None else RetryPolicy()
+        run = _Run(engine, requests,
+                   sampler if sampler is not None else Sampler(temperature=0.8),
+                   eos_id, fault_plan, deadline_seconds,
+                   clock if clock is not None else SimClock(),
+                   prefill_chunk, dispatch)
+        with obs_trace.span("scheduler.generate", category="scheduler",
+                            prompt_tokens=len(requests[0].prompt),
+                            n_candidates=n_candidates, batch=engine.batch,
+                            max_new_tokens=max_new_tokens):
+            return run.serve()
+
+
+class _Run:
+    """One ``generate`` call: the run's state, one method per phase.
+
+    :meth:`serve` drives prefill and chunk service, admission, decode
+    steps with their retry ladder, recovery, the deadline and the
+    end-of-run release.  Every serving fact goes once through
+    :meth:`_record` to the sinks bound when the run starts.
+    """
+
+    def __init__(self, engine: InferenceEngine, requests: List[_Request],
+                 sampler: Sampler, eos_id: Optional[int],
+                 fault_plan: Optional[FaultPlan],
+                 deadline_seconds: Optional[float], clock: SimClock,
+                 prefill_chunk: Optional[int],
+                 selector: Optional[BackendSelector]) -> None:
+        # an empty plan arms nothing: the run is the plain path, bitwise
+        self.injector = FaultInjector(fault_plan) if fault_plan else None
         engine.reset()
-        cache = engine.cache
-        assert isinstance(cache, PagedKVCache)
-        clock = clock if clock is not None else SimClock()
-
-        result = ScheduledGeneration(sequences=[], prefill_cost=None,
-                                     prompt_tokens=len(prompt))
-        slo = SLOTracker(obs_metrics.get_metrics(),
-                         engine_batch=engine.batch)
-        base_governor = engine.governor
-        try:
-            with obs_trace.span("scheduler.generate", category="scheduler",
-                                prompt_tokens=len(prompt),
-                                n_candidates=n_candidates,
-                                batch=engine.batch,
-                                max_new_tokens=max_new_tokens):
-                self._run(engine, cache, clock, prompt, n_candidates,
-                          budgets, sampler, eos_id, injector, policy,
-                          deadline_seconds, base_governor, result, slo,
-                          prefill_chunk, dispatch, admitted)
-        finally:
-            if injector is not None:
-                cache.pool.fault_injector = None
-                engine.set_governor(base_governor)
-        if injector is not None:
-            result.faults = list(injector.injected)
-        return result
-
-    # ------------------------------------------------------------------
-    def _run(self, engine: InferenceEngine, cache: PagedKVCache,
-             clock: SimClock, prompt: List[int], n_candidates: int,
-             budgets: List[int], sampler: Sampler, eos_id: Optional[int],
-             injector: Optional[FaultInjector], policy: RetryPolicy,
-             deadline_seconds: Optional[float], base_governor,
-             result: ScheduledGeneration, slo: SLOTracker,
-             prefill_chunk: Optional[int],
-             selector: Optional[BackendSelector],
-             admissions: Sequence[PromptAdmission]) -> None:
-        tlog = obs_timeline.get_event_log()
-        accountant = obs_energy.EnergyAccountant()
-        batch = engine.batch
-        config = engine.model.config
+        self.engine = engine
+        self.cache = engine.cache
+        self.batch = engine.batch
+        self.requests = requests
+        self.sampler = sampler
+        self.eos_id = eos_id
+        self.deadline_seconds = deadline_seconds
+        self.clock = clock
+        self.prefill_chunk = prefill_chunk
+        self.selector = selector
+        self.result = ScheduledGeneration(
+            sequences=[], prefill_cost=None,
+            prompt_tokens=len(requests[0].prompt),
+            n_prompt_admissions=len(requests) - 1)
+        # the sinks every fact goes to, bound once for the whole run
+        self.registry = obs_metrics.get_metrics()
+        self.slo = SLOTracker(self.registry, engine_batch=engine.batch)
+        self.log = obs_timeline.get_event_log()
+        self.accountant = obs_energy.EnergyAccountant()
+        self.step_latency = engine.bind_metrics()
+        counter = self.registry.counter
+        self.admission_count = counter("repro.scheduler.admissions")
+        self.retire_count = counter("repro.scheduler.retired")
+        self.live_batch = self.registry.gauge("repro.scheduler.live_batch")
+        self.retry_count = counter("repro.resilience.step_retries")
+        self.eviction_count = counter("repro.resilience.evictions")
+        self.rebuild_count = counter("repro.resilience.rebuilds")
         # An injected clock may already carry earlier requests' time;
         # deadline and sim_seconds are relative to this run's start.
-        run_start = clock.total_seconds
-
-        requests: List[_Request] = [
-            _Request(request_id=0, prompt=list(prompt),
-                     n_candidates=n_candidates, budgets=budgets,
-                     first_candidate=0)]
-        next_cid = n_candidates
-        for i, admission in enumerate(admissions):
-            requests.append(_Request(
-                request_id=i + 1, prompt=list(admission.prompt),
-                n_candidates=admission.n_candidates,
-                budgets=[admission.max_new_tokens] * admission.n_candidates,
-                first_candidate=next_cid, at_step=admission.at_step))
-            next_cid += admission.n_candidates
-        result.n_prompt_admissions = len(requests) - 1
-
-        if tlog.enabled:
-            for request in requests:
-                for local in range(request.n_candidates):
-                    cid = request.first_candidate + local
-                    tlog.emit("queue", run_start, request_id=cid,
-                              wave=cid // batch)
-
-        free_slots = list(range(engine.batch))
-        live: Dict[int, _LiveCandidate] = {}
-        finished: List[CandidateOutput] = []
-        # wave boundary bookkeeping: every candidate id is known up
-        # front, so wave populations are too — wave k opens at its
-        # first admission and closes when its last member retires
-        total_candidates = next_cid
-        waves_started: set = set()
-        wave_retired: Dict[int, int] = {}
-
-        def wave_population(wave: int) -> int:
-            return min(batch, total_candidates - wave * batch)
-
-        step = 0
-        admitting = True
-        throttle_restore_step: Optional[int] = None
+        self.run_start = clock.total_seconds
+        self.base_governor = engine.governor
+        self.free_slots = list(range(engine.batch))
+        self.live: Dict[int, _LiveCandidate] = {}
+        self.finished: List[CandidateOutput] = []
+        # every candidate id is known up front, so wave populations are
+        # too: wave k opens at its first admission and closes when its
+        # last member retires
+        self.total_candidates = (requests[-1].first_candidate
+                                 + requests[-1].n_candidates)
+        self.waves_started: set = set()
+        self.wave_retired: Dict[int, int] = {}
+        self.step = 0
+        self.admitting = True
+        self.restore_step: Optional[int] = None
         # the simulated NPU is the reference backend: all costs come out
         # of the TimingModel's NPU path, and the dispatcher scales them
-        prev_backend = "npu"
+        self.backend = "npu"
 
-        def charge(kind: str, energy: "obs_energy.EnergyBreakdown",
-                   request_id: Optional[int] = None,
-                   step: Optional[int] = None, **attrs) -> None:
-            # every joule and lane-busy second is one charging event:
-            # the ledger folds exactly the attrs the timeline records
-            attrs.update(energy.charge_attrs())
-            accountant.charge(kind, attrs, request_id)
-            if tlog.enabled:
-                tlog.emit(kind, clock.total_seconds, request_id=request_id,
-                          step=step, **attrs)
-
-        def migrate(decision, stage: str) -> None:
-            # moving a stage between backends drags the live KV state
-            # across the rpcmem boundary (clean/invalidate + DRAM copy)
-            nonlocal prev_backend
-            if decision.backend == prev_backend:
-                return
-            tokens_cached = sum(cache.sequence_length(s)
-                                for s in range(batch))
-            kv_bytes = tokens_cached * config.n_layers * 2 * config.kv_dim * 2
-            seconds = crossing_for_bytes(selector.device, kv_bytes)
-            clock.advance(seconds)
-            result.migration_seconds += seconds
-            result.n_backend_switches += 1
-            charge("backend_switch",
-                   engine.energy_model.idle_energy(seconds),
-                   step=step, stage=stage, backend_from=prev_backend,
-                   backend_to=decision.backend, crossing_seconds=seconds,
-                   kv_bytes=kv_bytes)
-            prev_backend = decision.backend
-
-        def price(cost, decision=None
-                  ) -> "tuple[float, obs_energy.EnergyBreakdown]":
-            # the one place a forward becomes simulated seconds, joules
-            # and lane-busy seconds: an off-NPU backend scales the
-            # NPU-modeled step by its modeled ratio, draws no NPU
-            # dynamic power and keeps only the CPU lane busy
-            seconds = engine.step_seconds(cost)
-            offloaded = decision is not None and decision.backend != "npu"
-            if offloaded:
-                seconds *= decision.npu_ratio
-            clock.advance(seconds)
-            if offloaded:
-                return seconds, engine.offloaded_step_energy(seconds)
-            return seconds, engine.step_energy(cost, seconds)
-
-        def forward_chunk(request: _Request, recover: bool) -> bool:
-            # one prompt window through the model; True means the run
-            # made forward progress (a chunk landed, or an eviction
-            # freed pool space for the retry)
-            slot = request.prefill_slot
-            start = request.prefilled
-            end = len(request.prompt) if prefill_chunk is None \
-                else min(start + prefill_chunk, len(request.prompt))
-            chunk = request.prompt[start:end]
-            decision = None
-            if selector is not None:
-                decision = selector.select("prefill", len(chunk),
-                                           engine.governor.name)
-                migrate(decision, "prefill")
-            try:
-                logits_vec, cost = engine.prefill_chunk(chunk, seq=slot)
-            except KVPoolExhausted:
-                if not recover:
-                    raise
-                # roll the partial prefill back; eviction frees pool
-                # space so the next service round restarts from scratch
-                cache.free_sequence(slot)
-                request.prefilled = 0
-                request.last_logits = None
-                if not evict_one():
-                    request.prefill_slot = None
-                    free_slots.append(slot)
-                    free_slots.sort()
-                    return False
-                return True
-            seconds, breakdown = price(cost, decision)
-            slo.observe_prefill_chunk(seconds)
-            result.n_prefill_chunks += 1
-            request.prefilled = end
-            request.last_logits = logits_vec
-            if request.request_id == 0:
-                result.prefill_cost = cost
-            attrs = dict(seconds=seconds, n_tokens=len(chunk), offset=start,
-                         request=request.request_id)
-            if decision is not None:
-                attrs["backend"] = decision.backend
-            charge("prefill_chunk", breakdown, step=step, **attrs)
-            if request.prefilled >= len(request.prompt):
-                request.anchor = cache.snapshot_sequence(slot)
-                cache.free_sequence(slot)
-                request.prefill_slot = None
-                free_slots.append(slot)
-                free_slots.sort()
-            return True
-
-        def pending_requests() -> bool:
-            return any(r.anchor is None or r.next_local < r.n_candidates
-                       for r in requests)
-
-        def service_prefills(idle: bool = False) -> bool:
-            # at most one chunk per decode step: prefill interleaves
-            # with decode instead of stalling it
-            if not admitting:
-                return False
-            for request in requests:
-                if request.anchor is not None:
-                    continue
-                if request.at_step > step and not idle:
-                    continue
-                if request.prefill_slot is None:
-                    if not free_slots:
+    def serve(self) -> ScheduledGeneration:
+        """Run every phase to the end of the run and return its result."""
+        try:
+            for cid in range(self.total_candidates):
+                self._record("queue", request_id=cid, wave=cid // self.batch)
+            self._prefill_primary()
+            if self.injector is not None:
+                # armed only once the serving loop (and its recovery
+                # paths) owns the pool: the primary prefill is the run's
+                # precondition, not a recoverable step
+                self.cache.pool.fault_injector = self.injector
+                self.injector.clock = self.clock
+            self._admit()
+            while self.live or (self.admitting and self._pending()):
+                if not self.live:
+                    # nothing decodable: the only useful work is
+                    # servicing a pending prompt (ignore at_step gates —
+                    # the decode timeline they were relative to drained)
+                    progressed = self._service_prefills(idle=True)
+                    self._admit()
+                    if self.live or progressed:
                         continue
-                    request.prefill_slot = free_slots.pop(0)
-                return forward_chunk(request, recover=True)
-            return False
-
-        def admit() -> None:
-            for request in requests:
-                if not (admitting and free_slots):
                     break
-                if request.anchor is None:
-                    continue
-                while (admitting and free_slots
-                       and request.next_local < request.n_candidates):
-                    slot = free_slots.pop(0)
-                    cid = request.first_candidate + request.next_local
-                    with obs_trace.span("scheduler.admit",
-                                        category="scheduler", slot=slot,
-                                        candidate=cid, step=step):
-                        cache.restore_sequence(slot, request.anchor)
-                        token = int(sampler.sample(request.last_logits))
-                    candidate = _LiveCandidate(
-                        candidate_id=cid, slot=slot, tokens=[token],
-                        budget=request.budgets[request.next_local],
-                        admitted_step=step,
-                        admitted_sim=clock.total_seconds,
-                        request_id=request.request_id)
-                    request.next_local += 1
-                    result.n_admissions += 1
-                    self._admissions.inc()
-                    if tlog.enabled:
-                        wave = candidate.candidate_id // batch
-                        if wave not in waves_started:
-                            waves_started.add(wave)
-                            tlog.emit("wave_start", clock.total_seconds,
-                                      step=step, wave=wave,
-                                      population=wave_population(wave))
-                        tlog.emit("admit", clock.total_seconds,
-                                  request_id=candidate.candidate_id,
-                                  step=step, slot=slot)
-                        tlog.emit("wave_assign", clock.total_seconds,
-                                  request_id=candidate.candidate_id,
-                                  step=step, wave=wave)
-                    if ((eos_id is not None and token == eos_id)
-                            or candidate.budget == 1):
-                        retire(candidate, "eos" if eos_id is not None
-                               and token == eos_id else "length")
-                    else:
-                        live[slot] = candidate
+                self._decode()
+                self._service_prefills()
+                self._admit()
+            self._release()
+        finally:
+            if self.injector is not None:
+                self.cache.pool.fault_injector = None
+                self.engine.set_governor(self.base_governor)
+        return self.result
 
-        def retire(candidate: _LiveCandidate, reason: str) -> None:
-            cache.free_sequence(candidate.slot)
-            live.pop(candidate.slot, None)
-            free_slots.append(candidate.slot)
-            joules = accountant.request_joules(candidate.candidate_id)
-            finished.append(CandidateOutput(
-                candidate_id=candidate.candidate_id,
-                slot=candidate.slot, tokens=candidate.tokens,
-                admitted_step=candidate.admitted_step,
-                finished_step=step, finish_reason=reason,
-                joules=joules, request_id=candidate.request_id))
-            self._retired.inc()
-            latency = clock.total_seconds - candidate.admitted_sim
-            slo.observe_candidate(candidate.candidate_id, latency)
-            if tlog.enabled:
-                tlog.emit("complete", clock.total_seconds,
-                          request_id=candidate.candidate_id, step=step,
-                          reason=reason, tokens=len(candidate.tokens),
-                          latency_seconds=latency, joules=joules)
-                wave = candidate.candidate_id // batch
-                wave_retired[wave] = wave_retired.get(wave, 0) + 1
-                if wave_retired[wave] == wave_population(wave):
-                    tlog.emit("wave_end", clock.total_seconds, step=step,
-                              wave=wave, population=wave_retired[wave])
+    def _record(self, kind: str, request_id: Optional[int] = None,
+                step: Optional[int] = None, **attrs) -> None:
+        """Record one serving fact once, into every sink: the energy
+        ledger (a charging kind's attrs end with its joules and lane
+        seconds), the SLO histograms, and the event log when armed."""
+        self.accountant.charge(kind, attrs, request_id)
+        self.slo.fold(kind, attrs)
+        if self.log.enabled:
+            self.log.emit(kind, self.clock.total_seconds,
+                          request_id=request_id, step=step, **attrs)
 
-        def rebuild_live() -> None:
-            # The paged cache may be in an inconsistent mid-forward
-            # state after an abort; restoring the prompt anchor and
-            # re-forwarding each candidate's already-sampled prefix
-            # rebuilds exact KV without consuming any sampler RNG.
-            for slot in sorted(live):
-                candidate = live[slot]
-                prefix = candidate.tokens[:-1]
-                rebuild_energy = obs_energy.ZERO_ENERGY
-                rebuild_seconds = 0.0
-                with obs_trace.span("resilience.rebuild",
-                                    category="resilience", slot=slot,
-                                    candidate=candidate.candidate_id,
-                                    tokens=len(prefix), step=step):
-                    cache.free_sequence(slot)
-                    cache.restore_sequence(
-                        slot, requests[candidate.request_id].anchor)
-                    if prefix:
-                        cost = engine.rebuild_sequence(slot, prefix)
-                        rebuild_seconds, rebuild_energy = price(cost)
-                result.n_rebuilds += 1
-                result.rebuilt_tokens += len(prefix)
-                self._rebuilds.inc()
-                charge("rebuild", rebuild_energy,
-                       request_id=candidate.candidate_id, step=step,
-                       tokens=len(prefix), seconds=rebuild_seconds)
-            # in-flight partial prefills lost their KV too: restart them
-            # from scratch on the next service round
-            for request in requests:
-                if (request.anchor is None
-                        and request.prefill_slot is not None
-                        and request.prefilled > 0):
-                    cache.free_sequence(request.prefill_slot)
-                    request.prefilled = 0
-                    request.last_logits = None
+    def _place(self, stage: str, size: int):
+        """Pick the backend for one stage run (``None`` without a
+        selector: all NPU).  A backend change drags the live KV state
+        across the rpcmem boundary (clean/invalidate + DRAM copy)."""
+        if self.selector is None:
+            return None
+        decision = self.selector.select(stage, size,
+                                        self.engine.governor.name)
+        if decision.backend != self.backend:
+            tokens_cached = sum(self.cache.sequence_length(s)
+                                for s in range(self.batch))
+            config = self.engine.model.config
+            kv_bytes = tokens_cached * config.n_layers * 2 * config.kv_dim * 2
+            seconds = crossing_for_bytes(self.selector.device, kv_bytes)
+            self.clock.advance(seconds)
+            self.result.migration_seconds += seconds
+            self.result.n_backend_switches += 1
+            idle = self.engine.energy_model.idle_energy(seconds)
+            self._record("backend_switch", step=self.step, stage=stage,
+                         backend_from=self.backend,
+                         backend_to=decision.backend, crossing_seconds=seconds,
+                         kv_bytes=kv_bytes, **idle.charge_attrs())
+            self.backend = decision.backend
+        return decision
 
-        def evict_one() -> bool:
-            if not live:
-                return False
-            # lowest-value candidate: least decoded progress, breaking
-            # ties toward the most recently admitted (highest id)
-            victim = min(live.values(),
-                         key=lambda c: (len(c.tokens), -c.candidate_id))
-            if tlog.enabled:
-                tlog.emit("evict", clock.total_seconds,
-                          request_id=victim.candidate_id, step=step,
-                          tokens=len(victim.tokens))
-            with obs_trace.span("resilience.evict", category="resilience",
-                                candidate=victim.candidate_id,
-                                slot=victim.slot, tokens=len(victim.tokens),
-                                step=step):
-                retire(victim, "evicted")
-            result.n_evictions += 1
-            self._evictions.inc()
-            return True
+    def _price(self, cost, decision=None, latency=None
+               ) -> "Tuple[float, obs_energy.EnergyBreakdown]":
+        """The one place a forward becomes simulated seconds, joules and
+        lane-busy seconds.  ``latency`` observes the NPU-priced seconds;
+        an off-NPU backend then scales them by its modeled ratio, draws
+        no NPU dynamic power and keeps only the CPU lane busy."""
+        seconds = self.engine.step_seconds(cost)
+        if latency is not None:
+            latency.observe(seconds)
+        if decision is None or decision.backend == "npu":
+            self.clock.advance(seconds)
+            return seconds, self.engine.step_energy(cost, seconds)
+        seconds *= decision.npu_ratio
+        self.clock.advance(seconds)
+        return seconds, self.engine.offloaded_step_energy(seconds)
 
-        def degrade(reason: str) -> None:
-            result.degraded = True
-            with obs_trace.span("resilience.degrade", category="resilience",
-                                reason=reason, live=len(live), step=step):
-                for slot in sorted(live):
-                    retire(live[slot], reason)
+    def _charge(self, kind: str, cost, decision, step: Optional[int] = None,
+                latency=None, **attrs) -> None:
+        """Price one placed forward and record it: its seconds lead the
+        event's attrs and the backend that ran it (with a selector)
+        closes them."""
+        seconds, energy = self._price(cost, decision, latency)
+        if decision is not None:
+            attrs["backend"] = decision.backend
+        self._record(kind, step=step, seconds=seconds, **attrs,
+                     **energy.charge_attrs())
 
-        def note_retry(kind: str, seconds: float) -> None:
-            result.n_retries += 1
-            self._step_retries.inc()
-            obs_metrics.get_metrics().counter(
-                "repro.resilience.step_retries", labels={"kind": kind}).inc()
-            with obs_trace.span("resilience.retry", category="resilience",
-                                kind=kind, step=step,
-                                backoff_ms=seconds * 1e3):
-                clock.advance(seconds)
-            # backoff burns baseline power while every lane sits idle
-            charge("retry", engine.energy_model.idle_energy(seconds),
-                   step=step, retry_kind=kind, backoff_seconds=seconds)
-
-        if prefill_chunk is None:
-            last_logits, prefill_cost = engine.prefill(prompt, seq=0)
-            decision = None
-            if selector is not None:
-                decision = selector.select("prefill", len(prompt),
-                                           engine.governor.name)
-                migrate(decision, "prefill")
-            prefill_seconds, prefill_energy = price(prefill_cost, decision)
-            attrs = dict(seconds=prefill_seconds, n_tokens=len(prompt))
-            if selector is not None:
-                attrs["backend"] = prev_backend
-            charge("prefill", prefill_energy, **attrs)
-            result.prefill_cost = prefill_cost
-            requests[0].last_logits = last_logits
-            requests[0].anchor = cache.snapshot_sequence(0)
-            # slot 0 still holds the prompt tokens; the first admission
-            # restores the anchor over it, which is a refcount no-op
-            cache.free_sequence(0)
-        else:
+    def _prefill_primary(self) -> None:
+        request = self.requests[0]
+        if self.prefill_chunk is not None:
             # chunked main prefill: the primary prompt forwards through
             # TCM-sized windows before the run's first decode step
-            requests[0].prefill_slot = free_slots.pop(0)
-            while requests[0].anchor is None:
-                forward_chunk(requests[0], recover=False)
-        if injector is not None:
-            # armed only once the serving loop (and its recovery paths)
-            # owns the pool: the primary prefill is the run's
-            # precondition, not a recoverable step
-            cache.pool.fault_injector = injector
-            injector.clock = clock
+            request.prefill_slot = self.free_slots.pop(0)
+            while request.anchor is None:
+                self._forward_chunk(request, recover=False)
+            return
+        logits, cost = self.engine.prefill(request.prompt, seq=0)
+        decision = self._place("prefill", len(request.prompt))
+        self._charge("prefill", cost, decision, n_tokens=len(request.prompt))
+        self.result.prefill_cost = cost
+        request.last_logits = logits
+        request.anchor = self.cache.snapshot_sequence(0)
+        # slot 0 still holds the prompt tokens; the first admission
+        # restores the anchor over it, which is a refcount no-op
+        self.cache.free_sequence(0)
 
-        admit()
-        while live or (admitting and pending_requests()):
-            if not live:
-                # nothing decodable: the only useful work is servicing a
-                # pending prompt (ignore at_step gates — the decode
-                # timeline they were relative to has drained)
-                progressed = service_prefills(idle=True)
-                admit()
-                if not live:
-                    if not progressed:
-                        break
-                    continue
-            arm_abort = arm_dma = arm_alloc = 0
-            if injector is not None:
-                if (throttle_restore_step is not None
-                        and step >= throttle_restore_step):
-                    engine.set_governor(base_governor)
-                    throttle_restore_step = None
-                    result.governor_steps.append((step, base_governor.name))
-                    if tlog.enabled:
-                        tlog.emit("throttle", clock.total_seconds,
-                                  step=step, governor=base_governor.name,
-                                  governor_level=governor_level(
-                                      base_governor.name),
-                                  restored=True)
-                for event in injector.step_events(step):
-                    if event.kind == "thermal_throttle":
-                        engine.set_governor(event.governor)
-                        result.governor_steps.append((step, event.governor))
-                        if event.duration_steps is not None:
-                            throttle_restore_step = (step
-                                                     + event.duration_steps)
-                        with obs_trace.span("resilience.throttle",
-                                            category="resilience",
-                                            governor=event.governor,
-                                            step=step,
-                                            duration=event.duration_steps):
-                            pass
-                        if tlog.enabled:
-                            tlog.emit("throttle", clock.total_seconds,
-                                      step=step, governor=event.governor,
-                                      governor_level=governor_level(
-                                          event.governor),
-                                      restored=False)
-                    elif event.kind == "session_abort":
-                        arm_abort += 1
-                    elif event.kind == "dma_timeout":
-                        arm_dma += 1
-                    else:  # alloc_fail
-                        arm_alloc += 1
-            attempt = 0
-            needs_rebuild = False
-            while live:
-                try:
-                    if arm_abort:
-                        arm_abort -= 1
-                        raise SessionAbortError(
-                            f"injected FastRPC session abort at decode "
-                            f"step {step}")
-                    if arm_dma:
-                        arm_dma -= 1
-                        raise DMATimeoutError(
-                            f"injected DMA timeout at decode step {step}")
-                    if arm_alloc:
-                        arm_alloc -= 1
-                        raise KVPoolExhausted(
-                            f"injected KV pool exhaustion at decode "
-                            f"step {step}")
-                    if needs_rebuild:
-                        rebuild_live()
-                        needs_rebuild = False
-                        if not live:
-                            break
-                    slots = sorted(live)
-                    tokens = [live[s].last_token for s in slots]
-                    self._live_batch.set(len(slots))
-                    with obs_trace.span(
-                            "scheduler.step", category="scheduler",
-                            step=step, live_batch=len(slots),
-                            blocks_in_use=cache.pool.blocks_in_use):
-                        logits, cost = engine.decode_step(tokens, slots)
-                    decision = None
-                    if selector is not None:
-                        decision = selector.select("decode", len(slots),
-                                                   engine.governor.name)
-                        migrate(decision, "decode")
-                    step_seconds, step_energy = price(cost, decision)
-                    break
-                except SessionAbortError:
-                    attempt += 1
-                    if injector is None or attempt > policy.max_retries:
-                        degrade("aborted")
-                        break
-                    note_retry("session_abort",
-                               policy.backoff(attempt - 1)
-                               + policy.reopen_seconds)
-                    needs_rebuild = True
-                except TransientFaultError:
-                    attempt += 1
-                    if injector is None or attempt > policy.max_retries:
-                        degrade("aborted")
-                        break
-                    note_retry("dma_timeout", policy.backoff(attempt - 1))
-                except KVPoolExhausted:
-                    attempt += 1
-                    if (injector is None or attempt > policy.max_retries
-                            or not evict_one()):
-                        degrade("aborted")
-                        break
-                    needs_rebuild = True
-            if not live:
-                service_prefills()
-                admit()
-                continue
-            result.decode_costs.append(cost)
-            result.live_batch_per_step.append(len(slots))
-            if selector is not None:
-                result.backend_steps.append((step, prev_backend))
-            live_ids = [live[s].candidate_id for s in slots if s in live]
-            attrs = dict(seconds=step_seconds, live_batch=len(slots),
-                         kv_blocks=cache.pool.blocks_in_use,
-                         governor_level=governor_level(engine.governor.name),
-                         live_ids=live_ids)
-            if selector is not None:
-                attrs["backend"] = prev_backend
-            charge("decode_step", step_energy, step=step, **attrs)
-            slo.observe_step(step_seconds, live_ids)
-            step += 1
-            next_tokens = sampler.sample_batch(logits)
-            for i, slot in enumerate(slots):
-                candidate = live.get(slot)
-                if candidate is None:
-                    continue
-                token = int(next_tokens[i])
-                candidate.tokens.append(token)
-                if eos_id is not None and token == eos_id:
-                    retire(candidate, "eos")
-                elif len(candidate.tokens) >= candidate.budget:
-                    retire(candidate, "length")
-            if (deadline_seconds is not None
-                    and clock.total_seconds - run_start >= deadline_seconds):
-                result.deadline_hit = True
-                admitting = False
-                if tlog.enabled:
-                    tlog.emit("deadline", clock.total_seconds, step=step,
-                              deadline=deadline_seconds, live=len(live))
-                with obs_trace.span("resilience.deadline",
-                                    category="resilience", step=step,
-                                    sim_seconds=clock.total_seconds,
-                                    deadline=deadline_seconds):
-                    degrade("deadline")
-            service_prefills()
-            admit()
+    def _forward_chunk(self, request: _Request, recover: bool) -> bool:
+        """One prompt window through the model; True when a chunk
+        landed or an eviction freed pool space for the retry."""
+        slot = request.prefill_slot
+        start = request.prefilled
+        end = len(request.prompt) if self.prefill_chunk is None \
+            else min(start + self.prefill_chunk, len(request.prompt))
+        chunk = request.prompt[start:end]
+        decision = self._place("prefill", len(chunk))
+        try:
+            logits, cost = self.engine.prefill_chunk(chunk, seq=slot)
+        except KVPoolExhausted:
+            if not recover:
+                raise
+            # roll the partial prefill back; eviction frees pool space
+            # so the next service round restarts from scratch
+            self.cache.free_sequence(slot)
+            request.prefilled = 0
+            request.last_logits = None
+            if self._evict_one():
+                return True
+            self._free_prefill_slot(request)
+            return False
+        self._charge("prefill_chunk", cost, decision, step=self.step,
+                     n_tokens=len(chunk), offset=start,
+                     request=request.request_id)
+        self.result.n_prefill_chunks += 1
+        request.prefilled = end
+        request.last_logits = logits
+        if request.request_id == 0:
+            self.result.prefill_cost = cost
+        if request.prefilled >= len(request.prompt):
+            request.anchor = self.cache.snapshot_sequence(slot)
+            self.cache.free_sequence(slot)
+            self._free_prefill_slot(request)
+        return True
 
-        for request in requests:
+    def _free_prefill_slot(self, request: _Request) -> None:
+        self.free_slots.append(request.prefill_slot)
+        self.free_slots.sort()
+        request.prefill_slot = None
+
+    def _pending(self) -> bool:
+        return any(r.anchor is None or r.next_local < r.n_candidates
+                   for r in self.requests)
+
+    def _service_prefills(self, idle: bool = False) -> bool:
+        """Forward at most one chunk per decode step, so prefill
+        interleaves with decode instead of stalling it."""
+        if not self.admitting:
+            return False
+        for request in self.requests:
             if request.anchor is not None:
-                cache.release_snapshot(request.anchor)
-            elif request.prefill_slot is not None:
-                cache.free_sequence(request.prefill_slot)
-        result.n_steps = step
-        result.peak_kv_bytes = cache.pool.peak_bytes
-        result.cow_copies = cache.pool.cow_copies
-        result.sim_seconds = clock.total_seconds - run_start
-        result.joules = accountant.total_j
-        result.utilization = obs_energy.utilization(
-            accountant.busy_s, result.sim_seconds, clock.total_seconds)
-        result.prefill_joules = accountant.phase_j["prefill"]
-        result.idle_joules = accountant.phase_j["idle"]
+                continue
+            if request.at_step > self.step and not idle:
+                continue
+            if request.prefill_slot is None:
+                if not self.free_slots:
+                    continue
+                request.prefill_slot = self.free_slots.pop(0)
+            return self._forward_chunk(request, recover=True)
+        return False
 
-        finished.sort(key=lambda c: c.candidate_id)
+    def _admit(self) -> None:
+        """Fill free slots from prefilled requests, in request order."""
+        if not self.admitting:
+            return
+        for request in self.requests:
+            if not self.free_slots:
+                break
+            if request.anchor is None:
+                continue
+            while (self.free_slots
+                   and request.next_local < request.n_candidates):
+                slot = self.free_slots.pop(0)
+                cid = request.first_candidate + request.next_local
+                with obs_trace.span("scheduler.admit", category="scheduler",
+                                    slot=slot, candidate=cid, step=self.step):
+                    self.cache.restore_sequence(slot, request.anchor)
+                    token = int(self.sampler.sample(request.last_logits))
+                candidate = _LiveCandidate(
+                    candidate_id=cid, slot=slot, tokens=[token],
+                    budget=request.budgets[request.next_local],
+                    admitted_step=self.step,
+                    admitted_sim=self.clock.total_seconds,
+                    request_id=request.request_id)
+                request.next_local += 1
+                self.result.n_admissions += 1
+                self.admission_count.inc()
+                wave = cid // self.batch
+                if wave not in self.waves_started:
+                    self.waves_started.add(wave)
+                    self._record("wave_start", step=self.step, wave=wave,
+                                 population=self._wave_population(wave))
+                self._record("admit", request_id=cid, step=self.step,
+                             slot=slot)
+                self._record("wave_assign", request_id=cid, step=self.step,
+                             wave=wave)
+                reason = self._finish_reason(candidate)
+                if reason is not None:
+                    self._retire(candidate, reason)
+                else:
+                    self.live[slot] = candidate
+
+    def _finish_reason(self, candidate: _LiveCandidate) -> Optional[str]:
+        if self.eos_id is not None and candidate.tokens[-1] == self.eos_id:
+            return "eos"
+        if len(candidate.tokens) >= candidate.budget:
+            return "length"
+        return None
+
+    def _wave_population(self, wave: int) -> int:
+        return min(self.batch, self.total_candidates - wave * self.batch)
+
+    def _retire(self, candidate: _LiveCandidate, reason: str) -> None:
+        cid = candidate.candidate_id
+        self.cache.free_sequence(candidate.slot)
+        self.live.pop(candidate.slot, None)
+        self.free_slots.append(candidate.slot)
+        joules = self.accountant.request_joules(cid)
+        self.finished.append(CandidateOutput(
+            candidate_id=cid, slot=candidate.slot, tokens=candidate.tokens,
+            admitted_step=candidate.admitted_step, finished_step=self.step,
+            finish_reason=reason, joules=joules,
+            request_id=candidate.request_id))
+        self.retire_count.inc()
+        self._record("complete", request_id=cid, step=self.step,
+                     reason=reason, tokens=len(candidate.tokens),
+                     latency_seconds=(self.clock.total_seconds
+                                      - candidate.admitted_sim),
+                     joules=joules)
+        wave = cid // self.batch
+        retired = self.wave_retired[wave] = self.wave_retired.get(wave, 0) + 1
+        if retired == self._wave_population(wave):
+            self._record("wave_end", step=self.step, wave=wave,
+                         population=retired)
+
+    def _decode(self) -> None:
+        """One decode step: faults, forward and retry ladder, charge,
+        sampling and the deadline; nothing when the ladder left no
+        candidate live."""
+        landed = self._forward_with_retries(self._step_faults())
+        if landed is None:
+            return
+        slots, logits, cost, decision = landed
+        self.result.decode_costs.append(cost)
+        self.result.live_batch_per_step.append(len(slots))
+        if decision is not None:
+            self.result.backend_steps.append((self.step, decision.backend))
+        self._charge("decode_step", cost, decision, step=self.step,
+                     latency=self.step_latency, live_batch=len(slots),
+                     kv_blocks=self.cache.pool.blocks_in_use,
+                     governor_level=governor_level(self.engine.governor.name),
+                     live_ids=[self.live[s].candidate_id for s in slots])
+        self.step += 1
+        for slot, token in zip(slots, self.sampler.sample_batch(logits)):
+            candidate = self.live[slot]
+            candidate.tokens.append(int(token))
+            reason = self._finish_reason(candidate)
+            if reason is not None:
+                self._retire(candidate, reason)
+        self._check_deadline()
+
+    def _step_faults(self) -> List[Exception]:
+        """Restore an expired throttle and apply this step's throttles;
+        return the step's injected faults, in the order they raise."""
+        if self.injector is None:
+            return []
+        if self.restore_step is not None and self.step >= self.restore_step:
+            self.restore_step = None
+            self._govern(self.base_governor, restored=True)
+        kinds = []
+        for event in self.injector.step_events(self.step):
+            if event.kind != "thermal_throttle":
+                kinds.append(event.kind)
+                continue
+            self._govern(event.governor, restored=False)
+            if event.duration_steps is not None:
+                self.restore_step = self.step + event.duration_steps
+            with obs_trace.span("resilience.throttle", category="resilience",
+                                governor=event.governor, step=self.step,
+                                duration=event.duration_steps):
+                pass
+        return [error(f"injected {what} at decode step {self.step}")
+                for kind, error, what in _STEP_FAULTS
+                for _ in range(kinds.count(kind))]
+
+    def _forward_with_retries(self, armed: List[Exception]):
+        """The step's forward, retried through injected and real faults:
+        ``(slots, logits, cost, decision)`` once one lands, or ``None``
+        when nothing is left live to decode."""
+        attempt = 0
+        rebuild = False
+        while self.live:
+            try:
+                if armed:
+                    raise armed.pop(0)
+                if rebuild:
+                    self._rebuild_live()
+                    rebuild = False
+                slots = sorted(self.live)
+                tokens = [self.live[s].tokens[-1] for s in slots]
+                self.live_batch.set(len(slots))
+                with obs_trace.span(
+                        "scheduler.step", category="scheduler",
+                        step=self.step, live_batch=len(slots),
+                        blocks_in_use=self.cache.pool.blocks_in_use):
+                    logits, cost = self.engine.decode_step(tokens, slots)
+                return slots, logits, cost, self._place("decode", len(slots))
+            except (SessionAbortError, TransientFaultError,
+                    KVPoolExhausted) as error:
+                attempt += 1
+                if not self._recover(error, attempt):
+                    self._degrade("aborted")
+                    return None
+                # a lost session or an eviction leaves the KV to rebuild
+                rebuild = rebuild or not isinstance(error, TransientFaultError)
+        return None
+
+    def _recover(self, error: Exception, attempt: int) -> bool:
+        """The ladder's answer to a failed attempt: evict for a full
+        pool, else back off (and reopen the session after an abort).
+        False past the retry budget, without a fault plan, or with
+        nothing left to evict."""
+        if self.injector is None or attempt > _RETRY.max_retries:
+            return False
+        if isinstance(error, KVPoolExhausted):
+            return self._evict_one()
+        kind = "dma_timeout"
+        seconds = _RETRY.backoff(attempt - 1)
+        if isinstance(error, SessionAbortError):
+            kind = "session_abort"
+            seconds += _RETRY.reopen_seconds
+        self.result.n_retries += 1
+        self.retry_count.inc()
+        self.registry.counter("repro.resilience.step_retries",
+                              labels={"kind": kind}).inc()
+        with obs_trace.span("resilience.retry", category="resilience",
+                            kind=kind, step=self.step,
+                            backoff_ms=seconds * 1e3):
+            self.clock.advance(seconds)
+        # backoff burns baseline power while every lane sits idle
+        idle = self.engine.energy_model.idle_energy(seconds)
+        self._record("retry", step=self.step, retry_kind=kind,
+                     backoff_seconds=seconds, **idle.charge_attrs())
+        return True
+
+    def _rebuild_live(self) -> None:
+        """Rebuild every live candidate's KV after an abort or eviction:
+        restoring the prompt anchor and re-forwarding each candidate's
+        sampled prefix rebuilds exact KV without consuming sampler RNG."""
+        for slot in sorted(self.live):
+            candidate = self.live[slot]
+            prefix = candidate.tokens[:-1]
+            energy = obs_energy.ZERO_ENERGY
+            seconds = 0.0
+            with obs_trace.span("resilience.rebuild", category="resilience",
+                                slot=slot, candidate=candidate.candidate_id,
+                                tokens=len(prefix), step=self.step):
+                self.cache.free_sequence(slot)
+                self.cache.restore_sequence(
+                    slot, self.requests[candidate.request_id].anchor)
+                if prefix:
+                    seconds, energy = self._price(
+                        self.engine.rebuild_sequence(slot, prefix))
+            self.result.n_rebuilds += 1
+            self.result.rebuilt_tokens += len(prefix)
+            self.rebuild_count.inc()
+            self._record("rebuild", request_id=candidate.candidate_id,
+                         step=self.step, tokens=len(prefix), seconds=seconds,
+                         **energy.charge_attrs())
+        # in-flight partial prefills lost their KV too: restart them
+        # from scratch on the next service round
+        for request in self.requests:
+            if (request.anchor is None and request.prefill_slot is not None
+                    and request.prefilled > 0):
+                self.cache.free_sequence(request.prefill_slot)
+                request.prefilled = 0
+                request.last_logits = None
+
+    def _evict_one(self) -> bool:
+        if not self.live:
+            return False
+        victim = min(self.live.values(), key=_LiveCandidate.eviction_rank)
+        self._record("evict", request_id=victim.candidate_id, step=self.step,
+                     tokens=len(victim.tokens))
+        with obs_trace.span("resilience.evict", category="resilience",
+                            candidate=victim.candidate_id, slot=victim.slot,
+                            tokens=len(victim.tokens), step=self.step):
+            self._retire(victim, "evicted")
+        self.result.n_evictions += 1
+        self.eviction_count.inc()
+        return True
+
+    def _degrade(self, reason: str) -> None:
+        self.result.degraded = True
+        with obs_trace.span("resilience.degrade", category="resilience",
+                            reason=reason, live=len(self.live),
+                            step=self.step):
+            for slot in sorted(self.live):
+                self._retire(self.live[slot], reason)
+
+    def _govern(self, governor, restored: bool) -> None:
+        """Move the engine to ``governor`` — a throttle, or the restore
+        of the run's base governor — and record the change."""
+        self.engine.set_governor(governor)
+        name = self.engine.governor.name
+        self.result.governor_steps.append((self.step, name))
+        self._record("throttle", step=self.step, governor=name,
+                     governor_level=governor_level(name), restored=restored)
+
+    def _check_deadline(self) -> None:
+        if (self.deadline_seconds is None
+                or self.clock.total_seconds - self.run_start
+                < self.deadline_seconds):
+            return
+        self.result.deadline_hit = True
+        self.admitting = False
+        self._record("deadline", step=self.step,
+                     deadline=self.deadline_seconds, live=len(self.live))
+        with obs_trace.span("resilience.deadline", category="resilience",
+                            step=self.step,
+                            sim_seconds=self.clock.total_seconds,
+                            deadline=self.deadline_seconds):
+            self._degrade("deadline")
+
+    def _release(self) -> None:
+        """Release the prompt anchors and unfinished prefill slots, check
+        conservation and KV no-leak, and fill in the result."""
+        for request in self.requests:
+            if request.anchor is not None:
+                self.cache.release_snapshot(request.anchor)
+            elif request.prefill_slot is not None:
+                self.cache.free_sequence(request.prefill_slot)
+        result = self.result
+        finished = self.finished
+        distinct = len({c.candidate_id for c in finished})
+        if len(finished) != result.n_admissions or distinct != len(finished):
+            raise EngineError(
+                f"candidate conservation broken: {len(finished)} finished "
+                f"({distinct} distinct ids) for {result.n_admissions} "
+                "admitted")
+        pool = self.cache.pool
+        if pool.blocks_in_use:
+            raise EngineError(
+                f"KV leak: {pool.blocks_in_use} blocks ({pool.used_bytes} "
+                "bytes) still in use after the run released its prompt "
+                "anchors and prefill slots")
+        result.n_steps = self.step
+        result.peak_kv_bytes = pool.peak_bytes
+        result.cow_copies = pool.cow_copies
+        result.sim_seconds = self.clock.total_seconds - self.run_start
+        result.joules = self.accountant.total_j
+        result.utilization = obs_energy.utilization(
+            self.accountant.busy_s, result.sim_seconds,
+            self.clock.total_seconds)
+        result.prefill_joules = self.accountant.phase_j["prefill"]
+        result.idle_joules = self.accountant.phase_j["idle"]
+        if self.injector is not None:
+            result.faults = list(self.injector.injected)
+        finished.sort(key=attrgetter("candidate_id"))
         result.candidates = finished
         result.sequences = [c.tokens for c in finished]
         result.n_generated_tokens = [len(c.tokens) for c in finished]
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _budgets(n_candidates: int, max_new_tokens: int,
-                 length_schedule: Optional[Sequence[int]]) -> List[int]:
-        if length_schedule is None:
-            return [max_new_tokens] * n_candidates
-        schedule = [int(b) for b in length_schedule]
-        if not schedule or any(b <= 0 for b in schedule):
-            raise EngineError(
-                f"length schedule entries must be positive, got {schedule}")
-        return [min(schedule[i % len(schedule)], max_new_tokens)
-                for i in range(n_candidates)]

@@ -28,7 +28,7 @@ would have belonged to).
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..errors import ObservabilityError
 from .metrics import Histogram, MetricsRegistry, get_metrics
@@ -139,35 +139,33 @@ class SLOTracker:
         return hist
 
     # ------------------------------------------------------------------
-    def wave_of(self, candidate_id: int) -> int:
-        """Lock-step wave index a candidate would have belonged to."""
-        return candidate_id // self._engine_batch
+    def fold(self, kind: str, attrs: Mapping[str, Any]) -> None:
+        """Fold one serving event, reading the attrs
+        :func:`~repro.obs.stream.stream_from_log` folds from a log.
 
-    def observe_step(self, sim_seconds: float,
-                     live_candidate_ids: "List[int]") -> None:
-        """Record one decode step: step latency plus one token latency
-        per live candidate (each live candidate commits one token per
-        step, so the step's simulated latency *is* its token latency)."""
-        self._step.observe(sim_seconds)
-        for candidate_id in live_candidate_ids:
-            self._token.observe(sim_seconds)
-            self._wave_histogram(self.wave_of(candidate_id)).observe(
-                sim_seconds)
+        A ``decode_step``'s ``seconds`` is the step latency and, once per
+        candidate in its ``live_ids``, a token latency (each live
+        candidate commits one token per step); a ``prefill_chunk``'s
+        ``seconds`` is the prefill SLO of a prompt admitted into a
+        running decode; a ``complete``'s ``latency_seconds`` is the
+        candidate's admission-to-retire latency.  Other kinds fold
+        nothing.
+        """
+        if kind == "decode_step":
+            seconds = attrs["seconds"]
+            self._step.observe(seconds)
+            for candidate_id in attrs["live_ids"]:
+                self._token.observe(seconds)
+                self._wave_histogram(
+                    candidate_id // self._engine_batch).observe(seconds)
+        elif kind == "complete":
+            self._candidate.observe(attrs["latency_seconds"])
+        elif kind == "prefill_chunk":
+            if self._prefill_chunk is None:
+                self._prefill_chunk = self._histogram(
+                    "repro.slo.prefill_chunk_seconds")
+            self._prefill_chunk.observe(attrs["seconds"])
 
-    def observe_candidate(self, candidate_id: int,
-                          latency_seconds: float) -> None:
-        """Record one candidate's admission-to-retire simulated latency."""
-        self._candidate.observe(latency_seconds)
-
-    def observe_prefill_chunk(self, sim_seconds: float) -> None:
-        """Record the simulated latency of one prefill chunk — the
-        prefill SLO of a prompt admitted into a running decode."""
-        if self._prefill_chunk is None:
-            self._prefill_chunk = self._histogram(
-                "repro.slo.prefill_chunk_seconds")
-        self._prefill_chunk.observe(sim_seconds)
-
-    # ------------------------------------------------------------------
     def summary(self) -> Dict[str, Dict[str, float]]:
         """Percentile summary of every SLO instrument recorded so far."""
         return slo_summary(self._registry)

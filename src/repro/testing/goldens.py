@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tempfile
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -210,6 +211,88 @@ def _prefill_chunked() -> Dict:
             "candidate_request_ids": [c.request_id
                                       for c in result.candidates],
             "finish_reasons": [c.finish_reason for c in result.candidates]}
+
+
+def _digest(record) -> str:
+    """sha256 of ``record`` as canonical JSON (sorted keys, compact, no
+    fallback for values JSON cannot hold)."""
+    return hashlib.sha256(json.dumps(
+        record, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _scheduler_record(batch: int, max_context: int, prompt: List[int],
+                      **options) -> Dict:
+    """Every observable record of one scheduler run, pinned by digest.
+
+    The run goes under a fresh tracer, event log and metrics registry,
+    so the record holds exactly what the run emitted: the timeline
+    events, the registry snapshot, and the ``scheduler`` and
+    ``resilience`` spans as (name, depth, attrs) in finish order.
+    ``_``-prefixed span attrs are tracer bookkeeping and are left out.
+    The model is built fresh: its first forward sets the TCM gauges,
+    which a model shared with an earlier run would leave unset.
+    """
+    from ..llm import (ContinuousBatchingScheduler, InferenceEngine,
+                       NPUTransformer, Sampler)
+    from ..obs import metrics as obs_metrics
+    from ..obs import timeline as obs_timeline
+    from ..obs import trace as obs_trace
+
+    tracer = obs_trace.Tracer()
+    log = obs_timeline.EventLog()
+    registry = obs_metrics.MetricsRegistry()
+    previous = (obs_trace.set_tracer(tracer), obs_timeline.set_event_log(log),
+                obs_metrics.set_metrics(registry))
+    try:
+        engine = InferenceEngine(NPUTransformer(_tiny_weights(0)),
+                                 batch=batch, max_context=max_context,
+                                 kv_backend="paged")
+        ContinuousBatchingScheduler(engine).generate(
+            prompt, sampler=Sampler(temperature=0.8, seed=0), **options)
+    finally:
+        obs_trace.set_tracer(previous[0])
+        obs_timeline.set_event_log(previous[1])
+        obs_metrics.set_metrics(previous[2])
+    events = [event.to_json() for event in log.events()]
+    spans = [[s.name, s.depth,
+              {k: v for k, v in s.attrs.items() if not k.startswith("_")}]
+             for s in tracer.finished_spans()
+             if s.category in ("scheduler", "resilience")]
+    return {"event_counts": dict(Counter(e["kind"] for e in events)),
+            "span_counts": dict(Counter(name for name, _, _ in spans)),
+            "events_sha256": _digest(events),
+            "metrics_sha256": _digest(registry.snapshot()),
+            "spans_sha256": _digest(spans)}
+
+
+@_register("scheduler_record", "json",
+           "timeline, metrics and span digests of three scheduler runs: "
+           "chaos, mixed prefill/decode with dispatch, chunked recovery")
+def _scheduler_record_case() -> Dict:
+    from ..llm import BackendSelector, PromptAdmission, tiny_config
+    from ..npu.soc import DEFAULT_DEVICE, DEVICES
+    from ..resilience import FaultPlan
+
+    chaos_plan = "abort@2,dma@4,alloc@3,throttle@1:efficiency:4,kvpool#9"
+    recovery_plan = "kvpool#5,abort@5,throttle@1:efficiency:3"
+    late_prompt = [(i % 500) + 1 for i in range(20)]
+    return {
+        "chaos": {"fault_plan": chaos_plan, **_scheduler_record(
+            4, 64, _PROMPT, n_candidates=8, max_new_tokens=12,
+            fault_plan=FaultPlan.parse(chaos_plan))},
+        "mixed": _scheduler_record(
+            4, 64, _PROMPT, n_candidates=16, max_new_tokens=12,
+            length_schedule=[3, 12, 5, 8], prefill_chunk=4,
+            dispatch=BackendSelector(DEVICES[DEFAULT_DEVICE], tiny_config()),
+            admissions=[PromptAdmission(late_prompt, n_candidates=4,
+                                        max_new_tokens=8, at_step=6)]),
+        "recovery": {"fault_plan": recovery_plan, **_scheduler_record(
+            3, 48, [3, 1, 4, 1, 5], n_candidates=2, max_new_tokens=10,
+            prefill_chunk=2, fault_plan=FaultPlan.parse(recovery_plan),
+            deadline_seconds=1.5e-4,
+            admissions=[PromptAdmission([7, 7, 7, 2, 5, 1, 8, 8, 4, 3],
+                                        n_candidates=2, max_new_tokens=5,
+                                        at_step=2)])}}
 
 
 @_register("speculative_greedy", "json",

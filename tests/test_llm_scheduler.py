@@ -1,5 +1,7 @@
 """Unit tests for the continuous-batching scheduler and wave planner."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,94 @@ class TestWavedGeneration:
                       sampler=Sampler(temperature=0.8, seed=9))
         assert result.sim_seconds > 0.0
         assert len(result.decode_costs) == result.n_steps
+
+
+class TestRunInvariants:
+    """Conservation and KV no-leak are checked inside every run."""
+
+    def _generate(self, tiny_model):
+        return ContinuousBatchingScheduler(_paged_engine(tiny_model)) \
+            .generate(PROMPT, n_candidates=4, max_new_tokens=3,
+                      sampler=Sampler(temperature=0.8, seed=0))
+
+    def test_kv_leak_raises_with_the_numbers(self, tiny_model, monkeypatch):
+        from repro.llm.block_pool import PagedKVCache
+
+        # the prompt anchor is never released, so its blocks stay pinned
+        monkeypatch.setattr(PagedKVCache, "release_snapshot",
+                            lambda cache, snapshot: None)
+        with pytest.raises(EngineError,
+                           match=r"KV leak: [1-9]\d* blocks \(\d+ bytes\)"):
+            self._generate(tiny_model)
+
+    @pytest.mark.parametrize("breach, counts", [
+        ("lost", "3 finished (3 distinct ids) for 4 admitted"),
+        ("duplicated", "5 finished (4 distinct ids) for 4 admitted")],
+        ids=["lost", "duplicated"])
+    def test_conservation_breach_raises_with_the_numbers(
+            self, tiny_model, monkeypatch, breach, counts):
+        from repro.llm import scheduler
+
+        retire = scheduler._Run._retire
+
+        def broken_retire(run, candidate, reason):
+            retire(run, candidate, reason)
+            if candidate.candidate_id == 1:
+                if breach == "lost":
+                    run.finished.pop()
+                else:
+                    run.finished.append(run.finished[-1])
+
+        monkeypatch.setattr(scheduler._Run, "_retire", broken_retire)
+        with pytest.raises(EngineError, match=re.escape(
+                f"candidate conservation broken: {counts}")):
+            self._generate(tiny_model)
+
+
+class TestMetricBinding:
+    def test_runs_bind_the_registry_installed_when_they_start(
+            self, tiny_model):
+        """Engines and schedulers built under one registry record a run
+        into the registry installed when the run starts."""
+        from repro.obs.metrics import MetricsRegistry, set_metrics
+        from repro.resilience import FaultPlan
+
+        built_under = MetricsRegistry()
+        previous = set_metrics(built_under)
+        try:
+            sched = ContinuousBatchingScheduler(_paged_engine(tiny_model))
+            lockstep = InferenceEngine(tiny_model, batch=2, max_context=32)
+        finally:
+            set_metrics(previous)
+        fresh = MetricsRegistry()
+        previous = set_metrics(fresh)
+        try:
+            result = sched.generate(
+                PROMPT, n_candidates=6, max_new_tokens=4,
+                sampler=Sampler(temperature=0.8, seed=0),
+                fault_plan=FaultPlan.parse("dma@1,alloc@2"))
+            plain = lockstep.generate(PROMPT, max_new_tokens=4,
+                                      sampler=Sampler(temperature=0.8,
+                                                      seed=0))
+        finally:
+            set_metrics(previous)
+        snap = fresh.snapshot()
+        assert snap["repro.scheduler.admissions"]["value"] == 6
+        assert snap["repro.scheduler.retired"]["value"] == 6
+        assert snap["repro.resilience.step_retries"]["value"] == \
+            result.n_retries == 1
+        assert snap["repro.resilience.evictions"]["value"] == \
+            result.n_evictions == 1
+        assert snap["repro.slo.step_latency_seconds"]["count"] == \
+            result.n_steps
+        assert snap["repro.engine.decode_step_seconds"]["count"] == \
+            result.n_steps + plain.n_decode_steps
+        assert snap["repro.engine.generated_tokens"]["value"] == \
+            plain.total_generated_tokens
+        stale = [name for name in built_under.snapshot()
+                 if name.startswith(("repro.scheduler.", "repro.resilience.",
+                                     "repro.engine.", "repro.slo."))]
+        assert stale == []
 
 
 class TestWavePlanner:

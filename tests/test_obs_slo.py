@@ -51,10 +51,17 @@ class TestSLOTracker:
     def test_records_step_token_wave_candidate(self):
         reg = MetricsRegistry()
         tracker = SLOTracker(reg, engine_batch=4)
-        tracker.observe_step(1e-3, [0, 1, 4, 5])   # waves 0 and 1
-        tracker.observe_step(2e-3, [4, 5])
-        tracker.observe_candidate(0, 5e-3)
+        tracker.fold("decode_step", {"seconds": 1e-3,
+                                     "live_ids": [0, 1, 4, 5]})  # waves 0, 1
+        tracker.fold("decode_step", {"seconds": 2e-3, "live_ids": [4, 5]})
+        tracker.fold("complete", {"latency_seconds": 5e-3})
+        tracker.fold("prefill_chunk", {"seconds": 3e-3})
+        # kinds without an SLO fold nothing, charged or not
+        tracker.fold("queue", {"wave": 0})
+        tracker.fold("retry", {"backoff_seconds": 1e-3, "joules": 1e-6})
         summary = slo_summary(reg)
+        assert len(summary) == 6
+        assert summary["repro.slo.prefill_chunk_seconds"]["count"] == 1
         assert summary["repro.slo.step_latency_seconds"]["count"] == 2
         assert summary["repro.slo.token_latency_seconds"]["count"] == 6
         assert summary["repro.slo.wave0.token_latency_seconds"]["count"] == 2
@@ -67,7 +74,8 @@ class TestSLOTracker:
         reg = MetricsRegistry()
         tracker = SLOTracker(reg, engine_batch=1)
         for candidate in range(2 * MAX_TRACKED_WAVES):
-            tracker.observe_step(1e-4, [candidate])
+            tracker.fold("decode_step", {"seconds": 1e-4,
+                                         "live_ids": [candidate]})
         wave_names = [n for n in reg.snapshot() if ".wave" in n]
         assert len(wave_names) <= MAX_TRACKED_WAVES
         last = f"repro.slo.wave{MAX_TRACKED_WAVES - 1}.token_latency_seconds"

@@ -354,6 +354,137 @@ class TestSchedulerChaos:
         assert result.n_retries >= 1
 
 
+class TestSchedulerRecoveryPaths:
+    """Recovery branches that need chunked prefill, a prompt admission,
+    exhausted retries or an armed event log to fire: a 5-token primary
+    prompt in 2-token chunks, with a 10-token prompt admitted at step 2
+    for two 5-token candidates."""
+
+    LATE = [7, 7, 7, 2, 5, 1, 8, 8, 4, 3]
+
+    def run(self, tiny_model, plan=None, n=2, steps=6, batch=3,
+            schedule=None, deadline=None, log=None):
+        from repro.llm import PromptAdmission
+        from repro.obs.timeline import EventLog, set_event_log
+
+        engine = InferenceEngine(tiny_model, batch=batch, max_context=48,
+                                 kv_backend="paged")
+        previous = set_event_log(log if log is not None
+                                 else EventLog(enabled=False))
+        try:
+            result = ContinuousBatchingScheduler(engine).generate(
+                [3, 1, 4, 1, 5], n_candidates=n, max_new_tokens=steps,
+                sampler=Sampler(temperature=0.8, seed=0), prefill_chunk=2,
+                admissions=[PromptAdmission(self.LATE, n_candidates=2,
+                                            max_new_tokens=5, at_step=2)],
+                length_schedule=schedule,
+                fault_plan=FaultPlan.parse(plan) if plan else None,
+                deadline_seconds=deadline)
+        finally:
+            set_event_log(previous)
+        assert engine.cache.pool.blocks_in_use == 0
+        assert engine.cache.pool.used_bytes == 0
+        assert engine.governor.name == "performance"
+        assert len(result.candidates) == result.n_admissions
+        return result
+
+    @staticmethod
+    def outcomes(result):
+        return [(c.candidate_id, c.request_id, c.admitted_step,
+                 c.finished_step, c.finish_reason, len(c.tokens))
+                for c in result.candidates]
+
+    def test_abort_restarts_in_flight_admitted_prefill(self, tiny_model):
+        from repro.obs.timeline import EventLog
+        log = EventLog()
+        result = self.run(tiny_model, "abort@4", log=log)
+        assert [f.kind for f in result.faults] == ["session_abort"]
+        assert result.n_retries == 1
+        assert (result.n_rebuilds, result.rebuilt_tokens) == (2, 8)
+        # the admitted prompt had forwarded three chunks when the abort
+        # hit; they are lost and it prefills again from offset 0
+        offsets = [e.attrs["offset"] for e in log.by_kind("prefill_chunk")
+                   if e.attrs["request"] == 1]
+        assert offsets == [0, 2, 4, 0, 2, 4, 6, 8]
+        assert result.n_prefill_chunks == 3 + 8
+        assert self.outcomes(result) == [
+            (0, 0, 0, 5, "length", 6), (1, 0, 0, 5, "length", 6),
+            (2, 1, 5, 9, "length", 5), (3, 1, 5, 9, "length", 5)]
+
+    def test_chunk_kv_exhaustion_rolls_back_and_evicts(self, tiny_model):
+        result = self.run(tiny_model, "kvpool#5")
+        assert [f.kind for f in result.faults] == ["alloc_fail"]
+        assert result.n_evictions == 1
+        assert result.n_retries == 0
+        # the failed chunk is not counted; the prompt prefills once
+        assert result.n_prefill_chunks == 3 + 5
+        assert self.outcomes(result) == [
+            (0, 0, 0, 5, "length", 6), (1, 0, 0, 2, "evicted", 3),
+            (2, 1, 5, 9, "length", 5), (3, 1, 5, 9, "length", 5)]
+
+    def test_chunk_kv_exhaustion_with_nothing_to_evict(self, tiny_model):
+        # one-token budgets retire both candidates at admission, so the
+        # admitted prompt prefills idle; its chunk fails with nothing
+        # live to evict, and the run ends without admitting it
+        result = self.run(tiny_model, "kvpool#1", steps=1)
+        assert [f.kind for f in result.faults] == ["alloc_fail"]
+        assert (result.n_steps, result.n_evictions) == (0, 0)
+        assert result.n_admissions == 2
+        assert result.n_prefill_chunks == 3
+        assert self.outcomes(result) == [
+            (0, 0, 0, 0, "length", 1), (1, 0, 0, 0, "length", 1)]
+
+    def test_retire_at_admission_then_idle_prefill(self, tiny_model):
+        result = self.run(tiny_model, n=6, schedule=[1, 4])
+        assert result.n_admissions == 8
+        assert result.n_steps == 7
+        # the admission waits for the decode to drain, then prefills all
+        # five chunks idle before its candidates are admitted at step 3
+        assert result.n_prefill_chunks == 3 + 5
+        assert self.outcomes(result) == [
+            (0, 0, 0, 0, "length", 1), (1, 0, 0, 3, "length", 4),
+            (2, 0, 0, 0, "length", 1), (3, 0, 0, 3, "length", 4),
+            (4, 0, 0, 0, "length", 1), (5, 0, 0, 3, "length", 4),
+            (6, 1, 3, 7, "length", 5), (7, 1, 3, 7, "length", 5)]
+
+    def test_dma_retries_exhausted_degrade(self, tiny_model):
+        result = self.run(tiny_model, "dma@2,dma@2,dma@2,dma@2", n=6)
+        assert [f.kind for f in result.faults] == ["dma_timeout"] * 4
+        assert result.n_retries == RetryPolicy().max_retries
+        assert result.degraded and not result.deadline_hit
+        aborted = [c for c in result.candidates
+                   if c.finish_reason == "aborted"]
+        assert [(c.candidate_id, c.finished_step) for c in aborted] == \
+            [(0, 2), (1, 2), (2, 2)]
+        # the run goes on after the degrade and admits everyone else
+        assert result.n_admissions == 8
+
+    def test_alloc_retries_exhausted_degrade(self, tiny_model):
+        # one eviction per retry; the fourth failure exceeds max_retries
+        # while a candidate is still live
+        result = self.run(tiny_model, ",".join(["alloc@1"] * 4), n=4,
+                          batch=4)
+        assert [f.kind for f in result.faults] == ["alloc_fail"] * 4
+        assert result.n_evictions == RetryPolicy().max_retries
+        assert result.degraded
+        assert [c.finish_reason for c in result.candidates] == [
+            "aborted", "evicted", "evicted", "evicted", "length", "length"]
+
+    def test_deadline_event_and_unfinished_prefill_slot(self, tiny_model):
+        from repro.obs.timeline import EventLog
+        log = EventLog()
+        result = self.run(tiny_model, deadline=3e-5, log=log)
+        assert result.deadline_hit and result.degraded
+        (event,) = log.by_kind("deadline")
+        assert event.step == result.n_steps == 4
+        assert dict(event.attrs) == {"deadline": 3e-5, "live": 2}
+        # the admitted prompt was mid-prefill when admission stopped:
+        # its slot is freed at the end and it admits nobody
+        assert result.n_prefill_chunks == 3 + 2
+        assert self.outcomes(result) == [
+            (0, 0, 0, 4, "deadline", 5), (1, 0, 0, 4, "deadline", 5)]
+
+
 # ----------------------------------------------------------------------
 # TTS-layer degradation
 # ----------------------------------------------------------------------

@@ -15,7 +15,8 @@ from repro.testing import (
 
 EXPECTED_CASES = {
     "gemm_q4", "gemm_q8", "attention_lut", "attention_poly32",
-    "decode_tiny", "scheduler_chaos", "speculative_greedy",
+    "decode_tiny", "scheduler_chaos", "scheduler_record",
+    "speculative_greedy",
     "checkpoint_q4_format",
 }
 
