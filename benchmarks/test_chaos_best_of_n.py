@@ -20,7 +20,7 @@ from repro.llm import (
 )
 from repro.llm.config import tiny_config
 from repro.npu import DEVICES
-from repro.obs import Tracer, chrome_trace, set_tracer, text_report
+from repro.obs import Tracer, chrome_trace, scope, text_report
 from repro.resilience import FaultPlan
 
 PROMPT = [3, 1, 4, 1, 5, 9]
@@ -36,20 +36,11 @@ def _run(plan, tracer=None):
                              device=DEVICES["oneplus_12"],
                              kv_backend="paged")
     scheduler = ContinuousBatchingScheduler(engine)
-    prev = None
-    if tracer is not None:
-        from repro.obs import get_tracer
-        prev = get_tracer()
-        set_tracer(tracer)
-    try:
-        result = scheduler.generate(PROMPT, n_candidates=N_CANDIDATES,
-                                    max_new_tokens=MAX_NEW_TOKENS,
-                                    sampler=Sampler(temperature=0.8, seed=0),
-                                    fault_plan=plan)
-    finally:
-        if tracer is not None:
-            set_tracer(prev)
-    return result
+    with scope(tracer=tracer):
+        return scheduler.generate(PROMPT, n_candidates=N_CANDIDATES,
+                                  max_new_tokens=MAX_NEW_TOKENS,
+                                  sampler=Sampler(temperature=0.8, seed=0),
+                                  fault_plan=plan)
 
 
 def test_chaos_best_of_16_completes_and_selects(record):

@@ -1,13 +1,14 @@
 """Guard: disabled tracing must stay nearly free on the hot path.
 
 The observability instrumentation (spans in the engine, model, kernels
-and memory subsystem) is always compiled in; when the global tracer is
-disabled every site pays one method call that returns the shared no-op
-span, or one ``enabled()`` check that skips the traced branch.  This
-benchmark measures that residual cost directly: it counts both kinds of
-call an untraced ``generate()`` run makes (through a counting disabled
-tracer), times the same number of disabled calls, and asserts the total
-is under 5% of the untraced run's wall clock.
+and memory subsystem) is always compiled in; when the context's tracer
+is disabled every site pays one method call that returns the shared
+no-op span, or one ``current().tracer.enabled`` read that skips the
+traced branch.  This benchmark measures that residual cost directly: it
+counts both kinds of call an untraced ``generate()`` run makes (through
+a counting disabled tracer installed with ``scope``), times the same
+number of disabled calls, and asserts the total is under 5% of the
+untraced run's wall clock.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import time
 from repro.llm import InferenceEngine, NPUTransformer, TransformerWeights
 from repro.llm.config import tiny_config
 from repro.llm.sampler import Sampler
-from repro.obs import trace as obs_trace
-from repro.obs.trace import NULL_SPAN, Tracer, set_tracer
+from repro.obs import current, scope
+from repro.obs.trace import NULL_SPAN, Tracer
 
 MAX_OVERHEAD_FRACTION = 0.05
 PROMPT = [1, 2, 3, 4]
@@ -41,7 +42,7 @@ def _run(engine: InferenceEngine) -> None:
 
 class _CountingTracer(Tracer):
     """A disabled tracer that counts the span calls and ``enabled``
-    reads (``obs.trace.enabled()`` and ``tracer.enabled``) made on it."""
+    reads made on it."""
 
     def __init__(self) -> None:
         self.spans_opened = 0
@@ -67,42 +68,38 @@ def test_disabled_tracing_overhead_under_5_percent():
 
     # count the calls an untraced run makes on the tracer
     counting = _CountingTracer()
-    previous = set_tracer(counting)
-    try:
+    with scope(tracer=counting):
         _run(engine)
-    finally:
-        set_tracer(previous)
     n_spans, n_checks = counting.spans_opened, counting.checks
 
     assert n_spans + n_checks > 10  # the workload is genuinely instrumented
 
     # wall clock of the run with tracing disabled (the shipped default)
     disabled_tracer = Tracer(enabled=False)
-    previous = set_tracer(disabled_tracer)
-    try:
+    with scope(tracer=disabled_tracer):
         _run(engine)  # warm-up
         run_seconds = min(
             _timed(_run, engine) for _ in range(3))
 
         # cost of the same numbers of disabled span calls, with the
-        # kwargs dicts the call sites build, and of enabled() checks
+        # kwargs dicts the call sites build, and of the enabled reads
+        # the call sites make on the context
         def noop_calls() -> None:
-            span, enabled = disabled_tracer.span, obs_trace.enabled
+            span = disabled_tracer.span
             for i in range(n_spans):
                 with span("kernel.gemm", category="kernel", m=i, k=64,
                           n=64, strategy="ours", bits=4):
                     pass
             for _ in range(n_checks):
-                enabled()
+                if current().tracer.enabled:
+                    raise AssertionError("tracer must stay disabled")
 
         noop_calls()  # warm-up
         noop_seconds = min(_timed(noop_calls) for _ in range(5))
-    finally:
-        set_tracer(previous)
 
     overhead = noop_seconds / run_seconds
     assert overhead < MAX_OVERHEAD_FRACTION, (
-        f"{n_spans} disabled span calls and {n_checks} enabled() checks "
+        f"{n_spans} disabled span calls and {n_checks} enabled reads "
         f"cost {noop_seconds * 1e3:.3f} ms, {100 * overhead:.2f}% of the "
         f"{run_seconds * 1e3:.1f} ms run "
         f"(limit {100 * MAX_OVERHEAD_FRACTION:.0f}%)")
@@ -147,7 +144,7 @@ def test_slo_recording_overhead_in_scheduler_step_loop():
     scheduler run: the hot loop folds one decode_step per decode step and
     one complete per retirement."""
     from repro.llm import ContinuousBatchingScheduler
-    from repro.obs.metrics import MetricsRegistry, set_metrics
+    from repro.obs.metrics import MetricsRegistry
     from repro.obs.slo import SLOTracker
 
     weights = TransformerWeights.generate(tiny_config(), seed=0)
@@ -160,13 +157,10 @@ def test_slo_recording_overhead_in_scheduler_step_loop():
                            sampler=Sampler(temperature=1.0, seed=0))
 
     registry = MetricsRegistry()
-    previous = set_metrics(registry)
-    try:
+    with scope(metrics=registry):
         run_scheduler()  # warm-up; also populates the SLO histograms
         run_seconds = min(_timed(run_scheduler) for _ in range(3))
         snapshot = registry.snapshot()
-    finally:
-        set_metrics(previous)
 
     n_steps = snapshot["repro.slo.step_latency_seconds"]["count"]
     n_candidates = snapshot["repro.slo.candidate_latency_seconds"]["count"]
@@ -233,7 +227,7 @@ def test_anomaly_detection_overhead_under_5_percent_of_scheduler_run():
     from repro.obs.anomaly import default_detectors, detect_series
     from repro.obs.monitor import WATCHED_SERIES
     from repro.obs.stream import stream_from_log
-    from repro.obs.timeline import EventLog, set_event_log
+    from repro.obs.timeline import EventLog
 
     weights = TransformerWeights.generate(tiny_config(), seed=0)
     engine = InferenceEngine(NPUTransformer(weights), batch=BATCH,
@@ -242,12 +236,9 @@ def test_anomaly_detection_overhead_under_5_percent_of_scheduler_run():
 
     def run_scheduler() -> EventLog:
         log = EventLog(enabled=True)
-        previous = set_event_log(log)
-        try:
+        with scope(log=log):
             scheduler.generate(PROMPT, n_candidates=4, max_new_tokens=4,
                                sampler=Sampler(temperature=1.0, seed=0))
-        finally:
-            set_event_log(previous)
         return log
 
     log = run_scheduler()  # warm-up; keeps a representative log

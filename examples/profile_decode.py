@@ -23,15 +23,7 @@ from repro.llm import (
     tiny_config,
 )
 from repro.npu import get_device
-from repro.obs import (
-    EventLog,
-    MetricsRegistry,
-    Tracer,
-    set_event_log,
-    set_metrics,
-    set_tracer,
-    write_chrome_trace,
-)
+from repro.obs import EventLog, Tracer, scope, write_chrome_trace
 
 TRACE_PATH = "profile_decode_trace.json"
 
@@ -47,20 +39,14 @@ def main() -> None:
                              device=device)
     print(f"device: {device.name} ({device.soc}, NPU {device.npu.name})")
 
-    # install a fresh tracer, event log and metrics registry for this run
+    # record this run on a fresh tracer and event log (and, since the
+    # scope is given none, a fresh metrics registry)
     tracer, log = Tracer(enabled=True), EventLog(enabled=True)
-    previous_tracer = set_tracer(tracer)
-    previous_log = set_event_log(log)
-    previous_metrics = set_metrics(MetricsRegistry())
-    try:
+    with scope(tracer=tracer, log=log):
         tokenizer = ByteTokenizer(config.vocab_size)
         prompt = tokenizer.encode("What is 12 * 7?")
         result = engine.generate(prompt, max_new_tokens=12,
                                  sampler=Sampler(temperature=1.0, seed=7))
-    finally:
-        set_tracer(previous_tracer)
-        set_event_log(previous_log)
-        set_metrics(previous_metrics)
 
     print(f"decoded {result.total_generated_tokens} tokens across "
           f"{len(result.sequences)} candidates "

@@ -398,12 +398,8 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
         EventLog,
         MetricsRegistry,
         Tracer,
-        get_metrics,
-        get_tracer,
         report_data,
-        set_event_log,
-        set_metrics,
-        set_tracer,
+        scope,
         text_report,
         write_chrome_trace,
     )
@@ -458,103 +454,97 @@ def _cmd_profile(workload: str, device_key: str, batch: int,
                       "workload (the sweep path is in decode-step units)\n")
             return 2
 
-    tracer = Tracer(enabled=True)
-    registry = MetricsRegistry()
+    tracer, registry = Tracer(enabled=True), MetricsRegistry()
     log = EventLog(enabled=True)
-    prev_tracer, prev_metrics = get_tracer(), get_metrics()
-    set_tracer(tracer)
-    set_metrics(registry)
-    prev_log = set_event_log(log)
     # the sweep workload prices no kernels, so it reports no utilization
     util = None
-    try:
-        if workload == "decode":
-            from .llm import (
-                ContinuousBatchingScheduler,
-                InferenceEngine,
-                NPUTransformer,
-                TransformerWeights,
-            )
-            from .llm.config import tiny_config
+    with scope(tracer=tracer, metrics=registry, log=log):
+        try:
+            if workload == "decode":
+                from .llm import (
+                    ContinuousBatchingScheduler,
+                    InferenceEngine,
+                    NPUTransformer,
+                    TransformerWeights,
+                )
+                from .llm.config import tiny_config
 
-            config = tiny_config()
-            weights = TransformerWeights.generate(config, seed=0)
-            model = NPUTransformer(weights)
-            engine = InferenceEngine(
-                model, batch=batch,
-                max_context=prompt_tokens + new_tokens + 1, device=device,
-                kv_backend="paged" if scheduler else "contiguous")
-            if scheduler:
-                n_candidates = candidates if candidates is not None \
-                    else 2 * batch
-                sched = ContinuousBatchingScheduler(engine)
-                dispatch = None
-                if placement:
-                    from .llm.dispatch import BackendSelector
-                    dispatch = BackendSelector(device, config)
-                result = sched.generate(
-                    list(range(1, prompt_tokens + 1)),
-                    n_candidates=n_candidates,
-                    max_new_tokens=new_tokens,
-                    fault_plan=fault_plan,
-                    dispatch=dispatch,
-                    deadline_seconds=(deadline_ms / 1e3
-                                      if deadline_ms is not None else None))
-                util = result.utilization
-                out.write(
-                    f"scheduled {result.total_generated_tokens} tokens "
-                    f"across {n_candidates} candidates on batch {batch} "
-                    f"({result.n_steps} steps, mean live batch "
-                    f"{result.mean_live_batch:.2f}, "
-                    f"{result.n_admissions} admissions, "
-                    f"{result.cow_copies} CoW copies, "
-                    f"peak KV {result.peak_kv_bytes} B, "
-                    f"{result.sim_seconds * 1e3:.3f} ms simulated)\n")
-                if dispatch is not None:
-                    backends = sorted({b for _, b in result.backend_steps})
+                config = tiny_config()
+                weights = TransformerWeights.generate(config, seed=0)
+                model = NPUTransformer(weights)
+                engine = InferenceEngine(
+                    model, batch=batch,
+                    max_context=prompt_tokens + new_tokens + 1, device=device,
+                    kv_backend="paged" if scheduler else "contiguous")
+                if scheduler:
+                    n_candidates = candidates if candidates is not None \
+                        else 2 * batch
+                    sched = ContinuousBatchingScheduler(engine)
+                    dispatch = None
+                    if placement:
+                        from .llm.dispatch import BackendSelector
+                        dispatch = BackendSelector(device, config)
+                    result = sched.generate(
+                        list(range(1, prompt_tokens + 1)),
+                        n_candidates=n_candidates,
+                        max_new_tokens=new_tokens,
+                        fault_plan=fault_plan,
+                        dispatch=dispatch,
+                        deadline_seconds=(
+                            deadline_ms / 1e3 if deadline_ms is not None
+                            else None))
+                    util = result.utilization
                     out.write(
-                        f"placement: decode on {'/'.join(backends)}, "
-                        f"{result.n_backend_switches} backend switches, "
-                        f"{result.migration_seconds * 1e3:.3f} ms "
-                        f"migrating KV\n")
-                if fault_plan is not None or deadline_ms is not None:
-                    kind_counts: dict = {}
-                    for record in result.faults:
-                        kind_counts[record.kind] = (
-                            kind_counts.get(record.kind, 0) + 1)
-                    kinds = ", ".join(
-                        f"{k}={v}" for k, v in sorted(kind_counts.items())
-                    ) or "none"
-                    out.write(
-                        f"chaos: faults [{kinds}], {result.n_retries} "
-                        f"retries, {result.n_evictions} evictions, "
-                        f"{result.n_rebuilds} KV rebuilds "
-                        f"({result.rebuilt_tokens} tokens), "
-                        f"{len(result.governor_steps)} governor changes, "
-                        f"deadline hit: {result.deadline_hit}, "
-                        f"degraded: {result.degraded}\n")
+                        f"scheduled {result.total_generated_tokens} tokens "
+                        f"across {n_candidates} candidates on batch {batch} "
+                        f"({result.n_steps} steps, mean live batch "
+                        f"{result.mean_live_batch:.2f}, "
+                        f"{result.n_admissions} admissions, "
+                        f"{result.cow_copies} CoW copies, "
+                        f"peak KV {result.peak_kv_bytes} B, "
+                        f"{result.sim_seconds * 1e3:.3f} ms simulated)\n")
+                    if dispatch is not None:
+                        backends = sorted({b for _, b in result.backend_steps})
+                        out.write(
+                            f"placement: decode on {'/'.join(backends)}, "
+                            f"{result.n_backend_switches} backend switches, "
+                            f"{result.migration_seconds * 1e3:.3f} ms "
+                            f"migrating KV\n")
+                    if fault_plan is not None or deadline_ms is not None:
+                        kind_counts: dict = {}
+                        for record in result.faults:
+                            kind_counts[record.kind] = (
+                                kind_counts.get(record.kind, 0) + 1)
+                        kinds = ", ".join(
+                            f"{k}={v}" for k, v in sorted(kind_counts.items())
+                        ) or "none"
+                        out.write(
+                            f"chaos: faults [{kinds}], {result.n_retries} "
+                            f"retries, {result.n_evictions} evictions, "
+                            f"{result.n_rebuilds} KV rebuilds "
+                            f"({result.rebuilt_tokens} tokens), "
+                            f"{len(result.governor_steps)} governor changes, "
+                            f"deadline hit: {result.deadline_hit}, "
+                            f"degraded: {result.degraded}\n")
+                else:
+                    result = engine.generate(
+                        list(range(1, prompt_tokens + 1)),
+                        max_new_tokens=new_tokens)
+                    util = result.utilization
+                    out.write(f"generated {result.total_generated_tokens} "
+                              f"tokens across {batch} candidates "
+                              f"({result.n_decode_steps} decode steps)\n")
             else:
-                result = engine.generate(list(range(1, prompt_tokens + 1)),
-                                         max_new_tokens=new_tokens)
-                util = result.utilization
-                out.write(f"generated {result.total_generated_tokens} tokens "
-                          f"across {batch} candidates "
-                          f"({result.n_decode_steps} decode steps)\n")
-        else:
-            from .tts import TaskDataset, budget_sweep, get_model_profile
+                from .tts import TaskDataset, budget_sweep, get_model_profile
 
-            profile = get_model_profile("qwen2.5-1.5b")
-            data = TaskDataset.generate("math500", 50, seed=0)
-            budget_sweep("best_of_n", data, profile, budgets=[1, 2, 4],
-                         seed=0, engine_batch=batch if scheduler else None,
-                         fault_plan=fault_plan)
-    except ReproError as error:
-        out.write(f"error: {error}\n")
-        return 2
-    finally:
-        set_tracer(prev_tracer)
-        set_metrics(prev_metrics)
-        set_event_log(prev_log)
+                profile = get_model_profile("qwen2.5-1.5b")
+                data = TaskDataset.generate("math500", 50, seed=0)
+                budget_sweep("best_of_n", data, profile, budgets=[1, 2, 4],
+                             seed=0, engine_batch=batch if scheduler else None,
+                             fault_plan=fault_plan)
+        except ReproError as error:
+            out.write(f"error: {error}\n")
+            return 2
 
     trace = write_chrome_trace(trace_out, tracer, events=log,
                                process_name=f"repro profile ({device_key})")

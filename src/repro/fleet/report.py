@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from ..errors import FleetError
+from ..obs.context import scope
 from ..obs.slo import histogram_summary
-from ..obs.timeline import EventLog, set_event_log
+from ..obs.timeline import EventLog
 from ..resilience.faults import FaultPlan
 from .devices import build_population
 from .health import FailoverPolicy, HedgePolicy
@@ -241,8 +242,9 @@ def plan_capacity(qps: float, p99_target_seconds: float, seed: int,
     serves every arrival, and holds p99 token latency at or under the
     target.  Doubling finds an upper bound, bisection tightens it; the
     probe trace is fixed per (qps, seed, pattern), so the answer is a
-    deterministic function of the inputs.  Returns ``None`` when even
-    ``max_devices`` cannot hold the target.
+    deterministic function of the inputs.  Each probe runs in its own
+    observability scope, so no caller's sink sees it.  Returns ``None``
+    when even ``max_devices`` cannot hold the target.
     """
     if p99_target_seconds <= 0:
         raise FleetError(
@@ -250,8 +252,9 @@ def plan_capacity(qps: float, p99_target_seconds: float, seed: int,
     trace = _trace_config(qps, probe_horizon_seconds, None, seed, pattern)
 
     def holds(n_devices: int) -> bool:
-        result = _simulate(n_devices, trace, queue_depth, model_name,
-                           battery_capacity_joules)
+        with scope():
+            result = _simulate(n_devices, trace, queue_depth, model_name,
+                               battery_capacity_joules)
         if result.n_shed or result.n_unserved:
             return False
         if result.n_completed == 0:
@@ -293,12 +296,14 @@ def run_fleet(n_devices: int, qps: float,
     report; with both at their defaults the report is byte-identical
     to the pre-chaos schema (capacity probes always run fault-free).
 
-    ``explain=True`` records the run on a private event log and adds a
-    critical-path blame section (schema ``repro.explain/v1``): every
-    request's latency and joules attributed to queue wait / service /
-    lost work / failover backoff, with p50/p99 cohort breakdowns.
-    Only the main simulation is recorded — capacity probes stay
-    unobserved, so the rest of the report is unchanged by explaining.
+    ``explain=True`` records the run in its own scope, on a private
+    event log, and adds a critical-path blame section (schema
+    ``repro.explain/v1``): every request's latency and joules attributed
+    to queue wait / service / lost work / failover backoff, with p50/p99
+    cohort breakdowns.  Without it the run records into the caller's
+    context.  Only the main simulation is recorded — capacity probes
+    stay unobserved, so the rest of the report is unchanged by
+    explaining.
     """
     if pattern not in ARRIVAL_PATTERNS:
         raise FleetError(
@@ -309,13 +314,10 @@ def run_fleet(n_devices: int, qps: float,
     log: Optional[EventLog] = None
     if explain:
         log = EventLog(enabled=True)
-        previous_log = set_event_log(log)
-        try:
+        with scope(log=log):
             result = _simulate(n_devices, trace, queue_depth, model_name,
                                battery_capacity_joules,
                                fault_plan=fault_plan, hedge=hedge)
-        finally:
-            set_event_log(previous_log)
     else:
         result = _simulate(n_devices, trace, queue_depth, model_name,
                            battery_capacity_joules, fault_plan=fault_plan,

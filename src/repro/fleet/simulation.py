@@ -25,9 +25,10 @@ with no request served twice (hedge losers are cancelled before their
 completion fires) — checked at the end of every run and fuzzed by the
 ``fleet`` oracle.
 
-Timeline integration: with the structured event log armed
-(:mod:`repro.obs.timeline`), the simulation emits ``queue`` /
-``dispatch`` / ``shed`` / ``complete`` events per request — plus
+Timeline integration: with the structured event log
+(:mod:`repro.obs.timeline`) armed in the context a run starts under,
+the simulation emits ``queue`` / ``dispatch`` / ``shed`` /
+``complete`` events per request — plus
 ``device_down`` / ``device_up`` / ``failover`` / ``hedge`` /
 ``breaker_open`` / ``breaker_close`` and ``fault`` under chaos — so
 ``repro monitor`` folds a fleet scenario exactly like a single-engine
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import FleetError
-from ..obs import timeline as obs_timeline
+from ..obs import context as obs_context
 from ..obs.metrics import Histogram
 from ..obs.slo import hdr_buckets
 from ..sim import EventHandle, EventLoop
@@ -228,6 +229,10 @@ class FleetSimulation:
 
     # ------------------------------------------------------------------
     def run(self) -> FleetResult:
+        # the event log every fact goes to, bound for this run only: a
+        # finished simulation stays alive in reference cycles until the
+        # cyclic collector runs, and must not keep a recorded log alive
+        self._log = obs_context.current().log
         # fault events are scheduled first: at equal timestamps a fault
         # fires before an arrival, deterministically
         for event in self._fault_events:
@@ -235,6 +240,7 @@ class FleetSimulation:
         self.loop.feed([r.arrival_seconds for r in self.requests],
                        self._arrive, self.requests)
         self.loop.run()
+        del self._log
         # whatever is still queued after the last completion can never
         # be served (every device depleted/offline): account, don't lose
         leftover = self.admission.drain()
@@ -249,9 +255,9 @@ class FleetSimulation:
     def _arrive(self, request: FleetRequest) -> None:
         now = self.loop.now
         self.result.n_arrivals += 1
-        if obs_timeline.timeline_enabled():
-            obs_timeline.emit("queue", now, request_id=request.request_id,
-                              tenant=request.tenant)
+        if self._log.enabled:
+            self._log.emit("queue", now, request_id=request.request_id,
+                           tenant=request.tenant)
         admitted, shed = self.admission.offer(request)
         if not admitted:
             self._shed(request, now)
@@ -261,9 +267,9 @@ class FleetSimulation:
 
     def _shed(self, request: FleetRequest, now: float) -> None:
         self.result.n_shed += 1
-        obs_timeline.emit("shed", now, request_id=request.request_id,
-                          tenant=request.tenant,
-                          queue_depth=len(self.admission))
+        self._log.emit("shed", now, request_id=request.request_id,
+                       tenant=request.tenant,
+                       queue_depth=len(self.admission))
 
     # ------------------------------------------------------------------
     # dispatch
@@ -337,7 +343,7 @@ class FleetSimulation:
             self._hedge_pending.pop(0)
             primary = legs[0]
             self.result.n_hedges += 1
-            obs_timeline.emit(
+            self._log.emit(
                 "hedge", now, request_id=rid,
                 primary=primary.device_id,
                 secondary=partner.device_id,
@@ -352,17 +358,17 @@ class FleetSimulation:
         outcome = device.serve(request, now,
                                service_multiplier=multiplier)
         self.result.n_dispatched += 1
-        if obs_timeline.timeline_enabled():
+        if self._log.enabled:
             # only a hedge leg carries the ``hedged`` attr
             if hedged:
-                obs_timeline.emit(
+                self._log.emit(
                     "dispatch", now, request_id=request.request_id,
                     device=device.device_id, generation=device.generation,
                     wait_seconds=wait,
                     service_seconds=outcome.service_seconds,
                     joules=outcome.joules, hedged=True)
             else:
-                obs_timeline.emit(
+                self._log.emit(
                     "dispatch", now, request_id=request.request_id,
                     device=device.device_id, generation=device.generation,
                     wait_seconds=wait,
@@ -395,10 +401,10 @@ class FleetSimulation:
             # dispatch; keep the fleet ledger honest about wasted work
             self.result.joules += loser.outcome.joules
             self.result.n_hedge_cancelled += 1
-            obs_timeline.emit("hedge", now, request_id=rid,
-                              loser=loser.device_id,
-                              winner=dispatch.device_id,
-                              cancelled=True)
+            self._log.emit("hedge", now, request_id=rid,
+                           loser=loser.device_id,
+                           winner=dispatch.device_id,
+                           cancelled=True)
         if rid in self._completed_ids:
             raise FleetError(
                 f"request {rid} completed twice — hedge cancellation "
@@ -417,17 +423,17 @@ class FleetSimulation:
             result.makespan_seconds = now
         latency = now - request.arrival_seconds
         result.request_latency.observe_many(latency, 1)
-        if obs_timeline.timeline_enabled():
-            obs_timeline.emit("complete", now, request_id=rid,
-                              reason="served", tokens=outcome.tokens,
-                              latency_seconds=latency,
-                              joules=outcome.joules,
-                              device=dispatch.device_id,
-                              tenant=request.tenant)
+        if self._log.enabled:
+            self._log.emit("complete", now, request_id=rid,
+                           reason="served", tokens=outcome.tokens,
+                           latency_seconds=latency,
+                           joules=outcome.joules,
+                           device=dispatch.device_id,
+                           tenant=request.tenant)
         breaker = self.health[device.device_id].breaker
         if breaker.record_success():  # half-open probe succeeded
-            obs_timeline.emit("breaker_close", now,
-                              device=device.device_id)
+            self._log.emit("breaker_close", now,
+                           device=device.device_id)
         self._try_rejoin(device, now)
         for loser in losers:
             self._try_rejoin(self._by_id[loser.device_id], now)
@@ -444,8 +450,8 @@ class FleetSimulation:
         if event.kind == "device_crash":
             health.crash()
             self.result.n_crashes += 1
-            obs_timeline.emit("device_down", now, device=event.device,
-                              reboot_seconds=event.duration_seconds)
+            self._log.emit("device_down", now, device=event.device,
+                           reboot_seconds=event.duration_seconds)
             self._fail_inflight_on(device, now, reason="crash")
             if event.duration_seconds is not None:
                 self.loop.after(event.duration_seconds, self._reboot,
@@ -454,12 +460,12 @@ class FleetSimulation:
             health.start_straggle(now, event.factor,
                                   event.duration_seconds)
             self.result.n_straggles += 1
-            obs_timeline.emit("fault", now, fault_kind="straggle",
-                              device=event.device, factor=event.factor,
-                              duration_seconds=event.duration_seconds)
+            self._log.emit("fault", now, fault_kind="straggle",
+                           device=event.device, factor=event.factor,
+                           duration_seconds=event.duration_seconds)
         elif event.kind == "dispatch_drop":
-            obs_timeline.emit("fault", now, fault_kind="dispatch_drop",
-                              device=event.device)
+            self._log.emit("fault", now, fault_kind="dispatch_drop",
+                           device=event.device)
             dropped = self._fail_inflight_on(device, now, reason="drop")
             if dropped:
                 self.result.n_drops += dropped
@@ -469,8 +475,8 @@ class FleetSimulation:
         elif event.kind == "battery_drain":
             device.battery.deplete()
             self.result.n_battery_faults += 1
-            obs_timeline.emit("fault", now, fault_kind="battery_drain",
-                              device=event.device)
+            self._log.emit("fault", now, fault_kind="battery_drain",
+                           device=event.device)
         else:  # pragma: no cover — grammar validation forbids this
             raise FleetError(f"unhandled fleet fault kind {event.kind!r}")
 
@@ -501,9 +507,9 @@ class FleetSimulation:
                 if legs:
                     # the sibling hedge leg races on — no failover
                     self.result.n_hedge_cancelled += 1
-                    obs_timeline.emit("hedge", now, request_id=rid,
-                                      loser=device.device_id,
-                                      cancelled=True, reason=reason)
+                    self._log.emit("hedge", now, request_id=rid,
+                                   loser=device.device_id,
+                                   cancelled=True, reason=reason)
                 else:
                     del self._inflight[rid]
                     self._failover(victim.request, device, now, reason)
@@ -514,7 +520,7 @@ class FleetSimulation:
         breaker = self.health[device.device_id].breaker
         cooldown = breaker.record_failure()
         if cooldown is not None:
-            obs_timeline.emit(
+            self._log.emit(
                 "breaker_open", now, device=device.device_id,
                 cooldown_seconds=cooldown,
                 consecutive_failures=breaker.consecutive_failures)
@@ -533,7 +539,7 @@ class FleetSimulation:
         health.reboot()
         now = self.loop.now
         self.result.n_reboots += 1
-        obs_timeline.emit("device_up", now, device=device.device_id)
+        self._log.emit("device_up", now, device=device.device_id)
         self._try_rejoin(device, now)
         self._dispatch(now)
 
@@ -547,18 +553,18 @@ class FleetSimulation:
         policy = self.health.failover
         if attempt >= policy.max_attempts:
             self.result.n_failed += 1
-            obs_timeline.emit("failover", now, request_id=rid,
-                              from_device=from_device.device_id,
-                              reason=reason, attempt=attempt,
-                              outcome="exhausted")
+            self._log.emit("failover", now, request_id=rid,
+                           from_device=from_device.device_id,
+                           reason=reason, attempt=attempt,
+                           outcome="exhausted")
             return
         self._attempts[rid] = attempt + 1
         delay = policy.backoff(rid, attempt)
         self.result.n_failovers += 1
-        obs_timeline.emit("failover", now, request_id=rid,
-                          from_device=from_device.device_id,
-                          reason=reason, attempt=attempt,
-                          outcome="retry", backoff_seconds=delay)
+        self._log.emit("failover", now, request_id=rid,
+                       from_device=from_device.device_id,
+                       reason=reason, attempt=attempt,
+                       outcome="retry", backoff_seconds=delay)
         self.loop.after(delay, self._reoffer, request)
 
     def _reoffer(self, request: FleetRequest) -> None:
@@ -570,8 +576,8 @@ class FleetSimulation:
         other late arrival.  Re-offers do not recount as arrivals.
         """
         now = self.loop.now
-        obs_timeline.emit("queue", now, request_id=request.request_id,
-                          tenant=request.tenant, reoffer=True)
+        self._log.emit("queue", now, request_id=request.request_id,
+                       tenant=request.tenant, reoffer=True)
         admitted, shed = self.admission.offer(request)
         if not admitted:
             self._shed(request, now)

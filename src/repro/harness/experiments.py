@@ -9,7 +9,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List
 
 from ..errors import HarnessError
-from ..obs import metrics as obs_metrics
+from ..obs.context import scope
+from ..obs.metrics import MetricsRegistry
 from .figures import (
     run_fig5,
     run_fig8,
@@ -49,9 +50,11 @@ EXPERIMENTS: Dict[str, Callable[[], ExperimentResult]] = {
 def run_experiment(experiment_id: str) -> ExperimentResult:
     """Regenerate one table/figure by id (e.g. ``"fig15"``).
 
-    Each experiment runs against a fresh metrics registry; the snapshot
-    is attached to the result so rendered figures carry the resource
-    counters (DMA bytes, generated tokens, ...) they were produced with.
+    Each experiment runs in its own scope, untraced and with the event
+    log off, against a fresh metrics registry whose snapshot is attached
+    to the result.  Untraced, only the counters recorded without a
+    tracer land there: ``repro.tts.budgets_evaluated``, on the budget
+    sweeps of fig5 and fig10.
     """
     try:
         runner = EXPERIMENTS[experiment_id]
@@ -59,13 +62,9 @@ def run_experiment(experiment_id: str) -> ExperimentResult:
         raise HarnessError(
             f"unknown experiment {experiment_id!r}; known: "
             f"{sorted(EXPERIMENTS)}") from None
-    previous = obs_metrics.get_metrics()
-    registry = obs_metrics.MetricsRegistry()
-    obs_metrics.set_metrics(registry)
-    try:
+    registry = MetricsRegistry()
+    with scope(metrics=registry):
         result = runner()
-    finally:
-        obs_metrics.set_metrics(previous)
     result.metrics = registry.snapshot()
     return result
 

@@ -22,7 +22,6 @@ from .flash_attention import (
     attention_fp32_reference,
 )
 from .gemm import FusedWeight, MixedPrecisionGemm, PreparedWeight
-from .hvx_gemm import hvx_gemm
 from .lut import (
     EXP_LUT_BYTES,
     EXP_LUT_ENTRIES,
@@ -53,7 +52,6 @@ __all__ = [
     "FlashAttention",
     "attention_fp32_reference",
     "MixedPrecisionGemm",
-    "hvx_gemm",
     "PreparedWeight",
     "FusedWeight",
     "EXP_LUT_BYTES",

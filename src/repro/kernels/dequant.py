@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..errors import KernelError
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 from ..npu.hvx import HVXContext, VGATHER_ELEMENTS, vectors_for_bytes
 from ..npu.hmx import matrix_to_hmx_layout
 from ..npu.memory import DMAEngine
@@ -199,9 +199,10 @@ def dequantize_stream(quantized: QuantizedWeight, strategy: str,
     groups = quantized.groups
     n_elements = groups.n_elements
     packed_bytes = packed.data.size if packed is not None else quantized.storage_bytes
-    with obs_trace.span("kernel.dequant", category="kernel",
-                        strategy=strategy, bits=groups.bits,
-                        n_elements=n_elements, packed_bytes=packed_bytes):
+    with obs_context.current().tracer.span(
+            "kernel.dequant", category="kernel", strategy=strategy,
+            bits=groups.bits, n_elements=n_elements,
+            packed_bytes=packed_bytes):
         _dma_stream_weights(dma, packed_bytes)
 
         if strategy == "no_dequant":

@@ -33,7 +33,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..errors import KernelError
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 from ..npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from ..npu.hmx import HMXUnit, TILE_DIM, pad_to_tiles
 from ..npu.memory import TCM
@@ -284,17 +284,18 @@ class FlashAttention:
 
         breakdown = self._stack_cost(n_q, q_tiles.shape[2], tuple(
             n for n in kv_rows for _ in range(group)))
-        if obs_trace.enabled():
+        tracer = obs_context.current().tracer
+        if tracer.enabled:
             # one span per call, with one cost-only child per Algorithm 1
             # phase carrying the call's charges — the Fig. 8
             # decomposition, from the trace
-            with obs_trace.span("kernel.flash_attention", category="kernel",
-                                items=items, n_q=n_q, n_kv=n_kv, head_dim=d,
-                                method=self.method,
-                                flops=4.0 * n_q * d * group * sum(lengths)):
+            with tracer.span("kernel.flash_attention", category="kernel",
+                             items=items, n_q=n_q, n_kv=n_kv, head_dim=d,
+                             method=self.method,
+                             flops=4.0 * n_q * d * group * sum(lengths)):
                 for phase in _PHASES:
-                    with obs_trace.span(f"kernel.attention.{phase}",
-                                        category="kernel") as phase_span:
+                    with tracer.span(f"kernel.attention.{phase}",
+                                     category="kernel") as phase_span:
                         phase_span.add_cost(getattr(breakdown, phase)
                                             + KernelCost())
         return (result[0] if one_head else result), breakdown

@@ -29,8 +29,9 @@ from typing import Any, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import KernelError
-from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
+from ..obs.metrics import MetricsRegistry
+from ..obs.trace import Tracer
 from ..npu.hvx import HVXContext, InstructionTrace
 from ..npu.hmx import TILE_DIM, HMXUnit, padded_fp32
 from ..npu.memory import DMAEngine
@@ -225,13 +226,14 @@ class MixedPrecisionGemm:
                 f"activation width {acts.shape[1]} != weight input dim {in_dim}")
         m = acts.shape[0]
         cost = KernelCost()
+        tracer = obs_context.current().tracer
         for part in parts:
             if part.strategy != self.strategy:
                 raise KernelError(
                     f"weight was prepared for strategy {part.strategy!r}, "
                     f"kernel runs {self.strategy!r}")
             charge = self._charge(m, part)
-            if obs_trace.enabled():
+            if tracer.enabled:
                 self._emit(m, part, charge)
             cost.merge(charge.cost)
 
@@ -259,13 +261,13 @@ class MixedPrecisionGemm:
         carrying the call's cost, with the charge's spans and counters."""
         k, n = part.quantized.original_shape
         flops = 2.0 * m * k * n
-        reg = obs_metrics.get_metrics()
-        with obs_trace.span("kernel.gemm", category="kernel",
-                            m=m, k=k, n=n, strategy=self.strategy,
-                            bits=self.bits, flops=flops,
-                            weight_bytes=part.storage_bytes) as sp:
+        tracer, reg, _ = obs_context.current()
+        with tracer.span("kernel.gemm", category="kernel",
+                         m=m, k=k, n=n, strategy=self.strategy,
+                         bits=self.bits, flops=flops,
+                         weight_bytes=part.storage_bytes) as sp:
             for name, category, attrs in charge.spans:
-                with obs_trace.span(name, category, **attrs):
+                with tracer.span(name, category, **attrs):
                     pass
             for name, value in charge.counters:
                 reg.counter(name).inc(value)
@@ -281,9 +283,9 @@ class MixedPrecisionGemm:
         never reads a code), so each distinct key is recorded once, by
         the reference path: stage the activations, ``dequantize_stream``,
         :meth:`HMXUnit.record_gemm`, :meth:`KernelCost.from_trace`.  The
-        recording runs under its own tracer and metrics registry, swapped
-        in for the global ones (kernels run on one thread); what it
-        emitted there is kept for traced calls to emit.
+        recording runs in its own scope, with a private tracer and
+        metrics registry; what it emitted there is kept for traced calls
+        to emit.
         """
         k, n = prepared.quantized.original_shape
         key = (m, k, n, prepared.quantized.groups.n_groups,
@@ -291,10 +293,8 @@ class MixedPrecisionGemm:
         charge = self._charges.get(key)
         if charge is not None:
             return charge
-        tracer, registry = obs_trace.Tracer(), obs_metrics.MetricsRegistry()
-        outer_tracer = obs_trace.set_tracer(tracer)
-        outer_registry = obs_metrics.set_metrics(registry)
-        try:
+        tracer, registry = Tracer(), MetricsRegistry()
+        with obs_context.scope(tracer=tracer, metrics=registry):
             trace = InstructionTrace()
             dma = DMAEngine()
             # stage activations into TCM (2-D DMA descriptor)
@@ -306,9 +306,6 @@ class MixedPrecisionGemm:
                               coalesce=self.coalesce)
             # HMX tile MACs and output tiles of the GEMM
             HMXUnit(trace).record_gemm(m, k, n)
-        finally:
-            obs_trace.set_tracer(outer_tracer)
-            obs_metrics.set_metrics(outer_registry)
         charge = _Charge(
             cost=KernelCost.from_trace(trace, dma),
             spans=tuple((span.name, span.category, span.attrs)

@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..errors import KernelError
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 from ..npu.datatypes import add_to_exponent_fp16, add_to_exponent_fp32, split_int_frac
 from ..npu.hvx import HVXContext, vectors_for_bytes
 from ..npu.memory import TCM
@@ -178,9 +178,9 @@ class OnChipSoftmax:
         s = np.asarray(scores)
         if s.ndim != 2:
             raise KernelError(f"softmax expects a 2-D score matrix, got {s.shape}")
-        with obs_trace.span("kernel.softmax", category="kernel",
-                            rows=s.shape[0], cols=s.shape[1],
-                            method=self.method):
+        with obs_context.current().tracer.span(
+                "kernel.softmax", category="kernel", rows=s.shape[0],
+                cols=s.shape[1], method=self.method):
             return self._softmax(s)
 
     def _softmax(self, s: np.ndarray) -> np.ndarray:

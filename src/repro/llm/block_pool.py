@@ -29,8 +29,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import EngineError, KVPoolExhausted
-from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 from .kv_cache import QuantizedLayerKVCache
 
 __all__ = [
@@ -147,14 +146,16 @@ class BlockPool:
     def note_cow(self) -> None:
         """Record one copy-on-write block divergence."""
         self.cow_copies += 1
-        if obs_trace.enabled():
-            obs_metrics.get_metrics().counter("repro.kv.cow_copies").inc()
+        obs = obs_context.current()
+        if obs.tracer.enabled:
+            obs.metrics.counter("repro.kv.cow_copies").inc()
 
     def _publish(self) -> None:
-        if obs_trace.enabled():
-            reg = obs_metrics.get_metrics()
-            reg.gauge("repro.kv.blocks_in_use").set(self.blocks_in_use)
-            reg.gauge("repro.kv.used_bytes").set(self.used_bytes)
+        obs = obs_context.current()
+        if obs.tracer.enabled:
+            obs.metrics.gauge("repro.kv.blocks_in_use").set(
+                self.blocks_in_use)
+            obs.metrics.gauge("repro.kv.used_bytes").set(self.used_bytes)
 
 
 class PagedLayerKVCache:

@@ -23,10 +23,9 @@ from ..npu.memory import MultiSessionHeap, RpcMemHeap
 from ..npu.power_mgmt import GOVERNORS, PowerGovernor, apply_governor
 from ..npu.soc import DEFAULT_DEVICE, DEVICES, Device
 from ..npu.timing import TimingModel
+from ..obs import context as obs_context
 from ..obs import energy as obs_energy
 from ..obs import metrics as obs_metrics
-from ..obs import timeline as obs_timeline
-from ..obs import trace as obs_trace
 from .kv_cache import KVCache
 from .model import NPUTransformer, StepCost
 from .sampler import Sampler
@@ -118,11 +117,11 @@ class InferenceEngine:
                                                    self._timing)
 
     def bind_metrics(self) -> "obs_metrics.Histogram":
-        """Bind the ``repro.engine.*`` instruments from the registry
-        installed now; every run (lock-step or scheduled) binds when it
+        """Bind the ``repro.engine.*`` instruments from the current
+        registry; every run (lock-step or scheduled) binds when it
         starts.  Returns the decode-step latency histogram, which the
         caller observes from its own pricing of each step."""
-        reg = obs_metrics.get_metrics()
+        reg = obs_context.current().metrics
         self._tokens_counter = reg.counter("repro.engine.generated_tokens")
         self._tokens_per_second = reg.gauge("repro.engine.tokens_per_second")
         return reg.histogram("repro.engine.decode_step_seconds")
@@ -213,8 +212,9 @@ class InferenceEngine:
             raise EngineError(
                 f"prompt of {len(prompt)} tokens exceeds context {self.max_context}")
         tokens = np.asarray(prompt, dtype=np.int64)[np.newaxis, :]
-        with obs_trace.span("engine.prefill", category="engine",
-                            n_tokens=len(prompt), seq=seq):
+        with obs_context.current().tracer.span(
+                "engine.prefill", category="engine", n_tokens=len(prompt),
+                seq=seq):
             logits, cost = self.model.forward(tokens, self.cache,
                                               sequences=[seq],
                                               stable_lm_head=True)
@@ -241,9 +241,9 @@ class InferenceEngine:
                 f"chunk of {len(chunk)} tokens on {cached} cached exceeds "
                 f"context {self.max_context}")
         tokens = np.asarray(chunk, dtype=np.int64)[np.newaxis, :]
-        with obs_trace.span("engine.prefill_chunk", category="engine",
-                            n_tokens=len(chunk), seq=seq,
-                            cached=cached):
+        with obs_context.current().tracer.span(
+                "engine.prefill_chunk", category="engine",
+                n_tokens=len(chunk), seq=seq, cached=cached):
             logits, cost = self.model.forward(tokens, self.cache,
                                               sequences=[seq],
                                               stable_lm_head=True)
@@ -285,8 +285,9 @@ class InferenceEngine:
         if not tokens:
             return None
         token_arr = np.asarray(tokens, dtype=np.int64)[np.newaxis, :]
-        with obs_trace.span("engine.rebuild_sequence", category="engine",
-                            slot=slot, n_tokens=len(tokens)):
+        with obs_context.current().tracer.span(
+                "engine.rebuild_sequence", category="engine", slot=slot,
+                n_tokens=len(tokens)):
             _, cost = self.model.forward(token_arr, self.cache,
                                          sequences=[slot])
         return cost
@@ -300,8 +301,9 @@ class InferenceEngine:
         workload whose batch dimension rides the idle HMX capacity.
         """
         token_arr = np.asarray(list(tokens), dtype=np.int64)[:, np.newaxis]
-        with obs_trace.span("engine.decode_step", category="engine",
-                            batch=token_arr.shape[0]):
+        with obs_context.current().tracer.span(
+                "engine.decode_step", category="engine",
+                batch=token_arr.shape[0]):
             logits, cost = self.model.forward(token_arr, self.cache,
                                               sequences=sequences)
         return logits[:, 0, :], cost
@@ -323,12 +325,12 @@ class InferenceEngine:
                 f"context {self.max_context}")
         sampler = sampler if sampler is not None else Sampler(temperature=0.8)
         self.reset()
+        tracer, _, log = obs_context.current()
         step_latency = self.bind_metrics()
 
-        with obs_trace.span("engine.generate", category="engine",
-                            prompt_tokens=len(prompt),
-                            max_new_tokens=max_new_tokens,
-                            n_candidates=n):
+        with tracer.span("engine.generate", category="engine",
+                         prompt_tokens=len(prompt),
+                         max_new_tokens=max_new_tokens, n_candidates=n):
             accountant = obs_energy.EnergyAccountant()
             last_logits, prefill_cost = self.prefill(prompt, seq=0)
             prefill_seconds = self.step_seconds(prefill_cost)
@@ -336,11 +338,11 @@ class InferenceEngine:
                          **self.step_energy(prefill_cost, prefill_seconds)
                          .charge_attrs())
             accountant.charge("prefill", attrs)
-            if obs_timeline.timeline_enabled():
-                obs_timeline.emit("prefill", prefill_seconds, **attrs)
+            if log.enabled:
+                log.emit("prefill", prefill_seconds, **attrs)
             if n > 1:
-                with obs_trace.span("engine.fork", category="engine",
-                                    n_targets=n - 1):
+                with tracer.span("engine.fork", category="engine",
+                                 n_targets=n - 1):
                     self.fork_prompt(0, list(range(1, n)))
 
             sequences = list(range(n))
@@ -366,10 +368,9 @@ class InferenceEngine:
                              **self.step_energy(cost, step_seconds)
                              .charge_attrs())
                 accountant.charge("decode_step", attrs)
-                if obs_timeline.timeline_enabled():
-                    obs_timeline.emit(
-                        "decode_step", prefill_seconds + decode_seconds,
-                        step=step_index, **attrs)
+                if log.enabled:
+                    log.emit("decode_step", prefill_seconds + decode_seconds,
+                             step=step_index, **attrs)
                 result.decode_costs.append(cost)
                 next_tokens = sampler.sample_batch(logits)
                 for i in range(n):
@@ -387,12 +388,11 @@ class InferenceEngine:
             result.joules = accountant.total_j
             result.utilization = obs_energy.utilization(
                 accountant.busy_s, result.sim_seconds)
-            if obs_timeline.timeline_enabled():
+            if log.enabled:
                 for i in range(n):
-                    obs_timeline.emit("complete", result.sim_seconds,
-                                      request_id=i, reason="eos"
-                                      if finished[i] else "length",
-                                      tokens=result.n_generated_tokens[i])
+                    log.emit("complete", result.sim_seconds, request_id=i,
+                             reason="eos" if finished[i] else "length",
+                             tokens=result.n_generated_tokens[i])
             if decode_seconds > 0.0:
                 decoded = result.total_generated_tokens - n
                 self._tokens_per_second.set(max(decoded, 0) / decode_seconds)

@@ -31,7 +31,7 @@ from ..kernels.flash_attention import (
     FlashAttention,
     attention_fp32_reference,
 )
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 from ..kernels.gemm import FusedWeight, MixedPrecisionGemm, PreparedWeight
 from ..kernels.ops import (
     residual_add,
@@ -245,7 +245,7 @@ class NPUTransformer:
         if positions.size and int(positions.max()) >= cfg.max_position:
             raise EngineError("position exceeds the model's maximum context")
 
-        tracer = obs_trace.get_tracer()
+        tracer = obs_context.current().tracer
         with tracer.span("model.forward", category="model",
                          batch=batch, n_new=n_new):
             # CPU-side embedding lookup (FP16 storage)

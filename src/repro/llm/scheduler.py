@@ -41,10 +41,8 @@ from ..errors import (
 )
 from ..npu.power_mgmt import governor_level
 from ..sim import SimClock
+from ..obs import context as obs_context
 from ..obs import energy as obs_energy
-from ..obs import metrics as obs_metrics
-from ..obs import timeline as obs_timeline
-from ..obs import trace as obs_trace
 from ..obs.slo import SLOTracker
 from ..resilience.faults import FaultInjector, FaultPlan, FaultRecord
 from ..resilience.recovery import RetryPolicy
@@ -347,10 +345,10 @@ class ContinuousBatchingScheduler:
                    eos_id, fault_plan, deadline_seconds,
                    clock if clock is not None else SimClock(),
                    prefill_chunk, dispatch)
-        with obs_trace.span("scheduler.generate", category="scheduler",
-                            prompt_tokens=len(requests[0].prompt),
-                            n_candidates=n_candidates, batch=engine.batch,
-                            max_new_tokens=max_new_tokens):
+        with run.tracer.span("scheduler.generate", category="scheduler",
+                             prompt_tokens=len(requests[0].prompt),
+                             n_candidates=n_candidates, batch=engine.batch,
+                             max_new_tokens=max_new_tokens):
             return run.serve()
 
 
@@ -387,9 +385,8 @@ class _Run:
             prompt_tokens=len(requests[0].prompt),
             n_prompt_admissions=len(requests) - 1)
         # the sinks every fact goes to, bound once for the whole run
-        self.registry = obs_metrics.get_metrics()
+        self.tracer, self.registry, self.log = obs_context.current()
         self.slo = SLOTracker(self.registry, engine_batch=engine.batch)
-        self.log = obs_timeline.get_event_log()
         self.accountant = obs_energy.EnergyAccountant()
         self.step_latency = engine.bind_metrics()
         counter = self.registry.counter
@@ -611,8 +608,9 @@ class _Run:
                    and request.next_local < request.n_candidates):
                 slot = self.free_slots.pop(0)
                 cid = request.first_candidate + request.next_local
-                with obs_trace.span("scheduler.admit", category="scheduler",
-                                    slot=slot, candidate=cid, step=self.step):
+                with self.tracer.span("scheduler.admit", category="scheduler",
+                                      slot=slot, candidate=cid,
+                                      step=self.step):
                     self.cache.restore_sequence(slot, request.anchor)
                     token = int(self.sampler.sample(request.last_logits))
                 candidate = _LiveCandidate(
@@ -714,9 +712,9 @@ class _Run:
             self._govern(event.governor, restored=False)
             if event.duration_steps is not None:
                 self.restore_step = self.step + event.duration_steps
-            with obs_trace.span("resilience.throttle", category="resilience",
-                                governor=event.governor, step=self.step,
-                                duration=event.duration_steps):
+            with self.tracer.span("resilience.throttle", category="resilience",
+                                  governor=event.governor, step=self.step,
+                                  duration=event.duration_steps):
                 pass
         return [error(f"injected {what} at decode step {self.step}")
                 for kind, error, what in _STEP_FAULTS
@@ -738,7 +736,7 @@ class _Run:
                 slots = sorted(self.live)
                 tokens = [self.live[s].tokens[-1] for s in slots]
                 self.live_batch.set(len(slots))
-                with obs_trace.span(
+                with self.tracer.span(
                         "scheduler.step", category="scheduler",
                         step=self.step, live_batch=len(slots),
                         blocks_in_use=self.cache.pool.blocks_in_use):
@@ -772,9 +770,9 @@ class _Run:
         self.retry_count.inc()
         self.registry.counter("repro.resilience.step_retries",
                               labels={"kind": kind}).inc()
-        with obs_trace.span("resilience.retry", category="resilience",
-                            kind=kind, step=self.step,
-                            backoff_ms=seconds * 1e3):
+        with self.tracer.span("resilience.retry", category="resilience",
+                              kind=kind, step=self.step,
+                              backoff_ms=seconds * 1e3):
             self.clock.advance(seconds)
         # backoff burns baseline power while every lane sits idle
         idle = self.engine.energy_model.idle_energy(seconds)
@@ -791,9 +789,9 @@ class _Run:
             prefix = candidate.tokens[:-1]
             energy = obs_energy.ZERO_ENERGY
             seconds = 0.0
-            with obs_trace.span("resilience.rebuild", category="resilience",
-                                slot=slot, candidate=candidate.candidate_id,
-                                tokens=len(prefix), step=self.step):
+            with self.tracer.span("resilience.rebuild", category="resilience",
+                                  slot=slot, candidate=candidate.candidate_id,
+                                  tokens=len(prefix), step=self.step):
                 self.cache.free_sequence(slot)
                 self.cache.restore_sequence(
                     slot, self.requests[candidate.request_id].anchor)
@@ -821,9 +819,9 @@ class _Run:
         victim = min(self.live.values(), key=_LiveCandidate.eviction_rank)
         self._record("evict", request_id=victim.candidate_id, step=self.step,
                      tokens=len(victim.tokens))
-        with obs_trace.span("resilience.evict", category="resilience",
-                            candidate=victim.candidate_id, slot=victim.slot,
-                            tokens=len(victim.tokens), step=self.step):
+        with self.tracer.span("resilience.evict", category="resilience",
+                              candidate=victim.candidate_id, slot=victim.slot,
+                              tokens=len(victim.tokens), step=self.step):
             self._retire(victim, "evicted")
         self.result.n_evictions += 1
         self.eviction_count.inc()
@@ -831,9 +829,9 @@ class _Run:
 
     def _degrade(self, reason: str) -> None:
         self.result.degraded = True
-        with obs_trace.span("resilience.degrade", category="resilience",
-                            reason=reason, live=len(self.live),
-                            step=self.step):
+        with self.tracer.span("resilience.degrade", category="resilience",
+                              reason=reason, live=len(self.live),
+                              step=self.step):
             for slot in sorted(self.live):
                 self._retire(self.live[slot], reason)
 
@@ -855,10 +853,10 @@ class _Run:
         self.admitting = False
         self._record("deadline", step=self.step,
                      deadline=self.deadline_seconds, live=len(self.live))
-        with obs_trace.span("resilience.deadline", category="resilience",
-                            step=self.step,
-                            sim_seconds=self.clock.total_seconds,
-                            deadline=self.deadline_seconds):
+        with self.tracer.span("resilience.deadline", category="resilience",
+                              step=self.step,
+                              sim_seconds=self.clock.total_seconds,
+                              deadline=self.deadline_seconds):
             self._degrade("deadline")
 
     def _release(self) -> None:

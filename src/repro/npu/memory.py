@@ -25,8 +25,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..errors import AddressSpaceError, DMAError, TCMAccessError, TCMAllocationError
-from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 
 __all__ = [
     "TCM_CAPACITY_BYTES",
@@ -108,10 +107,12 @@ class TCM:
         region = TCMRegion(cursor, aligned)
         self._regions.append(region)
         self._peak_usage = max(self._peak_usage, self.used_bytes())
-        if obs_trace.enabled():
-            reg = obs_metrics.get_metrics()
-            reg.gauge("repro.npu.tcm_used_bytes").set(self.used_bytes())
-            reg.gauge("repro.npu.tcm_peak_bytes").set(self._peak_usage)
+        obs = obs_context.current()
+        if obs.tracer.enabled:
+            obs.metrics.gauge("repro.npu.tcm_used_bytes").set(
+                self.used_bytes())
+            obs.metrics.gauge("repro.npu.tcm_peak_bytes").set(
+                self._peak_usage)
         return region
 
     def free(self, region: TCMRegion) -> None:
@@ -204,8 +205,9 @@ class DMAEngine:
             raise DMAError(f"DMA transfer size must be positive, got {nbytes}")
         transfer = DMATransfer(nbytes=nbytes, rows=rows, direction=direction)
         self.transfers.append(transfer)
-        if obs_trace.enabled():
-            obs_metrics.get_metrics().counter("repro.npu.dma_bytes").inc(nbytes)
+        obs = obs_context.current()
+        if obs.tracer.enabled:
+            obs.metrics.counter("repro.npu.dma_bytes").inc(nbytes)
         return transfer
 
     def total_bytes(self, direction: Optional[str] = None) -> int:
@@ -319,9 +321,10 @@ class RpcMemHeap:
         self.buffers.append(buffer)
         self.peak_mapped_bytes = max(self.peak_mapped_bytes,
                                      self.mapped_bytes())
-        if obs_trace.enabled():
-            obs_metrics.get_metrics().gauge(
-                "repro.npu.rpcmem_mapped_bytes").set(self.mapped_bytes())
+        obs = obs_context.current()
+        if obs.tracer.enabled:
+            obs.metrics.gauge("repro.npu.rpcmem_mapped_bytes").set(
+                self.mapped_bytes())
         return buffer
 
     def free(self, buffer: SharedBuffer) -> None:

@@ -212,22 +212,18 @@ class TimingModel:
     def hmx_seconds(self, cost: KernelCost) -> float:
         return cost.hmx_tile_macs * self.generation.hmx_seconds_per_tile_mac
 
-    def hvx_seconds(self, cost: KernelCost, hvx_threads: Optional[int] = None) -> float:
+    def hvx_seconds(self, cost: KernelCost) -> float:
         """Vector-engine time: issue packets + gather/scatter latency.
 
-        Work distributes across ``hvx_threads`` contexts (defaults to all
-        available).  Core-path memory traffic is bandwidth-limited and is
-        taken as the max against the issue-rate bound.
+        Work distributes across every HVX context.  Core-path memory
+        traffic is bandwidth-limited and is taken as the max against the
+        issue-rate bound.
         """
         gen = self.generation
-        threads = gen.hvx_contexts if hvx_threads is None else hvx_threads
-        if threads <= 0 or threads > gen.hvx_contexts:
-            raise NPUError(
-                f"hvx_threads must be in [1, {gen.hvx_contexts}], got {threads}")
         packets = (cost.hvx_packets
                    + cost.vgather_instrs * gen.vgather_issue_packets
                    + cost.vscatter_instrs * gen.vscatter_packets)
-        issue_seconds = packets / threads / gen.clock_hz
+        issue_seconds = packets / gen.hvx_contexts / gen.clock_hz
         mem_seconds = cost.hvx_ddr_bytes / (gen.hvx_mem_read_gbps * 1e9)
         return max(issue_seconds, mem_seconds)
 
@@ -237,7 +233,7 @@ class TimingModel:
     # ------------------------------------------------------------------
     # composition
     # ------------------------------------------------------------------
-    def seconds(self, cost: KernelCost, hvx_threads: Optional[int] = None) -> float:
+    def seconds(self, cost: KernelCost) -> float:
         """Total kernel time under the partial-overlap engine model.
 
         The three engines (DMA, HVX, HMX) run concurrently; total time is
@@ -246,7 +242,7 @@ class TimingModel:
         """
         parts = [
             self.dma_seconds(cost),
-            self.hvx_seconds(cost, hvx_threads),
+            self.hvx_seconds(cost),
             self.hmx_seconds(cost),
         ]
         critical = max(parts)

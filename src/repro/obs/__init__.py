@@ -27,15 +27,17 @@
 * :mod:`repro.obs.blame` — fleet-wide blame aggregation (percentile
   cohorts, per-device/per-tenant splits, exemplar waterfalls) and the
   ``repro explain`` report (schema ``repro.explain/v1``).
+* :mod:`repro.obs.context` — the one observability context: every
+  layer reads its tracer, registry and log through :func:`current`, and
+  only :func:`scope` changes them.
 
-Tracing and the event log are disabled by default; enable them for a
-run with::
+Tracing and the event log are off outside every scope; record a run
+with::
 
     from repro import obs
     tracer, log = obs.Tracer(), obs.EventLog()
-    obs.set_tracer(tracer)
-    obs.set_event_log(log)
-    ...                                  # run the instrumented workload
+    with obs.scope(tracer=tracer, log=log):
+        ...                              # run the instrumented workload
     obs.write_chrome_trace("trace.json", tracer, events=log)
 
 or use the ``python -m repro profile`` CLI, which wires this up around a
@@ -61,17 +63,8 @@ from .export import (
     text_report,
     write_chrome_trace,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    counter,
-    gauge,
-    get_metrics,
-    histogram,
-    set_metrics,
-)
+from .context import Obs, current, scope
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .anomaly import (
     AnomalyEvent,
     EwmaDetector,
@@ -115,16 +108,8 @@ from .stream import (
     MetricWindow,
     stream_from_log,
 )
-from .timeline import (
-    EVENT_KINDS,
-    EventLog,
-    TimelineEvent,
-    emit,
-    get_event_log,
-    set_event_log,
-    timeline_enabled,
-)
-from .trace import NULL_SPAN, Span, Tracer, enabled, get_tracer, set_tracer, span
+from .timeline import EVENT_KINDS, EventLog, TimelineEvent
+from .trace import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "BenchError",
@@ -181,24 +166,14 @@ __all__ = [
     "EVENT_KINDS",
     "EventLog",
     "TimelineEvent",
-    "emit",
-    "get_event_log",
-    "set_event_log",
-    "timeline_enabled",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "counter",
-    "gauge",
-    "get_metrics",
-    "histogram",
-    "set_metrics",
     "NULL_SPAN",
     "Span",
     "Tracer",
-    "enabled",
-    "get_tracer",
-    "set_tracer",
-    "span",
+    "Obs",
+    "current",
+    "scope",
 ]

@@ -42,7 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import ObservabilityError
 from ..npu.soc import DEFAULT_DEVICE
 from . import metrics as obs_metrics
-from . import trace as obs_trace
+from .context import scope
 from .energy import LANES, EnergyAccountant, lane_seconds, utilization
 from .slo import slo_summary
 
@@ -478,11 +478,12 @@ def _bench_fleet_chaos(ctx: BenchContext) -> BenchRecord:
 # ----------------------------------------------------------------------
 def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
                  seed: int = DEFAULT_SEED) -> BenchRecord:
-    """Run one registered scenario, untraced, under a fresh registry.
+    """Run one registered scenario in its own scope: untraced, with the
+    event log off, under a fresh registry.
 
-    A disabled tracer stands in for the caller's, so the record is the
-    same whatever the caller traces.  The record is augmented with the
-    scenario's wall clock (informational).
+    The record is therefore the same whatever the caller records, and
+    nothing the scenario does reaches the caller's sinks.  The record is
+    augmented with the scenario's wall clock (informational).
     """
     scenario = SCENARIOS.get(name)
     if scenario is None:
@@ -497,14 +498,9 @@ def run_scenario(name: str, device_key: str = DEFAULT_DEVICE,
     device = DEVICES[device_key]
     ctx = BenchContext(device=device, timing=TimingModel(device.npu),
                        registry=obs_metrics.MetricsRegistry(), seed=seed)
-    prev_tracer = obs_trace.set_tracer(obs_trace.Tracer(enabled=False))
-    prev_metrics = obs_metrics.set_metrics(ctx.registry)
     wall = time.perf_counter()
-    try:
+    with scope(metrics=ctx.registry):
         record = scenario.fn(ctx)
-    finally:
-        obs_trace.set_tracer(prev_tracer)
-        obs_metrics.set_metrics(prev_metrics)
     record.metrics["wall_seconds"] = time.perf_counter() - wall
     record.info.setdefault("device", device_key)
     return record

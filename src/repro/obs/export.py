@@ -500,6 +500,9 @@ def report_data(source: Union[Tracer, Sequence[Span]],
     per-kernel simulated attribution (when ``timing`` is given), SLO
     percentiles, the full metrics snapshot (when ``metrics`` is given)
     and the critical-path blame aggregate (when ``blame`` is given).
+    Span-tree rows are listed by depth, then by path, so two runs of
+    one tree list them in one order (the text report lists siblings by
+    host time instead).
     Empty sections are ``None``/empty rather than absent, so consumers
     can rely on the schema.
     """
@@ -509,7 +512,7 @@ def report_data(source: Union[Tracer, Sequence[Span]],
         {"path": list(path), "count": int(entry["count"]),
          "seconds": entry["seconds"]}
         for path, entry in sorted(
-            paths.items(), key=lambda kv: (len(kv[0]), -kv[1]["seconds"]))]
+            paths.items(), key=lambda kv: (len(kv[0]), kv[0]))]
     kernels: List[Dict[str, Any]] = []
     if timing is not None:
         costed = _kernel_attribution(spans, timing)

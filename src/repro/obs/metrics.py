@@ -4,11 +4,11 @@ Metric names follow the convention ``repro.<layer>.<name>`` —
 ``repro.llm.tokens_generated``, ``repro.npu.dma_bytes``,
 ``repro.kernels.gemm_flops`` — so snapshots group naturally by subsystem.
 
-A global default :class:`MetricsRegistry` backs module-level access
-(:func:`get_metrics`), and every instrument is injectable: code that
+Instrumented code records into the registry of the current
+observability context (:func:`repro.obs.context.current`); code that
 wants isolated measurement constructs its own registry and installs it
-with :func:`set_metrics` (the ``repro profile`` CLI does exactly this so
-a profiled run starts from zero).
+with :func:`repro.obs.context.scope` (the ``repro profile`` CLI does
+exactly this so a profiled run starts from zero).
 
 Histograms use fixed buckets so recording is O(log buckets) with no
 stored samples; quantiles (p50/p95/p99) are estimated by linear
@@ -33,11 +33,6 @@ __all__ = [
     "EMPTY_PERCENTILE",
     "labeled_name",
     "parse_labels",
-    "get_metrics",
-    "set_metrics",
-    "counter",
-    "gauge",
-    "histogram",
 ]
 
 #: Sentinel returned by :meth:`Histogram.percentile`/:meth:`Histogram.quantile`
@@ -376,35 +371,3 @@ class MetricsRegistry:
     def reset(self) -> None:
         with self._lock:
             self._metrics.clear()
-
-
-# ----------------------------------------------------------------------
-# global default registry
-# ----------------------------------------------------------------------
-_default_registry = MetricsRegistry()
-
-
-def get_metrics() -> MetricsRegistry:
-    return _default_registry
-
-
-def set_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the global default; returns the previous."""
-    global _default_registry
-    previous = _default_registry
-    _default_registry = registry
-    return previous
-
-
-def counter(name: str,
-            labels: Optional[Mapping[str, Any]] = None) -> Counter:
-    return _default_registry.counter(name, labels)
-
-
-def gauge(name: str, labels: Optional[Mapping[str, Any]] = None) -> Gauge:
-    return _default_registry.gauge(name, labels)
-
-
-def histogram(name: str, buckets: Optional[Sequence[float]] = None,
-              labels: Optional[Mapping[str, Any]] = None) -> Histogram:
-    return _default_registry.histogram(name, buckets, labels)

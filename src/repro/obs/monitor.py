@@ -28,13 +28,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ObservabilityError
-from . import metrics as obs_metrics
-from . import trace as obs_trace
 from .anomaly import AnomalyEvent, default_detectors, detect_series
 from .bench import DEFAULT_DEVICE, DEFAULT_SEED, SCENARIOS, BenchError
+from .context import scope
 from .energy import EnergyAccountant
+from .metrics import MetricsRegistry
 from .stream import MetricStream, stream_from_log
-from .timeline import EventLog, set_event_log
+from .timeline import EventLog
+from .trace import Tracer
 
 __all__ = ["MONITOR_SCHEMA", "MonitorReport", "run_monitor",
            "WATCHED_SERIES"]
@@ -235,13 +236,16 @@ def run_monitor(scenario: str = "chaos.waves",
                 seed: int = DEFAULT_SEED,
                 n_windows: int = 8,
                 window_seconds: Optional[float] = None) -> MonitorReport:
-    """Replay ``scenario`` with the event log armed; build the report.
+    """Replay ``scenario`` in a scope with the tracer and event log
+    armed; build the report.
 
     The scenario function runs directly (not through
-    :func:`~repro.obs.bench.run_scenario`) so nothing wall-clock-shaped
-    enters the report; with a simulated device every value is a pure
-    function of (scenario, device, seed).  ``window_seconds`` defaults
-    to the recorded span divided into ``n_windows`` equal windows.
+    :func:`~repro.obs.bench.run_scenario`, whose own scope would leave
+    the log off), so it records into this scope, and nothing
+    wall-clock-shaped enters the report; with a simulated device every
+    value is a pure function of (scenario, device, seed).
+    ``window_seconds`` defaults to the recorded span divided into
+    ``n_windows`` equal windows.
     """
     registered = SCENARIOS.get(scenario)
     if registered is None:
@@ -263,17 +267,10 @@ def run_monitor(scenario: str = "chaos.waves",
             f"unknown device {device_key!r}; known: {sorted(DEVICES)}")
     device = DEVICES[device_key]
     ctx = BenchContext(device=device, timing=TimingModel(device.npu),
-                       registry=obs_metrics.MetricsRegistry(), seed=seed)
-    tracer, log = obs_trace.Tracer(enabled=True), EventLog(enabled=True)
-    prev_tracer = obs_trace.set_tracer(tracer)
-    prev_metrics = obs_metrics.set_metrics(ctx.registry)
-    prev_log = set_event_log(log)
-    try:
+                       registry=MetricsRegistry(), seed=seed)
+    tracer, log = Tracer(enabled=True), EventLog(enabled=True)
+    with scope(tracer=tracer, metrics=ctx.registry, log=log):
         record = registered.fn(ctx)
-    finally:
-        obs_trace.set_tracer(prev_tracer)
-        obs_metrics.set_metrics(prev_metrics)
-        set_event_log(prev_log)
 
     start, end = log.span()
     span = max(end - start, 0.0)

@@ -31,7 +31,7 @@ import math
 from typing import Any, Dict, List, Mapping, Optional, Union
 
 from ..errors import ObservabilityError
-from .metrics import Histogram, MetricsRegistry, get_metrics
+from .metrics import Histogram, MetricsRegistry
 
 __all__ = ["hdr_buckets", "SLOTracker", "slo_summary", "SLO_PERCENTILES",
            "histogram_summary", "percentile_cutoff"]
@@ -101,19 +101,17 @@ def _default_latency_buckets() -> List[float]:
 class SLOTracker:
     """Records serving-path latency histograms into a metrics registry.
 
-    One tracker is created per scheduler run (it binds instruments from
-    whatever registry is installed at construction), so a profiled or
-    benched run that installs a fresh registry starts its percentiles
-    from zero.
+    One tracker is created per scheduler run, on the registry the run
+    binds when it starts, so a profiled or benched run that installs a
+    fresh registry starts its percentiles from zero.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None,
-                 engine_batch: int = 1,
+    def __init__(self, registry: MetricsRegistry, engine_batch: int = 1,
                  buckets: Optional[List[float]] = None) -> None:
         if engine_batch <= 0:
             raise ObservabilityError(
                 f"engine_batch must be positive, got {engine_batch}")
-        self._registry = registry if registry is not None else get_metrics()
+        self._registry = registry
         self._engine_batch = engine_batch
         self._buckets = buckets if buckets is not None \
             else _default_latency_buckets()

@@ -17,9 +17,10 @@ run's seeds and fault plan — byte-identical across machines, which is
 what lets ``repro monitor`` diff two runs and what the anomaly layer
 (:mod:`repro.obs.anomaly`) depends on for reproducible alerts.
 
-Like the tracer, the default global log is **disabled** and the
-module-level :func:`emit` is a cheap guard-and-return, so the scheduler
-hot loop pays one function call per site when nobody is monitoring.
+Like the tracer, the log installed outside every
+:func:`~repro.obs.context.scope` is **disabled**, and a run checks its
+bound log's ``enabled`` flag before it packs an event, so the scheduler
+hot loop pays one attribute check per site when nobody is monitoring.
 
 An armed log pays for each event once.  :class:`TimelineEvent` is a
 :class:`~typing.NamedTuple`: immutable, equal by value, and cheaper to
@@ -41,10 +42,6 @@ __all__ = [
     "EVENT_KINDS",
     "TimelineEvent",
     "EventLog",
-    "get_event_log",
-    "set_event_log",
-    "emit",
-    "timeline_enabled",
 ]
 
 #: The typed event vocabulary.  ``queue`` marks a request entering the
@@ -218,40 +215,3 @@ class EventLog:
     def reset(self) -> None:
         self._events.clear()
         self._chains.clear()
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-
-# ----------------------------------------------------------------------
-# global default log (disabled: serving runs pay only the guard)
-# ----------------------------------------------------------------------
-_default_log = EventLog(enabled=False)
-
-
-def get_event_log() -> EventLog:
-    return _default_log
-
-
-def set_event_log(log: EventLog) -> EventLog:
-    """Install ``log`` as the global default; returns the previous one."""
-    global _default_log
-    previous = _default_log
-    _default_log = log
-    return previous
-
-
-def emit(kind: str, sim_time: float, request_id: Optional[int] = None,
-         step: Optional[int] = None, **attrs: Any) -> Optional[TimelineEvent]:
-    """Emit on the global default log (no-op while disabled)."""
-    log = _default_log
-    if not log.enabled:
-        return None
-    return log._append(kind, sim_time, request_id, step, attrs)
-
-
-def timeline_enabled() -> bool:
-    return _default_log.enabled

@@ -13,8 +13,9 @@ lanes are folded from the energy ledger's charges
 
 Design constraints, in order:
 
-1. **Disabled must be nearly free.**  The default tracer is disabled;
-   ``Tracer.span`` then returns a shared no-op singleton whose
+1. **Disabled must be nearly free.**  The tracer installed outside
+   every :func:`~repro.obs.context.scope` is disabled; ``Tracer.span``
+   then returns a shared no-op singleton whose
    ``__enter__``/``__exit__`` do nothing, so instrumented code pays only
    a method call and an attribute check per site.  The benchmark guard
    (``benchmarks/test_obs_overhead.py``) holds this to < 5% of a small
@@ -37,7 +38,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-__all__ = ["Span", "Tracer", "get_tracer", "set_tracer", "span", "enabled"]
+__all__ = ["Span", "Tracer"]
 
 
 @dataclass
@@ -185,36 +186,3 @@ class Tracer:
         with self._lock:
             self.spans.clear()
         self._local = threading.local()
-
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
-
-# ----------------------------------------------------------------------
-# global default tracer (disabled: production runs pay only no-op costs)
-# ----------------------------------------------------------------------
-_default_tracer = Tracer(enabled=False)
-
-
-def get_tracer() -> Tracer:
-    return _default_tracer
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` as the global default; returns the previous one."""
-    global _default_tracer
-    previous = _default_tracer
-    _default_tracer = tracer
-    return previous
-
-
-def span(name: str, category: str = "repro", **attrs: Any):
-    """Open a span on the global default tracer."""
-    return _default_tracer.span(name, category, **attrs)
-
-
-def enabled() -> bool:
-    return _default_tracer.enabled

@@ -72,9 +72,7 @@ from ..errors import (
     SessionAbortError,
     TCMAllocationError,
 )
-from ..obs import metrics as obs_metrics
-from ..obs import timeline as obs_timeline
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 
 __all__ = [
     "FAULT_KINDS",
@@ -582,21 +580,20 @@ class FaultInjector:
         record = FaultRecord(kind=event.kind, site=event.site, at=index,
                              step=step, detail=detail)
         self.injected.append(record)
-        if obs_trace.enabled():
-            reg = obs_metrics.get_metrics()
-            reg.counter("repro.resilience.faults_injected").inc()
-            reg.counter("repro.resilience.faults_injected",
-                        labels={"kind": event.kind,
-                                "site": event.site}).inc()
-            with obs_trace.span("resilience.fault", category="resilience",
-                                kind=event.kind, site=event.site,
-                                at=index, step=step if step is not None
-                                else -1):
+        obs = obs_context.current()
+        if obs.tracer.enabled:
+            obs.metrics.counter("repro.resilience.faults_injected").inc()
+            obs.metrics.counter("repro.resilience.faults_injected",
+                                labels={"kind": event.kind,
+                                        "site": event.site}).inc()
+            with obs.tracer.span("resilience.fault", category="resilience",
+                                 kind=event.kind, site=event.site,
+                                 at=index, step=step if step is not None
+                                 else -1):
                 pass
-        if self.clock is not None and obs_timeline.timeline_enabled():
-            obs_timeline.emit("fault", self.clock.total_seconds, step=step,
-                              fault_kind=event.kind, site=event.site,
-                              at=index)
+        if self.clock is not None and obs.log.enabled:
+            obs.log.emit("fault", self.clock.total_seconds, step=step,
+                         fault_kind=event.kind, site=event.site, at=index)
         return record
 
     # ------------------------------------------------------------------

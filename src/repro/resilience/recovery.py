@@ -35,9 +35,7 @@ from ..errors import (
 )
 from ..npu.power_mgmt import GOVERNORS
 from ..sim import SimClock
-from ..obs import metrics as obs_metrics
-from ..obs import timeline as obs_timeline
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 from .faults import FaultPlan
 
 __all__ = ["RetryPolicy", "ResilientSession", "DegradedSchedule",
@@ -110,17 +108,17 @@ class ResilientSession:
     def _note_retry(self, attempt: int, error: Exception,
                     reopened: bool) -> None:
         self.retries += 1
-        if obs_trace.enabled():
-            obs_metrics.get_metrics().counter(
-                "repro.resilience.session_retries").inc()
-            with obs_trace.span("resilience.retry", category="resilience",
-                                attempt=attempt, reopened=reopened,
-                                error=type(error).__name__):
+        obs = obs_context.current()
+        if obs.tracer.enabled:
+            obs.metrics.counter("repro.resilience.session_retries").inc()
+            with obs.tracer.span("resilience.retry", category="resilience",
+                                 attempt=attempt, reopened=reopened,
+                                 error=type(error).__name__):
                 pass
-        if obs_timeline.timeline_enabled():
-            obs_timeline.emit("retry", self.clock.total_seconds,
-                              attempt=attempt, reopened=reopened,
-                              error=type(error).__name__)
+        if obs.log.enabled:
+            obs.log.emit("retry", self.clock.total_seconds,
+                         attempt=attempt, reopened=reopened,
+                         error=type(error).__name__)
 
     def submit(self, opcode: int, payload: np.ndarray) -> np.ndarray:
         """Submit with retry; see :meth:`FastRPCSession.submit`."""

@@ -17,7 +17,9 @@ Determinism contract:
 * failing configurations are *shrunk*: a greedy pass over the oracle's
   simplification moves keeps the failure alive while shrinking sizes
   and resetting categoricals, and the minimized repro string is
-  reported alongside the original.
+  reported alongside the original;
+* every oracle run (trial, replay or shrink step) goes in its own
+  observability scope, so it records into no caller's sinks.
 
 ``repro fuzz --trials N --seed S`` is the CLI face of this module;
 ``repro fuzz --replay 'paged_kv::batch=4,...'`` replays one string.
@@ -32,6 +34,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import TestingError
+from ..obs.context import scope
 from .oracles import Config, ORACLES, Oracle, OracleResult, get_oracle
 
 __all__ = [
@@ -93,10 +96,16 @@ def parse_repro(repro: str) -> Tuple[str, Config]:
     return name, config
 
 
+def _run(oracle: Oracle, config: Config) -> OracleResult:
+    """One oracle run, in its own observability scope."""
+    with scope():
+        return oracle.run(config)
+
+
 def run_repro(repro: str) -> OracleResult:
     """Replay one repro string deterministically."""
     name, config = parse_repro(repro)
-    return get_oracle(name).run(config)
+    return _run(get_oracle(name), config)
 
 
 # ----------------------------------------------------------------------
@@ -112,7 +121,7 @@ def shrink_failure(oracle: Oracle, config: Config,
     run budget is exhausted.  Returns the minimized config and its
     failing result.
     """
-    result = oracle.run(config)
+    result = _run(oracle, config)
     if result.ok:
         raise TestingError(
             f"shrink_failure called on a passing config: "
@@ -124,7 +133,7 @@ def shrink_failure(oracle: Oracle, config: Config,
         improved = False
         for candidate in oracle.shrink_steps(current):
             runs += 1
-            candidate_result = oracle.run(candidate)
+            candidate_result = _run(oracle, candidate)
             if not candidate_result.ok:
                 current, result = dict(candidate), candidate_result
                 improved = True
@@ -230,7 +239,7 @@ def fuzz(trials: int, seed: int = 0,
         # randomizes everything inside the config
         oracle = get_oracle(names[index % len(names)])
         config = oracle.sample_config(rng)
-        result = oracle.run(config)
+        result = _run(oracle, config)
         outcome = TrialOutcome(index=index, oracle=oracle.name,
                                repro=format_repro(oracle.name, config),
                                ok=result.ok, result=result)

@@ -32,6 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import TestingError
+from ..obs.context import scope
 from .oracles import _tiny_model, _tiny_weights
 
 __all__ = [
@@ -224,35 +225,26 @@ def _scheduler_record(batch: int, max_context: int, prompt: List[int],
                       **options) -> Dict:
     """Every observable record of one scheduler run, pinned by digest.
 
-    The run goes under a fresh tracer, event log and metrics registry,
-    so the record holds exactly what the run emitted: the timeline
-    events, the registry snapshot, and the ``scheduler`` and
-    ``resilience`` spans as (name, depth, attrs) in finish order.
+    The run goes in its own scope, with a fresh tracer, event log and
+    metrics registry, so the record holds exactly what the run emitted:
+    the timeline events, the registry snapshot, and the ``scheduler``
+    and ``resilience`` spans as (name, depth, attrs) in finish order.
     ``_``-prefixed span attrs are tracer bookkeeping and are left out.
-    The model is built fresh: its first forward sets the TCM gauges,
-    which a model shared with an earlier run would leave unset.
+    The model and engine are built in the scope too: building them sets
+    the TCM and rpcmem gauges, which a model or engine built outside it
+    would leave unset.
     """
     from ..llm import (ContinuousBatchingScheduler, InferenceEngine,
                        NPUTransformer, Sampler)
-    from ..obs import metrics as obs_metrics
-    from ..obs import timeline as obs_timeline
-    from ..obs import trace as obs_trace
+    from ..obs import EventLog, MetricsRegistry, Tracer
 
-    tracer = obs_trace.Tracer()
-    log = obs_timeline.EventLog()
-    registry = obs_metrics.MetricsRegistry()
-    previous = (obs_trace.set_tracer(tracer), obs_timeline.set_event_log(log),
-                obs_metrics.set_metrics(registry))
-    try:
+    tracer, log, registry = Tracer(), EventLog(), MetricsRegistry()
+    with scope(tracer=tracer, metrics=registry, log=log):
         engine = InferenceEngine(NPUTransformer(_tiny_weights(0)),
                                  batch=batch, max_context=max_context,
                                  kv_backend="paged")
         ContinuousBatchingScheduler(engine).generate(
             prompt, sampler=Sampler(temperature=0.8, seed=0), **options)
-    finally:
-        obs_trace.set_tracer(previous[0])
-        obs_timeline.set_event_log(previous[1])
-        obs_metrics.set_metrics(previous[2])
     events = [event.to_json() for event in log.events()]
     spans = [[s.name, s.depth,
               {k: v for k, v in s.attrs.items() if not k.startswith("_")}]
@@ -405,7 +397,8 @@ def _compare_npz(case: GoldenCase, path: Path, built: Dict
 
 def check_goldens(directory: Optional[Path] = None,
                   only: Optional[Sequence[str]] = None) -> List[GoldenMismatch]:
-    """Regenerate every case and diff it against the committed fixture."""
+    """Regenerate every case, each in its own observability scope, and
+    diff it against the committed fixture."""
     directory = Path(directory) if directory is not None else GOLDEN_DIR
     mismatches: List[GoldenMismatch] = []
     for case in _select(only):
@@ -415,7 +408,8 @@ def check_goldens(directory: Optional[Path] = None,
                 case=case.name, path=str(path),
                 message="fixture missing (run 'repro goldens --update')"))
             continue
-        built = case.build()
+        with scope():
+            built = case.build()
         if case.kind == "npz":
             message = _compare_npz(case, path, built)
         else:
@@ -430,13 +424,15 @@ def check_goldens(directory: Optional[Path] = None,
 
 def update_goldens(directory: Optional[Path] = None,
                    only: Optional[Sequence[str]] = None) -> List[str]:
-    """Rewrite fixtures from the current implementation; returns paths."""
+    """Rewrite fixtures from the current implementation, each case built
+    in its own observability scope; returns paths."""
     directory = Path(directory) if directory is not None else GOLDEN_DIR
     directory.mkdir(parents=True, exist_ok=True)
     written: List[str] = []
     for case in _select(only):
         path = directory / case.filename
-        built = case.build()
+        with scope():
+            built = case.build()
         if case.kind == "npz":
             with open(path, "wb") as handle:
                 np.savez(handle, **built)

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..errors import ScalingError
 from ..llm.scheduler import plan_waves
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 from ..resilience.faults import FaultPlan
 from ..resilience.recovery import degraded_schedule
 from .reward import RewardModel
@@ -116,6 +116,7 @@ def evaluate_best_of_n(dataset: TaskDataset, profile: ModelProfile,
     rng = np.random.default_rng(seed)
     probabilities = profile.solve_probabilities(dataset)
     tokens_per_step = dataset.profile.tokens_per_step
+    tracer = obs_context.current().tracer
 
     n_correct = 0
     n_oracle = 0
@@ -129,9 +130,9 @@ def evaluate_best_of_n(dataset: TaskDataset, profile: ModelProfile,
     retry_steps = 0.0
     throttled = 0
     for problem, p in zip(dataset.problems, probabilities):
-        with obs_trace.span("tts.best_of_n.problem", category="tts",
-                            problem=problem.problem_id,
-                            n_candidates=budget) as sp:
+        with tracer.span("tts.best_of_n.problem", category="tts",
+                         problem=problem.problem_id,
+                         n_candidates=budget) as sp:
             solutions = sample_solutions(problem, float(p), budget, rng,
                                          tokens_per_step=tokens_per_step)
             problem_tokens = sum(s.n_tokens for s in solutions)
@@ -148,8 +149,8 @@ def evaluate_best_of_n(dataset: TaskDataset, profile: ModelProfile,
                 degraded_steps += schedule.makespan_steps
                 retry_steps += schedule.n_retry_steps
                 throttled += schedule.throttled_steps
-                if schedule.degraded and obs_trace.enabled():
-                    with obs_trace.span(
+                if schedule.degraded and tracer.enabled:
+                    with tracer.span(
                             "resilience.tts_degrade", category="resilience",
                             problem=problem.problem_id,
                             survivors=len(pool),

@@ -11,8 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ScalingError
-from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
+from ..obs import context as obs_context
 from ..resilience.faults import FaultPlan
 from .beam_search import evaluate_beam_search
 from .best_of_n import evaluate_best_of_n
@@ -88,20 +87,19 @@ def budget_sweep(method: str, dataset: TaskDataset, profile: ModelProfile,
 
     accuracies: List[float] = []
     tokens: List[float] = []
-    sweep_span = obs_trace.span("tts.budget_sweep", category="tts",
-                                method=method, model=profile.name,
-                                dataset=dataset.name, n_budgets=len(budgets))
-    with sweep_span:
+    obs = obs_context.current()
+    with obs.tracer.span("tts.budget_sweep", category="tts", method=method,
+                         model=profile.name, dataset=dataset.name,
+                         n_budgets=len(budgets)):
         for i, budget in enumerate(budgets):
-            with obs_trace.span("tts.budget", category="tts",
-                                method=method, budget=budget):
+            with obs.tracer.span("tts.budget", category="tts",
+                                 method=method, budget=budget):
                 _run_budget(method, dataset, profile, budget, reward_sigma,
                             seed, i, accuracies, tokens,
                             engine_batch=engine_batch,
                             fault_plan=fault_plan,
                             deadline_steps=deadline_steps)
-            obs_metrics.get_metrics().counter(
-                "repro.tts.budgets_evaluated").inc()
+            obs.metrics.counter("repro.tts.budgets_evaluated").inc()
     return ScalingCurve(method=method, model=profile.name, dataset=dataset.name,
                         budgets=budgets, accuracies=accuracies,
                         tokens_per_problem=tokens)

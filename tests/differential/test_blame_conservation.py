@@ -23,7 +23,8 @@ from repro.obs.critical_path import (PhaseSlice, assert_lifecycle,
                                      quantize_ns, validate_lifecycle)
 from repro.obs.energy import EnergyAccountant
 from repro.obs.slo import percentile_cutoff
-from repro.obs.timeline import EventLog, set_event_log
+from repro.obs import scope
+from repro.obs.timeline import EventLog
 
 FLEET_FAULTS = ("dev#0:crash@3:6,dev#1:straggle@2:3:10,dev#2:drop@5,"
                 "dev#3:battery@8,dev#4:crash@12")
@@ -97,13 +98,10 @@ def test_explain_double_run_is_byte_identical():
 @pytest.fixture(scope="module")
 def fleet_run():
     log = EventLog(enabled=True)
-    prev = set_event_log(log)
-    try:
+    with scope(log=log):
         report = run_fleet(50, 30.0, horizon_seconds=10.0, seed=7,
                            with_capacity_plan=False,
                            fault_spec=FLEET_FAULTS, hedge=True)
-    finally:
-        set_event_log(prev)
     kind, explanations = explain_log(log)
     assert kind == "fleet"
     return report, log, explanations

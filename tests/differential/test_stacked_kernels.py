@@ -31,8 +31,7 @@ from repro.npu.hmx import TILE_DIM, HMXUnit, padded_fp32
 from repro.npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from repro.npu.memory import TCM
 from repro.npu.timing import KernelCost
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
+from repro.obs import MetricsRegistry, Tracer, scope
 from repro.quant.tile_quant import dequantize_weight
 from repro.testing import HMX_LAYOUTS, laid_out, reference_gemm
 
@@ -281,14 +280,9 @@ def _fused_case(strategy, k, widths):
 
 def _traced(call):
     """``call()``, with the spans and counters it recorded."""
-    tracer, registry = obs_trace.Tracer(), obs_metrics.MetricsRegistry()
-    outer_tracer = obs_trace.set_tracer(tracer)
-    outer_registry = obs_metrics.set_metrics(registry)
-    try:
+    tracer, registry = Tracer(), MetricsRegistry()
+    with scope(tracer=tracer, metrics=registry):
         result = call()
-    finally:
-        obs_trace.set_tracer(outer_tracer)
-        obs_metrics.set_metrics(outer_registry)
     spans = [(s.name, s.category, s.attrs, s.costs, s.parent)
              for s in tracer.finished_spans()]
     return result, spans, registry.snapshot()
@@ -565,12 +559,9 @@ def test_tracing_emits_one_span_tree_per_call(group):
     fa = FlashAttention("lut", tcm=TCM())
     q, _, _ = _items(rng, group * len(kv_lengths), 1, kv_lengths, 16)
     _, k, v = _items(rng, len(kv_lengths), 1, kv_lengths, 16)
-    tracer = obs_trace.Tracer(enabled=True)
-    previous = obs_trace.set_tracer(tracer)
-    try:
+    tracer = Tracer(enabled=True)
+    with scope(tracer=tracer):
         _, breakdown = fa(q, k, v, kv_lengths=kv_lengths)
-    finally:
-        obs_trace.set_tracer(previous)
     spans = tracer.finished_spans()
     (call,) = [s for s in spans if s.parent is None]
     assert call.name == "kernel.flash_attention"

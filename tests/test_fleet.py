@@ -475,6 +475,14 @@ class TestRunFleet:
         assert loose is not None and tight is not None
         assert tight >= loose
 
+    def test_plan_capacity_probes_reach_no_callers_log(self):
+        from repro.obs import EventLog, scope
+
+        log = EventLog()
+        with scope(log=log):
+            assert plan_capacity(8.0, 0.5, seed=0) is not None
+        assert len(log) == 0
+
     def test_plan_capacity_unreachable_target_is_none(self):
         # below the single-request service-time floor no fleet size can
         # hold the tail: even an idle device serves slower than this

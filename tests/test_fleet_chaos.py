@@ -350,17 +350,14 @@ class TestChaosSimulation:
 
 class TestChaosTimeline:
     def test_chaos_events_logged(self):
-        from repro.obs import timeline as obs_timeline
+        from repro.obs import EventLog, scope
 
-        log = obs_timeline.EventLog(enabled=True)
-        previous = obs_timeline.set_event_log(log)
-        try:
+        log = EventLog(enabled=True)
+        with scope(log=log):
             _chaos_sim(n_devices=2, qps=8.0, n_requests=60,
                        fault_spec="dev#0:crash@1:4",
                        breaker_failure_threshold=1,
                        breaker_cooldown_seconds=0.5).run()
-        finally:
-            obs_timeline.set_event_log(previous)
         kinds = {e.kind for e in log.events()}
         assert "device_down" in kinds
         assert "device_up" in kinds
@@ -368,16 +365,13 @@ class TestChaosTimeline:
         assert downs[0].attrs["device"] == 0
 
     def test_stream_folds_chaos_counters(self):
-        from repro.obs import timeline as obs_timeline
+        from repro.obs import EventLog, scope
         from repro.obs.stream import stream_from_log
 
-        log = obs_timeline.EventLog(enabled=True)
-        previous = obs_timeline.set_event_log(log)
-        try:
+        log = EventLog(enabled=True)
+        with scope(log=log):
             _chaos_sim(n_devices=2, qps=8.0, n_requests=60,
                        fault_spec="dev#0:crash@1:4").run()
-        finally:
-            obs_timeline.set_event_log(previous)
         stream = stream_from_log(log, window_seconds=60.0)
         totals = {}
         for window in stream.windows():
@@ -396,7 +390,7 @@ class TestChaosTimeline:
         and other arrivals (integer arrival and fault times)."""
         import numpy as np
 
-        from repro.obs import timeline as obs_timeline
+        from repro.obs import EventLog, scope
         from repro.sim import EventLoop
 
         rng = np.random.default_rng(11)
@@ -408,9 +402,8 @@ class TestChaosTimeline:
                     for i in range(60)]
 
         def run():
-            log = obs_timeline.EventLog(enabled=True)
-            previous = obs_timeline.set_event_log(log)
-            try:
+            log = EventLog(enabled=True)
+            with scope(log=log):
                 result = FleetSimulation(
                     build_population(4), requests,
                     fault_plan=FaultPlan.parse(
@@ -420,8 +413,6 @@ class TestChaosTimeline:
                            else None),
                     breaker_failure_threshold=1,
                     breaker_cooldown_seconds=1.0).run()
-            finally:
-                obs_timeline.set_event_log(previous)
             return ([(e.kind, e.sim_time, e.request_id, e.attrs)
                      for e in log.events()],
                     result.conservation(), result.joules.hex(),

@@ -6,6 +6,10 @@ bench metrics, goldens, oracle verdicts — must be a pure function of
 ``time.monotonic`` and ``time.time`` with a seeded, strictly increasing
 random walk and run each workload under two different walks: anything
 that leaks host time into a simulated output serializes differently.
+The second walk runs inside an outer observability scope with an
+enabled tracer, a registry and an enabled event log, as a caller that
+records would leave them: the output must not change, and a workload
+that makes its own record must write nothing into those sinks.
 The fleet, monitor and explain CLI replays run in subprocesses under
 two ``PYTHONHASHSEED`` values, so hash-ordered iteration cannot leak
 into their reports either.
@@ -23,8 +27,10 @@ import numpy as np
 import pytest
 
 import repro
+from repro.fleet import run_fleet
+from repro.harness.experiments import run_experiment
 from repro.llm import ContinuousBatchingScheduler, InferenceEngine, Sampler
-from repro.obs import timeline as obs_timeline
+from repro.obs import EventLog, MetricsRegistry, Obs, Tracer, scope
 from repro.obs.bench import SCENARIOS, run_scenario
 from repro.resilience import FaultPlan
 from repro.testing.fuzz import fuzz
@@ -58,24 +64,40 @@ def _poison_clock(monkeypatch, seed: int) -> None:
         monkeypatch.setattr(time, name, walk)
 
 
-def _under_walks(monkeypatch, run):
-    """Serialize ``run()`` once under each walk; returns both strings."""
-    outputs = []
-    for seed in WALK_SEEDS:
-        with monkeypatch.context() as patch:
-            _poison_clock(patch, seed)
-            outputs.append(json.dumps(run(), sort_keys=True))
-    return outputs
+def _walk(monkeypatch, seed: int, run) -> str:
+    """Serialize ``run()`` under the walk of ``seed``."""
+    with monkeypatch.context() as patch:
+        _poison_clock(patch, seed)
+        return json.dumps(run(), sort_keys=True)
+
+
+def _under_walks(monkeypatch, run, outer_events=()):
+    """Serialize ``run()`` once under each walk; returns both strings.
+
+    The second walk runs inside an outer scope of enabled sinks, which
+    must end with no span, no instrument, and no event but
+    ``outer_events`` (as ``to_json`` dicts).
+    """
+    first = _walk(monkeypatch, WALK_SEEDS[0], run)
+    outer = Obs(Tracer(), MetricsRegistry(), EventLog())
+    with scope(*outer):
+        second = _walk(monkeypatch, WALK_SEEDS[1], run)
+    assert outer.tracer.finished_spans() == []
+    assert outer.metrics.snapshot() == {}
+    assert [event.to_json() for event in outer.log.events()] \
+        == list(outer_events)
+    return first, second
 
 
 def _with_timeline(generate):
-    """Run ``generate()`` on a fresh event log; time, joules and events."""
-    log = obs_timeline.EventLog()
-    previous = obs_timeline.set_event_log(log)
-    try:
+    """Run ``generate()`` on a fresh event log; time, joules and events.
+
+    ``generate`` builds its engine too: building one sets the rpcmem
+    gauge in the registry of the scope it is built in.
+    """
+    log = EventLog()
+    with scope(log=log):
         result = generate()
-    finally:
-        obs_timeline.set_event_log(previous)
     return {"sim_seconds": result.sim_seconds, "joules": result.joules,
             "timeline": [event.to_json() for event in log.events()]}
 
@@ -92,28 +114,28 @@ def test_walks_poison_every_clock(monkeypatch):
 
 
 def test_default_engine_generate(monkeypatch, tiny_model):
-    def run():
+    def generate():
         engine = InferenceEngine(tiny_model, batch=2, max_context=32)
-        return _with_timeline(lambda: engine.generate(
-            [1, 2, 3], max_new_tokens=6,
-            sampler=Sampler(temperature=0.8, seed=3)))
+        return engine.generate([1, 2, 3], max_new_tokens=6,
+                               sampler=Sampler(temperature=0.8, seed=3))
 
-    first, second = _under_walks(monkeypatch, run)
+    first, second = _under_walks(monkeypatch,
+                                 lambda: _with_timeline(generate))
     assert first == second
     assert json.loads(first)["sim_seconds"] > 0.0
 
 
 def test_paged_scheduler_under_faults(monkeypatch, tiny_model):
-    def run():
+    def generate():
         engine = InferenceEngine(tiny_model, batch=2, max_context=32,
                                  kv_backend="paged")
         plan = FaultPlan.parse("abort@2,throttle@1:efficiency:2")
-        return _with_timeline(
-            lambda: ContinuousBatchingScheduler(engine).generate(
-                [1, 2, 3], n_candidates=4, max_new_tokens=6,
-                sampler=Sampler(temperature=0.8, seed=3), fault_plan=plan))
+        return ContinuousBatchingScheduler(engine).generate(
+            [1, 2, 3], n_candidates=4, max_new_tokens=6,
+            sampler=Sampler(temperature=0.8, seed=3), fault_plan=plan)
 
-    first, second = _under_walks(monkeypatch, run)
+    first, second = _under_walks(monkeypatch,
+                                 lambda: _with_timeline(generate))
     assert first == second
     kinds = {event["kind"] for event in json.loads(first)["timeline"]}
     assert {"retry", "rebuild", "throttle"} <= kinds
@@ -136,6 +158,38 @@ def test_goldens(monkeypatch):
 
     first, second = _under_walks(monkeypatch, run)
     assert first == second == "[]"
+
+
+def test_experiment(monkeypatch):
+    first, second = _under_walks(
+        monkeypatch, lambda: run_experiment("fig5").render())
+    assert first == second
+    assert "repro.tts.budgets_evaluated" in json.loads(first)
+
+
+def _fleet_json(**options) -> str:
+    return run_fleet(50, 20.0, horizon_seconds=10.0, seed=0,
+                     **options).to_json_text()
+
+
+@pytest.mark.parametrize("explain", [False, True])
+def test_fleet_with_capacity_plan(monkeypatch, explain):
+    """Capacity probes, and an explained run, record into no caller's
+    sinks; a plain run's main simulation records into the caller's log
+    what it records without the plan."""
+    outer_events = []
+    if not explain:
+        log = EventLog()
+        with scope(log=log):
+            _fleet_json(with_capacity_plan=False)
+        outer_events = [event.to_json() for event in log.events()]
+        assert outer_events
+    first, second = _under_walks(
+        monkeypatch, lambda: _fleet_json(explain=explain), outer_events)
+    assert first == second
+    report = json.loads(json.loads(first))
+    assert report["capacity"]["points"]
+    assert ("explain" in report) == explain
 
 
 def test_one_fuzz_trial_per_oracle(monkeypatch):

@@ -10,8 +10,7 @@ from repro.npu.hmx import HMXUnit
 from repro.npu.hvx import HVXContext, InstructionTrace
 from repro.npu.memory import DMAEngine
 from repro.npu.timing import KernelCost
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
+from repro.obs import MetricsRegistry, Tracer, current, scope
 
 
 @pytest.fixture
@@ -23,10 +22,11 @@ def reference_call(kernel, acts, prepared):
     """One call with every charge recorded afresh, inside its spans."""
     m, (k, n) = acts.shape[0], prepared.quantized.original_shape
     flops = 2.0 * m * k * n
-    with obs_trace.span("kernel.gemm", category="kernel", m=m, k=k, n=n,
-                        strategy=kernel.strategy, bits=kernel.bits,
-                        flops=flops,
-                        weight_bytes=prepared.storage_bytes) as sp:
+    obs = current()
+    with obs.tracer.span("kernel.gemm", category="kernel", m=m, k=k, n=n,
+                         strategy=kernel.strategy, bits=kernel.bits,
+                         flops=flops,
+                         weight_bytes=prepared.storage_bytes) as sp:
         trace, dma = InstructionTrace(), DMAEngine()
         dma.transfer_2d(m, k * 2, direction="ddr_to_tcm")
         dequantize_stream(prepared.quantized, kernel.strategy,
@@ -39,25 +39,19 @@ def reference_call(kernel, acts, prepared):
             HMXUnit(trace).record_gemm(m, k, n)
         cost = KernelCost.from_trace(trace, dma)
         sp.add_cost(cost)
-    if obs_trace.enabled():
-        reg = obs_metrics.get_metrics()
-        reg.counter("repro.kernels.gemm_flops").inc(flops)
-        reg.counter("repro.kernels.gemm_weight_bytes").inc(
+    if obs.tracer.enabled:
+        obs.metrics.counter("repro.kernels.gemm_flops").inc(flops)
+        obs.metrics.counter("repro.kernels.gemm_weight_bytes").inc(
             prepared.storage_bytes)
     return cost
 
 
 def traced(call, batch_sizes):
     """Span tree and metrics snapshot of ``call`` over each batch size."""
-    tracer, registry = obs_trace.Tracer(), obs_metrics.MetricsRegistry()
-    outer_tracer = obs_trace.set_tracer(tracer)
-    outer_registry = obs_metrics.set_metrics(registry)
-    try:
+    tracer, registry = Tracer(), MetricsRegistry()
+    with scope(tracer=tracer, metrics=registry):
         for m in batch_sizes:
             call(np.ones((m, 96), dtype=np.float16))
-    finally:
-        obs_trace.set_tracer(outer_tracer)
-        obs_metrics.set_metrics(outer_registry)
     spans = [(s.name, s.category, s.parent, s.depth, s.attrs, s.costs)
              for s in tracer.finished_spans()]
     return spans, registry.snapshot()

@@ -14,8 +14,7 @@ from repro.llm.model import (
 )
 from repro.llm.perplexity import top1_agreement
 from repro.npu.timing import KernelCost
-from repro.obs import metrics as obs_metrics
-from repro.obs import trace as obs_trace
+from repro.obs import MetricsRegistry, Tracer, scope
 
 
 class TestStepCost:
@@ -175,14 +174,9 @@ def _traced_decode_step(model):
     cache = model.new_cache(2, 16)
     model.forward(np.array([[5, 9, 13]]), cache, sequences=[0])
     model.forward(np.array([[7, 2, 4, 8, 1]]), cache, sequences=[1])
-    tracer, registry = obs_trace.Tracer(), obs_metrics.MetricsRegistry()
-    outer_tracer = obs_trace.set_tracer(tracer)
-    outer_registry = obs_metrics.set_metrics(registry)
-    try:
+    tracer, registry = Tracer(), MetricsRegistry()
+    with scope(tracer=tracer, metrics=registry):
         logits, cost = model.forward(np.array([[3], [11]]), cache)
-    finally:
-        obs_trace.set_tracer(outer_tracer)
-        obs_metrics.set_metrics(outer_registry)
     spans = [(s.name, s.category, s.attrs, s.costs, s.parent)
              for s in tracer.finished_spans()]
     return logits, cost, spans, registry.snapshot()

@@ -169,19 +169,15 @@ class TestMetricBinding:
             self, tiny_model):
         """Engines and schedulers built under one registry record a run
         into the registry installed when the run starts."""
-        from repro.obs.metrics import MetricsRegistry, set_metrics
+        from repro.obs import MetricsRegistry, scope
         from repro.resilience import FaultPlan
 
         built_under = MetricsRegistry()
-        previous = set_metrics(built_under)
-        try:
+        with scope(metrics=built_under):
             sched = ContinuousBatchingScheduler(_paged_engine(tiny_model))
             lockstep = InferenceEngine(tiny_model, batch=2, max_context=32)
-        finally:
-            set_metrics(previous)
         fresh = MetricsRegistry()
-        previous = set_metrics(fresh)
-        try:
+        with scope(metrics=fresh):
             result = sched.generate(
                 PROMPT, n_candidates=6, max_new_tokens=4,
                 sampler=Sampler(temperature=0.8, seed=0),
@@ -189,8 +185,6 @@ class TestMetricBinding:
             plain = lockstep.generate(PROMPT, max_new_tokens=4,
                                       sampler=Sampler(temperature=0.8,
                                                       seed=0))
-        finally:
-            set_metrics(previous)
         snap = fresh.snapshot()
         assert snap["repro.scheduler.admissions"]["value"] == 6
         assert snap["repro.scheduler.retired"]["value"] == 6
@@ -328,35 +322,29 @@ class TestChunkedPrefillAdmissions:
 
     def test_admission_waits_for_at_step_when_decode_is_live(self, tiny_model):
         from repro.llm import PromptAdmission
-        from repro.obs.timeline import EventLog, set_event_log
+        from repro.obs import EventLog, scope
         log = EventLog()
-        previous = set_event_log(log)
-        try:
+        with scope(log=log):
             sched = ContinuousBatchingScheduler(_paged_engine(tiny_model))
             sched.generate(
                 PROMPT, n_candidates=2, max_new_tokens=10,
                 sampler=Sampler(temperature=0.8, seed=4), prefill_chunk=2,
                 admissions=[PromptAdmission([9, 9, 4], n_candidates=1,
                                             max_new_tokens=4, at_step=3)])
-        finally:
-            set_event_log(previous)
         admitted = [e for e in log.by_kind("prefill_chunk")
                     if e.attrs["request"] == 1]
         assert admitted, "the admission must prefill eventually"
         assert all(e.step >= 3 for e in admitted)
 
     def test_timeline_records_chunks_and_switches(self, tiny_model):
-        from repro.obs.timeline import EventLog, set_event_log
+        from repro.obs import EventLog, scope
         log = EventLog()
-        previous = set_event_log(log)
-        try:
+        with scope(log=log):
             sched = ContinuousBatchingScheduler(_paged_engine(tiny_model))
             result = sched.generate(
                 PROMPT, n_candidates=3, max_new_tokens=6,
                 sampler=Sampler(temperature=0.8, seed=7), prefill_chunk=3,
                 dispatch=self._dispatch(tiny_model))
-        finally:
-            set_event_log(previous)
         chunks = log.by_kind("prefill_chunk")
         assert len(chunks) == result.n_prefill_chunks == 2
         assert [e.attrs["offset"] for e in chunks] == [0, 3]
@@ -373,17 +361,14 @@ class TestChunkedPrefillAdmissions:
         assert all(backend == "gpu" for _, backend in result.backend_steps)
 
     def test_prefill_chunk_slo_histogram(self, tiny_model):
-        from repro.obs.metrics import MetricsRegistry, set_metrics
+        from repro.obs import MetricsRegistry, scope
         from repro.obs.slo import slo_summary
         reg = MetricsRegistry()
-        previous = set_metrics(reg)
-        try:
+        with scope(metrics=reg):
             sched = ContinuousBatchingScheduler(_paged_engine(tiny_model))
             result = sched.generate(
                 PROMPT, n_candidates=2, max_new_tokens=4,
                 sampler=Sampler(temperature=0.8, seed=2), prefill_chunk=1)
-        finally:
-            set_metrics(previous)
         hist = slo_summary(reg)["repro.slo.prefill_chunk_seconds"]
         assert hist["count"] == result.n_prefill_chunks == len(PROMPT)
         assert hist["p50"] > 0.0

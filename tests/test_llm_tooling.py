@@ -281,16 +281,16 @@ class TestCLI:
         assert "engine utilization" in text
         assert report_path.read_text() in text
 
-    def test_profile_leaves_global_tracer_untouched(self, tmp_path):
-        from repro.obs import enabled, get_tracer
+    def test_profile_leaves_the_context_untouched(self, tmp_path):
+        from repro.obs import current
 
-        before = get_tracer()
+        before = current()
         status, _ = self._run([
             "profile", "--batch", "2", "--prompt-tokens", "2",
             "--new-tokens", "2", "--trace-out", str(tmp_path / "t.json")])
         assert status == 0
-        assert get_tracer() is before
-        assert not enabled()
+        assert current() is before
+        assert not before.tracer.enabled
 
     def test_profile_json_out(self, tmp_path):
         json_path = tmp_path / "profile.json"
@@ -326,6 +326,32 @@ class TestCLI:
         assert resilience["fault_kinds"] == {
             "session_abort": 1, "dma_timeout": 1, "alloc_fail": 1,
             "thermal_throttle": 1}
+
+    def test_profile_json_repeats_but_for_host_seconds(self, tmp_path):
+        """Two runs of one profile list the same rows in the same order;
+        only the host-time ``seconds`` fields may differ."""
+        def without_seconds(value):
+            if isinstance(value, dict):
+                return {k: without_seconds(v) for k, v in value.items()
+                        if k != "seconds"}
+            if isinstance(value, list):
+                return [without_seconds(v) for v in value]
+            return value
+
+        def profile():
+            status, text = self._run([
+                "profile", "--scheduler", "--batch", "2", "--candidates",
+                "4", "--new-tokens", "4",
+                "--faults", "abort@1,dma@3,alloc@2,throttle@0:efficiency:3",
+                "--trace-out", str(tmp_path / "t.json"), "--json", "-"])
+            assert status == 0
+            data, _ = json.JSONDecoder().raw_decode(
+                text, text.index("\n{\n") + 1)
+            return without_seconds(data)
+
+        first = profile()
+        assert len(first["span_tree"]) > 1
+        assert profile() == first
 
     @pytest.mark.parametrize("device", ["oneplus_ace3", "oneplus_12",
                                         "oneplus_ace5_pro"])

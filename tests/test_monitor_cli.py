@@ -101,13 +101,13 @@ class TestRunMonitor:
         with pytest.raises(ReproError):
             run_monitor("chaos.waves", window_seconds=0.0)
 
-    def test_global_event_log_restored_after_run(self):
-        from repro.obs.timeline import get_event_log, timeline_enabled
+    def test_context_restored_after_run(self):
+        from repro.obs import current
 
-        before = get_event_log()
+        before = current()
         run_monitor("chaos.waves")
-        assert get_event_log() is before
-        assert timeline_enabled() is False
+        assert current() is before
+        assert before.log.enabled is False
 
 
 class TestMonitorCli:

@@ -1,15 +1,13 @@
-"""Tests for the NPU runtime layer: DVFS, HVX GEMM, Q8 KV.
+"""Tests for the NPU runtime layer: DVFS and Q8 KV.
 
-These cover the §6 power-management component and two further
-substrates: the vector-unit GEMM that anchors Table 2 and the INT8
-KV-cache extension.
+These cover the §6 power-management component and the INT8 KV-cache
+extension.
 """
 
 import numpy as np
 import pytest
 
-from repro.errors import EngineError, KernelError, NPUError
-from repro.kernels.hvx_gemm import hvx_gemm
+from repro.errors import EngineError, NPUError
 from repro.llm import (
     NPUTransformer,
     QuantizedLayerKVCache,
@@ -54,42 +52,6 @@ class TestPowerGovernors:
 
     def test_registry(self):
         assert set(GOVERNORS) == {"performance", "balanced", "efficiency"}
-
-
-class TestHVXGemm:
-    def test_numerics(self, rng):
-        a = rng.normal(0, 0.3, (16, 128)).astype(np.float16)
-        b = rng.normal(0, 0.3, (128, 24)).astype(np.float16)
-        out, _ = hvx_gemm(a, b)
-        ref = a.astype(np.float32) @ b.astype(np.float32)
-        assert np.allclose(out.astype(np.float32), ref, atol=5e-3)
-
-    def test_reproduces_table2_anchor(self, rng):
-        """The 32.93 GFLOPS measurement emerges from the traced kernel."""
-        a = rng.normal(0, 0.3, (32, 1024)).astype(np.float16)
-        b = rng.normal(0, 0.3, (1024, 32)).astype(np.float16)
-        _, cost = hvx_gemm(a, b)
-        timing = TimingModel(V75)
-        seconds = timing.hvx_seconds(cost, hvx_threads=1)
-        gflops = 2.0 * 32 * 1024 * 32 / seconds / 1e9
-        assert gflops == pytest.approx(32.93, rel=0.08)
-
-    def test_hmx_dwarfs_hvx(self, rng):
-        """The architectural gap the whole paper exploits: >100x."""
-        from repro.npu.hmx import HMXUnit
-        a = rng.normal(0, 0.3, (32, 256)).astype(np.float16)
-        b = rng.normal(0, 0.3, (256, 32)).astype(np.float16)
-        _, hvx_cost = hvx_gemm(a, b)
-        hmx = HMXUnit()
-        hmx.record_gemm(32, 256, 32)
-        hmx_cost = KernelCost.from_trace(hmx.trace)
-        timing = TimingModel(V75)
-        assert timing.hvx_seconds(hvx_cost, hvx_threads=1) > \
-            100 * timing.hmx_seconds(hmx_cost)
-
-    def test_shape_validation(self):
-        with pytest.raises(KernelError):
-            hvx_gemm(np.zeros((2, 3)), np.zeros((4, 5)))
 
 
 class TestQuantizedKVCache:

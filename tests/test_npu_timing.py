@@ -134,18 +134,11 @@ class TestTimingModel:
         cost = KernelCost(hvx_packets=V75.hvx_contexts * 1000)
         assert tm.hvx_seconds(cost) == pytest.approx(1000 / V75.clock_hz)
 
-    def test_hvx_thread_limit(self):
-        tm = TimingModel(V75)
-        with pytest.raises(NPUError):
-            tm.hvx_seconds(KernelCost(), hvx_threads=0)
-        with pytest.raises(NPUError):
-            tm.hvx_seconds(KernelCost(), hvx_threads=V75.hvx_contexts + 1)
-
     def test_gather_uses_pipelined_occupancy(self):
         tm = TimingModel(V75)
-        gathered = tm.hvx_seconds(KernelCost(vgather_instrs=100), hvx_threads=1)
+        gathered = tm.hvx_seconds(KernelCost(vgather_instrs=100))
         assert gathered == pytest.approx(
-            100 * V75.vgather_issue_packets / V75.clock_hz)
+            100 * V75.vgather_issue_packets / V75.hvx_contexts / V75.clock_hz)
 
     def test_scatter_is_costlier_than_gather(self):
         tm = TimingModel(V75)

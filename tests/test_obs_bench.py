@@ -51,15 +51,12 @@ class TestRegistry:
         with pytest.raises(BenchError, match="unknown device"):
             run_scenario("kernel.gemm", device_key="no_such_device")
 
-    def test_run_scenario_restores_global_obs_state(self):
-        from repro.obs import metrics as obs_metrics
-        from repro.obs import trace as obs_trace
+    def test_run_scenario_restores_the_context(self):
+        from repro.obs import current
 
-        tracer_before = obs_trace.get_tracer()
-        metrics_before = obs_metrics.get_metrics()
+        before = current()
         record = run_scenario("kernel.gemm")
-        assert obs_trace.get_tracer() is tracer_before
-        assert obs_metrics.get_metrics() is metrics_before
+        assert current() is before
         assert record.metrics["sim_seconds"] > 0.0
         assert "wall_seconds" in record.metrics
         assert record.info["device"] == "oneplus_12"
@@ -67,17 +64,14 @@ class TestRegistry:
     @pytest.mark.parametrize("name", ["waves.n4", "kernel.gemm"])
     def test_record_is_the_same_whether_the_caller_traces(self, name):
         """``util_*`` comes from the energy ledger, and the scenario runs
-        untraced under its own tracer, so a caller's tracer changes
-        nothing in the record and records nothing."""
-        from repro.obs import trace as obs_trace
+        untraced in its own scope, so a caller's tracer changes nothing
+        in the record and records nothing."""
+        from repro.obs import Tracer, scope
 
         plain = run_scenario(name)
-        tracer = obs_trace.Tracer(enabled=True)
-        previous = obs_trace.set_tracer(tracer)
-        try:
+        tracer = Tracer(enabled=True)
+        with scope(tracer=tracer):
             traced = run_scenario(name)
-        finally:
-            obs_trace.set_tracer(previous)
         for record in (plain, traced):
             del record.metrics["wall_seconds"]
         assert traced == plain

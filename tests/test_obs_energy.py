@@ -15,7 +15,8 @@ from repro.obs.energy import (
     tokens_per_joule,
     utilization,
 )
-from repro.obs.timeline import EventLog, set_event_log
+from repro.obs import scope
+from repro.obs.timeline import EventLog
 from repro.perf.power import PowerBudget
 
 
@@ -309,11 +310,8 @@ class TestOneTimeline:
         engine = InferenceEngine(tiny_model, batch=2, max_context=32,
                                  device=DEVICES["oneplus_12"])
         log = EventLog()
-        previous = set_event_log(log)
-        try:
+        with scope(log=log):
             result = engine.generate([1, 2, 3], max_new_tokens=4)
-        finally:
-            set_event_log(previous)
         charges = [e for e in log.events()
                    if e.kind in ("prefill", "decode_step")]
         assert [e.kind for e in charges] == ["prefill"] + ["decode_step"] * 3

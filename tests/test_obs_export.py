@@ -137,19 +137,16 @@ class TestEngineLanesFromTheLedger:
     def recorded_run(tiny_model, fault_plan=None):
         from repro.llm import ContinuousBatchingScheduler, InferenceEngine
         from repro.llm.sampler import Sampler
-        from repro.obs.timeline import set_event_log
+        from repro.obs import scope
 
         engine = InferenceEngine(tiny_model, batch=2, max_context=32,
                                  kv_backend="paged")
         log = EventLog()
-        previous = set_event_log(log)
-        try:
+        with scope(log=log):
             result = ContinuousBatchingScheduler(engine).generate(
                 [1, 2, 3], n_candidates=4, max_new_tokens=4,
                 sampler=Sampler(temperature=0.8, seed=0),
                 fault_plan=fault_plan)
-        finally:
-            set_event_log(previous)
         return result, log
 
     @pytest.mark.parametrize("faults", [None, "abort@1,dma@2"])

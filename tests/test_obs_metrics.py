@@ -194,30 +194,6 @@ class TestRegistry:
         assert reg.counter("repro.a.x").value == 0.0
 
 
-class TestGlobalDefault:
-    def test_set_metrics_swaps_and_returns_previous(self):
-        mine = MetricsRegistry()
-        previous = obs_metrics.set_metrics(mine)
-        try:
-            assert obs_metrics.get_metrics() is mine
-            obs_metrics.counter("repro.test.global").inc()
-            assert mine.snapshot()["repro.test.global"]["value"] == 1.0
-        finally:
-            assert obs_metrics.set_metrics(previous) is mine
-
-    def test_module_level_helpers_use_default(self):
-        mine = MetricsRegistry()
-        previous = obs_metrics.set_metrics(mine)
-        try:
-            obs_metrics.gauge("repro.test.g").set(2)
-            obs_metrics.histogram("repro.test.h").observe(1.0)
-            snap = mine.snapshot()
-            assert snap["repro.test.g"]["value"] == 2.0
-            assert snap["repro.test.h"]["count"] == 1
-        finally:
-            obs_metrics.set_metrics(previous)
-
-
 class TestHistogramObserveMany:
     def test_weighted_observation_equals_repeats(self):
         a = Histogram("repro.test.many_a", buckets=[1.0, 2.0, 4.0])

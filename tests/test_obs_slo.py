@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs.metrics import MetricsRegistry, set_metrics
+from repro.obs import MetricsRegistry, scope
 from repro.obs.slo import MAX_TRACKED_WAVES, SLOTracker, hdr_buckets, slo_summary
 
 
@@ -104,8 +104,7 @@ class TestSchedulerIntegration:
         )
         from repro.llm.config import tiny_config
 
-        previous = set_metrics(registry)
-        try:
+        with scope(metrics=registry):
             weights = TransformerWeights.generate(tiny_config(), seed=0)
             engine = InferenceEngine(NPUTransformer(weights), batch=batch,
                                      max_context=32, kv_backend="paged")
@@ -113,8 +112,6 @@ class TestSchedulerIntegration:
             return scheduler.generate(
                 [1, 2, 3], n_candidates=n_candidates, max_new_tokens=4,
                 sampler=Sampler(temperature=0.8, seed=0))
-        finally:
-            set_metrics(previous)
 
     def test_scheduler_populates_slo_histograms(self):
         reg = MetricsRegistry()

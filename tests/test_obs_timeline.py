@@ -8,15 +8,7 @@ import pytest
 
 from repro.errors import ObservabilityError
 from repro.obs.blame import explain_section
-from repro.obs.timeline import (
-    EVENT_KINDS,
-    EventLog,
-    TimelineEvent,
-    emit,
-    get_event_log,
-    set_event_log,
-    timeline_enabled,
-)
+from repro.obs.timeline import EVENT_KINDS, EventLog, TimelineEvent
 
 
 class TestEventLog:
@@ -33,8 +25,6 @@ class TestEventLog:
         log = EventLog(enabled=False)
         assert log.emit("queue", 0.0) is None
         assert len(log) == 0
-        log.enable()
-        assert log.emit("queue", 0.0) is not None
 
     def test_rejects_unknown_kind(self):
         log = EventLog()
@@ -166,37 +156,3 @@ class TestEventRecord:
             with pytest.raises(TypeError):
                 event.attrs["leak"] = True  # type: ignore[index]
         assert "leak" not in other.attrs and "leak" not in default.attrs
-
-    def test_module_emit_records_what_log_emit_records(self):
-        direct = EventLog()
-        installed = EventLog()
-        previous = set_event_log(installed)
-        try:
-            for log_emit in (direct.emit, emit):
-                log_emit("queue", 0.0, request_id=4, tenant="batch")
-                log_emit("dispatch", 0.5, request_id=4, device=2,
-                         joules=1.5, hedged=True)
-                log_emit("decode_step", 0.75, step=1)
-        finally:
-            set_event_log(previous)
-        assert installed.events() == direct.events()
-        assert installed.chains() == direct.chains()
-
-
-class TestGlobalLog:
-    def test_default_global_log_is_disabled(self):
-        assert timeline_enabled() is False
-        assert emit("queue", 0.0) is None
-
-    def test_set_event_log_installs_and_restores(self):
-        log = EventLog()
-        previous = set_event_log(log)
-        try:
-            assert get_event_log() is log
-            assert timeline_enabled() is True
-            assert emit("queue", 0.0, request_id=7) is not None
-            assert log.request_ids() == [7]
-        finally:
-            set_event_log(previous)
-        assert get_event_log() is previous
-        assert timeline_enabled() is False

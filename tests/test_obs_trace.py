@@ -7,7 +7,6 @@ import threading
 import pytest
 
 from repro.npu.timing import KernelCost
-from repro.obs import trace as obs_trace
 from repro.obs.trace import NULL_SPAN, Tracer
 
 
@@ -134,16 +133,6 @@ class TestDisabled:
             pass
         assert tracer.finished_spans() == []
 
-    def test_enable_disable_toggle(self):
-        tracer = Tracer(enabled=False)
-        tracer.enable()
-        with tracer.span("a"):
-            pass
-        tracer.disable()
-        with tracer.span("b"):
-            pass
-        assert [s.name for s in tracer.finished_spans()] == ["a"]
-
 
 class TestExceptionSafety:
     def test_span_closes_and_flags_error(self):
@@ -193,28 +182,7 @@ class TestThreading:
             assert spans[f"root{i}"].parent is None
 
 
-class TestGlobalDefault:
-    def test_default_tracer_disabled(self):
-        # restore whatever was installed, in case other tests ran first
-        previous = obs_trace.set_tracer(Tracer(enabled=False))
-        try:
-            assert not obs_trace.enabled()
-            assert obs_trace.span("x") is NULL_SPAN
-        finally:
-            obs_trace.set_tracer(previous)
-
-    def test_set_tracer_swaps_and_returns_previous(self):
-        mine = Tracer()
-        previous = obs_trace.set_tracer(mine)
-        try:
-            assert obs_trace.get_tracer() is mine
-            assert obs_trace.enabled()
-            with obs_trace.span("global"):
-                pass
-            assert [s.name for s in mine.finished_spans()] == ["global"]
-        finally:
-            assert obs_trace.set_tracer(previous) is mine
-
+class TestReset:
     def test_reset_clears_spans(self):
         tracer = Tracer()
         with tracer.span("a"):

@@ -365,13 +365,11 @@ class TestSchedulerRecoveryPaths:
     def run(self, tiny_model, plan=None, n=2, steps=6, batch=3,
             schedule=None, deadline=None, log=None):
         from repro.llm import PromptAdmission
-        from repro.obs.timeline import EventLog, set_event_log
+        from repro.obs import scope
 
         engine = InferenceEngine(tiny_model, batch=batch, max_context=48,
                                  kv_backend="paged")
-        previous = set_event_log(log if log is not None
-                                 else EventLog(enabled=False))
-        try:
+        with scope(log=log):
             result = ContinuousBatchingScheduler(engine).generate(
                 [3, 1, 4, 1, 5], n_candidates=n, max_new_tokens=steps,
                 sampler=Sampler(temperature=0.8, seed=0), prefill_chunk=2,
@@ -380,8 +378,6 @@ class TestSchedulerRecoveryPaths:
                 length_schedule=schedule,
                 fault_plan=FaultPlan.parse(plan) if plan else None,
                 deadline_seconds=deadline)
-        finally:
-            set_event_log(previous)
         assert engine.cache.pool.blocks_in_use == 0
         assert engine.cache.pool.used_bytes == 0
         assert engine.governor.name == "performance"

@@ -159,6 +159,34 @@ def test_shrinker_rejects_passing_configs(buggy_oracle):
         shrink_failure(buggy_oracle, {"size": 1, "extra": 0, "mode": "plain"})
 
 
+def test_every_oracle_run_records_into_its_own_scope(buggy_oracle,
+                                                     monkeypatch):
+    """Trials, shrink steps and replays each run in a scope of their
+    own, so an oracle that records reaches none of its caller's sinks."""
+    from repro.obs import EventLog, MetricsRegistry, Obs, Tracer, current
+    from repro.obs import scope
+
+    seen = []
+    run = buggy_oracle.run
+
+    def recording_run(config):
+        sinks = current()
+        seen.append(sinks)
+        with sinks.tracer.span("oracle"):
+            sinks.metrics.counter("repro.test.runs").inc()
+            sinks.log.emit("queue", 0.0, request_id=0)
+        return run(config)
+
+    monkeypatch.setattr(buggy_oracle, "run", recording_run)
+    outer = Obs(Tracer(), MetricsRegistry(), EventLog())
+    with scope(*outer):
+        report = fuzz(12, seed=5, oracles=["_buggy"])
+        run_repro(report.failures[0].shrunk_repro)
+    assert len(seen) > 12 and outer not in seen
+    assert outer.tracer.finished_spans() == []
+    assert outer.metrics.snapshot() == {} and len(outer.log) == 0
+
+
 def test_fuzz_reports_shrunk_repro_for_failures(buggy_oracle):
     report = fuzz(12, seed=5, oracles=["_buggy"])
     failures = report.failures
