@@ -64,7 +64,13 @@ def _fleet_histogram(name: str, lo: float, hi: float) -> Histogram:
 
 
 class _Dispatch:
-    """One in-flight (request, device) service; a hedged request has two."""
+    """One in-flight (request, device) service; a hedged request has two.
+
+    Its ``handle`` fires :meth:`FleetSimulation._complete` with it, so
+    the two reference each other; the simulation drops ``handle`` once
+    the leg completes or is cancelled, so a finished run holds no cycle
+    that keeps it alive.
+    """
 
     __slots__ = ("request", "device_id", "outcome", "handle",
                  "start_seconds", "hedged")
@@ -388,11 +394,13 @@ class FleetSimulation:
         request = dispatch.request
         rid = request.request_id
         legs = self._inflight.pop(rid, ())
+        dispatch.handle = None
         # only a hedged request has a second leg to cancel
         losers = ([leg for leg in legs if leg is not dispatch]
                   if len(legs) > 1 else ())
         for loser in losers:
             self.loop.cancel(loser.handle)
+            loser.handle = None
             loser_device = self._by_id[loser.device_id]
             unused = (loser.start_seconds + loser.outcome.service_seconds
                       - now)
@@ -497,6 +505,7 @@ class FleetSimulation:
                        and leg.handle.pending]
             for victim in victims:
                 self.loop.cancel(victim.handle)
+                victim.handle = None
                 legs.remove(victim)
                 unused = (victim.start_seconds
                           + victim.outcome.service_seconds - now)

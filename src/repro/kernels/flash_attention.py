@@ -20,14 +20,16 @@ cost breakdown (``qk_matmul`` / ``softmax`` / ``pv_matmul`` /
 One invocation runs a whole stack of heads — every (sequence, head) of
 a decode step, with ragged KV lengths — and computes and charges each
 item exactly as a one-head call of its shape would.  The query heads of
-a GQA group share their KV item, whose blocks are widened and multiplied
-once for the whole group.
+a GQA group share their KV item, whose blocks are multiplied once for
+the whole group.  Every key and value is widened to FP32 once per call,
+and each block reads a view of it.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -57,6 +59,11 @@ __all__ = [
 
 _NEG_LIMIT = np.float16(-65504.0)  # most negative finite FP16
 _PHASES = ("qk_matmul", "softmax", "pv_matmul", "rescale")
+
+#: How many stack shapes a kernel keeps summed charges for; a waved
+#: Best-of-16 decode meets about ten, and the oldest is dropped past the
+#: limit.
+STACK_COST_ENTRIES = 256
 
 
 @dataclass
@@ -92,8 +99,8 @@ class FlashAttention:
         self.block_kv = block_kv
         self.qfloat_mode = qfloat_mode
         self._item_costs: Dict[Tuple[int, int, int], AttentionBreakdown] = {}
-        self._stack_costs: Dict[Tuple[int, int, Tuple[int, ...]],
-                                AttentionBreakdown] = {}
+        self._stack_costs: Dict[Tuple[int, int, Tuple[int, ...], int],
+                                Tuple[Tuple[int, ...], ...]] = {}
         # the engines of the compute path; calls are charged from
         # _item_cost, so nothing reads their traces
         self._hmx = HMXUnit()
@@ -103,6 +110,7 @@ class FlashAttention:
             if tcm is None:
                 raise KernelError("LUT attention needs a TCM for the exp table")
             self._lut = ExpLUT(tcm)
+            self._lut_words = self._lut.words
 
     # ------------------------------------------------------------------
     def _exp(self, hvx: HVXContext, values: np.ndarray) -> np.ndarray:
@@ -117,12 +125,14 @@ class FlashAttention:
         """What :meth:`_exp` returns, for the compute path.
 
         The LUT is read straight from its TCM words at the offsets
-        ``vgather`` would form, with no charges recorded.
+        ``vgather`` would form, with no charges recorded.  ``values``
+        are scores less their row max, never positive, so the clamp
+        :meth:`_exp` applies could only turn -0 into +0, and the offset
+        drops the sign bit anyway.
         """
         if self._lut is None:
             return self._exp(self._hvx, values)
-        bits = np.minimum(values, np.float16(0.0)).view(np.uint16)
-        return self._lut.words[bits & np.uint16(0x7FFF)]
+        return self._lut_words[values.view(np.uint16) & np.uint16(0x7FFF)]
 
     # ------------------------------------------------------------------
     def __call__(self, q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -149,8 +159,9 @@ class FlashAttention:
         per-phase cost breakdown summed over the query items.
 
         A group's query rows are stacked into one ``Q K^T`` and one
-        ``P V`` product per KV item, so each key/value block is widened
-        and multiplied once, not once per query head.  Each query item
+        ``P V`` product per KV item, so each key/value block is
+        multiplied once, not once per query head, and the keys and values
+        are widened once per call, not once per block.  Each query item
         still computes and is charged exactly as a one-head call on its
         KV item; a one-head call is a stack of one.  A traced call
         records one ``kernel.flash_attention`` span whose phase children
@@ -174,8 +185,7 @@ class FlashAttention:
                 f"items must be a whole multiple of key/value items)")
         group = items // kv_items
         q_rows = group * n_q  # query rows multiplied per KV item
-        scale = np.float32(1.0 / float(np.sqrt(d)) if scale is None
-                           else scale)
+        scale = np.float32(1.0 / math.sqrt(d) if scale is None else scale)
         kv_len = np.asarray(n_kv if kv_lengths is None else kv_lengths,
                             dtype=np.int64)
         lengths = kv_len.tolist() if kv_len.ndim else [int(kv_len)] * kv_items
@@ -201,89 +211,99 @@ class FlashAttention:
                        reverse=True)
         reordered = order != list(range(kv_items))
         if reordered:
-            q, k, v = q[order], k[order], v[order]
+            q = q[order]
             if causal:  # shared positions need no reordering
-                q_positions, k_positions = (
-                    pos if len(pos) == 1 else pos[order]
-                    for pos in (q_positions, k_positions))
+                if len(q_positions) > 1:
+                    q_positions = q_positions[order]
+                if len(k_positions) > 1:
+                    k_positions = k_positions[order]
         kv_rows = [item_rows[i] for i in order]
         kv_len = [lengths[i] for i in order]
-        n_kv_pad = -(-n_kv // TILE_DIM) * TILE_DIM
+        rows = kv_rows[0] if kv_rows else 0  # the longest item's KV rows
+        d_pad = -(-d // TILE_DIM) * TILE_DIM
+
+        # keys and values widened to FP32 once per call, as the HMX pads
+        # and widens them, in stack order: each item's rows up to its
+        # length, the rest zero, as in a one-head call of that item.
+        # Every KV block is a view
+        keys = np.zeros((kv_items, rows, d_pad), dtype=np.float32)
+        values = np.zeros((kv_items, rows, d_pad), dtype=np.float32)
+        for lo, hi, source, n in _copies(order, kv_len):
+            keys[lo:hi, :n, :d] = k[source:source + hi - lo, :n]
+            values[lo:hi, :n, :d] = v[source:source + hi - lo, :n]
         # a score is masked where its key is past the item's length or,
         # with positions, in the query's future
-        masked = np.arange(n_kv_pad) >= np.array(kv_len)[:, None, None]
+        masked = (np.arange(rows)
+                  >= np.array(kv_len)[:, np.newaxis])[:, np.newaxis, :]
         if causal:
-            future = np.zeros((kv_items, q_rows, n_kv_pad), dtype=bool)
-            future[..., :n_kv] = (q_positions[:, :, np.newaxis]
-                                  < k_positions[:, np.newaxis, :])
+            future = np.zeros((kv_items, q_rows, rows), dtype=bool)
+            copied = min(n_kv, rows)
+            future[..., :copied] = (q_positions[:, :, np.newaxis]
+                                    < k_positions[:, np.newaxis, :copied])
             masked = masked | future
 
-        # operands widened to FP32 once, as the HMX pads and widens them:
-        # the query tiles here, each block's keys and values in
-        # _kv_tiles, P into zero rows past the true queries
+        # the query tiles widened once too, and P into zero rows past the
+        # true queries
         q_tiles = pad_to_tiles(q.astype(np.float32, order="C"))
         p_tiles = np.zeros((kv_items, q_tiles.shape[1], self.block_kv),
                            dtype=np.float32)
         # running state of the true query rows only: the padded rows of a
-        # query tile never reach the output
+        # query tile never reach the output.  Each FP16 rounding step of
+        # Algorithm 1 is one ufunc computing in FP32 into an FP16 array
+        scores = np.empty((kv_items, q_rows, self.block_kv), dtype=np.float16)
         out = np.zeros((kv_items, q_rows, d), dtype=np.float16)
         m = np.full((kv_items, q_rows), _NEG_LIMIT, dtype=np.float16)
         l = np.zeros((kv_items, q_rows), dtype=np.float16)
 
         for kv_start, width, lo, hi in _runs(kv_rows, self.block_kv):
             kv = slice(kv_start, kv_start + width)
-            keys = _kv_tiles(k, kv_len, lo, hi, kv)
-            values = _kv_tiles(v, kv_len, lo, hi, kv)
 
             # --- S = Q K^T (HMX, FP32 accumulate, FP16 store) ----------
             # keys are multiplied as stored, transposed: BLAS rounds a
             # transposed tile differently, so the layout is part of the
             # numerics, and the HMX multiplies whole 32-row query tiles
             # here.  The vector side works on the true query rows only
-            s = self._hmx.gemm(q_tiles[lo:hi], keys.swapaxes(1, 2),
-                               np.float32, shape=(q_rows, d, width))
-            s = (s * scale).astype(np.float16)
+            s = scores[lo:hi, :, :width]
+            np.multiply(self._hmx.gemm(q_tiles[lo:hi],
+                                       keys[lo:hi, kv].swapaxes(1, 2),
+                                       np.float32, shape=(q_rows, d, width)),
+                        scale, out=s)
             np.copyto(s, _NEG_LIMIT, where=masked[lo:hi, :, kv])
 
             # --- online softmax (FP16 with FP32 row sums) --------------
             m_old = m[lo:hi]
-            new_m = np.maximum(m_old, s.max(axis=2))
-            new_m32 = new_m.astype(np.float32)
+            new_m = np.maximum(m_old, np.maximum.reduce(s, axis=2))
             # the per-row rescale factor e^(m - m') is produced by the
             # scalar core fused into the rescale pass, so it carries no
-            # vector charges
-            correction = np.exp(np.minimum(
-                m_old.astype(np.float32) - new_m32, 0.0)
-            ).astype(np.float16).astype(np.float32)
-            shifted = (s.astype(np.float32)
-                       - new_m32[:, :, np.newaxis]).astype(np.float16)
+            # vector charges; m <= m', so its exponent needs no clamp
+            correction = np.exp(np.subtract(m_old, new_m, dtype=np.float32)
+                                ).astype(np.float16)
+            np.subtract(s, new_m[:, :, np.newaxis], dtype=np.float32, out=s)
             p = p_tiles[lo:hi, :, :width]
-            p[:, :q_rows] = self._exp_values(shifted)
-            row_sum = p[:, :q_rows].sum(axis=2)  # FP32 (Alg. 1)
-            l[lo:hi] = (correction * l[lo:hi].astype(np.float32)
-                        + row_sum).astype(np.float16)
+            p[:, :q_rows] = self._exp_values(s)
+            row_sum = np.add.reduce(p[:, :q_rows], axis=2)  # FP32 (Alg. 1)
+            np.add(np.multiply(correction, l[lo:hi], dtype=np.float32),
+                   row_sum, out=l[lo:hi])
             m[lo:hi] = new_m
 
             # --- O = diag(correction) O + P V (HMX) ---------------------
             # P and V are row-major, so only the true query rows of P are
             # multiplied
-            rescaled = (out[lo:hi].astype(np.float32)
-                        * correction[:, :, np.newaxis])
-            pv = self._hmx.gemm(p, values, np.float32,
-                                shape=(q_rows, width, d))
-            out[lo:hi] = (rescaled + pv).astype(np.float16)
+            rescaled = np.multiply(out[lo:hi], correction[:, :, np.newaxis],
+                                   dtype=np.float32)
+            np.add(rescaled, self._hmx.gemm(p, values[lo:hi, kv], np.float32,
+                                            shape=(q_rows, width, d)),
+                   out=out[lo:hi])
 
         # --- final normalization O / l ---------------------------------
-        denom = l.astype(np.float32)
-        denom = np.where(denom > 0, denom, 1.0)
-        result = (out.astype(np.float32)
-                  / denom[:, :, np.newaxis]).astype(np.float16)
+        denom = np.where(l > 0, l, np.float16(1.0))
+        result = np.divide(out, denom[:, :, np.newaxis], dtype=np.float32,
+                           out=out)
         if reordered:  # back to stack order
-            result = result[np.argsort(order)]
+            result = result[sorted(range(kv_items), key=order.__getitem__)]
         result = result.reshape(items, n_q, d)
 
-        breakdown = self._stack_cost(n_q, q_tiles.shape[2], tuple(
-            n for n in kv_rows for _ in range(group)))
+        breakdown = self._stack_cost(n_q, d_pad, tuple(kv_rows), group)
         tracer = obs_context.current().tracer
         if tracer.enabled:
             # one span per call, with one cost-only child per Algorithm 1
@@ -300,25 +320,33 @@ class FlashAttention:
                                             + KernelCost())
         return (result[0] if one_head else result), breakdown
 
-    def _stack_cost(self, n_q: int, d_pad: int, kv_rows: Tuple[int, ...]
-                    ) -> AttentionBreakdown:
-        """Per-phase charges of a stack: the sum of its items' charges.
+    def _stack_cost(self, n_q: int, d_pad: int, kv_rows: Tuple[int, ...],
+                    group: int) -> AttentionBreakdown:
+        """Per-phase charges of a stack: the sum of its query items' charges.
 
-        The sum depends on ``n_q``, ``d_pad`` and the multiset of
-        tile-padded ``kv_rows`` alone, so the kernel keeps it per sorted
-        ``kv_rows``; every call gets a fresh record.
+        ``kv_rows`` holds each KV item's tile-padded rows, longest first,
+        and ``group`` query items read each KV item.  The sum depends on
+        these, ``n_q`` and ``d_pad`` alone, so the kernel keeps it per
+        key, filled from :meth:`_item_cost`, and every call gets a fresh
+        record.  The table keeps the :data:`STACK_COST_ENTRIES` latest
+        keys.
         """
-        key = (n_q, d_pad, kv_rows)
+        key = (n_q, d_pad, kv_rows, group)
         total = self._stack_costs.get(key)
         if total is None:
-            total = AttentionBreakdown()
+            sums = AttentionBreakdown()
             for rows in kv_rows:
                 cost = self._item_cost(n_q, rows, d_pad)
                 for phase in _PHASES:
-                    getattr(total, phase).merge(getattr(cost, phase))
-            self._stack_costs[key] = total
-        return AttentionBreakdown(*(getattr(total, phase) + KernelCost()
-                                    for phase in _PHASES))
+                    for _ in range(group):
+                        getattr(sums, phase).merge(getattr(cost, phase))
+            if len(self._stack_costs) >= STACK_COST_ENTRIES:
+                del self._stack_costs[next(iter(self._stack_costs))]
+            total = self._stack_costs[key] = tuple(
+                astuple(getattr(sums, phase)) for phase in _PHASES)
+        qk, softmax, pv, rescale = total
+        return AttentionBreakdown(KernelCost(*qk), KernelCost(*softmax),
+                                  KernelCost(*pv), KernelCost(*rescale))
 
     def _item_cost(self, n_q: int, kv_rows: int, d_pad: int
                    ) -> AttentionBreakdown:
@@ -387,19 +415,22 @@ def _runs(kv_rows: List[int], block: int
                 lo = hi
 
 
-def _kv_tiles(x: np.ndarray, kv_len: List[int], lo: int, hi: int,
-              kv: slice) -> np.ndarray:
-    """Rows ``kv`` of items ``lo:hi`` of keys or values, as FP32 tiles.
+def _copies(order: List[int], lengths: List[int]
+            ) -> Iterator[Tuple[int, int, int, int]]:
+    """``(lo, hi, source, n)``: stack items ``lo:hi`` are the input's
+    items ``source:source + hi - lo``, each with ``n > 0`` keys.
 
-    The block is widened and zero-padded in C order, as the HMX widens
-    it, and rows past an item's length are zeros, as in a one-head call
-    of that item.
+    ``order`` lists the input item at each stack position, and
+    ``lengths`` each stack item's length; a run of consecutive input
+    items of one length (a sequence's KV heads) is copied at once.
     """
-    tiles = pad_to_tiles(x[lo:hi, kv].astype(np.float32, order="C"))
-    for i in range(lo, hi):
-        if kv_len[i] < kv.stop:
-            tiles[i - lo, kv_len[i] - kv.start:] = 0
-    return tiles
+    lo = 0
+    for i in range(1, len(order) + 1):
+        if i == len(order) or order[i] != order[i - 1] + 1 \
+                or lengths[i] != lengths[lo]:
+            if lengths[lo]:
+                yield lo, i, order[lo], lengths[lo]
+            lo = i
 
 
 def _per_item(positions: np.ndarray, items: int, length: int,

@@ -23,7 +23,8 @@ activations (a layer's q/k/v, its gate/up) can be held as one
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from functools import cached_property
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,6 +52,10 @@ from ..quant.tile_quant import (
 from .dequant import DEQUANT_STRATEGIES, dequantize_stream
 
 __all__ = ["PreparedWeight", "FusedWeight", "MixedPrecisionGemm"]
+
+#: How many (activation shape, weight shape) plans a kernel keeps; the
+#: oldest is dropped past the limit.
+PLAN_ENTRIES = 256
 
 
 @dataclass
@@ -86,6 +91,18 @@ class PreparedWeight:
         """A weight on its own is a fused weight of one part."""
         return (self,)
 
+    @cached_property
+    def charge_key(self) -> Tuple[Tuple[Any, ...], ...]:
+        """What a call's charges depend on besides its activations' shape.
+
+        One ``(strategy, k, n, group count, packed bytes)`` entry per
+        part: dequantization is charged per group and byte and never
+        reads a code.  Derived once, on first use.
+        """
+        k, n = self.quantized.original_shape
+        return ((self.strategy, k, n, self.quantized.groups.n_groups,
+                 self.storage_bytes),)
+
 
 @dataclass(frozen=True)
 class FusedWeight:
@@ -100,6 +117,28 @@ class FusedWeight:
 
     parts: Tuple[PreparedWeight, ...]
     padded_fp32: np.ndarray
+
+    @cached_property
+    def charge_key(self) -> Tuple[Tuple[Any, ...], ...]:
+        """The parts' :attr:`PreparedWeight.charge_key` entries, in order."""
+        return sum((part.charge_key for part in self.parts), ())
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """What every call of one activation shape on one weight shares.
+
+    ``cost`` is the sum of the parts' charges, as the fields of a
+    :class:`KernelCost`.  The HMX product is ``n`` columns wide, and
+    ``columns`` holds each part's ``(start, width)`` in it when tile
+    padding lies between parts (``None`` otherwise); the output is
+    ``width`` columns.
+    """
+
+    cost: Tuple[int, ...]
+    n: int
+    width: int
+    columns: Optional[Tuple[Tuple[int, int], ...]]
 
 
 @dataclass(frozen=True)
@@ -139,6 +178,7 @@ class MixedPrecisionGemm:
         self.coalesce = coalesce
         self.qfloat_mode = qfloat_mode
         self._charges: Dict[Tuple[int, ...], _Charge] = {}
+        self._plans: Dict[Tuple[Any, ...], _Plan] = {}
         # computes every product; calls are charged from _charges, so
         # nothing reads its trace
         self._hmx = HMXUnit()
@@ -214,47 +254,62 @@ class MixedPrecisionGemm:
         part alone, bit for bit.  The cost is the sum of the parts'
         charges, and a traced call emits each part's ``kernel.gemm``
         span, charge spans and counters in part order, as calling the
-        parts one by one would.
+        parts one by one would.  What a call derives from its shapes
+        alone is looked up once per (activation shape, weight shape).
         """
-        parts = prepared.parts
         acts = np.asarray(activations, dtype=np.float16)
         if acts.ndim != 2:
             raise KernelError(f"activations must be 2-D, got shape {acts.shape}")
-        in_dim = parts[0].quantized.original_shape[0]
-        if acts.shape[1] != in_dim:
+        m, in_dim = acts.shape
+        plan = self._plans.get((acts.shape, prepared.charge_key))
+        if plan is None:
+            plan = self._plan(m, in_dim, prepared)
+        if obs_context.current().tracer.enabled:
+            for part in prepared.parts:
+                self._emit(m, part, self._charge(m, part))
+        cost = KernelCost(*plan.cost)
+        if self.strategy == "no_dequant":
+            # upper-bound variant computes nothing; it is charged the
+            # MACs the real kernel would issue so only dequantization
+            # differs
+            return np.zeros((m, plan.width), dtype=np.float16), cost
+        output = self._hmx.gemm(padded_fp32(acts), prepared.padded_fp32,
+                                shape=(m, in_dim, plan.n))
+        if plan.columns is not None:  # drop the tile padding between parts
+            output = np.concatenate([output[:, start:start + width]
+                                     for start, width in plan.columns],
+                                    axis=1)
+        return output, cost
+
+    def _plan(self, m: int, in_dim: int,
+              prepared: "PreparedWeight | FusedWeight") -> _Plan:
+        """Check a call's shapes and build its :class:`_Plan`, kept per
+        ``(activation shape, weight.charge_key)`` key; the cost is summed
+        from each part's :meth:`_charge`."""
+        parts = prepared.parts
+        if in_dim != parts[0].quantized.original_shape[0]:
             raise KernelError(
-                f"activation width {acts.shape[1]} != weight input dim {in_dim}")
-        m = acts.shape[0]
+                f"activation width {in_dim} != weight input dim "
+                f"{parts[0].quantized.original_shape[0]}")
         cost = KernelCost()
-        tracer = obs_context.current().tracer
         for part in parts:
             if part.strategy != self.strategy:
                 raise KernelError(
                     f"weight was prepared for strategy {part.strategy!r}, "
                     f"kernel runs {self.strategy!r}")
-            charge = self._charge(m, part)
-            if tracer.enabled:
-                self._emit(m, part, charge)
-            cost.merge(charge.cost)
-
+            cost.merge(self._charge(m, part).cost)
         widths = [part.quantized.original_shape[1] for part in parts]
-        if self.strategy == "no_dequant":
-            # upper-bound variant computes nothing; it is charged the
-            # MACs the real kernel would issue so only dequantization
-            # differs
-            return np.zeros((m, sum(widths)), dtype=np.float16), cost
         # the product's true width ends at the last part's real columns
-        matrix = prepared.padded_fp32
-        n = matrix.shape[1] - parts[-1].padded_fp32.shape[1] + widths[-1]
-        output = self._hmx.gemm(padded_fp32(acts), matrix,
-                                shape=(m, in_dim, n))
-        if n != sum(widths):  # drop the tile padding between parts
-            starts = np.cumsum([0] + [p.padded_fp32.shape[1]
-                                      for p in parts[:-1]])
-            output = np.concatenate([output[:, start:start + width]
-                                     for start, width in zip(starts, widths)],
-                                    axis=1)
-        return output, cost
+        padded = [part.padded_fp32.shape[1] for part in parts]
+        n = sum(padded[:-1]) + widths[-1]
+        starts = np.cumsum([0] + padded[:-1]).tolist()
+        plan = _Plan(cost=astuple(cost), n=n, width=sum(widths),
+                     columns=None if n == sum(widths)
+                     else tuple(zip(starts, widths)))
+        if len(self._plans) >= PLAN_ENTRIES:
+            del self._plans[next(iter(self._plans))]
+        self._plans[((m, in_dim), prepared.charge_key)] = plan
+        return plan
 
     def _emit(self, m: int, part: PreparedWeight, charge: _Charge) -> None:
         """Record a traced call on ``part``: its ``kernel.gemm`` span,

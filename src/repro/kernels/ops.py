@@ -20,10 +20,9 @@ __all__ = ["rms_norm", "rope_rotate", "silu", "swiglu", "residual_add",
            "rope_frequencies"]
 
 
-def _charge(hvx: Optional[HVXContext], opcode: str, nbytes: int,
+def _charge(hvx: HVXContext, opcode: str, nbytes: int,
             n_ops: int = 1) -> None:
-    if hvx is not None:
-        hvx.trace.record(opcode, vectors_for_bytes(nbytes) * n_ops)
+    hvx.trace.record(opcode, vectors_for_bytes(nbytes) * n_ops)
 
 
 def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6,
@@ -34,11 +33,13 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6,
     if arr.shape[-1] != w.shape[-1]:
         raise KernelError(f"weight width {w.shape} does not match input {arr.shape}")
     x32 = arr.astype(np.float32)
-    mean_sq = np.mean(x32 * x32, axis=-1, keepdims=True)
+    # the FP32 mean, as np.mean takes it: an FP32 sum over the count
+    mean_sq = np.add.reduce(x32 * x32, axis=-1, keepdims=True) / arr.shape[-1]
     normed = x32 / np.sqrt(mean_sq + eps)
-    _charge(hvx, "vmpy_qf32", arr.size * 4, 3)
-    _charge(hvx, "vmpy_hf", arr.size * 2, 1)
-    return (normed * w.astype(np.float32)).astype(np.float16)
+    if hvx is not None:
+        _charge(hvx, "vmpy_qf32", arr.size * 4, 3)
+        _charge(hvx, "vmpy_hf", arr.size * 2, 1)
+    return np.multiply(normed, w, dtype=np.float32).astype(np.float16)
 
 
 def rope_frequencies(head_dim: int, max_positions: int,
@@ -71,18 +72,21 @@ def rope_rotate(x: np.ndarray, positions: np.ndarray, cos_table: np.ndarray,
     sin = sin_table[pos]
     even = arr[:, 0::2]
     odd = arr[:, 1::2]
-    out = np.empty_like(arr)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
-    _charge(hvx, "vmpy_hf", arr.size * 2, 4)
-    return out.astype(np.float16)
+    # each pair is rotated in FP32 and stored FP16
+    out = np.empty(arr.shape, dtype=np.float16)
+    np.subtract(even * cos, odd * sin, out=out[:, 0::2])
+    np.add(even * sin, odd * cos, out=out[:, 1::2])
+    if hvx is not None:
+        _charge(hvx, "vmpy_hf", arr.size * 2, 4)
+    return out
 
 
 def silu(x: np.ndarray, hvx: Optional[HVXContext] = None) -> np.ndarray:
     """SiLU activation ``x * sigmoid(x)`` with FP32 internals."""
     x32 = np.asarray(x, dtype=np.float16).astype(np.float32)
     out = x32 / (1.0 + np.exp(-x32)) if x32.size else x32
-    _charge(hvx, "vmpy_hf", x32.size * 2, 4)
+    if hvx is not None:
+        _charge(hvx, "vmpy_hf", x32.size * 2, 4)
     return out.astype(np.float16)
 
 
@@ -93,8 +97,9 @@ def swiglu(gate: np.ndarray, up: np.ndarray,
     u = np.asarray(up, dtype=np.float16)
     if g.shape != u.shape:
         raise KernelError(f"gate/up shapes differ: {g.shape} vs {u.shape}")
-    out = silu(g, hvx).astype(np.float32) * u.astype(np.float32)
-    _charge(hvx, "vmpy_hf", g.size * 2, 1)
+    out = np.multiply(silu(g, hvx), u, dtype=np.float32)
+    if hvx is not None:
+        _charge(hvx, "vmpy_hf", g.size * 2, 1)
     return out.astype(np.float16)
 
 
@@ -105,5 +110,6 @@ def residual_add(x: np.ndarray, residual: np.ndarray,
     b = np.asarray(residual, dtype=np.float16)
     if a.shape != b.shape:
         raise KernelError(f"residual shapes differ: {a.shape} vs {b.shape}")
-    _charge(hvx, "vadd_hf", a.size * 2, 1)
-    return (a.astype(np.float32) + b.astype(np.float32)).astype(np.float16)
+    if hvx is not None:
+        _charge(hvx, "vadd_hf", a.size * 2, 1)
+    return np.add(a, b, dtype=np.float32).astype(np.float16)

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import EngineError, KVPoolExhausted
 from ..obs import context as obs_context
-from .kv_cache import QuantizedLayerKVCache
+from .kv_cache import QuantizedLayerKVCache, dequantize_kv
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
@@ -183,36 +183,53 @@ class PagedLayerKVCache:
     # ------------------------------------------------------------------
     # storage layout (overridden by the quantized variant)
     # ------------------------------------------------------------------
+    #: each array a block stores per (token, K or V, head): its dtype, and
+    #: whether it holds a head_dim vector (or one value)
+    _FIELDS: Dict[str, Tuple[type, bool]] = {"kv": (np.float16, True)}
+
     def block_nbytes(self) -> int:
         """Bytes of one block: K and V, FP16."""
         return 2 * self.block_size * self.n_kv_heads * self.head_dim * 2
 
     def _empty_block(self) -> Dict[str, np.ndarray]:
-        shape = (self.block_size, self.n_kv_heads, self.head_dim)
-        return {"k": np.zeros(shape, dtype=np.float16),
-                "v": np.zeros(shape, dtype=np.float16)}
+        return {name: np.zeros((self.block_size, 2, self.n_kv_heads)
+                               + ((self.head_dim,) if vector else ()),
+                               dtype=dtype)
+                for name, (dtype, vector) in self._FIELDS.items()}
 
     def _write_block(self, storage: Dict[str, np.ndarray], offset: int,
                      k, v, start: int, n: int) -> None:
-        storage["k"][offset:offset + n] = k[start:start + n]
-        storage["v"][offset:offset + n] = v[start:start + n]
-
-    def _assemble(self, seq: int) -> Tuple[np.ndarray, np.ndarray]:
-        n = int(self.lengths[seq])
-        if n == 0:
-            shape = (0, self.n_kv_heads, self.head_dim)
-            return (np.zeros(shape, dtype=np.float16),
-                    np.zeros(shape, dtype=np.float16))
-        blocks = [self._storage[h] for h in self.tables[seq]]
-        keys = np.concatenate([b["k"] for b in blocks])[:n]
-        values = np.concatenate([b["v"] for b in blocks])[:n]
-        return keys, values
+        storage["kv"][offset:offset + n, 0] = k[start:start + n]
+        storage["kv"][offset:offset + n, 1] = v[start:start + n]
 
     def _prepare(self, k: np.ndarray, v: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray]:
-        """Convert an incoming chunk to the stored representation."""
-        return (np.asarray(k, dtype=np.float16),
-                np.asarray(v, dtype=np.float16))
+        """Convert an incoming FP16 chunk to the stored representation."""
+        return k, v
+
+    def _read(self, tables: List[List[int]], rows: int) -> np.ndarray:
+        """Keys, then values, of the sequences with these block tables,
+        as one FP16 ``(2, sequences * kv_heads, rows, head_dim)`` stack."""
+        return self._stack(tables, rows, "kv")
+
+    def _stack(self, tables: List[List[int]], rows: int, name: str
+               ) -> np.ndarray:
+        """One stored array of every table's blocks, as a ``(2, tables *
+        kv_heads, rows, ...)`` stack, keys then values, each in (table,
+        head) order: each block is copied once, straight into its rows,
+        and rows no block covers are zero."""
+        dtype, vector = self._FIELDS[name]
+        trailing = (self.head_dim,) if vector else ()
+        stack = np.zeros((2, len(tables), self.n_kv_heads, rows) + trailing,
+                         dtype=dtype)
+        # (table, token, K or V, head, ...), the order blocks store
+        by_token = stack.transpose((1, 3, 0, 2, 4)[:stack.ndim])
+        for i, table in enumerate(tables):
+            if table:
+                np.concatenate([self._storage[h][name] for h in table],
+                               out=by_token[i, :len(table) * self.block_size])
+        return stack.reshape((2, len(tables) * self.n_kv_heads, rows)
+                             + trailing)
 
     # ------------------------------------------------------------------
     # block-table plumbing
@@ -283,7 +300,24 @@ class PagedLayerKVCache:
     def view(self, seq: int) -> Tuple[np.ndarray, np.ndarray]:
         """The valid K/V prefix of one sequence (FP16)."""
         self._check_seq(seq)
-        return self._assemble(seq)
+        keys, values, (n,) = self.gather([seq])
+        return keys.swapaxes(0, 1)[:n], values.swapaxes(0, 1)[:n]
+
+    def gather(self, sequences: List[int]
+               ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        """The listed sequences' cached K/V as one attention stack.
+
+        As :meth:`~repro.llm.kv_cache.LayerKVCache.gather`: FP16 keys and
+        values, each ``(len(sequences) * kv_heads, rows, head_dim)`` in
+        (sequence, head) order, and each sequence's length.  ``rows``
+        covers every listed sequence's blocks; rows past a sequence's
+        length hold values attention ignores.
+        """
+        lengths = self.lengths[sequences].tolist()
+        tables = [self.tables[seq] for seq in sequences]
+        keys, values = self._read(tables,
+                                  max(map(len, tables)) * self.block_size)
+        return keys, values, lengths
 
     def fork(self, source: int, targets: List[int]) -> None:
         """Share one sequence's blocks into other slots (CoW, no copy)."""
@@ -342,12 +376,7 @@ class QuantizedPagedLayerKVCache(PagedLayerKVCache):
         scales = 2 * self.block_size * self.n_kv_heads * 2
         return codes + scales
 
-    def _empty_block(self) -> Dict[str, np.ndarray]:
-        shape = (self.block_size, self.n_kv_heads, self.head_dim)
-        return {"k": np.zeros(shape, dtype=np.int8),
-                "v": np.zeros(shape, dtype=np.int8),
-                "k_scale": np.zeros(shape[:2], dtype=np.float16),
-                "v_scale": np.zeros(shape[:2], dtype=np.float16)}
+    _FIELDS = {"kv": (np.int8, True), "scale": (np.float16, False)}
 
     def _prepare(self, k: np.ndarray, v: np.ndarray
                  ) -> Tuple[np.ndarray, np.ndarray]:
@@ -358,29 +387,16 @@ class QuantizedPagedLayerKVCache(PagedLayerKVCache):
 
     def _write_block(self, storage: Dict[str, np.ndarray], offset: int,
                      k, v, start: int, n: int) -> None:
-        k_codes, k_scales = k
-        v_codes, v_scales = v
-        storage["k"][offset:offset + n] = k_codes[start:start + n]
-        storage["v"][offset:offset + n] = v_codes[start:start + n]
-        storage["k_scale"][offset:offset + n] = k_scales[start:start + n]
-        storage["v_scale"][offset:offset + n] = v_scales[start:start + n]
+        (k_codes, k_scales), (v_codes, v_scales) = k, v
+        codes, scales = storage["kv"], storage["scale"]
+        codes[offset:offset + n, 0] = k_codes[start:start + n]
+        codes[offset:offset + n, 1] = v_codes[start:start + n]
+        scales[offset:offset + n, 0] = k_scales[start:start + n]
+        scales[offset:offset + n, 1] = v_scales[start:start + n]
 
-    def _assemble(self, seq: int) -> Tuple[np.ndarray, np.ndarray]:
-        n = int(self.lengths[seq])
-        if n == 0:
-            shape = (0, self.n_kv_heads, self.head_dim)
-            return (np.zeros(shape, dtype=np.float16),
-                    np.zeros(shape, dtype=np.float16))
-        blocks = [self._storage[h] for h in self.tables[seq]]
-        k_codes = np.concatenate([b["k"] for b in blocks])[:n]
-        v_codes = np.concatenate([b["v"] for b in blocks])[:n]
-        k_scales = np.concatenate([b["k_scale"] for b in blocks])[:n]
-        v_scales = np.concatenate([b["v_scale"] for b in blocks])[:n]
-        k = (k_codes.astype(np.float32)
-             * k_scales.astype(np.float32)[..., None])
-        v = (v_codes.astype(np.float32)
-             * v_scales.astype(np.float32)[..., None])
-        return k.astype(np.float16), v.astype(np.float16)
+    def _read(self, tables: List[List[int]], rows: int) -> np.ndarray:
+        return dequantize_kv(self._stack(tables, rows, "kv"),
+                             self._stack(tables, rows, "scale"))
 
 
 @dataclass

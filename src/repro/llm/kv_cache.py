@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import EngineError
 
-__all__ = ["LayerKVCache", "QuantizedLayerKVCache", "KVCache"]
+__all__ = ["LayerKVCache", "QuantizedLayerKVCache", "KVCache", "dequantize_kv"]
 
 
 class LayerKVCache:
@@ -55,6 +55,22 @@ class LayerKVCache:
         """The valid K/V prefix of one sequence."""
         n = int(self.lengths[seq])
         return self.keys[seq, :n], self.values[seq, :n]
+
+    def gather(self, sequences: List[int]
+               ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        """The listed sequences' cached K/V as one attention stack.
+
+        Returns FP16 keys and values, each ``(len(sequences) *
+        kv_heads, rows, head_dim)`` in (sequence, head) order, and each
+        sequence's length.  ``rows`` covers the longest sequence; rows
+        past a sequence's length hold values attention ignores.  The
+        stack is read out of the cache in one indexing step, not one
+        copy per sequence.
+        """
+        lengths = self.lengths[sequences].tolist()
+        rows = max(lengths)
+        return (_stacked(self.keys, sequences, rows),
+                _stacked(self.values, sequences, rows), lengths)
 
     def fork(self, source: int, targets: List[int]) -> None:
         """Copy one sequence's cache into other slots (prompt sharing)."""
@@ -138,11 +154,19 @@ class QuantizedLayerKVCache(LayerKVCache):
 
     def view(self, seq: int) -> "Tuple[np.ndarray, np.ndarray]":
         n = int(self.lengths[seq])
-        k = (self.keys[seq, :n].astype(np.float32)
-             * self.key_scales[seq, :n].astype(np.float32)[..., None])
-        v = (self.values[seq, :n].astype(np.float32)
-             * self.value_scales[seq, :n].astype(np.float32)[..., None])
-        return k.astype(np.float16), v.astype(np.float16)
+        return (dequantize_kv(self.keys[seq, :n], self.key_scales[seq, :n]),
+                dequantize_kv(self.values[seq, :n],
+                              self.value_scales[seq, :n]))
+
+    def gather(self, sequences: List[int]
+               ) -> Tuple[np.ndarray, np.ndarray, List[int]]:
+        lengths = self.lengths[sequences].tolist()
+        rows = max(lengths)
+        return (dequantize_kv(_stacked(self.keys, sequences, rows),
+                              _stacked(self.key_scales, sequences, rows)),
+                dequantize_kv(_stacked(self.values, sequences, rows),
+                              _stacked(self.value_scales, sequences, rows)),
+                lengths)
 
     def fork(self, source: int, targets: List[int]) -> None:
         n = int(self.lengths[source])
@@ -158,6 +182,22 @@ class QuantizedLayerKVCache(LayerKVCache):
     def nbytes_used(self) -> int:
         return (self.keys.nbytes + self.values.nbytes
                 + self.key_scales.nbytes + self.value_scales.nbytes)
+
+
+def dequantize_kv(codes: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """INT8 K/V codes times their per-(token, head) scales, as FP16."""
+    return np.multiply(codes, scales[..., np.newaxis],
+                       dtype=np.float32).astype(np.float16)
+
+
+def _stacked(storage: np.ndarray, sequences: List[int],
+             rows: int) -> np.ndarray:
+    """Rows ``[0, rows)`` of the listed sequences of a ``(batch,
+    capacity, kv_heads, ...)`` array, as one ``(len(sequences) *
+    kv_heads, rows, ...)`` array in (sequence, head) order."""
+    stack = storage[sequences, :rows].swapaxes(1, 2)
+    return stack.reshape((len(sequences) * stack.shape[1], rows)
+                         + stack.shape[3:])
 
 
 class KVCache:

@@ -188,6 +188,11 @@ class NPUTransformer:
                 "w_down": self._gemm_down.prepare_weight(layer["w_down"])})
         self._cos, self._sin = rope_frequencies(
             self.config.head_dim, self.config.max_position, self.config.rope_theta)
+        # rms_norm reads its weight as FP16: cast once, here
+        self._norms = [(layer["norm_attn"].astype(np.float16),
+                        layer["norm_ffn"].astype(np.float16))
+                       for layer in weights.layers]
+        self._final_norm = weights.final_norm.astype(np.float16)
 
     # ------------------------------------------------------------------
     # cache construction
@@ -239,11 +244,17 @@ class NPUTransformer:
             raise EngineError("token id out of vocabulary range")
         cost = StepCost()
         cfg = self.config
+        n_heads, n_kv_heads, head_dim = (cfg.n_heads, cfg.n_kv_heads,
+                                         cfg.head_dim)
+        q_dim, kv_dim = cfg.q_dim, cfg.kv_dim
 
         start_positions = [cache.sequence_length(s) for s in sequences]
-        positions = np.stack([np.arange(p, p + n_new) for p in start_positions])
-        if positions.size and int(positions.max()) >= cfg.max_position:
+        positions = np.add.outer(start_positions, np.arange(n_new))
+        if positions.size and max(start_positions) + n_new > cfg.max_position:
             raise EngineError("position exceeds the model's maximum context")
+        # RoPE is elementwise, so one call per layer covers every (token,
+        # head) row of q and k, each at its token's position
+        rope_positions = np.repeat(positions.reshape(-1), n_heads + n_kv_heads)
 
         tracer = obs_context.current().tracer
         with tracer.span("model.forward", category="model",
@@ -251,49 +262,38 @@ class NPUTransformer:
             # CPU-side embedding lookup (FP16 storage)
             hidden = self.weights.embedding[tokens].astype(np.float16)
             flat = hidden.reshape(batch * n_new, cfg.hidden_dim)
-            flat_pos = positions.reshape(-1)
 
             for layer_idx in range(cfg.n_layers):
-                layer = self.weights.layers[layer_idx]
                 prepared = self._prepared[layer_idx]
+                norm_attn, norm_ffn = self._norms[layer_idx]
 
                 with tracer.span("model.layer", category="model",
                                  layer=layer_idx):
                     # --- attention block -------------------------------
-                    normed = rms_norm(flat,
-                                      layer["norm_attn"].astype(np.float16))
+                    normed = rms_norm(flat, norm_attn)
                     qkv, c = self._gemm_q4(normed, prepared["qkv"])
                     cost.npu.merge(c)
-                    q = qkv[:, :cfg.q_dim]
-                    k = qkv[:, cfg.q_dim:cfg.q_dim + cfg.kv_dim]
-                    v = qkv[:, cfg.q_dim + cfg.kv_dim:]
-
-                    # RoPE is elementwise, so one call covers every
-                    # (token, head) row, each at its token's position
-                    q = rope_rotate(q.reshape(-1, cfg.head_dim),
-                                    np.repeat(flat_pos, cfg.n_heads),
-                                    self._cos, self._sin)
-                    k = rope_rotate(k.reshape(-1, cfg.head_dim),
-                                    np.repeat(flat_pos, cfg.n_kv_heads),
-                                    self._cos, self._sin)
-                    k = k.reshape(batch * n_new, cfg.n_kv_heads, cfg.head_dim)
-                    v = v.reshape(batch * n_new, cfg.n_kv_heads, cfg.head_dim)
+                    qk = rope_rotate(
+                        qkv[:, :q_dim + kv_dim].reshape(-1, head_dim),
+                        rope_positions, self._cos, self._sin,
+                    ).reshape(batch * n_new, n_heads + n_kv_heads, head_dim)
+                    k = qk[:, n_heads:]
+                    v = qkv[:, q_dim + kv_dim:].reshape(
+                        batch * n_new, n_kv_heads, head_dim)
 
                     layer_cache = cache[layer_idx]
-                    views = []
                     for b, seq in enumerate(sequences):
                         rows = slice(b * n_new, (b + 1) * n_new)
                         layer_cache.append(seq, k[rows], v[rows])
-                        views.append(layer_cache.view(seq))
-                    attn_flat, breakdown = self._attend(q, views, positions)
+                    attn_flat, breakdown = self._attend(
+                        qk[:, :n_heads], layer_cache, sequences, positions)
                     cost.npu.merge(breakdown.total())
                     o, c = self._gemm_q4(attn_flat, prepared["wo"])
                     cost.npu.merge(c)
                     flat = residual_add(o, flat)
 
                     # --- FFN block --------------------------------------
-                    normed = rms_norm(flat,
-                                      layer["norm_ffn"].astype(np.float16))
+                    normed = rms_norm(flat, norm_ffn)
                     gate_up, c = self._gemm_q4(normed, prepared["gate_up"])
                     cost.npu.merge(c)
                     activated = swiglu(gate_up[:, :cfg.intermediate_dim],
@@ -306,7 +306,7 @@ class NPUTransformer:
             with tracer.span("model.lm_head", category="model",
                              m=batch * n_new, k=cfg.hidden_dim,
                              n=cfg.vocab_size):
-                final = rms_norm(flat, self.weights.final_norm.astype(np.float16))
+                final = rms_norm(flat, self._final_norm)
                 final32 = final.astype(np.float32)
                 if stable_lm_head and final32.shape[0] == 1:
                     logits = (np.concatenate([final32, final32], axis=0)
@@ -316,35 +316,34 @@ class NPUTransformer:
             cost.cpu_gemms.append((batch * n_new, cfg.hidden_dim, cfg.vocab_size))
         return logits.reshape(batch, n_new, cfg.vocab_size), cost
 
-    def _attend(self, q: np.ndarray, views: List[Tuple[np.ndarray, np.ndarray]],
+    def _attend(self, q: np.ndarray, layer_cache, sequences: List[int],
                 positions: np.ndarray) -> Tuple[np.ndarray, AttentionBreakdown]:
         """Causal attention of every (sequence, query head) in one call.
 
-        ``q`` holds the rotated queries, ``(batch * n_new * n_heads,
-        head_dim)`` in (sequence, token, head) order; ``views`` each
-        sequence's cached ``(kv_len, n_kv_heads, head_dim)`` keys and
-        values; ``positions`` the ``(batch, n_new)`` query positions.
-        Each (sequence, KV head) cache is passed once, and the query
-        heads of its GQA group read it.  Returns the ``(batch * n_new,
-        q_dim)`` output and the summed breakdown.
+        ``q`` holds the rotated queries, ``(batch * n_new, n_heads,
+        head_dim)`` in (sequence, token, head) order; ``layer_cache`` the
+        layer's cache, already holding the step's keys and values, which
+        it gathers for ``sequences`` as one stack; ``positions`` the
+        ``(batch, n_new)`` query positions.  Each (sequence, KV head)
+        cache is passed once, and the query heads of its GQA group read
+        it.  Returns the ``(batch * n_new, q_dim)`` output and the summed
+        breakdown.
         """
         cfg = self.config
         batch, n_new = positions.shape
-        kv_lengths = np.array([keys.shape[0] for keys, _ in views])
-        keys = np.zeros((batch, cfg.n_kv_heads, int(kv_lengths.max()),
-                         cfg.head_dim), dtype=np.float16)
-        values = np.zeros_like(keys)
-        for b, (seq_keys, seq_values) in enumerate(views):
-            keys[b, :, :len(seq_keys)] = seq_keys.swapaxes(0, 1)
-            values[b, :, :len(seq_values)] = seq_values.swapaxes(0, 1)
+        keys, values, lengths = layer_cache.gather(sequences)
+        # one query per sequence sees every cached key: its kv_lengths
+        # mask is the causal mask, so positions are passed only for
+        # longer steps
+        causal = {} if n_new == 1 else {
+            "q_positions": np.repeat(positions, cfg.n_heads, axis=0),
+            "k_positions": np.arange(keys.shape[1])}
         out, breakdown = self._attention(
             q.reshape(batch, n_new, cfg.n_heads, cfg.head_dim)
             .swapaxes(1, 2).reshape(batch * cfg.n_heads, n_new, cfg.head_dim),
-            keys.reshape(-1, keys.shape[2], cfg.head_dim),
-            values.reshape(-1, keys.shape[2], cfg.head_dim),
-            q_positions=np.repeat(positions, cfg.n_heads, axis=0),
-            k_positions=np.arange(keys.shape[2]),
-            kv_lengths=np.repeat(kv_lengths, cfg.n_kv_heads))
+            keys, values,
+            kv_lengths=[n for n in lengths for _ in range(cfg.n_kv_heads)],
+            **causal)
         out = out.reshape(batch, cfg.n_heads, n_new, cfg.head_dim)
         return out.swapaxes(1, 2).reshape(batch * n_new, cfg.q_dim), breakdown
 

@@ -267,9 +267,17 @@ class HMXUnit:
         true ``(m, k, n)`` as ``shape``.  They are read as they are,
         and the result is the FP16 operands', bit for bit.
         """
-        widened = shape is not None
-        a = np.asarray(activations, dtype=None if widened else np.float16)
-        w = np.asarray(weights, dtype=None if widened else np.float16)
+        if shape is None:
+            a = np.asarray(activations, dtype=np.float16)
+            w = np.asarray(weights, dtype=np.float16)
+        else:  # pre-widened operands are read as they are
+            a, w = activations, weights
+            if not (isinstance(a, np.ndarray) and isinstance(w, np.ndarray)
+                    and a.dtype == w.dtype == np.float32):
+                raise TileShapeError(
+                    f"pre-widened operands must be FP32 arrays, got "
+                    f"{getattr(a, 'dtype', type(a))} @ "
+                    f"{getattr(w, 'dtype', type(w))}")
         if a.ndim < 2 or a.ndim != w.ndim or a.shape[:-2] != w.shape[:-2]:
             raise TileShapeError(
                 f"gemm expects 2-D operands or equal stacks of them, got "
@@ -277,28 +285,26 @@ class HMXUnit:
         if a.shape[-1] != w.shape[-2]:
             raise TileShapeError(
                 f"inner dimensions differ: {a.shape} @ {w.shape}")
-        if widened:
+        if shape is None:
+            (m, k), n = a.shape[-2:], w.shape[-1]
+            a, w = padded_fp32(a), padded_fp32(w)
+        else:
             try:
-                m, k, n = (operator.index(d) for d in shape)
+                m, k, n = map(operator.index, shape)
             except (TypeError, ValueError):
                 raise TileShapeError(
                     f"shape must be three ints (m, k, n), got {shape!r}"
                 ) from None
-            if a.dtype != np.float32 or w.dtype != np.float32:
-                raise TileShapeError(
-                    f"pre-widened operands must be FP32, got {a.dtype} @ "
-                    f"{w.dtype}")
-            if a.shape[-2:] + w.shape[-1:] != tuple(
-                    -(-d // TILE_DIM) * TILE_DIM for d in (m, k, n)):
+            if a.shape[-2:] + w.shape[-1:] != (-(-m // TILE_DIM) * TILE_DIM,
+                                               -(-k // TILE_DIM) * TILE_DIM,
+                                               -(-n // TILE_DIM) * TILE_DIM):
                 raise TileShapeError(
                     f"operands {a.shape} @ {w.shape} are not a "
                     f"({m}, {k}) @ ({k}, {n}) product padded to whole tiles")
-        else:
-            (m, k), n = a.shape[-2:], w.shape[-1]
-            a, w = padded_fp32(a), padded_fp32(w)
         batch = a.shape[:-2]
-        tiles_m, tiles_k, tiles_n = (
-            d // TILE_DIM for d in a.shape[-2:] + w.shape[-1:])
+        tiles_m = a.shape[-2] // TILE_DIM
+        tiles_k = a.shape[-1] // TILE_DIM
+        tiles_n = w.shape[-1] // TILE_DIM
         if a.strides[-1] == w.strides[-1] == a.itemsize:
             out = np.zeros(batch + (m, w.shape[-1]), dtype=np.float32)
             for t in range(0, tiles_k * TILE_DIM, TILE_DIM):
@@ -318,7 +324,7 @@ class HMXUnit:
                                         w_tiles[..., t, :, :, :], acc)
             out = acc.swapaxes(-3, -2).reshape(
                 batch + (tiles_m * TILE_DIM, tiles_n * TILE_DIM))
-        return out[..., :m, :n].astype(out_dtype)
+        return out[..., :m, :n].astype(out_dtype, copy=False)
 
     @staticmethod
     def _accumulate_k_tile(activations: np.ndarray, weights: np.ndarray,

@@ -191,14 +191,17 @@ class EventLoop:
         self._seq += len(times)
         self._unfed += last
 
-        def fire(index: int) -> None:
+        # ``fire`` reaches itself through its handle's args, not its own
+        # closure: a closure naming itself is a reference cycle, which
+        # would keep ``callback``'s owner alive after the run
+        def fire(index: int, itself: Callable[[int, Any], None]) -> None:
             if index < last:
                 self._unfed -= 1
-                self._push(times[index + 1], first + index + 1, fire,
-                           (index + 1,))
+                self._push(times[index + 1], first + index + 1, itself,
+                           (index + 1, itself))
             callback(items[index])
 
-        self._push(times[0], first, fire, (0,))
+        self._push(times[0], first, fire, (0, fire))
 
     def _push(self, time: float, seq: int, callback: Callable[..., Any],
               args: Tuple[Any, ...]) -> EventHandle:

@@ -531,15 +531,35 @@ class TestStackCharges:
         _, permuted = _check_stack(fa, *self._stack(29, order=(2, 0, 3, 1)))
         assert first == second == permuted
 
-    def test_a_mutated_breakdown_does_not_reach_the_next_call(self):
+    @pytest.mark.parametrize("group", [1, 3])
+    def test_a_mutated_breakdown_does_not_reach_the_next_call(self, group):
+        """The summed per-(n_q, d, KV rows, group) entry hands out fresh
+        records, and the per-item entries it was summed from stay
+        intact (``_check_stack`` holds each call to the reference)."""
         fa = FlashAttention("lut", tcm=TCM())
-        stack = self._stack(31)
-        _, first = _check_stack(fa, *stack)
+        q, k, v, lengths, q_pos, k_pos = self._stack(31)
+        q = np.repeat(q, group, axis=0)
+        q_pos = np.repeat(q_pos, group, axis=0)
+        _, first = _check_stack(fa, q, k, v, lengths, q_pos, k_pos)
         for phase in _PHASES:
             getattr(first, phase).merge(getattr(first, phase))
-        _, second = _check_stack(fa, *stack)
+        first.total().merge(first.qk_matmul)
+        _, second = _check_stack(fa, q, k, v, lengths, q_pos, k_pos)
         assert all(getattr(second, phase) is not getattr(first, phase)
                    for phase in _PHASES)
+        item = fa._item_cost(1, 64, 32)
+        reference = reference_attention(fa, q[0], k[0, :40], v[0, :40],
+                                        q_pos[0], k_pos[:40])[1]
+        assert item == reference
+
+    def test_stacks_of_one_kv_rows_and_other_groups_have_their_own(self):
+        """The summed entries are keyed by group as well as KV rows."""
+        fa = FlashAttention("lut", tcm=TCM())
+        q, k, v, lengths, q_pos, k_pos = self._stack(41)
+        costs = [_check_stack(fa, np.repeat(q, group, axis=0), k, v, lengths,
+                              np.repeat(q_pos, group, axis=0), k_pos)[1]
+                 for group in (1, 2, 1)]
+        assert costs[0] != costs[1] and costs[0] == costs[2]
 
     def test_decode_and_prefill_stacks_of_equal_rows_have_their_own(self):
         fa = FlashAttention("lut", tcm=TCM())

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 
 import pytest
@@ -491,6 +492,30 @@ class TestRunFleet:
     def test_unknown_pattern_rejected(self):
         with pytest.raises(FleetError):
             run_fleet(4, 1.0, horizon_seconds=5.0, pattern="weekly")
+
+    @pytest.mark.parametrize("options", [
+        {}, {"explain": True},
+        {"explain": True, "hedge": True,
+         "fault_spec": "dev#0:crash@1:2,dev#1:straggle@0.5:3:3,"
+                       "dev#2:drop@2,dev#3:battery@4"}])
+    def test_a_finished_run_leaves_no_simulation_alive(self, options):
+        """With the cyclic collector off, reference counting alone frees
+        a finished simulation: no dispatch, event handle or fed schedule
+        keeps it alive in a reference cycle."""
+        gc.collect()
+        gc.disable()
+        try:
+            report = run_fleet(30, 50.0, horizon_seconds=None,
+                               max_requests=400, seed=0, pattern="poisson",
+                               with_capacity_plan=False, **options)
+            # counted without keeping a reference to what is found
+            alive = sum(type(o) is FleetSimulation for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0
+        if "hedge" in options:  # the hedge and failover paths ran
+            recovery = report.chaos["recovery"]
+            assert recovery["hedges"] > 0 and recovery["failovers"] > 0
 
 
 class TestFleetCLI:

@@ -187,14 +187,48 @@ class TestChargeTable:
             assert cost == reference_call(kernel, acts, prepared)
 
     def test_a_mutated_cost_does_not_reach_the_next_call(self, weight):
+        """Neither the per-part table nor the summed per-(shape, weight)
+        plans hand out a record a caller can reach, for one weight or a
+        fused one."""
         kernel = MixedPrecisionGemm("ours")
         prepared = kernel.prepare_weight(weight)
+        fused = kernel.prepare_fused([weight, weight[:, :40], weight])
         acts = np.ones((2, 96), dtype=np.float16)
-        expected = reference_call(kernel, acts, prepared)
-        _, first = kernel(acts, prepared)
-        first.merge(first)
-        _, second = kernel(acts, prepared)
-        assert second == expected and second is not first
+        for target in (prepared, fused):
+            expected = KernelCost()
+            for part in target.parts:
+                expected.merge(reference_call(kernel, acts, part))
+            _, first = kernel(acts, target)
+            first.merge(first)
+            _, second = kernel(acts, target)
+            assert second == expected and second is not first
+        # the per-part entries the plans were summed from are intact
+        assert kernel._charge(2, prepared).cost == \
+            reference_call(kernel, acts, prepared)
+
+    def test_each_weight_shape_has_its_own_plan(self, weight):
+        """A fused weight, its parts alone and another part order are
+        charged as the sum of their own parts."""
+        kernel = MixedPrecisionGemm("ours", bits=8)
+        narrow = weight[:, :40]
+        acts = np.ones((3, 96), dtype=np.float16)
+        for parts in ([weight, narrow], [narrow, weight], [weight], [narrow]):
+            fused = kernel.prepare_fused(parts)
+            expected = KernelCost()
+            for part in fused.parts:
+                expected.merge(reference_call(kernel, acts, part))
+            assert kernel(acts, fused)[1] == expected
+
+    def test_a_weight_of_another_strategy_is_rejected_after_a_hit(
+            self, weight):
+        """The plan key holds each part's strategy: an equal-shaped
+        weight prepared for another strategy never reads a plan."""
+        kernel = MixedPrecisionGemm("ours")
+        acts = np.ones((1, 96), dtype=np.float16)
+        kernel(acts, kernel.prepare_weight(weight))
+        other = MixedPrecisionGemm("hmx_layout").prepare_weight(weight)
+        with pytest.raises(KernelError, match="prepared for strategy"):
+            kernel(acts, other)
 
     @pytest.mark.parametrize("strategy", DEQUANT_STRATEGIES)
     def test_traced_calls_emit_the_reference_spans_and_counters(
