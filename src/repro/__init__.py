@@ -17,6 +17,16 @@ Subpackages:
 * :mod:`repro.resilience` — deterministic fault injection and recovery
   (retry/backoff, KV rebuild, eviction, deadlines, thermal throttling).
 * :mod:`repro.harness` — per-table/figure experiment regeneration.
+* :mod:`repro.fleet` — fleet-scale serving: device populations, arrival
+  traces, admission, health and hedging, capacity planning.
+* :mod:`repro.testing` — differential oracles, seeded fuzzing and the
+  golden fixtures.
+* :mod:`repro.sim` — the discrete-event kernel (simulated clock and
+  event loop) the scheduler, the fault injector and the fleet share.
+
+Every package imports a public name on its first use
+(:mod:`repro._lazy`), so ``import repro`` loads no subpackage and a run
+loads only the modules it executes.
 
 Quickstart::
 
@@ -24,21 +34,11 @@ Quickstart::
     print(run_experiment("fig15").render())
 """
 
-from . import errors, kernels, llm, npu, obs, perf, quant, resilience, tts
-from . import harness
+from . import _lazy
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "errors",
-    "harness",
-    "kernels",
-    "llm",
-    "npu",
-    "obs",
-    "perf",
-    "quant",
-    "resilience",
-    "tts",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), submodules=(
+    "errors", "harness", "kernels", "llm", "npu", "obs", "perf", "quant",
+    "resilience", "tts"))
+__all__.append("__version__")

@@ -8,27 +8,22 @@ battery rails, and a capacity-planning report surfaced by the
 ``repro fleet`` CLI (schema ``repro.fleet/v1``).
 """
 
-from .devices import (AnalyticFleetDevice, BatteryRail, EngineFleetDevice,
-                      FleetDevice, GENERATION_HDR_BITS, ServiceOutcome,
-                      build_population)
-from .health import (CircuitBreaker, DeviceHealth, FailoverPolicy,
-                     FleetHealth, HedgePolicy)
-from .load import ARRIVAL_PATTERNS, TraceConfig, generate_trace
-from .report import (DEFAULT_P99_TARGET_MS, FLEET_SCHEMA, FleetReport,
-                     MAX_PLANNED_DEVICES, plan_capacity, run_fleet)
-from .requests import (AdmissionController, DEFAULT_TENANT_PRIORITIES,
-                       FleetRequest)
-from .simulation import FleetResult, FleetSimulation
+from .. import _lazy
 
-__all__ = [
-    "FleetRequest", "AdmissionController", "DEFAULT_TENANT_PRIORITIES",
-    "TraceConfig", "generate_trace", "ARRIVAL_PATTERNS",
-    "FleetDevice", "AnalyticFleetDevice", "EngineFleetDevice",
-    "BatteryRail", "ServiceOutcome", "build_population",
-    "GENERATION_HDR_BITS",
-    "CircuitBreaker", "DeviceHealth", "FailoverPolicy", "FleetHealth",
-    "HedgePolicy",
-    "FleetSimulation", "FleetResult",
-    "FleetReport", "run_fleet", "plan_capacity", "FLEET_SCHEMA",
-    "DEFAULT_P99_TARGET_MS", "MAX_PLANNED_DEVICES",
-]
+# Bound now: perfbench/layers.py wraps it through vars(repro.fleet),
+# which never calls __getattr__.
+from .report import run_fleet  # noqa: F401
+
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "devices": ("AnalyticFleetDevice", "BatteryRail", "EngineFleetDevice",
+                "FleetDevice", "GENERATION_HDR_BITS", "ServiceOutcome",
+                "build_population"),
+    "health": ("CircuitBreaker", "DeviceHealth", "FailoverPolicy",
+               "FleetHealth", "HedgePolicy"),
+    "load": ("ARRIVAL_PATTERNS", "TraceConfig", "generate_trace"),
+    "report": ("DEFAULT_P99_TARGET_MS", "FLEET_SCHEMA", "FleetReport",
+               "MAX_PLANNED_DEVICES", "plan_capacity", "run_fleet"),
+    "requests": ("AdmissionController", "DEFAULT_TENANT_PRIORITIES",
+                 "FleetRequest"),
+    "simulation": ("FleetResult", "FleetSimulation"),
+})

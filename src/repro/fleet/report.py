@@ -19,18 +19,20 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from ..errors import FleetError
 from ..obs.context import scope
 from ..obs.slo import histogram_summary
 from ..obs.timeline import EventLog
-from ..resilience.faults import FaultPlan
 from .devices import build_population
 from .health import FailoverPolicy, HedgePolicy
 from .load import ARRIVAL_PATTERNS, TraceConfig, generate_trace
 from .requests import AdmissionController
 from .simulation import FleetResult, FleetSimulation
+
+if TYPE_CHECKING:
+    from ..resilience.faults import FaultPlan
 
 __all__ = ["FLEET_SCHEMA", "FleetReport", "run_fleet", "plan_capacity",
            "DEFAULT_P99_TARGET_MS", "MAX_PLANNED_DEVICES"]
@@ -309,7 +311,10 @@ def run_fleet(n_devices: int, qps: float,
         raise FleetError(
             f"unknown arrival pattern {pattern!r}; known: "
             f"{ARRIVAL_PATTERNS}")
-    fault_plan = FaultPlan.parse(fault_spec) if fault_spec else None
+    fault_plan = None
+    if fault_spec:  # only a fault plan loads the resilience layer
+        from ..resilience.faults import FaultPlan
+        fault_plan = FaultPlan.parse(fault_spec)
     trace = _trace_config(qps, horizon_seconds, max_requests, seed, pattern)
     log: Optional[EventLog] = None
     if explain:

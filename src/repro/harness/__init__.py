@@ -7,21 +7,11 @@
 * :mod:`repro.harness.experiments` — the registry and batch runner.
 """
 
-from .experiments import EXPERIMENTS, run_all_experiments, run_experiment
-from .report import ExperimentResult, render_table
-from .smallmodel import (
-    ACCURACY_MODEL_CONFIG,
-    QUANT_PROBE_CONFIG,
-    SmallModelHarness,
-)
+from .. import _lazy
 
-__all__ = [
-    "EXPERIMENTS",
-    "run_all_experiments",
-    "run_experiment",
-    "ExperimentResult",
-    "render_table",
-    "ACCURACY_MODEL_CONFIG",
-    "QUANT_PROBE_CONFIG",
-    "SmallModelHarness",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "experiments": ("EXPERIMENTS", "run_all_experiments", "run_experiment"),
+    "report": ("ExperimentResult", "render_table"),
+    "smallmodel": ("ACCURACY_MODEL_CONFIG", "QUANT_PROBE_CONFIG",
+                   "SmallModelHarness"),
+})

@@ -8,70 +8,20 @@
 * :mod:`repro.kernels.ops` — RMSNorm / RoPE / SwiGLU / residual add.
 """
 
-from .dequant import (
-    DEQUANT_STRATEGIES,
-    broadcast_scales_vlut,
-    broadcast_scales_vsplat,
-    dequantize_stream,
-    int4_to_fp16_unpack,
-    int4_to_fp16_vlut,
-)
-from .flash_attention import (
-    AttentionBreakdown,
-    FlashAttention,
-    attention_fp32_reference,
-)
-from .gemm import FusedWeight, MixedPrecisionGemm, PreparedWeight
-from .lut import (
-    EXP_LUT_BYTES,
-    EXP_LUT_ENTRIES,
-    ExpLUT,
-    build_exp_lut,
-    exp_lut_offsets,
-    scale_broadcast_indices,
-)
-from .ops import residual_add, rms_norm, rope_frequencies, rope_rotate, silu, swiglu
-from .tmac import TMacGemv, TMacPreparedWeight
-from .softmax import (
-    CHAIN_STALL_PACKETS,
-    EXP_METHODS,
-    OnChipSoftmax,
-    exp_lut,
-    exp_poly16,
-    exp_poly32,
-)
+from .. import _lazy
 
-__all__ = [
-    "DEQUANT_STRATEGIES",
-    "broadcast_scales_vlut",
-    "broadcast_scales_vsplat",
-    "dequantize_stream",
-    "int4_to_fp16_unpack",
-    "int4_to_fp16_vlut",
-    "AttentionBreakdown",
-    "FlashAttention",
-    "attention_fp32_reference",
-    "MixedPrecisionGemm",
-    "PreparedWeight",
-    "FusedWeight",
-    "EXP_LUT_BYTES",
-    "EXP_LUT_ENTRIES",
-    "ExpLUT",
-    "build_exp_lut",
-    "exp_lut_offsets",
-    "scale_broadcast_indices",
-    "TMacGemv",
-    "TMacPreparedWeight",
-    "residual_add",
-    "rms_norm",
-    "rope_frequencies",
-    "rope_rotate",
-    "silu",
-    "swiglu",
-    "CHAIN_STALL_PACKETS",
-    "EXP_METHODS",
-    "OnChipSoftmax",
-    "exp_lut",
-    "exp_poly16",
-    "exp_poly32",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "dequant": ("DEQUANT_STRATEGIES", "broadcast_scales_vlut",
+                "broadcast_scales_vsplat", "dequantize_stream",
+                "int4_to_fp16_unpack", "int4_to_fp16_vlut"),
+    "flash_attention": ("AttentionBreakdown", "FlashAttention",
+                        "attention_fp32_reference"),
+    "gemm": ("FusedWeight", "MixedPrecisionGemm", "PreparedWeight"),
+    "lut": ("EXP_LUT_BYTES", "EXP_LUT_ENTRIES", "ExpLUT", "build_exp_lut",
+            "exp_lut_offsets", "scale_broadcast_indices"),
+    "ops": ("residual_add", "rms_norm", "rope_frequencies", "rope_rotate",
+            "silu", "swiglu"),
+    "softmax": ("CHAIN_STALL_PACKETS", "EXP_METHODS", "OnChipSoftmax",
+                "exp_lut", "exp_poly16", "exp_poly32"),
+    "tmac": ("TMacGemv", "TMacPreparedWeight"),
+})

@@ -10,60 +10,26 @@
 * :mod:`repro.llm.perplexity` — PPL and KL metrics for accuracy tables.
 """
 
-from .block_pool import (
-    BlockPool,
-    PagedKVCache,
-    PagedLayerKVCache,
-    QuantizedPagedLayerKVCache,
-)
-from .config import MODEL_CONFIGS, ModelConfig, get_model_config, tiny_config
-from .dispatch import BackendDecision, BackendSelector
-from .engine import GenerationResult, InferenceEngine
-from .kv_cache import KVCache, LayerKVCache, QuantizedLayerKVCache
-from .model import NPUTransformer, StepCost, TransformerWeights, reference_forward
-from .scheduler import (
-    ContinuousBatchingScheduler,
-    PromptAdmission,
-    ScheduledGeneration,
-    WavePlan,
-    plan_waves,
-)
-from .perplexity import mean_kl_divergence, perplexity, top1_agreement
-from .sampler import Sampler, softmax_logits
-from .speculative import SpeculativeDecoder, SpeculativeResult
-from .tokenizer import ByteTokenizer
+from .. import _lazy
 
-__all__ = [
-    "MODEL_CONFIGS",
-    "ModelConfig",
-    "get_model_config",
-    "tiny_config",
-    "BlockPool",
-    "PagedKVCache",
-    "PagedLayerKVCache",
-    "QuantizedPagedLayerKVCache",
-    "BackendDecision",
-    "BackendSelector",
-    "ContinuousBatchingScheduler",
-    "PromptAdmission",
-    "ScheduledGeneration",
-    "WavePlan",
-    "plan_waves",
-    "GenerationResult",
-    "InferenceEngine",
-    "KVCache",
-    "LayerKVCache",
-    "QuantizedLayerKVCache",
-    "NPUTransformer",
-    "StepCost",
-    "TransformerWeights",
-    "reference_forward",
-    "mean_kl_divergence",
-    "perplexity",
-    "top1_agreement",
-    "Sampler",
-    "SpeculativeDecoder",
-    "SpeculativeResult",
-    "softmax_logits",
-    "ByteTokenizer",
-]
+# Bound now: importing the submodule of the same name later would
+# rebind the package attribute to the module.
+from .perplexity import perplexity  # noqa: F401
+
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "block_pool": ("BlockPool", "PagedKVCache", "PagedLayerKVCache",
+                   "QuantizedPagedLayerKVCache"),
+    "config": ("MODEL_CONFIGS", "ModelConfig", "get_model_config",
+               "tiny_config"),
+    "dispatch": ("BackendDecision", "BackendSelector"),
+    "engine": ("GenerationResult", "InferenceEngine"),
+    "kv_cache": ("KVCache", "LayerKVCache", "QuantizedLayerKVCache"),
+    "model": ("NPUTransformer", "StepCost", "TransformerWeights",
+              "reference_forward"),
+    "perplexity": ("mean_kl_divergence", "perplexity", "top1_agreement"),
+    "sampler": ("Sampler", "softmax_logits"),
+    "scheduler": ("ContinuousBatchingScheduler", "PromptAdmission",
+                  "ScheduledGeneration", "WavePlan", "plan_waves"),
+    "speculative": ("SpeculativeDecoder", "SpeculativeResult"),
+    "tokenizer": ("ByteTokenizer",),
+})

@@ -26,6 +26,7 @@ from ..npu.timing import TimingModel
 from ..obs import context as obs_context
 from ..obs import energy as obs_energy
 from ..obs import metrics as obs_metrics
+from ..perf.power import PowerBudget
 from .kv_cache import KVCache
 from .model import NPUTransformer, StepCost
 from .sampler import Sampler
@@ -109,10 +110,6 @@ class InferenceEngine:
         self.heap = self._map_buffers(device)
         self.governor: PowerGovernor = GOVERNORS["performance"]
         self._timing = TimingModel(device.npu)
-        # deferred import: perf.power pulls in the latency model stack,
-        # which imports llm.config — importing it at module scope would
-        # cycle back into this package
-        from ..perf.power import PowerBudget
         self.energy_model = obs_energy.EnergyModel(PowerBudget(),
                                                    self._timing)
 

@@ -42,6 +42,7 @@ from ..kernels.ops import (
 )
 from ..npu.memory import TCM
 from ..npu.timing import KernelCost
+from .block_pool import PagedKVCache
 from .config import ModelConfig
 from .kv_cache import KVCache
 
@@ -206,7 +207,6 @@ class NPUTransformer:
     def new_paged_cache(self, batch: int, capacity: int, dtype: str = "fp16",
                         block_size: int = 16, pool=None, heap=None):
         """Block-table KV cache over a shared pool (see ``block_pool``)."""
-        from .block_pool import PagedKVCache
         return PagedKVCache(self.config.n_layers, batch, capacity,
                             self.config.n_kv_heads, self.config.head_dim,
                             dtype=dtype, block_size=block_size, pool=pool,

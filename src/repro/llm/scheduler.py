@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,10 +46,12 @@ from ..obs import energy as obs_energy
 from ..obs.slo import SLOTracker
 from ..resilience.faults import FaultInjector, FaultPlan, FaultRecord
 from ..resilience.recovery import RetryPolicy
-from .dispatch import BackendSelector
 from .engine import GenerationResult, InferenceEngine
 from .placement import crossing_for_bytes
 from .sampler import Sampler
+
+if TYPE_CHECKING:  # a caller builds the selector; the run only reads it
+    from .dispatch import BackendSelector
 
 __all__ = ["CandidateOutput", "PromptAdmission", "ScheduledGeneration",
            "WavePlan", "plan_waves", "ContinuousBatchingScheduler"]

@@ -11,49 +11,17 @@ Public surface:
 * :mod:`repro.npu.soc` — device registry (Table 3), CPU model, FastRPC.
 """
 
-from .datatypes import QFloatMode
-from .hmx import (
-    TILE_DIM,
-    HMXUnit,
-    matrix_from_hmx_layout,
-    matrix_to_hmx_layout,
-    tile_permute,
-    tile_unpermute,
-)
-from .hvx import VECTOR_BYTES, HVXContext, InstructionTrace
-from .memory import DMAEngine, MultiSessionHeap, RpcMemHeap, SharedBuffer, TCM
-from .power_mgmt import GOVERNORS, PowerGovernor, apply_governor
-from .soc import DEVICES, CPUModel, Device, FastRPCSession, get_device
-from .timing import GENERATIONS, V73, V75, V79, KernelCost, TimingModel
+from .. import _lazy
 
-__all__ = [
-    "QFloatMode",
-    "TILE_DIM",
-    "HMXUnit",
-    "matrix_from_hmx_layout",
-    "matrix_to_hmx_layout",
-    "tile_permute",
-    "tile_unpermute",
-    "VECTOR_BYTES",
-    "HVXContext",
-    "InstructionTrace",
-    "DMAEngine",
-    "MultiSessionHeap",
-    "RpcMemHeap",
-    "SharedBuffer",
-    "TCM",
-    "GOVERNORS",
-    "PowerGovernor",
-    "apply_governor",
-    "DEVICES",
-    "CPUModel",
-    "Device",
-    "FastRPCSession",
-    "get_device",
-    "GENERATIONS",
-    "V73",
-    "V75",
-    "V79",
-    "KernelCost",
-    "TimingModel",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "datatypes": ("QFloatMode",),
+    "hmx": ("TILE_DIM", "HMXUnit", "matrix_from_hmx_layout",
+            "matrix_to_hmx_layout", "tile_permute", "tile_unpermute"),
+    "hvx": ("VECTOR_BYTES", "HVXContext", "InstructionTrace"),
+    "memory": ("DMAEngine", "MultiSessionHeap", "RpcMemHeap", "SharedBuffer",
+               "TCM"),
+    "power_mgmt": ("GOVERNORS", "PowerGovernor", "apply_governor"),
+    "soc": ("DEVICES", "CPUModel", "Device", "FastRPCSession", "get_device"),
+    "timing": ("GENERATIONS", "V73", "V75", "V79", "KernelCost",
+               "TimingModel"),
+})

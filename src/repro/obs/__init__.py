@@ -44,136 +44,30 @@ or use the ``python -m repro profile`` CLI, which wires this up around a
 generation or TTS sweep.
 """
 
-from .bench import (
-    BenchError,
-    BenchRecord,
-    BenchScenario,
-    BenchSnapshot,
-    ComparisonReport,
-    SCENARIOS,
-    Threshold,
-    bench_scenario,
-    compare_snapshots,
-    run_scenario,
-    run_suite,
-)
-from .export import (
-    chrome_trace,
-    report_data,
-    text_report,
-    write_chrome_trace,
-)
-from .context import Obs, current, scope
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .anomaly import (
-    AnomalyEvent,
-    EwmaDetector,
-    MadDetector,
-    RateOfChangeDetector,
-    default_detectors,
-    detect_series,
-)
-from .blame import (
-    EXPLAIN_SCHEMA,
-    ExplainReport,
-    aggregate_blame,
-    explain_section,
-    render_waterfall,
-    run_explain,
-)
-from .critical_path import (
-    FLEET_PHASES,
-    PhaseSlice,
-    RequestExplanation,
-    SCHEDULER_PHASES,
-    assert_lifecycle,
-    explain_fleet_log,
-    explain_log,
-    explain_scheduler_log,
-    quantize_ns,
-    validate_lifecycle,
-)
-from .energy import (
-    EnergyAccountant,
-    EnergyBreakdown,
-    EnergyModel,
-    ZERO_ENERGY,
-    quantize_nj,
-    tokens_per_joule,
-)
-from .slo import SLOTracker, hdr_buckets, percentile_cutoff, slo_summary
-from .stream import (
-    DEFAULT_WINDOW_SECONDS,
-    MetricStream,
-    MetricWindow,
-    stream_from_log,
-)
-from .timeline import EVENT_KINDS, EventLog, TimelineEvent
-from .trace import NULL_SPAN, Span, Tracer
+from .. import _lazy
 
-__all__ = [
-    "BenchError",
-    "BenchRecord",
-    "BenchScenario",
-    "BenchSnapshot",
-    "ComparisonReport",
-    "SCENARIOS",
-    "Threshold",
-    "bench_scenario",
-    "compare_snapshots",
-    "run_scenario",
-    "run_suite",
-    "chrome_trace",
-    "report_data",
-    "text_report",
-    "write_chrome_trace",
-    "SLOTracker",
-    "hdr_buckets",
-    "percentile_cutoff",
-    "slo_summary",
-    "EXPLAIN_SCHEMA",
-    "ExplainReport",
-    "aggregate_blame",
-    "explain_section",
-    "render_waterfall",
-    "run_explain",
-    "FLEET_PHASES",
-    "PhaseSlice",
-    "RequestExplanation",
-    "SCHEDULER_PHASES",
-    "assert_lifecycle",
-    "explain_fleet_log",
-    "explain_log",
-    "explain_scheduler_log",
-    "quantize_ns",
-    "quantize_nj",
-    "validate_lifecycle",
-    "AnomalyEvent",
-    "EwmaDetector",
-    "MadDetector",
-    "RateOfChangeDetector",
-    "default_detectors",
-    "detect_series",
-    "EnergyAccountant",
-    "EnergyBreakdown",
-    "EnergyModel",
-    "ZERO_ENERGY",
-    "tokens_per_joule",
-    "DEFAULT_WINDOW_SECONDS",
-    "MetricStream",
-    "MetricWindow",
-    "stream_from_log",
-    "EVENT_KINDS",
-    "EventLog",
-    "TimelineEvent",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_SPAN",
-    "Span",
-    "Tracer",
-    "Obs",
-    "current",
-    "scope",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "anomaly": ("AnomalyEvent", "EwmaDetector", "MadDetector",
+                "RateOfChangeDetector", "default_detectors", "detect_series"),
+    "bench": ("BenchError", "BenchRecord", "BenchScenario", "BenchSnapshot",
+              "ComparisonReport", "SCENARIOS", "Threshold", "bench_scenario",
+              "compare_snapshots", "run_scenario", "run_suite"),
+    "blame": ("EXPLAIN_SCHEMA", "ExplainReport", "aggregate_blame",
+              "explain_section", "render_waterfall", "run_explain"),
+    "context": ("Obs", "current", "scope"),
+    "critical_path": ("FLEET_PHASES", "PhaseSlice", "RequestExplanation",
+                      "SCHEDULER_PHASES", "assert_lifecycle",
+                      "explain_fleet_log", "explain_log",
+                      "explain_scheduler_log", "quantize_ns",
+                      "validate_lifecycle"),
+    "energy": ("EnergyAccountant", "EnergyBreakdown", "EnergyModel",
+               "ZERO_ENERGY", "quantize_nj", "tokens_per_joule"),
+    "export": ("chrome_trace", "report_data", "text_report",
+               "write_chrome_trace"),
+    "metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    "slo": ("SLOTracker", "hdr_buckets", "percentile_cutoff", "slo_summary"),
+    "stream": ("DEFAULT_WINDOW_SECONDS", "MetricStream", "MetricWindow",
+               "stream_from_log"),
+    "timeline": ("EVENT_KINDS", "EventLog", "TimelineEvent"),
+    "trace": ("NULL_SPAN", "Span", "Tracer"),
+})

@@ -7,32 +7,13 @@
 * :mod:`repro.perf.baselines` — Adreno OpenCL and QNN FP16 models (Fig. 13).
 """
 
-from .baselines import AdrenoGPUModel, CPUBaselineModel, QNNReferenceModel
-from .latency import (
-    PREFILL_EFFICIENCY,
-    DecodePerformanceModel,
-    attention_cost,
-    attention_phase_costs,
-    gemm_cost,
-)
-from .memory import MemoryModel, ResourceUsage
-from .prefill import PrefillConfig, PrefillPipelineModel
-from .power import PowerBudget, PowerModel, PowerSample
+from .. import _lazy
 
-__all__ = [
-    "AdrenoGPUModel",
-    "CPUBaselineModel",
-    "QNNReferenceModel",
-    "PREFILL_EFFICIENCY",
-    "DecodePerformanceModel",
-    "attention_cost",
-    "attention_phase_costs",
-    "gemm_cost",
-    "MemoryModel",
-    "PrefillConfig",
-    "PrefillPipelineModel",
-    "ResourceUsage",
-    "PowerBudget",
-    "PowerModel",
-    "PowerSample",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "baselines": ("AdrenoGPUModel", "CPUBaselineModel", "QNNReferenceModel"),
+    "latency": ("PREFILL_EFFICIENCY", "DecodePerformanceModel",
+                "attention_cost", "attention_phase_costs", "gemm_cost"),
+    "memory": ("MemoryModel", "ResourceUsage"),
+    "power": ("PowerBudget", "PowerModel", "PowerSample"),
+    "prefill": ("PrefillConfig", "PrefillPipelineModel"),
+})

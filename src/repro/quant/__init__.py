@@ -10,82 +10,21 @@
 * :mod:`repro.quant.awq` — simplified activation-aware quantization.
 """
 
-from .awq import AWQResult, awq_quantize
-from .codebooks import (
-    CODEBOOKS,
-    Codebook,
-    dequantize_with_codebook,
-    get_codebook,
-    quantize_with_codebook,
-)
-from .coalesce import (
-    SUPER_GROUP_FACTOR,
-    PackedWeight,
-    pack_aos_q4,
-    pack_nibbles,
-    pack_supergroups_q4,
-    register_utilization,
-    unpack_aos_q4,
-    unpack_nibbles,
-    unpack_supergroups_q4,
-)
-from .patch_quant import patch_geometry_mse, quantize_patch_group
-from .schemes import (
-    Q4_GROUP_SIZE,
-    Q4_0_BPW,
-    Q8_0_BPW,
-    QuantizedGroups,
-    bits_per_weight,
-    dequantize_q4_0,
-    dequantize_q8_0,
-    quantization_mse,
-    quantize_per_channel,
-    quantize_per_tensor,
-    quantize_q4_0,
-    quantize_q8_0,
-)
-from .tile_quant import (
-    QuantizedWeight,
-    dequantize_weight,
-    quantize_conventional_group,
-    quantize_tile_group,
-    tile_group_geometry,
-)
+from .. import _lazy
 
-__all__ = [
-    "AWQResult",
-    "awq_quantize",
-    "CODEBOOKS",
-    "Codebook",
-    "dequantize_with_codebook",
-    "get_codebook",
-    "quantize_with_codebook",
-    "SUPER_GROUP_FACTOR",
-    "PackedWeight",
-    "pack_aos_q4",
-    "pack_nibbles",
-    "pack_supergroups_q4",
-    "register_utilization",
-    "unpack_aos_q4",
-    "unpack_nibbles",
-    "unpack_supergroups_q4",
-    "patch_geometry_mse",
-    "quantize_patch_group",
-    "Q4_GROUP_SIZE",
-    "Q4_0_BPW",
-    "Q8_0_BPW",
-    "QuantizedGroups",
-    "bits_per_weight",
-    "dequantize_q4_0",
-    "dequantize_q8_0",
-    "quantization_mse",
-    "quantize_per_channel",
-    "quantize_per_tensor",
-    "quantize_q4_0",
-    "quantize_q8_0",
-    "QuantizedWeight",
-    "dequantize_weight",
-    "quantize_conventional_group",
-    "quantize_tile_group",
-    "tile_group_geometry",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "awq": ("AWQResult", "awq_quantize"),
+    "coalesce": ("SUPER_GROUP_FACTOR", "PackedWeight", "pack_aos_q4",
+                 "pack_nibbles", "pack_supergroups_q4", "register_utilization",
+                 "unpack_aos_q4", "unpack_nibbles", "unpack_supergroups_q4"),
+    "codebooks": ("CODEBOOKS", "Codebook", "dequantize_with_codebook",
+                  "get_codebook", "quantize_with_codebook"),
+    "patch_quant": ("patch_geometry_mse", "quantize_patch_group"),
+    "schemes": ("Q4_GROUP_SIZE", "Q4_0_BPW", "Q8_0_BPW", "QuantizedGroups",
+                "bits_per_weight", "dequantize_q4_0", "dequantize_q8_0",
+                "quantization_mse", "quantize_per_channel",
+                "quantize_per_tensor", "quantize_q4_0", "quantize_q8_0"),
+    "tile_quant": ("QuantizedWeight", "dequantize_weight",
+                   "quantize_conventional_group", "quantize_tile_group",
+                   "tile_group_geometry"),
+})

@@ -26,32 +26,11 @@ Core invariants (enforced by ``tests/differential`` and
   of crashing or hanging.
 """
 
-from .faults import (
-    FAULT_KINDS,
-    FLEET_FAULT_KINDS,
-    INJECTION_SITES,
-    FaultEvent,
-    FaultInjector,
-    FaultPlan,
-    FaultRecord,
-)
-from .recovery import (
-    DegradedSchedule,
-    ResilientSession,
-    RetryPolicy,
-    degraded_schedule,
-)
+from .. import _lazy
 
-__all__ = [
-    "FAULT_KINDS",
-    "FLEET_FAULT_KINDS",
-    "INJECTION_SITES",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultRecord",
-    "DegradedSchedule",
-    "ResilientSession",
-    "RetryPolicy",
-    "degraded_schedule",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "faults": ("FAULT_KINDS", "FLEET_FAULT_KINDS", "INJECTION_SITES",
+               "FaultEvent", "FaultInjector", "FaultPlan", "FaultRecord"),
+    "recovery": ("DegradedSchedule", "ResilientSession", "RetryPolicy",
+                 "degraded_schedule"),
+})

@@ -18,62 +18,19 @@ pass (or an explicit ``--update`` diff in review when the change is an
 intentional numerical break).
 """
 
-from .oracles import (
-    HMX_LAYOUTS,
-    ORACLES,
-    ArrayDiff,
-    MismatchRecord,
-    Oracle,
-    OracleResult,
-    diff_arrays,
-    get_oracle,
-    laid_out,
-    reference_gemm,
-    register_oracle,
-    ulp_distance_fp16,
-)
-from .fuzz import (
-    FuzzReport,
-    TrialOutcome,
-    format_repro,
-    fuzz,
-    parse_repro,
-    run_repro,
-    shrink_failure,
-)
-from .goldens import (
-    GOLDEN_CASES,
-    GOLDEN_DIR,
-    GoldenCase,
-    GoldenMismatch,
-    check_goldens,
-    update_goldens,
-)
+from .. import _lazy
 
-__all__ = [
-    "HMX_LAYOUTS",
-    "ORACLES",
-    "ArrayDiff",
-    "MismatchRecord",
-    "Oracle",
-    "OracleResult",
-    "diff_arrays",
-    "get_oracle",
-    "laid_out",
-    "reference_gemm",
-    "register_oracle",
-    "ulp_distance_fp16",
-    "FuzzReport",
-    "TrialOutcome",
-    "format_repro",
-    "fuzz",
-    "parse_repro",
-    "run_repro",
-    "shrink_failure",
-    "GOLDEN_CASES",
-    "GOLDEN_DIR",
-    "GoldenCase",
-    "GoldenMismatch",
-    "check_goldens",
-    "update_goldens",
-]
+# Bound now: importing the submodule of the same name later would
+# rebind the package attribute to the module.
+from .fuzz import fuzz  # noqa: F401
+
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "fuzz": ("FuzzReport", "TrialOutcome", "format_repro", "fuzz",
+             "parse_repro", "run_repro", "shrink_failure"),
+    "goldens": ("GOLDEN_CASES", "GOLDEN_DIR", "GoldenCase", "GoldenMismatch",
+                "check_goldens", "update_goldens"),
+    "oracles": ("HMX_LAYOUTS", "ORACLES", "ArrayDiff", "MismatchRecord",
+                "Oracle", "OracleResult", "diff_arrays", "get_oracle",
+                "laid_out", "reference_gemm", "register_oracle",
+                "ulp_distance_fp16"),
+})

@@ -8,60 +8,21 @@
 * :mod:`repro.tts.accuracy_model` — quantization damage -> accuracy map.
 """
 
-from .accuracy_model import KL_SCALE, accuracy_under_quantization, calibrate_kl_scale
-from .beam_search import BeamSearchResult, beam_search_single, evaluate_beam_search
-from .best_of_n import BestOfNResult, best_of_n_single, evaluate_best_of_n
-from .mcts import MCTSResult, evaluate_mcts, mcts_single
-from .reward import RewardModel, reward_auc
-from .scaling import DEFAULT_BUDGETS, SCALING_METHODS, ScalingCurve, budget_sweep
-from .self_consistency import (
-    SelfConsistencyResult,
-    evaluate_self_consistency,
-    majority_vote,
-    weighted_majority_vote,
-)
-from .tasks import (
-    DATASET_PROFILES,
-    MODEL_PROFILES,
-    ModelProfile,
-    ReasoningProblem,
-    SampledSolution,
-    TaskDataset,
-    analytic_pass_at_n,
-    get_model_profile,
-    sample_solutions,
-)
+from .. import _lazy
 
-__all__ = [
-    "KL_SCALE",
-    "accuracy_under_quantization",
-    "calibrate_kl_scale",
-    "BeamSearchResult",
-    "beam_search_single",
-    "evaluate_beam_search",
-    "BestOfNResult",
-    "best_of_n_single",
-    "evaluate_best_of_n",
-    "MCTSResult",
-    "evaluate_mcts",
-    "mcts_single",
-    "RewardModel",
-    "reward_auc",
-    "DEFAULT_BUDGETS",
-    "SCALING_METHODS",
-    "ScalingCurve",
-    "budget_sweep",
-    "SelfConsistencyResult",
-    "evaluate_self_consistency",
-    "majority_vote",
-    "weighted_majority_vote",
-    "DATASET_PROFILES",
-    "MODEL_PROFILES",
-    "ModelProfile",
-    "ReasoningProblem",
-    "SampledSolution",
-    "TaskDataset",
-    "analytic_pass_at_n",
-    "get_model_profile",
-    "sample_solutions",
-]
+__all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
+    "accuracy_model": ("KL_SCALE", "accuracy_under_quantization",
+                       "calibrate_kl_scale"),
+    "beam_search": ("BeamSearchResult", "beam_search_single",
+                    "evaluate_beam_search"),
+    "best_of_n": ("BestOfNResult", "best_of_n_single", "evaluate_best_of_n"),
+    "mcts": ("MCTSResult", "evaluate_mcts", "mcts_single"),
+    "reward": ("RewardModel", "reward_auc"),
+    "scaling": ("DEFAULT_BUDGETS", "SCALING_METHODS", "ScalingCurve",
+                "budget_sweep"),
+    "self_consistency": ("SelfConsistencyResult", "evaluate_self_consistency",
+                         "majority_vote", "weighted_majority_vote"),
+    "tasks": ("DATASET_PROFILES", "MODEL_PROFILES", "ModelProfile",
+              "ReasoningProblem", "SampledSolution", "TaskDataset",
+              "analytic_pass_at_n", "get_model_profile", "sample_solutions"),
+})
