@@ -135,7 +135,7 @@ class SmallModelHarness:
         from ..quant.tile_quant import (
             dequantize_weight,
             quantize_conventional_group,
-            quantize_tile_group,
+            tile_groups,
         )
 
         rng = np.random.default_rng(7)
@@ -151,8 +151,8 @@ class SmallModelHarness:
                 if name == "w_down" and scheme != "per_channel":
                     bits = 8
                 if scheme == "tile_group":
-                    variant[name] = dequantize_weight(
-                        quantize_tile_group(matrix, bits=bits)).astype(np.float32)
+                    variant[name] = tile_groups(
+                        matrix, bits=bits).dequantized().astype(np.float32)
                 elif scheme == "conventional_group":
                     variant[name] = dequantize_weight(
                         quantize_conventional_group(matrix, bits=bits)

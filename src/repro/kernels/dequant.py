@@ -36,6 +36,10 @@ from ..obs import context as obs_context
 from ..npu.hvx import HVXContext, VGATHER_ELEMENTS, vectors_for_bytes
 from ..npu.hmx import matrix_to_hmx_layout
 from ..npu.memory import DMAEngine
+from ..npu.timing import (
+    OURS_SUPER_GROUP_OVERHEAD_PACKETS,
+    scatter_conflict_factor,
+)
 from ..quant.codebooks import Codebook, Q4_0_CODEBOOK
 from ..quant.coalesce import PackedWeight, unpack_nibbles
 from ..quant.schemes import QuantizedGroups
@@ -53,25 +57,6 @@ __all__ = [
 ]
 
 DEQUANT_STRATEGIES = ("baseline", "hmx_layout", "ours", "no_dequant")
-
-# Extra per-super-group packets in the "ours" path: loop control, address
-# generation and TCM write synchronization that cannot be hidden in the
-# VLIW slots.  Together with the DMA streaming this places the kernel
-# ~25% above the no-dequantization bound, as the paper measures.
-OURS_SUPER_GROUP_OVERHEAD_PACKETS = 3
-
-
-def scatter_conflict_factor(rows: int) -> float:
-    """Scatter replay factor as a function of the scattered column span.
-
-    The baseline scatters each conventional group across ``rows`` tile-
-    layout positions; wider spans touch more TCM banks per instruction
-    and replay more often.  Calibrated so the Fig. 15 baseline speedups
-    spread across the paper's 9.65x-19.04x band.
-    """
-    if rows <= 0:
-        raise KernelError(f"row span must be positive, got {rows}")
-    return float(np.clip(0.5 + rows / 4096.0, 1.0, 1.8))
 
 
 # ----------------------------------------------------------------------

@@ -47,7 +47,7 @@ from ..quant.tile_quant import (
     QuantizedWeight,
     dequantize_weight,
     quantize_conventional_group,
-    quantize_tile_group,
+    tile_groups,
 )
 from .dequant import DEQUANT_STRATEGIES, dequantize_stream
 
@@ -185,11 +185,10 @@ class MixedPrecisionGemm:
 
     # ------------------------------------------------------------------
     def prepare_weight(self, weight: np.ndarray) -> PreparedWeight:
-        """Offline pipeline: layout transform, quantize, pack (§5.1)."""
-        quantized, packed = self._quantize(weight)
+        """Offline pipeline: quantize, pack and dequantize once (§5.1)."""
+        quantized, packed, dequantized = self._quantize(weight)
         return PreparedWeight(quantized=quantized, packed=packed,
-                              padded_fp32=padded_fp32(
-                                  dequantize_weight(quantized)),
+                              padded_fp32=padded_fp32(dequantized),
                               strategy=self.strategy)
 
     def prepare_fused(self, weights: Sequence[np.ndarray]) -> FusedWeight:
@@ -202,45 +201,50 @@ class MixedPrecisionGemm:
         tile product differently when the weight tile is stored the
         other way, so the order is part of the numerics.
         """
-        # quantized first, so quantization temporaries are freed before
-        # the matrix is filled: the peak stays below separate weights'
-        quantized = [self._quantize(weight) for weight in weights]
-        in_dims = {q.original_shape[0] for q, _ in quantized}
+        shapes = [np.shape(weight) for weight in weights]
+        if any(len(shape) != 2 for shape in shapes):
+            raise KernelError(f"fused weights must be matrices, got shapes "
+                              f"{shapes}")
+        in_dims = {k for k, _ in shapes}
         if len(in_dims) != 1:
             raise KernelError(f"fused weights must share one input dim, "
                               f"got {sorted(in_dims)}")
         k = in_dims.pop()
-        widths = [-(-q.original_shape[1] // TILE_DIM) * TILE_DIM
-                  for q, _ in quantized]
+        widths = [-(-n // TILE_DIM) * TILE_DIM for _, n in shapes]
+        # zero pages are committed only as the parts are written in, so
+        # the peak stays below separate weights'
         matrix = np.zeros((-(-k // TILE_DIM) * TILE_DIM, sum(widths)),
                           dtype=np.float32,
                           order="F" if self.strategy == "baseline" else "C")
         parts, start = [], 0
-        for (q, packed), width in zip(quantized, widths):
-            matrix[:k, start:start + q.original_shape[1]] = \
-                dequantize_weight(q)
+        for weight, (_, n), width in zip(weights, shapes, widths):
+            quantized, packed, dequantized = self._quantize(weight)
+            matrix[:k, start:start + n] = dequantized
             parts.append(PreparedWeight(
-                quantized=q, packed=packed,
+                quantized=quantized, packed=packed,
                 padded_fp32=matrix[:, start:start + width],
                 strategy=self.strategy))
             start += width
         return FusedWeight(parts=tuple(parts), padded_fp32=matrix)
 
-    def _quantize(self, weight: np.ndarray
-                  ) -> Tuple[QuantizedWeight, Optional[PackedWeight]]:
-        """Layout transform, quantization and packing of one weight."""
+    def _quantize(self, weight: np.ndarray) -> Tuple[
+            QuantizedWeight, Optional[PackedWeight], np.ndarray]:
+        """Quantization and packing of one weight, with its dequantized
+        FP16 matrix (tile groups dequantize in the pass that quantizes)."""
         w = np.asarray(weight, dtype=np.float32)
         if self.strategy == "baseline":
             quantized = quantize_conventional_group(w, bits=self.bits)
+            dequantized = dequantize_weight(quantized)
         else:
-            quantized = quantize_tile_group(w, bits=self.bits)
+            groups = tile_groups(w, bits=self.bits)
+            quantized, dequantized = groups.quantized, groups.dequantized()
         packed: Optional[PackedWeight] = None
         if self.bits == 4:
             if self.strategy == "ours" or self.strategy == "no_dequant":
                 packed = pack_supergroups_q4(quantized.groups, self.coalesce)
             else:
                 packed = pack_aos_q4(quantized.groups)
-        return quantized, packed
+        return quantized, packed, dequantized
 
     # ------------------------------------------------------------------
     def __call__(self, activations: np.ndarray,

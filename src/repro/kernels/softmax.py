@@ -32,6 +32,12 @@ from ..obs import context as obs_context
 from ..npu.datatypes import add_to_exponent_fp16, add_to_exponent_fp32, split_int_frac
 from ..npu.hvx import HVXContext, vectors_for_bytes
 from ..npu.memory import TCM
+from ..npu.timing import (
+    CALL_FIXED_PACKETS,
+    CHAIN_STALL_PACKETS,
+    LUT_ROW_EXPOSED_PACKETS,
+    ROW_REDUCE_PACKETS,
+)
 from .lut import ExpLUT
 
 __all__ = [
@@ -42,21 +48,6 @@ __all__ = [
     "exp_lut",
     "OnChipSoftmax",
 ]
-
-# Dependent polynomial operations cannot fill the 4 VLIW slots; each op in
-# the chain effectively occupies several issue packets (§5.2.1: "polynomial
-# evaluation involves sequential dependencies, limiting instruction-level
-# parallelism under the VLIW architecture").  Calibrated, together with
-# the vgather occupancy in the timing model, against the Fig. 14 speedup
-# band (1.26-2.19x over FP32 exp, up to 1.60x over FP16 exp).
-CHAIN_STALL_PACKETS = 2.1
-
-# Per-row overheads of the row-wise reduction passes (cross-vector shuffle
-# trees, scalar bookkeeping) and the gather latency the LUT path cannot
-# hide on the last gather of a short row.
-ROW_REDUCE_PACKETS = 16
-LUT_ROW_EXPOSED_PACKETS = 24
-CALL_FIXED_PACKETS = 200
 
 EXP_METHODS = ("poly32", "poly16", "lut")
 

@@ -34,7 +34,7 @@ from ..npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from ..npu.memory import DMAEngine
 from ..npu.timing import KernelCost
 from ..quant.schemes import Q4_GROUP_SIZE
-from ..quant.tile_quant import QuantizedWeight, quantize_tile_group
+from ..quant.tile_quant import QuantizedWeight, tile_groups
 
 __all__ = ["TMacPreparedWeight", "TMacGemv", "ACTIVATION_GROUP"]
 
@@ -67,21 +67,19 @@ class TMacGemv:
         w = np.asarray(weight, dtype=np.float32)
         if w.ndim != 2:
             raise KernelError(f"expected a weight matrix, got shape {w.shape}")
-        quantized = quantize_tile_group(w, bits=4, group_size=self.group_size)
-        from ..npu.hmx import matrix_from_hmx_layout
-
-        padded_shape = quantized.padded_shape
-        # reconstruct the per-element codes and scales in matrix order
-        codes = matrix_from_hmx_layout(
-            quantized.groups.codes.ravel(), padded_shape)
-        scales = matrix_from_hmx_layout(np.repeat(
-            quantized.groups.scales.astype(np.float32), self.group_size),
-            padded_shape)
+        groups = tile_groups(w, bits=4, group_size=self.group_size)
+        padded_shape = groups.quantized.padded_shape
+        # per-element codes (levels plus the Q4_0 zero point) and scales,
+        # in matrix order
+        codes = (groups.levels + 8.0).astype(np.uint8).reshape(padded_shape)
+        scales = np.broadcast_to(
+            groups.scales.astype(np.float32)[:, None, :, None],
+            groups.levels.shape).reshape(padded_shape)
 
         bitplanes = np.stack([(codes >> b) & 1 for b in range(4)]) \
             .astype(np.int8)
-        return TMacPreparedWeight(quantized=quantized, bitplanes=bitplanes,
-                                  group_scales=scales,
+        return TMacPreparedWeight(quantized=groups.quantized,
+                                  bitplanes=bitplanes, group_scales=scales,
                                   original_shape=w.shape)
 
     # ------------------------------------------------------------------

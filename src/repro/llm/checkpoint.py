@@ -94,8 +94,8 @@ def _decode_q4(payload: bytes, shape: Tuple[int, int], entry: Dict) -> np.ndarra
 
 def _encode_q8(matrix: np.ndarray) -> Tuple[bytes, Dict]:
     quantized = quantize_tile_group(matrix, bits=8)
-    codes = quantized.groups.codes.astype(np.uint8).tobytes()
-    scales = quantized.groups.scales.astype(np.float16).tobytes()
+    codes = quantized.groups.codes.tobytes()
+    scales = quantized.groups.scales.tobytes()
     extra = {"padded_shape": list(quantized.padded_shape),
              "group_size": quantized.groups.group_size,
              "n_groups": quantized.groups.n_groups,
@@ -108,8 +108,8 @@ def _decode_q8(payload: bytes, shape: Tuple[int, int], entry: Dict) -> np.ndarra
     group_size = entry["group_size"]
     code_bytes = n_groups * group_size
     codes = np.frombuffer(payload[:code_bytes], dtype=np.uint8) \
-        .reshape(n_groups, group_size).copy()
-    scales = np.frombuffer(payload[code_bytes:], dtype=np.float16).copy()
+        .reshape(n_groups, group_size)
+    scales = np.frombuffer(payload[code_bytes:], dtype=np.float16)
     groups = QuantizedGroups(codes=codes, scales=scales, bits=8,
                              group_size=group_size)
     quantized = QuantizedWeight(groups=groups, layout="hmx_tile",

@@ -44,13 +44,11 @@ from ..sim import SimClock
 from ..obs import context as obs_context
 from ..obs import energy as obs_energy
 from ..obs.slo import SLOTracker
-from ..resilience.faults import FaultInjector, FaultPlan, FaultRecord
-from ..resilience.recovery import RetryPolicy
 from .engine import GenerationResult, InferenceEngine
-from .placement import crossing_for_bytes
 from .sampler import Sampler
 
-if TYPE_CHECKING:  # a caller builds the selector; the run only reads it
+if TYPE_CHECKING:  # a caller builds these; the run only reads them
+    from ..resilience.faults import FaultPlan, FaultRecord
     from .dispatch import BackendSelector
 
 __all__ = ["CandidateOutput", "PromptAdmission", "ScheduledGeneration",
@@ -249,10 +247,6 @@ class _Request:
                    first_candidate=first_candidate, at_step=spec.at_step)
 
 
-#: The run's retry ladder: capped exponential backoff, a session reopen
-#: after an abort, ``max_retries`` attempts per decode step.
-_RETRY = RetryPolicy()
-
 #: Injected decode-step faults in the order one step raises them: the
 #: fault kind, the error it raises and the words of its message.
 _STEP_FAULTS = (("session_abort", SessionAbortError, "FastRPC session abort"),
@@ -369,8 +363,17 @@ class _Run:
                  deadline_seconds: Optional[float], clock: SimClock,
                  prefill_chunk: Optional[int],
                  selector: Optional[BackendSelector]) -> None:
-        # an empty plan arms nothing: the run is the plain path, bitwise
-        self.injector = FaultInjector(fault_plan) if fault_plan else None
+        # an empty plan arms nothing: the run is the plain path, bitwise,
+        # and loads no resilience module
+        self.injector = self.retry = None
+        if fault_plan:
+            from ..resilience.faults import FaultInjector
+            from ..resilience.recovery import RetryPolicy
+
+            self.injector = FaultInjector(fault_plan)
+            # the retry ladder: capped exponential backoff, a session
+            # reopen after an abort, max_retries attempts per decode step
+            self.retry = RetryPolicy()
         engine.reset()
         self.engine = engine
         self.cache = engine.cache
@@ -472,6 +475,8 @@ class _Run:
         decision = self.selector.select(stage, size,
                                         self.engine.governor.name)
         if decision.backend != self.backend:
+            from .placement import crossing_for_bytes
+
             tokens_cached = sum(self.cache.sequence_length(s)
                                 for s in range(self.batch))
             config = self.engine.model.config
@@ -759,15 +764,15 @@ class _Run:
         pool, else back off (and reopen the session after an abort).
         False past the retry budget, without a fault plan, or with
         nothing left to evict."""
-        if self.injector is None or attempt > _RETRY.max_retries:
+        if self.retry is None or attempt > self.retry.max_retries:
             return False
         if isinstance(error, KVPoolExhausted):
             return self._evict_one()
         kind = "dma_timeout"
-        seconds = _RETRY.backoff(attempt - 1)
+        seconds = self.retry.backoff(attempt - 1)
         if isinstance(error, SessionAbortError):
             kind = "session_abort"
-            seconds += _RETRY.reopen_seconds
+            seconds += self.retry.reopen_seconds
         self.result.n_retries += 1
         self.retry_count.inc()
         self.registry.counter("repro.resilience.step_retries",

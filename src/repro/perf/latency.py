@@ -23,21 +23,20 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..errors import EngineError
-from ..kernels.dequant import (
-    OURS_SUPER_GROUP_OVERHEAD_PACKETS,
-    scatter_conflict_factor,
-)
-from ..kernels.softmax import (
-    CALL_FIXED_PACKETS,
-    CHAIN_STALL_PACKETS,
-    LUT_ROW_EXPOSED_PACKETS,
-    ROW_REDUCE_PACKETS,
-)
 from ..llm.config import ModelConfig
 from ..npu.hmx import TILE_DIM
 from ..npu.hvx import VECTOR_BYTES
 from ..npu.soc import Device
-from ..npu.timing import KernelCost, TimingModel
+from ..npu.timing import (
+    CALL_FIXED_PACKETS,
+    CHAIN_STALL_PACKETS,
+    LUT_ROW_EXPOSED_PACKETS,
+    OURS_SUPER_GROUP_OVERHEAD_PACKETS,
+    ROW_REDUCE_PACKETS,
+    KernelCost,
+    TimingModel,
+    scatter_conflict_factor,
+)
 
 __all__ = [
     "PREFILL_EFFICIENCY",

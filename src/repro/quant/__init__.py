@@ -24,7 +24,7 @@ __all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
                 "bits_per_weight", "dequantize_q4_0", "dequantize_q8_0",
                 "quantization_mse", "quantize_per_channel",
                 "quantize_per_tensor", "quantize_q4_0", "quantize_q8_0"),
-    "tile_quant": ("QuantizedWeight", "dequantize_weight",
+    "tile_quant": ("QuantizedWeight", "TileGroups", "dequantize_weight",
                    "quantize_conventional_group", "quantize_tile_group",
-                   "tile_group_geometry"),
+                   "tile_group_geometry", "tile_groups"),
 })

@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import QuantizationError
 from .schemes import Q4_GROUP_SIZE
-from .tile_quant import QuantizedWeight, dequantize_weight, quantize_tile_group
+from .tile_quant import QuantizedWeight, dequantize_weight, tile_groups
 
 __all__ = ["AWQResult", "awq_quantize", "activation_channel_scales"]
 
@@ -90,12 +90,12 @@ def awq_quantize(weight: np.ndarray, calibration: np.ndarray, bits: int = 4,
     for alpha in alpha_grid:
         scales = magnitudes ** float(alpha)
         scales = scales / np.exp(np.mean(np.log(scales)))  # normalize geometric mean
-        quantized = quantize_tile_group(w * scales[:, None], bits=bits,
-                                        group_size=group_size)
-        effective = dequantize_weight(quantized).astype(np.float32) / scales[:, None]
+        groups = tile_groups(w * scales[:, None], bits=bits,
+                             group_size=group_size)
+        effective = groups.dequantized().astype(np.float32) / scales[:, None]
         error = _layer_error(w, effective, acts)
         if best is None or error < best[0]:
-            best = (error, float(alpha), quantized, scales)
+            best = (error, float(alpha), groups.quantized, scales)
 
     error, alpha, quantized, scales = best
     return AWQResult(quantized=quantized, channel_scales=scales, alpha=alpha,

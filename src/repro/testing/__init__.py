@@ -2,7 +2,8 @@
 
 * :mod:`repro.testing.oracles` — paired-execution harness (HMX-sim vs
   float64 reference, ``HMXUnit.gemm`` vs the tile-by-tile loop over
-  operand layouts, paged vs contiguous KV, empty fault plan vs none,
+  operand layouts, one-pass tile groups vs their HMX-order definition,
+  paged vs contiguous KV, empty fault plan vs none,
   speculative vs plain decode, checkpoint round-trips) with structured
   bitwise/ULP mismatch records;
 * :mod:`repro.testing.fuzz` — seeded random-config fuzzing over the
@@ -31,6 +32,6 @@ __all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
                 "check_goldens", "update_goldens"),
     "oracles": ("HMX_LAYOUTS", "ORACLES", "ArrayDiff", "MismatchRecord",
                 "Oracle", "OracleResult", "diff_arrays", "get_oracle",
-                "laid_out", "reference_gemm", "register_oracle",
-                "ulp_distance_fp16"),
+                "hmx_order_tile_groups", "laid_out", "reference_gemm",
+                "register_oracle", "ulp_distance_fp16"),
 })

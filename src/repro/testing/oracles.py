@@ -32,7 +32,8 @@ Tolerance discipline (calibrated against the seed implementation):
   is an approximation, so the oracle checks a 0.01 absolute ceiling
   (~5x the worst calibrated error of 0.002) rather than ULPs.
 * everything else is **bitwise**: ``hmx`` holds ``HMXUnit.gemm`` to
-  the tile-by-tile loop (:func:`reference_gemm`), and the engine
+  the tile-by-tile loop (:func:`reference_gemm`), ``tile_quant`` holds
+  one-pass tile groups to :func:`hmx_order_tile_groups`, and the engine
   oracles require identical tokens and identical
   :class:`~repro.llm.model.StepCost` records.
 """
@@ -60,6 +61,7 @@ __all__ = [
     "diff_arrays",
     "ulp_distance_fp16",
     "reference_gemm",
+    "hmx_order_tile_groups",
     "laid_out",
     "HMX_LAYOUTS",
 ]
@@ -705,6 +707,154 @@ class HMXOracle(Oracle):
                 config, "trace", f"record_gemm charged {charged.as_dict()}, "
                 f"the tile loop recorded {ref_trace.as_dict()}")
         return self.passed(config)
+
+
+def hmx_order_tile_groups(weight: np.ndarray, bits: int = 4,
+                          group_size: int = 32):
+    """Tile groups by their definition: ``(stored groups, FP16 matrix)``.
+
+    The FP32 weight is permuted into HMX memory order
+    (:func:`~repro.npu.hmx.matrix_to_hmx_layout`), quantized over
+    contiguous runs of ``group_size`` (``quantize_q4_0`` /
+    ``quantize_q8_0``), dequantized and permuted back
+    (:func:`~repro.npu.hmx.matrix_from_hmx_layout`), cropped to the
+    original shape and copied out in C order.  What
+    :func:`~repro.quant.tile_quant.tile_groups` computes in one pass must
+    equal it bit for bit.
+    """
+    from ..npu.hmx import matrix_from_hmx_layout, matrix_to_hmx_layout
+    from ..quant.schemes import (dequantize_q4_0, dequantize_q8_0,
+                                 quantize_q4_0, quantize_q8_0)
+
+    w = np.asarray(weight, dtype=np.float32)
+    flat, padded_shape = matrix_to_hmx_layout(w)
+    quantize, dequantize = {4: (quantize_q4_0, dequantize_q4_0),
+                            8: (quantize_q8_0, dequantize_q8_0)}[bits]
+    groups = quantize(flat, group_size)
+    matrix = matrix_from_hmx_layout(dequantize(groups), padded_shape,
+                                    w.shape)
+    return groups, np.ascontiguousarray(matrix)
+
+
+def _bits_differ(what: str, actual: np.ndarray, expected: np.ndarray
+                 ) -> Optional[Tuple[str, Optional[ArrayDiff]]]:
+    """``(message, diff)`` when two arrays differ in dtype, shape, memory
+    order or any bit (signed zeros included), else ``None``."""
+    if (actual.dtype, actual.shape) != (expected.dtype, expected.shape):
+        return (f"{what}: {actual.dtype}{actual.shape}, the reference "
+                f"{expected.dtype}{expected.shape}"), None
+    if actual.strides != expected.strides:
+        return (f"{what}: strides {actual.strides}, the reference "
+                f"{expected.strides}"), None
+    unsigned = np.dtype(f"u{actual.dtype.itemsize}")
+    diff = diff_arrays(actual.view(unsigned), expected.view(unsigned))
+    if diff.bitwise_equal:
+        return None
+    return (f"{what} differs from the reference in {diff.n_diff} of "
+            f"{actual.size} elements, first at {diff.first_index}"), diff
+
+
+@register_oracle
+class TileQuantOracle(Oracle):
+    """One-pass tile groups vs the HMX-order definition, bit for bit.
+
+    :func:`~repro.quant.tile_quant.tile_groups` quantizes in matrix
+    order and permutes only codes and scales into HMX order.  A trial
+    draws an unaligned shape up to 300x600, a group size that divides 64,
+    Q4 or Q8, a tile-group strategy and the values: ``normal``;
+    ``wide``, rows and columns scaled by 2**-20..2**2 and 2**-12..1, so
+    many groups get subnormal or zero FP16 scales; ``sparse``, 80% zeros
+    of either sign; ``zero_groups``, 30% of rows and of columns zeroed,
+    so whole groups are zero; ``outlier``, a few elements 1000x the
+    rest.  ``quantize_tile_group``'s codes and
+    scales, and ``dequantize_weight``'s FP16 matrix, must equal
+    :func:`hmx_order_tile_groups`.  For groups of 32 (the kernels'),
+    ``prepare_weight``'s ``padded_fp32`` must equal ``padded_fp32`` of
+    that matrix, and ``prepare_fused`` of the weight and a second one
+    the two side by side, its parts views of it.
+    """
+
+    name = "tile_quant"
+    description = ("one-pass tile groups (codes, scales, dequantized and "
+                   "prepared weights) vs the HMX-order reference, bitwise")
+    SHRINK_MINS = {"rows": 1, "cols": 1, "cols2": 1, "seed": 0}
+    SHRINK_RESETS = {"bits": 4, "group_size": 32, "strategy": "ours",
+                     "values": "normal"}
+    STRATEGIES = ("ours", "hmx_layout", "no_dequant")
+    VALUES = ("normal", "wide", "sparse", "zero_groups", "outlier")
+
+    def sample_config(self, rng: np.random.Generator) -> Config:
+        def pick(options):
+            return options[int(rng.integers(len(options)))]
+
+        return {
+            "rows": int(rng.integers(1, 301)),
+            "cols": int(rng.integers(1, 601)),
+            "cols2": int(rng.integers(1, 201)),
+            "group_size": pick((2, 4, 8, 16, 32, 32, 32, 64)),
+            "bits": pick((4, 8)),
+            "strategy": pick(self.STRATEGIES),
+            "values": pick(self.VALUES),
+            "seed": int(rng.integers(0, 2**31)),
+        }
+
+    @staticmethod
+    def _values(rng: np.random.Generator, kind: str, shape) -> np.ndarray:
+        x = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), shape)
+        if kind == "wide":
+            x *= 2.0 ** (rng.integers(-20, 3, (shape[0], 1))
+                         + rng.integers(-12, 1, shape[1]))
+        elif kind == "sparse":
+            x[rng.random(shape) < 0.8] = 0.0
+            x = np.copysign(x, rng.normal(0.0, 1.0, shape))
+        elif kind == "zero_groups":
+            x[rng.random(shape[0]) < 0.3] = 0.0
+            x[:, rng.random(shape[1]) < 0.3] = 0.0
+        elif kind == "outlier":
+            x.flat[rng.integers(0, x.size, 1 + x.size // 500)] *= 1000.0
+        elif kind != "normal":
+            raise TestingError(f"unknown values kind {kind!r}")
+        return x
+
+    def run(self, config: Config) -> OracleResult:
+        self._check_config(config)
+        from ..kernels.gemm import MixedPrecisionGemm
+        from ..npu.hmx import padded_fp32
+        from ..quant.tile_quant import dequantize_weight, quantize_tile_group
+
+        rows, cols = int(config["rows"]), int(config["cols"])
+        bits, group_size = int(config["bits"]), int(config["group_size"])
+        rng = np.random.default_rng(int(config["seed"]))
+        kind = str(config["values"])
+        weight = self._values(rng, kind, (rows, cols))
+        second = self._values(rng, kind, (rows, int(config["cols2"])))
+        groups, matrix = hmx_order_tile_groups(weight, bits, group_size)
+        quantized = quantize_tile_group(weight, bits, group_size)
+        checks = [("codes", quantized.groups.codes, groups.codes),
+                  ("scales", quantized.groups.scales, groups.scales),
+                  ("dequantize_weight", dequantize_weight(quantized), matrix)]
+        if group_size == 32:
+            kernel = MixedPrecisionGemm(strategy=str(config["strategy"]),
+                                        bits=bits)
+            fused = kernel.prepare_fused([weight, second])
+            parts = [padded_fp32(matrix),
+                     padded_fp32(hmx_order_tile_groups(second, bits)[1])]
+            checks += [
+                ("prepare_weight", kernel.prepare_weight(weight).padded_fp32,
+                 parts[0]),
+                ("prepare_fused", fused.padded_fp32,
+                 np.concatenate(parts, axis=1))]
+            # a part is a column view of the fused matrix: its values
+            checks += [(f"prepare_fused part {i}",
+                        np.ascontiguousarray(part.padded_fp32), expected)
+                       for i, (part, expected)
+                       in enumerate(zip(fused.parts, parts))]
+        for what, actual, expected in checks:
+            differs = _bits_differ(what, actual, expected)
+            if differs is not None:
+                return self.failed(config, "bitwise", differs[0],
+                                   diff=differs[1])
+        return self.passed(config, n_groups=groups.n_groups)
 
 
 # ----------------------------------------------------------------------

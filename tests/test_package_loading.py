@@ -217,23 +217,27 @@ def test_cli_help_loads_only_the_cli():
 def test_explained_fleet_run_loads_no_model_stack():
     modules = imported(FLEET_RUN)
     assert "repro.obs.blame" in modules  # explain ran
+    # no kernel or quantizer either: the analytic latency model reads its
+    # packet costs from repro.npu.timing
     assert not under(modules, "repro.harness", "repro.tts",
                      "repro.llm.engine", "repro.llm.model",
-                     "repro.llm.scheduler", "repro.kernels.gemm",
-                     "repro.kernels.flash_attention", "repro.obs.bench",
-                     "repro.obs.export", "repro.obs.anomaly",
-                     "repro.obs.stream")
+                     "repro.llm.scheduler", "repro.kernels", "repro.quant",
+                     "repro.obs.bench", "repro.obs.export",
+                     "repro.obs.anomaly", "repro.obs.stream")
 
 
 def test_tiny_decode_loads_no_tooling():
     modules = imported(TINY_DECODE)
     assert "repro.llm.scheduler" in modules
+    # nor the fault injector, retry ladder or backend placement, which a
+    # run loads only with a fault plan or a backend selector
     assert not under(modules, "repro.harness", "repro.tts", "repro.testing",
                      "repro.obs.bench", "repro.obs.export",
                      "repro.obs.anomaly", "repro.obs.stream",
                      "repro.quant.awq", "repro.quant.patch_quant",
                      "repro.kernels.tmac", "repro.llm.speculative",
-                     "repro.llm.tokenizer")
+                     "repro.llm.tokenizer", "repro.resilience",
+                     "repro.llm.placement")
 
 
 def owned_by(package: str) -> Dict[str, List[str]]:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import QuantizationError
-from repro.npu.hmx import hmx_layout_order, pad_to_tiles
+from repro.llm import NPUTransformer, TransformerWeights, tiny_config
+from repro.npu.hmx import hmx_layout_order, pad_to_tiles, padded_fp32
+from repro.quant.coalesce import pack_supergroups_q4
 from repro.quant.schemes import (
     dequantize_q4_0,
     dequantize_q8_0,
@@ -22,6 +24,7 @@ from repro.quant.tile_quant import (
     quantize_tile_group,
     tile_group_geometry,
 )
+from repro.testing.oracles import hmx_order_tile_groups
 
 
 class TestTileGroupQuantization:
@@ -178,3 +181,72 @@ def test_tile_groups_match_the_order_gather_and_scatter(shape, bits):
         assert got.dtype == reference.dtype
         assert got.tobytes() == reference.tobytes()
         assert got.strides == reference.strides
+
+
+# ----------------------------------------------------------------------
+# input checks: non-finite weights and group sizes that run past a row pair
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_names_its_first_element(value):
+    w = np.random.default_rng(0).normal(0, 0.05, (40, 50))
+    w[33, 7] = value
+    w[35, 2] = np.nan  # later in row-major order
+    with pytest.raises(QuantizationError, match=rf"\(33, 7\) is {value}"):
+        quantize_tile_group(w)
+
+
+@pytest.mark.parametrize("group_size", [2, 4, 8, 16, 32, 64])
+def test_every_even_divisor_of_a_row_pair_is_a_group_size(group_size):
+    w = np.random.default_rng(group_size).normal(0, 0.05, (40, 70))
+    quantized = quantize_tile_group(w, group_size=group_size)
+    expected, _ = hmx_order_tile_groups(w, 4, group_size)
+    assert quantized.groups.codes.tobytes() == expected.codes.tobytes()
+    assert tile_group_geometry(group_size) == (2, group_size // 2)
+
+
+@pytest.mark.parametrize("group_size", [0, 1, 6, 12, 48, 96, 128])
+def test_group_sizes_that_run_past_a_row_pair_are_rejected(group_size):
+    """Three tiles hold 3072 elements, a whole number of runs of 6, 12, 48,
+    96 or 128; a run of 6 would take columns 30 and 31 of one row pair
+    and column 0 of the next."""
+    w = np.random.default_rng(0).normal(0, 0.05, (32, 96))
+    with pytest.raises(QuantizationError, match="even divisor of 64"):
+        tile_group_geometry(group_size)
+    with pytest.raises(QuantizationError, match="even divisor of 64"):
+        quantize_tile_group(w, group_size=group_size)
+
+
+# ----------------------------------------------------------------------
+# a model's prepared weights, against the HMX-order definition
+# ----------------------------------------------------------------------
+def _same_bytes(actual, expected):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.strides == expected.strides
+    assert actual.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("config", [
+    tiny_config(),
+    tiny_config(name="wide", hidden_dim=512, intermediate_dim=1536,
+                n_heads=8, n_kv_heads=2)], ids=["tiny", "wide"])
+def test_prepared_model_weights_equal_the_hmx_order_reference(config):
+    """Every prepared array of a model (Q4 fused q/k/v and gate/up, Q4
+    ``wo``, Q8 ``w_down``) as permute-then-quantize builds it."""
+    weights = TransformerWeights.generate(config, seed=0)
+    model = NPUTransformer(weights)
+    names = {"qkv": ("wq", "wk", "wv"), "wo": ("wo",),
+             "gate_up": ("w_gate", "w_up"), "w_down": ("w_down",)}
+    for layer, prepared in zip(weights.layers, model._prepared):
+        for key, weight in prepared.items():
+            bits = 8 if key == "w_down" else 4
+            matrices = []
+            for name, part in zip(names[key], weight.parts):
+                groups, matrix = hmx_order_tile_groups(layer[name], bits)
+                _same_bytes(part.quantized.groups.codes, groups.codes)
+                _same_bytes(part.quantized.groups.scales, groups.scales)
+                if bits == 4:
+                    _same_bytes(part.packed.data,
+                                pack_supergroups_q4(groups).data)
+                matrices.append(padded_fp32(matrix))
+            _same_bytes(weight.padded_fp32,
+                        np.concatenate(matrices, axis=1))

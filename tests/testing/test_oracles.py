@@ -16,7 +16,7 @@ from repro.testing import (
 )
 
 EXPECTED_ORACLES = {"gemm", "hmx", "attention", "paged_kv", "fault_noop",
-                    "speculative", "checkpoint", "fleet"}
+                    "speculative", "checkpoint", "fleet", "tile_quant"}
 
 
 def test_registry_contains_the_paper_pairings():
