@@ -763,8 +763,9 @@ def _cmd_fuzz(trials: int, seed: int, oracle_names, replay, shrink: bool,
     from .testing import ORACLES, fuzz, run_repro
 
     if list_oracles:
+        width = max(map(len, ORACLES))
         for name in sorted(ORACLES):
-            out.write(f"{name:<12s} {ORACLES[name].description}\n")
+            out.write(f"{name:<{width}s} {ORACLES[name].description}\n")
         return 0
     if replay is not None:
         result = run_repro(replay)

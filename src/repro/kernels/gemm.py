@@ -15,10 +15,11 @@ numerics; they differ only in instruction mix and memory traffic.
 
 Host work fixed by the weight or by the call's shape is done once:
 :meth:`MixedPrecisionGemm.prepare_weight` stores the tile-padded FP32
-weight :meth:`HMXUnit.gemm` reads, and each call is charged from a table
-of per-shape costs on the kernel.  Weights that multiply the same
-activations (a layer's q/k/v, its gate/up) can be held as one
-:class:`FusedWeight` and multiplied in one product.
+weight :meth:`HMXUnit.gemm` reads, and each call's charge, by the one
+GEMM charge rule :func:`~repro.npu.timing.gemm_cost`, is looked up per
+shape.  Weights that multiply the same activations (a layer's q/k/v,
+its gate/up) can be held as one :class:`FusedWeight` and multiplied in
+one product.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ import numpy as np
 
 from ..errors import KernelError
 from ..obs import context as obs_context
-from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Tracer
-from ..npu.hvx import HVXContext, InstructionTrace
+from ..npu.datatypes import QFloatMode
 from ..npu.hmx import TILE_DIM, HMXUnit, padded_fp32
-from ..npu.memory import DMAEngine
-from ..npu.timing import KernelCost
-from ..quant.codebooks import Codebook, Q4_0_CODEBOOK
+from ..npu.timing import KernelCost, gemm_cost
 from ..quant.coalesce import (
     PackedWeight,
     pack_aos_q4,
@@ -49,6 +46,7 @@ from ..quant.tile_quant import (
     quantize_conventional_group,
     tile_groups,
 )
+# perfbench wraps dequantize_stream here through vars(); no call runs it
 from .dequant import DEQUANT_STRATEGIES, dequantize_stream
 
 __all__ = ["PreparedWeight", "FusedWeight", "MixedPrecisionGemm"]
@@ -95,13 +93,13 @@ class PreparedWeight:
     def charge_key(self) -> Tuple[Tuple[Any, ...], ...]:
         """What a call's charges depend on besides its activations' shape.
 
-        One ``(strategy, k, n, group count, packed bytes)`` entry per
-        part: dequantization is charged per group and byte and never
-        reads a code.  Derived once, on first use.
+        One ``(strategy, k, n, bits, group size)`` entry per part: what
+        :func:`~repro.npu.timing.gemm_cost` reads of the weight.  Derived
+        once, on first use.
         """
         k, n = self.quantized.original_shape
-        return ((self.strategy, k, n, self.quantized.groups.n_groups,
-                 self.storage_bytes),)
+        groups = self.quantized.groups
+        return ((self.strategy, k, n, groups.bits, groups.group_size),)
 
 
 @dataclass(frozen=True)
@@ -128,32 +126,18 @@ class FusedWeight:
 class _Plan:
     """What every call of one activation shape on one weight shares.
 
-    ``cost`` is the sum of the parts' charges, as the fields of a
-    :class:`KernelCost`.  The HMX product is ``n`` columns wide, and
-    ``columns`` holds each part's ``(start, width)`` in it when tile
-    padding lies between parts (``None`` otherwise); the output is
-    ``width`` columns.
+    ``parts`` holds each part's charge and ``cost`` their sum, as the
+    fields of a :class:`KernelCost`.  The HMX product is ``n`` columns
+    wide, and ``columns`` holds each part's ``(start, width)`` in it
+    when tile padding lies between parts (``None`` otherwise); the
+    output is ``width`` columns.
     """
 
+    parts: Tuple[Tuple[int, ...], ...]
     cost: Tuple[int, ...]
     n: int
     width: int
     columns: Optional[Tuple[Tuple[int, int], ...]]
-
-
-@dataclass(frozen=True)
-class _Charge:
-    """What one call of a given shape charges, recorded once.
-
-    ``cost`` is the call's :class:`KernelCost`.  ``spans`` (leaf spans,
-    as ``(name, category, attrs)``) and ``counters`` (the total added to
-    each counter) are what recording it emitted to the tracer and the
-    metrics registry; every traced call of that shape emits them again.
-    """
-
-    cost: KernelCost
-    spans: Tuple[Tuple[str, str, Dict[str, Any]], ...]
-    counters: Tuple[Tuple[str, float], ...]
 
 
 class MixedPrecisionGemm:
@@ -165,7 +149,6 @@ class MixedPrecisionGemm:
     """
 
     def __init__(self, strategy: str = "ours", bits: int = 4,
-                 codebook: Codebook = Q4_0_CODEBOOK, coalesce: int = 8,
                  qfloat_mode: str = "qfloat") -> None:
         if strategy not in DEQUANT_STRATEGIES:
             raise KernelError(
@@ -174,12 +157,9 @@ class MixedPrecisionGemm:
             raise KernelError(f"unsupported weight width {bits}")
         self.strategy = strategy
         self.bits = bits
-        self.codebook = codebook
-        self.coalesce = coalesce
-        self.qfloat_mode = qfloat_mode
-        self._charges: Dict[Tuple[int, ...], _Charge] = {}
+        self.qfloat_mode = QFloatMode.validate(qfloat_mode)
         self._plans: Dict[Tuple[Any, ...], _Plan] = {}
-        # computes every product; calls are charged from _charges, so
+        # computes every product; calls are charged by gemm_cost, so
         # nothing reads its trace
         self._hmx = HMXUnit()
 
@@ -241,7 +221,7 @@ class MixedPrecisionGemm:
         packed: Optional[PackedWeight] = None
         if self.bits == 4:
             if self.strategy == "ours" or self.strategy == "no_dequant":
-                packed = pack_supergroups_q4(quantized.groups, self.coalesce)
+                packed = pack_supergroups_q4(quantized.groups)
             else:
                 packed = pack_aos_q4(quantized.groups)
         return quantized, packed, dequantized
@@ -257,9 +237,10 @@ class MixedPrecisionGemm:
         of the whole matrix; each part's columns equal a call on that
         part alone, bit for bit.  The cost is the sum of the parts'
         charges, and a traced call emits each part's ``kernel.gemm``
-        span, charge spans and counters in part order, as calling the
-        parts one by one would.  What a call derives from its shapes
-        alone is looked up once per (activation shape, weight shape).
+        span, with its ``kernel.dequant`` child, and counters in part
+        order, as calling the parts one by one would.  What a call
+        derives from its shapes alone is looked up once per (activation
+        shape, weight shape).
         """
         acts = np.asarray(activations, dtype=np.float16)
         if acts.ndim != 2:
@@ -269,8 +250,8 @@ class MixedPrecisionGemm:
         if plan is None:
             plan = self._plan(m, in_dim, prepared)
         if obs_context.current().tracer.enabled:
-            for part in prepared.parts:
-                self._emit(m, part, self._charge(m, part))
+            for part, charge in zip(prepared.parts, plan.parts):
+                self._emit(m, part, KernelCost(*charge))
         cost = KernelCost(*plan.cost)
         if self.strategy == "no_dequant":
             # upper-bound variant computes nothing; it is charged the
@@ -288,26 +269,31 @@ class MixedPrecisionGemm:
     def _plan(self, m: int, in_dim: int,
               prepared: "PreparedWeight | FusedWeight") -> _Plan:
         """Check a call's shapes and build its :class:`_Plan`, kept per
-        ``(activation shape, weight.charge_key)`` key; the cost is summed
-        from each part's :meth:`_charge`."""
+        ``(activation shape, weight.charge_key)`` key; each part is
+        charged by :func:`gemm_cost` from its ``charge_key``."""
         parts = prepared.parts
         if in_dim != parts[0].quantized.original_shape[0]:
             raise KernelError(
                 f"activation width {in_dim} != weight input dim "
                 f"{parts[0].quantized.original_shape[0]}")
-        cost = KernelCost()
+        charges = []
         for part in parts:
             if part.strategy != self.strategy:
                 raise KernelError(
                     f"weight was prepared for strategy {part.strategy!r}, "
                     f"kernel runs {self.strategy!r}")
-            cost.merge(self._charge(m, part).cost)
+            _, k, n, bits, group_size = part.charge_key[0]
+            charges.append(gemm_cost(
+                m, k, n, self.strategy, bits=bits, group_size=group_size,
+                qfloat=self.qfloat_mode == QFloatMode.QFLOAT))
         widths = [part.quantized.original_shape[1] for part in parts]
         # the product's true width ends at the last part's real columns
         padded = [part.padded_fp32.shape[1] for part in parts]
         n = sum(padded[:-1]) + widths[-1]
         starts = np.cumsum([0] + padded[:-1]).tolist()
-        plan = _Plan(cost=astuple(cost), n=n, width=sum(widths),
+        plan = _Plan(parts=tuple(map(astuple, charges)),
+                     cost=astuple(sum(charges, KernelCost())), n=n,
+                     width=sum(widths),
                      columns=None if n == sum(widths)
                      else tuple(zip(starts, widths)))
         if len(self._plans) >= PLAN_ENTRIES:
@@ -315,64 +301,27 @@ class MixedPrecisionGemm:
         self._plans[((m, in_dim), prepared.charge_key)] = plan
         return plan
 
-    def _emit(self, m: int, part: PreparedWeight, charge: _Charge) -> None:
+    def _emit(self, m: int, part: PreparedWeight, cost: KernelCost) -> None:
         """Record a traced call on ``part``: its ``kernel.gemm`` span,
-        carrying the call's cost, with the charge's spans and counters."""
+        carrying the call's cost, around the ``kernel.dequant`` span of
+        its weight stream, and the call's counters."""
         k, n = part.quantized.original_shape
+        groups = part.quantized.groups
         flops = 2.0 * m * k * n
         tracer, reg, _ = obs_context.current()
         with tracer.span("kernel.gemm", category="kernel",
                          m=m, k=k, n=n, strategy=self.strategy,
                          bits=self.bits, flops=flops,
                          weight_bytes=part.storage_bytes) as sp:
-            for name, category, attrs in charge.spans:
-                with tracer.span(name, category, **attrs):
-                    pass
-            for name, value in charge.counters:
-                reg.counter(name).inc(value)
-            sp.add_cost(charge.cost + KernelCost())
+            with tracer.span("kernel.dequant", category="kernel",
+                             strategy=self.strategy, bits=groups.bits,
+                             n_elements=groups.n_elements,
+                             packed_bytes=part.storage_bytes):
+                pass
+            reg.counter("repro.npu.dma_bytes").inc(cost.dma_bytes)
+            sp.add_cost(cost)
         reg.counter("repro.kernels.gemm_flops").inc(flops)
         reg.counter("repro.kernels.gemm_weight_bytes").inc(part.storage_bytes)
-
-    def _charge(self, m: int, prepared: PreparedWeight) -> _Charge:
-        """The charges of an ``(m, k) @ (k, n)`` call on ``prepared``.
-
-        They depend on the shape, the weight's group count and its packed
-        size alone (dequantization is charged per group and byte and
-        never reads a code), so each distinct key is recorded once, by
-        the reference path: stage the activations, ``dequantize_stream``,
-        :meth:`HMXUnit.record_gemm`, :meth:`KernelCost.from_trace`.  The
-        recording runs in its own scope, with a private tracer and
-        metrics registry; what it emitted there is kept for traced calls
-        to emit.
-        """
-        k, n = prepared.quantized.original_shape
-        key = (m, k, n, prepared.quantized.groups.n_groups,
-               prepared.storage_bytes)
-        charge = self._charges.get(key)
-        if charge is not None:
-            return charge
-        tracer, registry = Tracer(), MetricsRegistry()
-        with obs_context.scope(tracer=tracer, metrics=registry):
-            trace = InstructionTrace()
-            dma = DMAEngine()
-            # stage activations into TCM (2-D DMA descriptor)
-            dma.transfer_2d(m, k * 2, direction="ddr_to_tcm")
-            # weight dequantization (streams packed weights via DMA)
-            dequantize_stream(prepared.quantized, self.strategy,
-                              HVXContext(self.qfloat_mode, trace), dma,
-                              packed=prepared.packed, codebook=self.codebook,
-                              coalesce=self.coalesce)
-            # HMX tile MACs and output tiles of the GEMM
-            HMXUnit(trace).record_gemm(m, k, n)
-        charge = _Charge(
-            cost=KernelCost.from_trace(trace, dma),
-            spans=tuple((span.name, span.category, span.attrs)
-                        for span in tracer.finished_spans()),
-            counters=tuple((name, snap["value"]) for name, snap
-                           in registry.snapshot().items()))
-        self._charges[key] = charge
-        return charge
 
     # ------------------------------------------------------------------
     def gemv(self, activation: np.ndarray, prepared: PreparedWeight

@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from ..errors import KernelError, NPUError
+from ..errors import EngineError, KernelError, NPUError
 from .hmx import TILE_DIM
-from .hvx import InstructionTrace
+from .hvx import InstructionTrace, vectors_for_bytes
 from .memory import DMAEngine
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "V79",
     "GENERATIONS",
     "KernelCost",
+    "gemm_cost",
     "TimingModel",
     "OURS_SUPER_GROUP_OVERHEAD_PACKETS",
     "CHAIN_STALL_PACKETS",
@@ -57,9 +58,9 @@ _OVERLAP_SLACK = 0.15
 
 # ----------------------------------------------------------------------
 # Calibrated kernel overheads, in HVX packets.  The functional kernels
-# record them into their traces, and the analytic latency model
-# (:mod:`repro.perf.latency`) charges them for the paper's full-size
-# models, so both read them from here.
+# record them into their traces, and the cost rules (:func:`gemm_cost`
+# here, attention in :mod:`repro.perf.latency`) charge them, so both
+# read them from here.
 # ----------------------------------------------------------------------
 
 # Extra per-super-group packets in the "ours" dequantization path: loop
@@ -246,6 +247,68 @@ class KernelCost:
         if dma is not None:
             cost.dma_bytes += dma.total_bytes()
         return cost
+
+
+def gemm_cost(m: int, k: int, n: int, strategy: str = "ours", bits: int = 4,
+              qfloat: bool = True, coalesce: int = 8,
+              group_size: int = 32) -> KernelCost:
+    """Cost of one mixed-precision GEMM: the one GEMM charge rule.
+
+    :class:`~repro.kernels.gemm.MixedPrecisionGemm` charges every call
+    with it, and :mod:`repro.perf` prices full-size models with it.  It
+    counts what :func:`~repro.kernels.dequant.dequantize_stream` records
+    for the padded weight (``k`` x ``n`` rounded up to whole tiles for
+    tile layouts), the HMX tile MACs, and the DMA streaming of
+    activations and packed weights; tests hold it to that recording.
+    """
+    if min(m, k, n) <= 0:
+        raise EngineError(f"GEMM dims must be positive, got ({m}, {k}, {n})")
+    cost = KernelCost()
+    tiles_k, tiles_n = -(-k // TILE_DIM), -(-n // TILE_DIM)
+    if strategy == "baseline":
+        rows, cols = k, n  # conventional layout is not tile-padded
+    else:
+        rows, cols = tiles_k * TILE_DIM, tiles_n * TILE_DIM
+    elements = rows * cols
+    n_groups = elements // group_size
+    code_bytes_total = elements * bits // 8
+    packed_bytes = code_bytes_total + n_groups * 2
+
+    # DMA: packed weights + FP16 activations
+    cost.dma_bytes += packed_bytes + m * k * 2
+
+    if strategy == "baseline":
+        per_group = 6 + (1 if qfloat else 0)  # ld, vand, vsub_b, conv(+qf), splat, mpy
+        cost.hvx_packets += n_groups * per_group
+        n_scatters = -(-elements // 64)
+        cost.vscatter_instrs += int(round(n_scatters
+                                          * scatter_conflict_factor(rows)))
+    elif strategy == "hmx_layout":
+        cost.hvx_packets += n_groups * 7  # ld, 2x merge, vlut16, splat, mpy, st
+    elif strategy == "ours":
+        n_super = n_groups // coalesce if n_groups % coalesce == 0 \
+            else -(-n_groups // coalesce)
+        elems_per_super = coalesce * group_size
+        code_bytes = elems_per_super * bits // 8
+        out_bytes = elems_per_super * 2
+        per_super = vectors_for_bytes(code_bytes + 2 * coalesce)  # loads
+        if bits == 4:
+            per_super += 2 * vectors_for_bytes(code_bytes)  # nibble expand
+            per_super += vectors_for_bytes(elems_per_super)  # vlut16
+        else:
+            per_super += vectors_for_bytes(elems_per_super)  # vconv
+        per_super += coalesce // 4 if coalesce >= 4 else 1  # scale broadcast
+        per_super += vectors_for_bytes(out_bytes) // 2  # paired multiply
+        per_super += vectors_for_bytes(out_bytes)  # stores
+        per_super += OURS_SUPER_GROUP_OVERHEAD_PACKETS  # loop control
+        cost.hvx_packets += n_super * per_super
+    elif strategy == "no_dequant":
+        cost.hvx_packets += 2 * vectors_for_bytes(packed_bytes)
+    else:
+        raise EngineError(f"unknown GEMM strategy {strategy!r}")
+
+    cost.hmx_tile_macs += -(-m // TILE_DIM) * tiles_k * tiles_n
+    return cost
 
 
 class TimingModel:

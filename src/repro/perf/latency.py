@@ -2,10 +2,11 @@
 
 The functional simulator runs real numerics at tiny scale; for the
 paper's full-size models (Figs. 8, 11, 12, 13, 16, 17) this module
-computes the same :class:`~repro.npu.timing.KernelCost` records
-*analytically* — mirroring the instruction counting of the kernels
-exactly, which a cross-validation test enforces — and composes them into
-per-step latency:
+computes the same :class:`~repro.npu.timing.KernelCost` records without
+executing a kernel — each GEMM by :func:`~repro.npu.timing.gemm_cost`,
+the rule :class:`~repro.kernels.gemm.MixedPrecisionGemm` charges with,
+and attention by :func:`attention_phase_costs`, which agrees with the
+functional kernel within 20% — and composes them into per-step latency:
 
 * every projection GEMM uses the "ours" dequantization path (Q4_0, Q8_0
   for the FFN down projection);
@@ -18,24 +19,21 @@ per-step latency:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
-
-import numpy as np
+from typing import Dict, Tuple
 
 from ..errors import EngineError
 from ..llm.config import ModelConfig
 from ..npu.hmx import TILE_DIM
-from ..npu.hvx import VECTOR_BYTES
+from ..npu.hvx import vectors_for_bytes as _vectors
 from ..npu.soc import Device
 from ..npu.timing import (
     CALL_FIXED_PACKETS,
     CHAIN_STALL_PACKETS,
     LUT_ROW_EXPOSED_PACKETS,
-    OURS_SUPER_GROUP_OVERHEAD_PACKETS,
     ROW_REDUCE_PACKETS,
     KernelCost,
     TimingModel,
-    scatter_conflict_factor,
+    gemm_cost,
 )
 
 __all__ = [
@@ -51,72 +49,8 @@ __all__ = [
 PREFILL_EFFICIENCY = 0.35
 
 
-def _vectors(nbytes: int) -> int:
-    return -(-nbytes // VECTOR_BYTES)
-
-
 def _tiles(dim: int) -> int:
     return -(-dim // TILE_DIM)
-
-
-def gemm_cost(m: int, k: int, n: int, strategy: str = "ours", bits: int = 4,
-              qfloat: bool = True, coalesce: int = 8,
-              group_size: int = 32) -> KernelCost:
-    """Analytic cost of one mixed-precision GEMM (mirrors the kernels).
-
-    The instruction counts replicate :func:`repro.kernels.dequant.
-    dequantize_stream` for the padded weight (``k`` x ``n`` rounded up to
-    whole tiles for tile layouts) plus the HMX tile MACs and the DMA
-    streaming of activations and packed weights.
-    """
-    if min(m, k, n) <= 0:
-        raise EngineError(f"GEMM dims must be positive, got ({m}, {k}, {n})")
-    cost = KernelCost()
-    if strategy == "baseline":
-        rows, cols = k, n  # conventional layout is not tile-padded
-    else:
-        rows = _tiles(k) * TILE_DIM
-        cols = _tiles(n) * TILE_DIM
-    elements = rows * cols
-    n_groups = elements // group_size
-    code_bytes_total = elements * bits // 8
-    packed_bytes = code_bytes_total + n_groups * 2
-
-    # DMA: packed weights + FP16 activations
-    cost.dma_bytes += packed_bytes + m * k * 2
-
-    if strategy == "baseline":
-        per_group = 6 + (1 if qfloat else 0)  # ld, vand, vsub_b, conv(+qf), splat, mpy
-        cost.hvx_packets += n_groups * per_group
-        n_scatters = -(-elements // 64)
-        cost.vscatter_instrs += int(round(n_scatters
-                                          * scatter_conflict_factor(rows)))
-    elif strategy == "hmx_layout":
-        cost.hvx_packets += n_groups * 7  # ld, 2x merge, vlut16, splat, mpy, st
-    elif strategy == "ours":
-        n_super = n_groups // coalesce if n_groups % coalesce == 0 \
-            else -(-n_groups // coalesce)
-        elems_per_super = coalesce * group_size
-        code_bytes = elems_per_super * bits // 8
-        out_bytes = elems_per_super * 2
-        per_super = _vectors(code_bytes + 2 * coalesce)       # loads
-        if bits == 4:
-            per_super += 2 * _vectors(code_bytes)             # nibble expand
-            per_super += _vectors(elems_per_super)            # vlut16
-        else:
-            per_super += _vectors(elems_per_super)            # vconv
-        per_super += coalesce // 4 if coalesce >= 4 else 1    # scale broadcast
-        per_super += _vectors(out_bytes) // 2                 # paired multiply
-        per_super += _vectors(out_bytes)                      # stores
-        per_super += OURS_SUPER_GROUP_OVERHEAD_PACKETS        # loop control
-        cost.hvx_packets += n_super * per_super
-    elif strategy == "no_dequant":
-        cost.hvx_packets += 2 * _vectors(packed_bytes)
-    else:
-        raise EngineError(f"unknown GEMM strategy {strategy!r}")
-
-    cost.hmx_tile_macs += _tiles(m) * _tiles(k) * _tiles(n)
-    return cost
 
 
 def attention_phase_costs(n_q: int, n_kv: int, head_dim: int,

@@ -32,6 +32,6 @@ __all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
                 "check_goldens", "update_goldens"),
     "oracles": ("HMX_LAYOUTS", "ORACLES", "ArrayDiff", "MismatchRecord",
                 "Oracle", "OracleResult", "diff_arrays", "get_oracle",
-                "hmx_order_tile_groups", "laid_out", "reference_gemm",
-                "register_oracle", "ulp_distance_fp16"),
+                "hmx_order_tile_groups", "laid_out", "recorded_gemm_cost",
+                "reference_gemm", "register_oracle", "ulp_distance_fp16"),
 })

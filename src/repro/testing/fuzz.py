@@ -189,10 +189,11 @@ class FuzzReport:
         lines = [f"fuzz: {self.n_trials} trials, seed {self.seed}, "
                  f"{len(self.failures)} failure(s), "
                  f"{self.elapsed_seconds:.1f}s"]
+        width = max(map(len, ORACLES))
         for name, count in sorted(self.per_oracle_counts().items()):
             failed = sum(1 for t in self.trials
                          if t.oracle == name and not t.ok)
-            lines.append(f"  {name:<12s} {count:4d} trials"
+            lines.append(f"  {name:<{width}s} {count:4d} trials"
                          + (f"  ({failed} FAILED)" if failed else ""))
         for trial in self.failures:
             mismatch = trial.result.mismatch

@@ -61,6 +61,7 @@ __all__ = [
     "diff_arrays",
     "ulp_distance_fp16",
     "reference_gemm",
+    "recorded_gemm_cost",
     "hmx_order_tile_groups",
     "laid_out",
     "HMX_LAYOUTS",
@@ -324,6 +325,28 @@ def _random_prompt(rng: np.random.Generator, length: int,
 # ----------------------------------------------------------------------
 # kernel oracles: HMX simulation vs float64 numpy reference
 # ----------------------------------------------------------------------
+def recorded_gemm_cost(m: int, prepared, qfloat_mode: str):
+    """The charge of an ``m``-row call on ``prepared``, recorded
+    instruction by instruction: the activations' DMA, the weight's
+    ``dequantize_stream`` and ``record_gemm``, priced by
+    :meth:`KernelCost.from_trace`.  :func:`~repro.npu.timing.gemm_cost`
+    is held to it."""
+    from ..kernels.dequant import dequantize_stream
+    from ..npu.hmx import HMXUnit
+    from ..npu.hvx import HVXContext, InstructionTrace
+    from ..npu.memory import DMAEngine
+    from ..npu.timing import KernelCost
+
+    k, n = prepared.quantized.original_shape
+    trace, dma = InstructionTrace(), DMAEngine()
+    dma.transfer_2d(m, k * 2, direction="ddr_to_tcm")
+    dequantize_stream(prepared.quantized, prepared.strategy,
+                      HVXContext(qfloat_mode, trace), dma,
+                      packed=prepared.packed)
+    HMXUnit(trace).record_gemm(m, k, n)
+    return KernelCost.from_trace(trace, dma)
+
+
 @register_oracle
 class GemmOracle(Oracle):
     """W4A16/W8A16 GEMM on the HMX pipeline vs a float64 reference.
@@ -331,7 +354,9 @@ class GemmOracle(Oracle):
     The reference multiplies the *same dequantized FP16 weights* in
     float64 and rounds once to FP16 — so the comparison isolates the
     tile decomposition, accumulation order and precision discipline
-    from the (intentional) quantization error.
+    from the (intentional) quantization error.  The call's charge must
+    also equal :func:`recorded_gemm_cost`, in both qfloat modes: a
+    charge reads no values, so an IEEE kernel charges the same weight.
 
     The tolerance is the kernel's own error bound.  Each output
     ``s = sum_i a_i * w_ij`` is a sum of products of FP16 values, which
@@ -354,7 +379,9 @@ class GemmOracle(Oracle):
 
     name = "gemm"
     description = ("MixedPrecisionGemm (HVX dequant + HMX tiles) vs "
-                   "float64 matmul, <= 2 FP16 ULP + FP32 summation bound")
+                   "float64 matmul, <= 2 FP16 ULP + FP32 summation bound; "
+                   "charges vs the instruction-level recording, both "
+                   "qfloat modes")
     SHRINK_MINS = {"m": 1, "k": 32, "n": 32, "seed": 0}
     SHRINK_RESETS = {"bits": 4, "strategy": "ours"}
 
@@ -391,7 +418,17 @@ class GemmOracle(Oracle):
         gemm = MixedPrecisionGemm(strategy=str(config["strategy"]),
                                   bits=int(config["bits"]))
         prepared = gemm.prepare_weight(weight)
-        out, _ = gemm(activations, prepared)
+        out, cost = gemm(activations, prepared)
+        ieee = MixedPrecisionGemm(strategy=gemm.strategy, bits=gemm.bits,
+                                  qfloat_mode="ieee")
+        for mode, charged in (("qfloat", cost),
+                              ("ieee", ieee(activations, prepared)[1])):
+            recorded = recorded_gemm_cost(m, prepared, mode)
+            if charged != recorded:
+                return self.failed(
+                    config, "cost",
+                    f"{mode} call charged {charged}, the instruction-level "
+                    f"recording {recorded}")
         a64 = activations.astype(np.float64)
         w64 = prepared.dequantized_matrix.astype(np.float64)
         reference = (a64 @ w64).astype(np.float16)

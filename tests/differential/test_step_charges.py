@@ -2,13 +2,15 @@
 
 The kernels charge each call from per-shape tables.
 :class:`~repro.kernels.gemm.MixedPrecisionGemm` keeps one summed charge
-per (activation shape, weight shape), filled from each part's
-``_charge``, and :class:`~repro.kernels.flash_attention.FlashAttention`
-one per (n_q, padded head dim, KV rows, group), filled from each query
-item's ``_item_cost``.  Over seeded random decode and chunk shapes, a
-forward's :class:`~repro.llm.model.StepCost` must equal the sum of those
-reference entries, recorded afresh on new kernels, and a record a caller
-mutates must not reach the next forward of the same shape.
+per (activation shape, weight shape), each part charged by
+:func:`~repro.npu.timing.gemm_cost`, and
+:class:`~repro.kernels.flash_attention.FlashAttention` one per (n_q,
+padded head dim, KV rows, group), filled from each query item's
+``_item_cost``.  Over seeded random decode and chunk shapes, a forward's
+:class:`~repro.llm.model.StepCost` must equal the sum of each part's
+``gemm_cost`` and each query item's ``_item_cost`` on a new attention
+kernel, and a record a caller mutates must not reach the next forward of
+the same shape.
 """
 
 import functools
@@ -17,11 +19,10 @@ import numpy as np
 import pytest
 
 from repro.kernels.flash_attention import FlashAttention
-from repro.kernels.gemm import MixedPrecisionGemm
 from repro.llm import NPUTransformer, TransformerWeights, tiny_config
 from repro.npu.hmx import TILE_DIM
 from repro.npu.memory import TCM
-from repro.npu.timing import KernelCost
+from repro.npu.timing import KernelCost, gemm_cost
 
 CASES = 24
 CAPACITY = 112  # KV lengths 0-100 plus up to 4 new tokens
@@ -68,21 +69,20 @@ def _cache(model: NPUTransformer, backend: str, lengths):
 
 def _reference(model: NPUTransformer, down_bits: int, n_new: int,
                lengths) -> KernelCost:
-    """Every call's charges, from the reference tables of new kernels."""
+    """Every call's charges: each projection part's ``gemm_cost`` and
+    each query item's charges on a new attention kernel."""
     cfg = model.config
     m = len(lengths) * n_new
-    q4 = MixedPrecisionGemm(model.strategy, bits=4,
-                            qfloat_mode=model.qfloat_mode)
-    down = MixedPrecisionGemm(model.strategy, bits=down_bits,
-                              qfloat_mode=model.qfloat_mode)
     attention = FlashAttention(model.attention_method, tcm=TCM(),
                                qfloat_mode=model.qfloat_mode)
     total = KernelCost()
     for prepared in model._prepared:
-        for name, kernel in (("qkv", q4), ("wo", q4), ("gate_up", q4),
-                             ("w_down", down)):
+        for name, bits in (("qkv", 4), ("wo", 4), ("gate_up", 4),
+                           ("w_down", down_bits)):
             for part in prepared[name].parts:
-                total.merge(kernel._charge(m, part).cost)
+                k, n = part.quantized.original_shape
+                total.merge(gemm_cost(m, k, n, model.strategy, bits=bits,
+                                      qfloat=model.qfloat_mode == "qfloat"))
         for n in lengths:  # each sequence's query heads
             item = attention._item_cost(n_new, _padded(n + n_new),
                                         _padded(cfg.head_dim))

@@ -5,12 +5,10 @@ import pytest
 
 from repro.errors import KernelError
 from repro.kernels.gemm import MixedPrecisionGemm
-from repro.kernels.dequant import DEQUANT_STRATEGIES, dequantize_stream
-from repro.npu.hmx import HMXUnit
-from repro.npu.hvx import HVXContext, InstructionTrace
-from repro.npu.memory import DMAEngine
-from repro.npu.timing import KernelCost
+from repro.kernels.dequant import DEQUANT_STRATEGIES
+from repro.npu.timing import KernelCost, gemm_cost
 from repro.obs import MetricsRegistry, Tracer, current, scope
+from repro.testing import recorded_gemm_cost
 
 
 @pytest.fixture
@@ -19,7 +17,9 @@ def weight(rng):
 
 
 def reference_call(kernel, acts, prepared):
-    """One call with every charge recorded afresh, inside its spans."""
+    """One call with its charge recorded afresh instruction by
+    instruction (activation DMA, ``dequantize_stream``, ``record_gemm``,
+    ``KernelCost.from_trace``), inside its spans."""
     m, (k, n) = acts.shape[0], prepared.quantized.original_shape
     flops = 2.0 * m * k * n
     obs = current()
@@ -27,17 +27,7 @@ def reference_call(kernel, acts, prepared):
                          strategy=kernel.strategy, bits=kernel.bits,
                          flops=flops,
                          weight_bytes=prepared.storage_bytes) as sp:
-        trace, dma = InstructionTrace(), DMAEngine()
-        dma.transfer_2d(m, k * 2, direction="ddr_to_tcm")
-        dequantize_stream(prepared.quantized, kernel.strategy,
-                          HVXContext(kernel.qfloat_mode, trace), dma,
-                          packed=prepared.packed, codebook=kernel.codebook,
-                          coalesce=kernel.coalesce)
-        if kernel.strategy == "no_dequant":
-            trace.record("hmx_tile_mac", HMXUnit.tile_macs_for_gemm(m, k, n))
-        else:
-            HMXUnit(trace).record_gemm(m, k, n)
-        cost = KernelCost.from_trace(trace, dma)
+        cost = recorded_gemm_cost(m, prepared, kernel.qfloat_mode)
         sp.add_cost(cost)
     if obs.tracer.enabled:
         obs.metrics.counter("repro.kernels.gemm_flops").inc(flops)
@@ -130,6 +120,10 @@ class TestMixedPrecisionGemm:
         with pytest.raises(KernelError):
             MixedPrecisionGemm("ours", bits=3)
 
+    def test_invalid_qfloat_mode(self):
+        with pytest.raises(ValueError, match="qfloat mode"):
+            MixedPrecisionGemm("ours", qfloat_mode="bfloat")
+
     def test_no_dequant_is_cost_probe_only(self, rng, weight):
         gemm = MixedPrecisionGemm("no_dequant")
         prepared = gemm.prepare_weight(weight)
@@ -151,8 +145,43 @@ class TestMixedPrecisionGemm:
         assert prepared.dequantized_matrix.shape == weight.shape
 
 
+#: Shapes the rule is held to the recording at: the cross-validation
+#: shapes, tile-aligned shapes of 1-4 tiles, and unaligned ones (which
+#: ``baseline``'s column-major groups cannot hold).
+RULE_SHAPES = [(2, 128, 256), (1, 96, 160), (1, 128, 128), (8, 32, 128),
+               (6, 128, 64), (4, 64, 96), (33, 33, 70), (4, 64, 33),
+               (1, 50, 40)]
+
+
+@pytest.mark.parametrize("qfloat_mode", ["qfloat", "ieee"])
+@pytest.mark.parametrize("weight_bits, kernel_bits", [(4, 4), (8, 8), (8, 4)])
+@pytest.mark.parametrize("strategy, shape", [
+    (strategy, shape) for strategy in DEQUANT_STRATEGIES
+    for shape in RULE_SHAPES
+    if strategy != "baseline" or (shape[1] % 32 == 0 and shape[2] % 32 == 0)])
+def test_gemm_cost_equals_the_recording(strategy, shape, weight_bits,
+                                        kernel_bits, qfloat_mode):
+    """The one GEMM charge rule, against the instruction-level recording
+    of the same call, and the kernel's charge with it.  Bits and group
+    size come from the weight, the qfloat mode from the kernel."""
+    m, k, n = shape
+    rng = np.random.default_rng(m * 1000 + k + n)
+    weight = rng.normal(0, 0.05, (k, n)).astype(np.float32)
+    prepared = MixedPrecisionGemm(strategy,
+                                  bits=weight_bits).prepare_weight(weight)
+    kernel = MixedPrecisionGemm(strategy, bits=kernel_bits,
+                                qfloat_mode=qfloat_mode)
+    acts = rng.normal(0, 1, (m, k)).astype(np.float16)
+    recorded = reference_call(kernel, acts, prepared)
+    assert gemm_cost(m, k, n, strategy, bits=weight_bits,
+                     qfloat=qfloat_mode == "qfloat",
+                     group_size=prepared.quantized.groups.group_size
+                     ) == recorded
+    assert kernel(acts, prepared)[1] == recorded
+
+
 class TestChargeTable:
-    """Each call is charged from a per-shape table on the kernel."""
+    """Each call is charged by ``gemm_cost``, looked up per shape."""
 
     @pytest.mark.parametrize("m", [1, 4, 33])
     @pytest.mark.parametrize("bits", [4, 8])
@@ -187,9 +216,8 @@ class TestChargeTable:
             assert cost == reference_call(kernel, acts, prepared)
 
     def test_a_mutated_cost_does_not_reach_the_next_call(self, weight):
-        """Neither the per-part table nor the summed per-(shape, weight)
-        plans hand out a record a caller can reach, for one weight or a
-        fused one."""
+        """The per-(shape, weight) plans hand out no record a caller can
+        reach, for one weight or a fused one."""
         kernel = MixedPrecisionGemm("ours")
         prepared = kernel.prepare_weight(weight)
         fused = kernel.prepare_fused([weight, weight[:, :40], weight])
@@ -202,9 +230,6 @@ class TestChargeTable:
             first.merge(first)
             _, second = kernel(acts, target)
             assert second == expected and second is not first
-        # the per-part entries the plans were summed from are intact
-        assert kernel._charge(2, prepared).cost == \
-            reference_call(kernel, acts, prepared)
 
     def test_each_weight_shape_has_its_own_plan(self, weight):
         """A fused weight, its parts alone and another part order are

@@ -327,6 +327,17 @@ class TestCLI:
             "session_abort": 1, "dma_timeout": 1, "alloc_fail": 1,
             "thermal_throttle": 1}
 
+    def test_profile_refuses_faults_a_scheduler_run_never_arms(
+            self, tmp_path):
+        status, text = self._run([
+            "profile", "--scheduler", "--batch", "2", "--candidates", "4",
+            "--new-tokens", "4", "--faults", "tcm#0,rpc#1,rpcmem#0",
+            "--trace-out", str(tmp_path / "t.json")])
+        assert status == 2
+        assert len(text.splitlines()) == 1
+        assert text.startswith("error: fault 'rpc#1:abort' at site "
+                               "'fastrpc.submit' never fires")
+
     def test_profile_json_repeats_but_for_host_seconds(self, tmp_path):
         """Two runs of one profile list the same rows in the same order;
         only the host-time ``seconds`` fields may differ."""

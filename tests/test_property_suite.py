@@ -10,10 +10,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.kernels.gemm import MixedPrecisionGemm
 from repro.npu.hmx import matrix_from_hmx_layout, matrix_to_hmx_layout
 from repro.npu.timing import KernelCost
-from repro.perf.latency import gemm_cost
 from repro.quant.codebooks import CODEBOOKS, get_codebook
 from repro.quant.codebooks import dequantize_with_codebook, quantize_with_codebook
 from repro.quant.schemes import (
@@ -128,23 +126,6 @@ class TestCostAlgebra:
         bigger.hvx_packets += 1000
         bigger.dma_bytes += 10**6
         assert timing.seconds(bigger) >= timing.seconds(c)
-
-
-class TestAnalyticFunctionalAgreement:
-    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
-           st.sampled_from(["ours", "hmx_layout", "baseline", "no_dequant"]))
-    @settings(max_examples=12, deadline=None)
-    def test_gemm_cost_matches_kernel(self, mt, kt, nt, strategy):
-        """The analytic cost mirror is exact for arbitrary tile shapes."""
-        m, k, n = mt * 2, kt * 32, nt * 32
-        rng = np.random.default_rng(m * 1000 + k + n)
-        w = rng.normal(0, 0.05, (k, n)).astype(np.float32)
-        gemm = MixedPrecisionGemm(strategy)
-        prepared = gemm.prepare_weight(w)
-        x = rng.normal(0, 1, (m, k)).astype(np.float16)
-        _, functional = gemm(x, prepared)
-        analytic = gemm_cost(m, k, n, strategy=strategy)
-        assert functional == analytic
 
 
 class TestSoftmaxProperties:

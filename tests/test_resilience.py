@@ -332,6 +332,27 @@ class TestSchedulerChaos:
         assert result.n_evictions == 1
         assert len(result.candidates) == 8
 
+    @pytest.mark.parametrize("spec, first, site", [
+        ("tcm#0", "tcm#0", "tcm.alloc"),
+        ("rpcmem#0", "rpcmem#0", "rpcmem.alloc"),
+        ("rpc#1", "rpc#1:abort", "fastrpc.submit"),
+        ("abort@1,kvpool#3,tcm#2,rpcmem#0", "rpcmem#0", "rpcmem.alloc")])
+    def test_a_fault_the_run_never_arms_is_refused(self, tiny_model, spec,
+                                                   first, site):
+        """A run fires only step and KV-pool events; any other event
+        would never fire and is refused before the run starts."""
+        engine, sched = make_scheduler(tiny_model)
+        with pytest.raises(FaultError) as excinfo:
+            sched.generate([1, 2, 3, 4], n_candidates=4, max_new_tokens=4,
+                           sampler=Sampler(temperature=0.8, seed=11),
+                           fault_plan=FaultPlan.parse(spec))
+        assert f"{first!r} at site {site!r}" in str(excinfo.value)
+        assert engine.cache.pool.blocks_in_use == 0
+
+    def test_fleet_device_events_are_left_to_the_fleet(self, tiny_model):
+        result = self.run(tiny_model, FaultPlan.parse("abort@1,dev#0:crash@1"))
+        assert [f.kind for f in result.faults] == ["session_abort"]
+
     def test_throttle_without_duration_lasts_rest_of_run(self, tiny_model):
         result = self.run(tiny_model, FaultPlan.parse("throttle@1:balanced"))
         assert result.governor_steps == [(1, "balanced")]

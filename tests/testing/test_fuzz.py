@@ -1,12 +1,18 @@
 """Fuzz loop, repro strings, and the shrinker."""
 
+import io
+
 import numpy as np
 import pytest
 
+from repro.cli import main as cli_main
 from repro.errors import TestingError
 from repro.testing import (
     ORACLES,
+    FuzzReport,
     Oracle,
+    OracleResult,
+    TrialOutcome,
     format_repro,
     fuzz,
     parse_repro,
@@ -185,6 +191,27 @@ def test_every_oracle_run_records_into_its_own_scope(buggy_oracle,
     assert len(seen) > 12 and outer not in seen
     assert outer.tracer.finished_spans() == []
     assert outer.metrics.snapshot() == {} and len(outer.log) == 0
+
+
+def test_report_counts_line_up_for_every_oracle_name():
+    """Each per-oracle line puts its trial count in one column, also for
+    names longer than 12 characters."""
+    trials = [TrialOutcome(index=i, oracle=name, repro=f"{name}::seed={i}",
+                           ok=True, result=OracleResult(name, {}, ok=True))
+              for i, name in enumerate(["prefill.chunked", "hmx", "hmx"])]
+    lines = FuzzReport(seed=0, trials=trials).render().splitlines()[1:]
+    assert [line.split()[:2] for line in lines] == [["hmx", "2"],
+                                                   ["prefill.chunked", "1"]]
+    assert len({line.index(" trials") for line in lines}) == 1
+
+
+def test_listed_oracle_descriptions_line_up():
+    out = io.StringIO()
+    assert cli_main(["fuzz", "--list-oracles"], out=out) == 0
+    lines = out.getvalue().splitlines()
+    assert sorted(line.split()[0] for line in lines) == sorted(ORACLES)
+    assert len({line.index(ORACLES[line.split()[0]].description)
+                for line in lines}) == 1
 
 
 def test_fuzz_reports_shrunk_repro_for_failures(buggy_oracle):
