@@ -20,8 +20,8 @@ from repro.kernels.lut import build_reduced_exp_lut, reduced_exp_lookup
 from repro.kernels.tmac import TMacGemv
 from repro.llm.config import get_model_config
 from repro.npu.soc import get_device
-from repro.npu.timing import TimingModel, V75
-from repro.perf.latency import DecodePerformanceModel, gemm_cost
+from repro.npu.timing import TimingModel, V75, gemm_cost
+from repro.perf.latency import DecodePerformanceModel
 from repro.perf.power import PowerModel
 from repro.quant.patch_quant import patch_geometry_mse
 

@@ -41,7 +41,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import FleetError
+from ..errors import FaultError, FleetError
 from ..obs import context as obs_context
 from ..obs.metrics import Histogram
 from ..obs.slo import hdr_buckets
@@ -175,9 +175,11 @@ class FleetResult:
 class FleetSimulation:
     """Drives a device population through an arrival trace.
 
-    ``fault_plan`` arms any ``fleet.device`` events it carries on the
-    shared loop (its scheduler-level events are untouched here — engine
-    devices arm those per run).  ``failover`` / ``hedge`` configure the
+    ``fault_plan`` holds ``fleet.device`` events only, which are armed
+    on the shared loop; any other event raises
+    :class:`~repro.errors.FaultError`, because no fleet device would
+    fire it (an engine-backed device arms each request's own
+    ``fault_spec``).  ``failover`` / ``hedge`` configure the
     recovery policies; with no plan and no hedging the health layer is
     inert and the simulation is bitwise-identical to the pre-chaos one.
     """
@@ -212,6 +214,12 @@ class FleetSimulation:
             cooldown_seconds=breaker_cooldown_seconds)
         self._fault_events: Tuple = ()
         if fault_plan is not None:
+            unarmed = [e for e in fault_plan if e.site != "fleet.device"]
+            if unarmed:
+                raise FaultError(
+                    f"fault {unarmed[0].spec()!r} at site "
+                    f"{unarmed[0].site!r} never fires: a fleet run arms "
+                    f"only fleet.device events")
             self._fault_events = fault_plan.fleet_events()
             unknown = sorted({e.device for e in self._fault_events}
                              - set(self._by_id))

@@ -19,9 +19,9 @@ from ..llm.config import MODEL_CONFIGS, get_model_config
 from ..npu.hvx import HVXContext
 from ..npu.memory import TCM
 from ..npu.soc import DEVICES, get_device
-from ..npu.timing import KernelCost, TimingModel, V75
+from ..npu.timing import KernelCost, TimingModel, V75, gemm_cost
 from ..perf.baselines import AdrenoGPUModel, QNNReferenceModel
-from ..perf.latency import DecodePerformanceModel, attention_phase_costs, gemm_cost
+from ..perf.latency import DecodePerformanceModel, attention_phase_costs
 from ..perf.memory import MemoryModel
 from ..perf.power import PowerModel
 from ..tts.scaling import budget_sweep

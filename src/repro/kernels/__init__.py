@@ -21,7 +21,7 @@ __all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
             "exp_lut_offsets", "scale_broadcast_indices"),
     "ops": ("residual_add", "rms_norm", "rope_frequencies", "rope_rotate",
             "silu", "swiglu"),
-    "softmax": ("CHAIN_STALL_PACKETS", "EXP_METHODS", "OnChipSoftmax",
-                "exp_lut", "exp_poly16", "exp_poly32"),
+    "softmax": ("EXP_METHODS", "OnChipSoftmax", "exp_lut", "exp_poly16",
+                "exp_poly32"),
     "tmac": ("TMacGemv", "TMacPreparedWeight"),
 })

@@ -53,7 +53,6 @@ __all__ = [
     "broadcast_scales_vlut",
     "broadcast_scales_vsplat",
     "dequantize_stream",
-    "scatter_conflict_factor",
 ]
 
 DEQUANT_STRATEGIES = ("baseline", "hmx_layout", "ours", "no_dequant")

@@ -39,17 +39,14 @@ from ..obs import context as obs_context
 from ..npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from ..npu.hmx import HMXUnit, TILE_DIM, pad_to_tiles
 from ..npu.memory import TCM
-from ..npu.timing import KernelCost
-from .lut import ExpLUT
-from .softmax import (
+from ..npu.timing import (
     CALL_FIXED_PACKETS,
-    EXP_METHODS,
     LUT_ROW_EXPOSED_PACKETS,
     ROW_REDUCE_PACKETS,
-    exp_lut,
-    exp_poly16,
-    exp_poly32,
+    KernelCost,
 )
+from .lut import ExpLUT
+from .softmax import EXP_METHODS, exp_lut, exp_poly16, exp_poly32
 
 __all__ = [
     "AttentionBreakdown",
@@ -87,15 +84,14 @@ class FlashAttention:
 
     def __init__(self, method: str = "lut", tcm: Optional[TCM] = None,
                  qfloat_mode: str = "qfloat",
-                 block_q: int = TILE_DIM, block_kv: int = TILE_DIM) -> None:
+                 block_kv: int = TILE_DIM) -> None:
         if method not in EXP_METHODS:
             raise KernelError(f"unknown exp method {method!r}; expected {EXP_METHODS}")
-        if block_q % TILE_DIM or block_kv % TILE_DIM:
+        if block_kv % TILE_DIM:
             raise KernelError(
-                f"block sizes must be multiples of {TILE_DIM}, got "
-                f"{block_q}x{block_kv}")
+                f"KV block size must be a multiple of {TILE_DIM}, got "
+                f"{block_kv}")
         self.method = method
-        self.block_q = block_q
         self.block_kv = block_kv
         self.qfloat_mode = qfloat_mode
         self._item_costs: Dict[Tuple[int, int, int], AttentionBreakdown] = {}

@@ -41,7 +41,6 @@ from ..npu.timing import (
 from .lut import ExpLUT
 
 __all__ = [
-    "CHAIN_STALL_PACKETS",
     "EXP_METHODS",
     "exp_poly32",
     "exp_poly16",

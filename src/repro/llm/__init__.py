@@ -2,7 +2,8 @@
 
 * :mod:`repro.llm.config` — the evaluated Qwen2.5 / Llama3.2 geometries.
 * :mod:`repro.llm.model` — the GQA transformer on the NPU simulator.
-* :mod:`repro.llm.kv_cache` — batched FP16 KV cache with prompt forking.
+* :mod:`repro.llm.kv_cache` — the KV storage format (FP16 or INT8) and
+  the contiguous batched cache with prompt forking.
 * :mod:`repro.llm.block_pool` — paged KV blocks with copy-on-write forks.
 * :mod:`repro.llm.engine` — prefill / batched decode orchestration.
 * :mod:`repro.llm.scheduler` — continuous-batching (waved Best-of-N) decode.
@@ -17,13 +18,12 @@ from .. import _lazy
 from .perplexity import perplexity  # noqa: F401
 
 __all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
-    "block_pool": ("BlockPool", "PagedKVCache", "PagedLayerKVCache",
-                   "QuantizedPagedLayerKVCache"),
+    "block_pool": ("BlockPool", "PagedKVCache", "PagedLayerKVCache"),
     "config": ("MODEL_CONFIGS", "ModelConfig", "get_model_config",
                "tiny_config"),
     "dispatch": ("BackendDecision", "BackendSelector"),
     "engine": ("GenerationResult", "InferenceEngine"),
-    "kv_cache": ("KVCache", "LayerKVCache", "QuantizedLayerKVCache"),
+    "kv_cache": ("KVCache", "LayerKVCache"),
     "model": ("NPUTransformer", "StepCost", "TransformerWeights",
               "reference_forward"),
     "perplexity": ("mean_kl_divergence", "perplexity", "top1_agreement"),

@@ -16,9 +16,11 @@ vLLM-style block table:
   scheduler can admit a new candidate into the vacated slot
   mid-generation (waved Best-of-N).
 
-Numerics are bitwise identical to the contiguous caches: blocks store
-the same FP16 (or INT8 + FP16-scale) values and ``view`` reassembles the
-same prefix, which ``tests/differential`` asserts token-for-token.
+A block stores its tokens in the one format :mod:`repro.llm.kv_cache`
+defines for every dtype, FP16 or INT8 codes with FP16 scales, and in the
+contiguous cache's order, so ``gather`` and ``view`` reassemble the
+contiguous cache's values bitwise, which ``tests/differential`` asserts
+token-for-token.
 """
 
 from __future__ import annotations
@@ -30,13 +32,13 @@ import numpy as np
 
 from ..errors import EngineError, KVPoolExhausted
 from ..obs import context as obs_context
-from .kv_cache import QuantizedLayerKVCache, dequantize_kv
+from .kv_cache import (check_append, decode_kv, empty_kv, encode_kv,
+                       kv_fields, kv_token_nbytes)
 
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "BlockPool",
     "PagedLayerKVCache",
-    "QuantizedPagedLayerKVCache",
     "PagedKVCache",
     "SequenceSnapshot",
 ]
@@ -159,77 +161,61 @@ class BlockPool:
 
 
 class PagedLayerKVCache:
-    """Block-table KV storage for one layer (FP16 blocks).
+    """Block-table KV storage for one layer: each block stores
+    ``block_size`` tokens of ``dtype`` (see
+    :data:`~repro.llm.kv_cache.KV_FIELDS`).
 
     Interface-compatible with :class:`~repro.llm.kv_cache.LayerKVCache`
-    (``append`` / ``view`` / ``fork`` / ``truncate`` plus ``lengths``),
-    so :meth:`NPUTransformer.forward` runs unmodified on either backing.
+    (``append`` / ``view`` / ``gather`` / ``fork`` / ``truncate`` plus
+    ``lengths``), so :meth:`NPUTransformer.forward` runs unmodified on
+    either backing.
     """
 
     def __init__(self, batch: int, capacity: int, n_kv_heads: int,
-                 head_dim: int, pool: BlockPool) -> None:
+                 head_dim: int, pool: BlockPool, dtype: str = "fp16") -> None:
         if min(batch, capacity, n_kv_heads, head_dim) <= 0:
             raise EngineError("all KV cache dimensions must be positive")
         self.batch = batch
         self.capacity = capacity
         self.n_kv_heads = n_kv_heads
         self.head_dim = head_dim
+        self.dtype = dtype
+        self.fields = kv_fields(dtype)
         self.pool = pool
         self.block_size = pool.block_size
+        self._block_nbytes = self.block_size * kv_token_nbytes(
+            dtype, n_kv_heads, head_dim)
         self.tables: List[List[int]] = [[] for _ in range(batch)]
         self.lengths = np.zeros(batch, dtype=np.int64)
+        #: block handle -> one ``(block_size, 2, kv_heads[, head_dim])``
+        #: array per stored field
         self._storage: Dict[int, Dict[str, np.ndarray]] = {}
 
-    # ------------------------------------------------------------------
-    # storage layout (overridden by the quantized variant)
-    # ------------------------------------------------------------------
-    #: each array a block stores per (token, K or V, head): its dtype, and
-    #: whether it holds a head_dim vector (or one value)
-    _FIELDS: Dict[str, Tuple[type, bool]] = {"kv": (np.float16, True)}
-
     def block_nbytes(self) -> int:
-        """Bytes of one block: K and V, FP16."""
-        return 2 * self.block_size * self.n_kv_heads * self.head_dim * 2
+        """Bytes of one block: ``block_size`` tokens, K and V."""
+        return self._block_nbytes
 
-    def _empty_block(self) -> Dict[str, np.ndarray]:
-        return {name: np.zeros((self.block_size, 2, self.n_kv_heads)
-                               + ((self.head_dim,) if vector else ()),
-                               dtype=dtype)
-                for name, (dtype, vector) in self._FIELDS.items()}
-
-    def _write_block(self, storage: Dict[str, np.ndarray], offset: int,
-                     k, v, start: int, n: int) -> None:
-        storage["kv"][offset:offset + n, 0] = k[start:start + n]
-        storage["kv"][offset:offset + n, 1] = v[start:start + n]
-
-    def _prepare(self, k: np.ndarray, v: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        """Convert an incoming FP16 chunk to the stored representation."""
-        return k, v
-
-    def _read(self, tables: List[List[int]], rows: int) -> np.ndarray:
-        """Keys, then values, of the sequences with these block tables,
-        as one FP16 ``(2, sequences * kv_heads, rows, head_dim)`` stack."""
-        return self._stack(tables, rows, "kv")
-
-    def _stack(self, tables: List[List[int]], rows: int, name: str
-               ) -> np.ndarray:
-        """One stored array of every table's blocks, as a ``(2, tables *
+    def _stacked(self, tables: List[List[int]], rows: int
+                 ) -> Dict[str, np.ndarray]:
+        """Each stored field of every table's blocks as a ``(2, tables *
         kv_heads, rows, ...)`` stack, keys then values, each in (table,
         head) order: each block is copied once, straight into its rows,
         and rows no block covers are zero."""
-        dtype, vector = self._FIELDS[name]
-        trailing = (self.head_dim,) if vector else ()
-        stack = np.zeros((2, len(tables), self.n_kv_heads, rows) + trailing,
-                         dtype=dtype)
-        # (table, token, K or V, head, ...), the order blocks store
-        by_token = stack.transpose((1, 3, 0, 2, 4)[:stack.ndim])
-        for i, table in enumerate(tables):
-            if table:
-                np.concatenate([self._storage[h][name] for h in table],
-                               out=by_token[i, :len(table) * self.block_size])
-        return stack.reshape((2, len(tables) * self.n_kv_heads, rows)
-                             + trailing)
+        stacked = {}
+        for name, (dtype, vector) in self.fields.items():
+            trailing = (self.head_dim,) if vector else ()
+            stack = np.zeros((2, len(tables), self.n_kv_heads, rows)
+                             + trailing, dtype=dtype)
+            # (table, token, K or V, head, ...), the order blocks store
+            by_token = stack.transpose((1, 3, 0, 2, 4)[:stack.ndim])
+            for i, table in enumerate(tables):
+                if table:
+                    np.concatenate(
+                        [self._storage[h][name] for h in table],
+                        out=by_token[i, :len(table) * self.block_size])
+            stacked[name] = stack.reshape(
+                (2, len(tables) * self.n_kv_heads, rows) + trailing)
+        return stacked
 
     # ------------------------------------------------------------------
     # block-table plumbing
@@ -240,8 +226,9 @@ class PagedLayerKVCache:
                 f"sequence {seq} out of range (batch {self.batch})")
 
     def _new_block(self) -> int:
-        handle = self.pool.alloc(self.block_nbytes())
-        self._storage[handle] = self._empty_block()
+        handle = self.pool.alloc(self._block_nbytes)
+        self._storage[handle] = empty_kv(self.dtype, (self.block_size,),
+                                         self.n_kv_heads, self.head_dim)
         return handle
 
     def _release(self, handle: int) -> None:
@@ -266,20 +253,9 @@ class PagedLayerKVCache:
     # ------------------------------------------------------------------
     def append(self, seq: int, k: np.ndarray, v: np.ndarray) -> None:
         """Append ``(tokens, kv_heads, head_dim)`` blocks for one sequence."""
-        self._check_seq(seq)
-        k = np.asarray(k, dtype=np.float16)
-        v = np.asarray(v, dtype=np.float16)
-        expected = (self.n_kv_heads, self.head_dim)
-        if k.shape != v.shape or k.shape[1:] != expected:
-            raise EngineError(
-                f"KV block shape {k.shape} incompatible with cache "
-                f"(batch, capacity, {self.n_kv_heads}, {self.head_dim})")
+        k, v, start = check_append(self, seq, k, v)
         n = k.shape[0]
-        start = int(self.lengths[seq])
-        if start + n > self.capacity:
-            raise EngineError(
-                f"KV cache overflow: {start} + {n} > capacity {self.capacity}")
-        k_store, v_store = self._prepare(k, v)
+        encoded = encode_kv(self.dtype, k, v)
         pos = start
         written = 0
         table = self.tables[seq]
@@ -291,8 +267,12 @@ class PagedLayerKVCache:
             else:
                 handle = self._writable_block(seq, block_idx)
             take = min(self.block_size - offset, n - written)
-            self._write_block(self._storage[handle], offset,
-                              k_store, v_store, written, take)
+            block = self._storage[handle]
+            for name, (k_part, v_part) in encoded.items():
+                block[name][offset:offset + take, 0] = \
+                    k_part[written:written + take]
+                block[name][offset:offset + take, 1] = \
+                    v_part[written:written + take]
             pos += take
             written += take
         self.lengths[seq] = start + n
@@ -315,8 +295,8 @@ class PagedLayerKVCache:
         """
         lengths = self.lengths[sequences].tolist()
         tables = [self.tables[seq] for seq in sequences]
-        keys, values = self._read(tables,
-                                  max(map(len, tables)) * self.block_size)
+        keys, values = decode_kv(self.dtype, self._stacked(
+            tables, max(map(len, tables)) * self.block_size))
         return keys, values, lengths
 
     def fork(self, source: int, targets: List[int]) -> None:
@@ -359,44 +339,7 @@ class PagedLayerKVCache:
     def nbytes_used(self) -> int:
         """Bytes of distinct live blocks referenced by this layer."""
         distinct = {h for table in self.tables for h in table}
-        return len(distinct) * self.block_nbytes()
-
-
-class QuantizedPagedLayerKVCache(PagedLayerKVCache):
-    """INT8 paged blocks with one FP16 scale per (token, head) vector.
-
-    Quantization is per token-row (matching
-    :class:`~repro.llm.kv_cache.QuantizedLayerKVCache` exactly), so
-    splitting a chunk across blocks produces bit-identical codes and
-    scales to the contiguous INT8 cache.
-    """
-
-    def block_nbytes(self) -> int:
-        codes = 2 * self.block_size * self.n_kv_heads * self.head_dim
-        scales = 2 * self.block_size * self.n_kv_heads * 2
-        return codes + scales
-
-    _FIELDS = {"kv": (np.int8, True), "scale": (np.float16, False)}
-
-    def _prepare(self, k: np.ndarray, v: np.ndarray
-                 ) -> Tuple[np.ndarray, np.ndarray]:
-        k_codes, k_scales = QuantizedLayerKVCache._quantize(k)
-        v_codes, v_scales = QuantizedLayerKVCache._quantize(v)
-        # stash scales alongside the codes for _write_block
-        return ((k_codes, k_scales), (v_codes, v_scales))
-
-    def _write_block(self, storage: Dict[str, np.ndarray], offset: int,
-                     k, v, start: int, n: int) -> None:
-        (k_codes, k_scales), (v_codes, v_scales) = k, v
-        codes, scales = storage["kv"], storage["scale"]
-        codes[offset:offset + n, 0] = k_codes[start:start + n]
-        codes[offset:offset + n, 1] = v_codes[start:start + n]
-        scales[offset:offset + n, 0] = k_scales[start:start + n]
-        scales[offset:offset + n, 1] = v_scales[start:start + n]
-
-    def _read(self, tables: List[List[int]], rows: int) -> np.ndarray:
-        return dequantize_kv(self._stack(tables, rows, "kv"),
-                             self._stack(tables, rows, "scale"))
+        return len(distinct) * self._block_nbytes
 
 
 @dataclass
@@ -427,24 +370,21 @@ class PagedKVCache:
                  n_kv_heads: int, head_dim: int, dtype: str = "fp16",
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  pool: Optional[BlockPool] = None, heap=None) -> None:
-        if dtype == "fp16":
-            layer_cls = PagedLayerKVCache
-        elif dtype == "q8":
-            layer_cls = QuantizedPagedLayerKVCache
-        else:
-            raise EngineError(f"unknown KV cache dtype {dtype!r}")
         if pool is None:
-            probe = layer_cls(1, capacity, n_kv_heads, head_dim,
-                              BlockPool(1, block_size))
+            if block_size <= 0:
+                raise EngineError(
+                    f"block size must be positive, got {block_size}")
             blocks_per_seq = -(-capacity // block_size)
             # budget one sequence beyond the batch: a pinned snapshot
             # (the scheduler's prompt anchor) holds at most one
             # sequence's worth of blocks on top of the live slots
             capacity_bytes = (n_layers * (batch + 1) * blocks_per_seq
-                              * probe.block_nbytes())
+                              * block_size
+                              * kv_token_nbytes(dtype, n_kv_heads, head_dim))
             pool = BlockPool(capacity_bytes, block_size, heap=heap)
         self.pool = pool
-        self.layers = [layer_cls(batch, capacity, n_kv_heads, head_dim, pool)
+        self.layers = [PagedLayerKVCache(batch, capacity, n_kv_heads,
+                                         head_dim, pool, dtype)
                        for _ in range(n_layers)]
         self.batch = batch
         self.capacity = capacity

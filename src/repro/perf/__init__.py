@@ -12,7 +12,7 @@ from .. import _lazy
 __all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
     "baselines": ("AdrenoGPUModel", "CPUBaselineModel", "QNNReferenceModel"),
     "latency": ("PREFILL_EFFICIENCY", "DecodePerformanceModel",
-                "attention_cost", "attention_phase_costs", "gemm_cost"),
+                "attention_cost", "attention_phase_costs"),
     "memory": ("MemoryModel", "ResourceUsage"),
     "power": ("PowerBudget", "PowerModel", "PowerSample"),
     "prefill": ("PrefillConfig", "PrefillPipelineModel"),

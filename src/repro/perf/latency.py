@@ -38,7 +38,6 @@ from ..npu.timing import (
 
 __all__ = [
     "PREFILL_EFFICIENCY",
-    "gemm_cost",
     "attention_cost",
     "DecodePerformanceModel",
 ]

@@ -26,8 +26,8 @@ from typing import Dict, List, Optional
 from ..errors import EngineError
 from ..llm.config import ModelConfig
 from ..npu.soc import Device
-from ..npu.timing import KernelCost, TimingModel
-from .latency import attention_cost, gemm_cost
+from ..npu.timing import KernelCost, TimingModel, gemm_cost
+from .latency import attention_cost
 
 __all__ = ["PrefillPipelineModel", "PrefillConfig"]
 

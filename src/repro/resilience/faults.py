@@ -473,9 +473,10 @@ class FaultPlan:
 
         Consumed by :class:`~repro.fleet.simulation.FleetSimulation`,
         which schedules each on the shared event loop at its
-        ``time_seconds``; the per-run :class:`FaultInjector` skips them
-        entirely, so one plan can mix device-level chaos with the
-        scheduler-level faults an engine-backed device arms per run.
+        ``time_seconds`` and refuses a plan holding any other event: no
+        fleet device fires one, since an engine-backed device arms each
+        request's own ``fault_spec``.  The per-run
+        :class:`FaultInjector` skips ``fleet.device`` events entirely.
         """
         return tuple(sorted(
             (e for e in self.events if e.site == "fleet.device"),

@@ -61,9 +61,33 @@ def test_block_size_never_changes_tokens(tiny_model, block_size):
     assert paged.sequences == reference.sequences
 
 
+def _assert_layouts_equal(contiguous, paged, n_kv_heads):
+    """Every sequence's view, and one gather of all of them, agree
+    bitwise on each sequence's valid rows."""
+    order = [2, 0, 3, 1]
+    for layer in range(len(contiguous)):
+        for seq in order:
+            ck, cv = contiguous[layer].view(seq)
+            pk, pv = paged[layer].view(seq)
+            np.testing.assert_array_equal(ck, pk)
+            np.testing.assert_array_equal(cv, pv)
+        ck, cv, lengths = contiguous[layer].gather(order)
+        pk, pv, paged_lengths = paged[layer].gather(order)
+        assert paged_lengths == lengths
+        assert ck.dtype == pk.dtype == np.float16
+        assert ck.shape[0] == pk.shape[0] == len(order) * n_kv_heads
+        # rows past a sequence's length are left for attention to ignore
+        for i, n in enumerate(lengths):
+            heads = slice(i * n_kv_heads, (i + 1) * n_kv_heads)
+            np.testing.assert_array_equal(ck[heads, :n], pk[heads, :n])
+            np.testing.assert_array_equal(cv[heads, :n], pv[heads, :n])
+
+
 @pytest.mark.parametrize("dtype", ["fp16", "q8"])
 def test_paged_view_bitwise_equal_after_fork(tiny_model, dtype):
-    """Raw cache views agree bitwise, including CoW-forked prefixes."""
+    """Raw cache views and gathers agree bitwise, including CoW-forked
+    prefixes and a fork rolled back into its shared blocks and
+    appended to again."""
     cfg = tiny_model.config
     rng = np.random.default_rng(5)
     contiguous = KVCache(cfg.n_layers, 4, 32, cfg.n_kv_heads, cfg.head_dim,
@@ -82,12 +106,17 @@ def test_paged_view_bitwise_equal_after_fork(tiny_model, dtype):
     for layer in range(cfg.n_layers):
         contiguous[layer].append(2, tail, tail)
         paged[layer].append(2, tail, tail)
+    _assert_layouts_equal(contiguous, paged, cfg.n_kv_heads)
+
+    # roll a fork back into the middle of a shared block, then append
+    # past it: the shared block is copied before its rows are rewritten
+    contiguous.truncate(1, 4)
+    paged.truncate(1, 4)
+    tail = rng.normal(0, 1, (5,) + shape[1:]).astype(np.float16)
     for layer in range(cfg.n_layers):
-        for seq in range(4):
-            ck, cv = contiguous[layer].view(seq)
-            pk, pv = paged[layer].view(seq)
-            np.testing.assert_array_equal(ck, pk)
-            np.testing.assert_array_equal(cv, pv)
+        contiguous[layer].append(1, tail * 2, tail)
+        paged[layer].append(1, tail * 2, tail)
+    _assert_layouts_equal(contiguous, paged, cfg.n_kv_heads)
 
 
 @pytest.mark.parametrize("eos_id", [None, 5])

@@ -22,15 +22,15 @@ import pytest
 from repro.kernels.dequant import DEQUANT_STRATEGIES
 from repro.kernels.flash_attention import AttentionBreakdown, FlashAttention
 from repro.kernels.gemm import FusedWeight, MixedPrecisionGemm
-from repro.kernels.softmax import (
-    CALL_FIXED_PACKETS,
-    LUT_ROW_EXPOSED_PACKETS,
-    ROW_REDUCE_PACKETS,
-)
 from repro.npu.hmx import TILE_DIM, HMXUnit, padded_fp32
 from repro.npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
 from repro.npu.memory import TCM
-from repro.npu.timing import KernelCost
+from repro.npu.timing import (
+    CALL_FIXED_PACKETS,
+    LUT_ROW_EXPOSED_PACKETS,
+    ROW_REDUCE_PACKETS,
+    KernelCost,
+)
 from repro.obs import MetricsRegistry, Tracer, scope
 from repro.quant.tile_quant import dequantize_weight
 from repro.testing import HMX_LAYOUTS, laid_out, reference_gemm

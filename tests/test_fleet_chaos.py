@@ -528,3 +528,21 @@ class TestChaosReport:
                      "--faults", "dev#0:warp@1"])
         assert code == 2
         assert "error" in capsys.readouterr().out
+
+    def test_events_no_fleet_device_fires_are_refused(self):
+        """Only ``dev#K`` events fire in a fleet run: a plan holding any
+        other event is refused, naming the first one."""
+        with pytest.raises(FaultError, match="fault 'alloc@3' at site "
+                                             "'scheduler.step' never fires"):
+            _chaos_sim(fault_spec="dev#1:crash@2:5,alloc@3,tcm#0")
+
+    def test_cli_refuses_events_no_fleet_device_fires(self, capsys):
+        from repro.cli import main
+
+        code = main(["fleet", "--devices", "4", "--qps", "5",
+                     "--requests", "20", "--no-capacity-plan",
+                     "--faults", "tcm#0,abort@1"])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            "error: fault 'abort@1' at site 'scheduler.step' never fires: "
+            "a fleet run arms only fleet.device events"]

@@ -12,12 +12,12 @@ from repro.kernels.dequant import (
     dequantize_stream,
     int4_to_fp16_unpack,
     int4_to_fp16_vlut,
-    scatter_conflict_factor,
 )
 from repro.kernels.gemm import MixedPrecisionGemm
 from repro.npu.hmx import matrix_to_hmx_layout, pad_to_tiles
 from repro.npu.hvx import HVXContext
 from repro.npu.memory import DMAEngine
+from repro.npu.timing import scatter_conflict_factor
 from repro.quant.codebooks import NF4_CODEBOOK, Q4_0_CODEBOOK
 from repro.quant.coalesce import pack_aos_q4, pack_supergroups_q4
 from repro.quant.tile_quant import (

@@ -14,7 +14,6 @@ from repro.kernels.ops import (
     silu,
     swiglu,
 )
-from repro.npu.hvx import HVXContext
 
 
 class TestRMSNorm:
@@ -43,12 +42,6 @@ class TestRMSNorm:
     def test_width_mismatch(self, rng):
         with pytest.raises(KernelError):
             rms_norm(rng.normal(size=(2, 32)), np.ones(16))
-
-    def test_charges_hvx(self, rng):
-        hvx = HVXContext()
-        rms_norm(rng.normal(size=(2, 64)).astype(np.float16),
-                 np.ones(64, dtype=np.float16), hvx=hvx)
-        assert hvx.trace.total() > 0
 
 
 class TestRoPE:

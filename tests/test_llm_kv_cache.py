@@ -24,6 +24,9 @@ class TestLayerKVCache:
         keys, values = layer_cache.view(0)
         assert keys.shape == (3, 2, 8)
         assert np.array_equal(keys, k) and np.array_equal(values, v)
+        # FP16 views read the storage itself, not a copy
+        assert np.shares_memory(keys, layer_cache.arrays["kv"])
+        assert np.shares_memory(values, layer_cache.arrays["kv"])
 
     def test_incremental_append(self, layer_cache, rng):
         k1, v1 = _kv(rng, 2)
@@ -144,3 +147,25 @@ class TestHeapBackedBlockPool:
         heap = DEVICES["oneplus_ace3"].rpcmem_heap()  # 2 GiB VA space
         with pytest.raises(AddressSpaceError):
             PagedKVCache(2, 8, 10**9, 8, 128, heap=heap)
+
+
+class TestPagedDefaultPool:
+    @pytest.mark.parametrize("dtype, token_bytes", [
+        ("fp16", 2 * 2 * 8 * 2),          # K and V, 2 heads x 8 FP16
+        ("q8", 2 * 2 * 8 + 2 * 2 * 2),    # INT8 codes plus FP16 scales
+    ])
+    def test_budget_holds_one_sequence_beyond_the_batch(self, dtype,
+                                                       token_bytes):
+        from repro.llm.block_pool import PagedKVCache
+
+        cache = PagedKVCache(2, 4, 40, 2, 8, dtype=dtype, block_size=16)
+        assert cache[0].block_nbytes() == 16 * token_bytes
+        # 2 layers x (4 + 1) sequences x 3 whole blocks of 16 tokens
+        assert cache.pool.capacity_bytes == 2 * 5 * 3 * 16 * token_bytes
+
+    @pytest.mark.parametrize("block_size", [0, -4])
+    def test_non_positive_block_size(self, block_size):
+        from repro.llm.block_pool import PagedKVCache
+
+        with pytest.raises(EngineError, match="block size must be positive"):
+            PagedKVCache(1, 2, 8, 1, 4, block_size=block_size)

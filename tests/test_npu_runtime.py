@@ -10,11 +10,11 @@ import pytest
 from repro.errors import EngineError, NPUError
 from repro.llm import (
     NPUTransformer,
-    QuantizedLayerKVCache,
     TransformerWeights,
     mean_kl_divergence,
     tiny_config,
 )
+from repro.llm.block_pool import BlockPool, PagedKVCache, PagedLayerKVCache
 from repro.llm.kv_cache import KVCache, LayerKVCache
 from repro.npu import (
     GOVERNORS,
@@ -56,8 +56,8 @@ class TestPowerGovernors:
 
 class TestQuantizedKVCache:
     def test_roundtrip_close(self, rng):
-        cache = QuantizedLayerKVCache(batch=1, capacity=8, n_kv_heads=2,
-                                      head_dim=16)
+        cache = LayerKVCache(batch=1, capacity=8, n_kv_heads=2, head_dim=16,
+                             dtype="q8")
         k = rng.normal(0, 1, (4, 2, 16)).astype(np.float16)
         v = rng.normal(0, 1, (4, 2, 16)).astype(np.float16)
         cache.append(0, k, v)
@@ -69,13 +69,12 @@ class TestQuantizedKVCache:
 
     def test_half_the_memory(self):
         fp16 = LayerKVCache(2, 64, 2, 32)
-        q8 = QuantizedLayerKVCache(2, 64, 2, 32)
-        fp16_bytes = fp16.keys.nbytes + fp16.values.nbytes
-        assert q8.nbytes_used() < 0.6 * fp16_bytes
+        q8 = LayerKVCache(2, 64, 2, 32, dtype="q8")
+        assert q8.nbytes_used() < 0.6 * fp16.nbytes_used()
 
     def test_fork_preserves_scales(self, rng):
-        cache = QuantizedLayerKVCache(batch=3, capacity=8, n_kv_heads=1,
-                                      head_dim=8)
+        cache = LayerKVCache(batch=3, capacity=8, n_kv_heads=1, head_dim=8,
+                             dtype="q8")
         k = rng.normal(0, 1, (3, 1, 8)).astype(np.float16)
         cache.append(0, k, k)
         cache.fork(0, [1, 2])
@@ -94,13 +93,20 @@ class TestQuantizedKVCache:
                               model.new_cache(1, 16, dtype="q8"))
         assert mean_kl_divergence(l16[0], l8[0]) < 1e-3
 
-    def test_unknown_dtype(self):
-        with pytest.raises(EngineError):
-            KVCache(1, 1, 4, 1, 4, dtype="q2")
+    @pytest.mark.parametrize("build", [
+        lambda dtype: LayerKVCache(1, 4, 1, 4, dtype=dtype),
+        lambda dtype: PagedLayerKVCache(1, 4, 1, 4, BlockPool(64, 2),
+                                        dtype=dtype),
+        lambda dtype: KVCache(1, 1, 4, 1, 4, dtype=dtype),
+        lambda dtype: PagedKVCache(1, 1, 4, 1, 4, dtype=dtype),
+    ], ids=["LayerKVCache", "PagedLayerKVCache", "KVCache", "PagedKVCache"])
+    def test_unknown_dtype(self, build):
+        with pytest.raises(EngineError, match="'q2'"):
+            build("q2")
 
     def test_overflow_and_range_checks(self, rng):
-        cache = QuantizedLayerKVCache(batch=1, capacity=2, n_kv_heads=1,
-                                      head_dim=4)
+        cache = LayerKVCache(batch=1, capacity=2, n_kv_heads=1, head_dim=4,
+                             dtype="q8")
         k = rng.normal(size=(3, 1, 4)).astype(np.float16)
         with pytest.raises(EngineError):
             cache.append(0, k, k)

@@ -11,7 +11,9 @@ under that name, ``dir()`` and ``from ... import *`` see every one, an
 unknown name raises ``AttributeError`` naming the package, a name that
 a same-named submodule would shadow survives that submodule's import,
 and every name read through ``vars()`` is bound as soon as its owner is
-imported.  Every module can also be the first one imported.
+imported.  Every module can also be the first one imported.  No module
+re-exports a name it imports: each ``__all__`` name and each package
+table entry points at the module that defines it.
 
 Each case runs in a fresh interpreter, because this process already
 holds most of ``repro``; the module sets are deterministic, so an extra
@@ -20,6 +22,7 @@ module is a regression, not noise.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import pkgutil
@@ -265,3 +268,65 @@ def test_every_module_imports_first_and_registries_need_no_other():
     assert result["alone"] == result["everything"]
     assert sorted(result["alone"]) == sorted(REGISTRIES)
     assert all(result["alone"].values())
+
+
+def _parse(path: str) -> ast.Module:
+    with open(path) as source:
+        return ast.parse(source.read())
+
+
+def _defined(tree: ast.Module) -> Set[str]:
+    """The names a module binds at top level other than by importing."""
+    names: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name))
+    return names
+
+
+def test_no_module_re_exports_what_it_imports():
+    """Each name in a module's ``__all__`` is defined in that module, and
+    each package table (``_lazy.attach(names=...)``) names the submodule
+    that defines each name, so no public name resolves through a module
+    that only imports it."""
+    root = os.path.dirname(repro.__file__)
+    problems = []
+    for directory, _, files in os.walk(root):
+        for filename in sorted(files):
+            if not filename.endswith(".py"):
+                continue
+            path = os.path.join(directory, filename)
+            module = os.path.relpath(path[:-3], os.path.dirname(root)) \
+                .replace(os.sep, ".")
+            tree = _parse(path)
+            if filename == "__init__.py":
+                tables = [ast.literal_eval(keyword.value)
+                          for node in ast.walk(tree)
+                          if isinstance(node, ast.Call)
+                          and getattr(node.func, "attr", None) == "attach"
+                          for keyword in node.keywords
+                          if keyword.arg == "names"]
+                for table in tables:
+                    for owner, names in table.items():
+                        defined = _defined(
+                            _parse(os.path.join(directory, owner + ".py")))
+                        problems += [f"{module[:-len('.__init__')]}: {name} "
+                                     f"via {owner}"
+                                     for name in names if name not in defined]
+                continue
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                        getattr(target, "id", None) == "__all__"
+                        for target in node.targets):
+                    defined = _defined(tree)
+                    problems += [f"{module}.__all__: {name}"
+                                 for name in ast.literal_eval(node.value)
+                                 if name not in defined]
+    assert not problems, "\n".join(sorted(problems))

@@ -9,12 +9,11 @@ from repro.kernels.flash_attention import FlashAttention
 from repro.llm.config import get_model_config
 from repro.npu.memory import TCM
 from repro.npu.soc import get_device
-from repro.npu.timing import KernelCost, TimingModel, V75
+from repro.npu.timing import KernelCost, TimingModel, V75, gemm_cost
 from repro.perf.latency import (
     DecodePerformanceModel,
     attention_cost,
     attention_phase_costs,
-    gemm_cost,
 )
 
 
