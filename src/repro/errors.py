@@ -88,10 +88,12 @@ class KVPoolExhausted(EngineError):
 class FaultError(ReproError):
     """Base class for injected faults and resilience-layer failures.
 
-    The :mod:`repro.resilience` fault injector models the deployment
-    hazards of Section 7.2 — FastRPC session plumbing, rpcmem/TCM
-    memory pressure, DVFS/thermal behaviour — as deterministic,
-    seed-scheduled events so recovery paths can be tested exactly.
+    The :mod:`repro.resilience` fault plans model the deployment
+    hazards of Section 7.2 — FastRPC session death, rpcmem memory
+    pressure, DVFS/thermal behaviour — as deterministic, seed-scheduled
+    events where recovery lives: the scheduler's decode step, its KV
+    block pool and the fleet's devices.  Raised directly for a
+    malformed plan, or for an event the run it is given to never fires.
     """
 
 
@@ -117,10 +119,6 @@ class SessionAbortError(FaultError):
     :meth:`~repro.npu.soc.FastRPCSession.reopen` and a rebuild of
     NPU-resident state from host-side snapshots.
     """
-
-
-class RetryExhaustedError(FaultError):
-    """A retried operation kept faulting past the policy's retry cap."""
 
 
 class FleetError(ReproError):

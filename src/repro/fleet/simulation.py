@@ -41,7 +41,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..errors import FaultError, FleetError
+from ..errors import FleetError
 from ..obs import context as obs_context
 from ..obs.metrics import Histogram
 from ..obs.slo import hdr_buckets
@@ -214,12 +214,7 @@ class FleetSimulation:
             cooldown_seconds=breaker_cooldown_seconds)
         self._fault_events: Tuple = ()
         if fault_plan is not None:
-            unarmed = [e for e in fault_plan if e.site != "fleet.device"]
-            if unarmed:
-                raise FaultError(
-                    f"fault {unarmed[0].spec()!r} at site "
-                    f"{unarmed[0].site!r} never fires: a fleet run arms "
-                    f"only fleet.device events")
+            fault_plan.refuse_outside(("fleet.device",), "a fleet run")
             self._fault_events = fault_plan.fleet_events()
             unknown = sorted({e.device for e in self._fault_events}
                              - set(self._by_id))

@@ -8,14 +8,13 @@ to what we measure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict
 
 import numpy as np
 
 from ..errors import AddressSpaceError
-from ..kernels.gemm import MixedPrecisionGemm
 from ..kernels.softmax import OnChipSoftmax
-from ..llm.config import MODEL_CONFIGS, get_model_config
+from ..llm.config import get_model_config
 from ..npu.hvx import HVXContext
 from ..npu.memory import TCM
 from ..npu.soc import DEVICES, get_device

@@ -9,13 +9,10 @@ are cached at module level so a benchmark session pays for them once.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-import numpy as np
-
-from ..npu.hmx import HMXUnit
 from ..npu.soc import DEVICES
-from ..npu.timing import GENERATIONS, TimingModel, V75
+from ..npu.timing import TimingModel, V75
 from ..tts.accuracy_model import accuracy_under_quantization, calibrate_kl_scale
 from ..tts.tasks import get_model_profile
 from .report import ExperimentResult

@@ -41,7 +41,7 @@ from ..npu.timing import (
     scatter_conflict_factor,
 )
 from ..quant.codebooks import Codebook, Q4_0_CODEBOOK
-from ..quant.coalesce import PackedWeight, unpack_nibbles
+from ..quant.coalesce import PackedWeight
 from ..quant.schemes import QuantizedGroups
 from ..quant.tile_quant import QuantizedWeight
 from .lut import scale_broadcast_indices

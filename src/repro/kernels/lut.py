@@ -17,8 +17,6 @@ Two table families:
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 import numpy as np
 
 from ..errors import LUTError

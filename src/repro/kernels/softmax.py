@@ -23,7 +23,7 @@ these kernels with FP32 row summation, as in Algorithm 1.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

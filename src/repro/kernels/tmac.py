@@ -25,12 +25,12 @@ measure against the Fig. 15 "no dequantization" ceiling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from ..errors import KernelError
-from ..npu.hvx import HVXContext, InstructionTrace, vectors_for_bytes
+from ..npu.hvx import InstructionTrace, vectors_for_bytes
 from ..npu.memory import DMAEngine
 from ..npu.timing import KernelCost
 from ..quant.schemes import Q4_GROUP_SIZE

@@ -13,7 +13,7 @@ on the CPU (§7.2.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..errors import ModelConfigError

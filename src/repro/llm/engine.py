@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..errors import EngineError
-from ..npu.memory import MultiSessionHeap, RpcMemHeap
+from ..npu.memory import MultiSessionHeap
 from ..npu.power_mgmt import GOVERNORS, PowerGovernor, apply_governor
 from ..npu.soc import DEFAULT_DEVICE, DEVICES, Device
 from ..npu.timing import TimingModel
@@ -27,7 +27,6 @@ from ..obs import context as obs_context
 from ..obs import energy as obs_energy
 from ..obs import metrics as obs_metrics
 from ..perf.power import PowerBudget
-from .kv_cache import KVCache
 from .model import NPUTransformer, StepCost
 from .sampler import Sampler
 

@@ -10,8 +10,6 @@ reference — the direct measure of quantization damage.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..errors import ModelConfigError

@@ -21,7 +21,7 @@ visible end to end: the op's own CPU time plus two boundary crossings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import EngineError
 from ..npu.soc import Device

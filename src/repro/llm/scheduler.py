@@ -35,7 +35,6 @@ import numpy as np
 from ..errors import (
     DMATimeoutError,
     EngineError,
-    FaultError,
     KVPoolExhausted,
     SessionAbortError,
     TransientFaultError,
@@ -254,10 +253,6 @@ _STEP_FAULTS = (("session_abort", SessionAbortError, "FastRPC session abort"),
                 ("dma_timeout", DMATimeoutError, "DMA timeout"),
                 ("alloc_fail", KVPoolExhausted, "KV pool exhaustion"))
 
-#: Fault sites a run fires: its decode steps and its KV pool.  The
-#: injector skips ``fleet.device`` events by design: the fleet fires them.
-_RUN_FAULT_SITES = ("scheduler.step", "kv_pool.alloc", "fleet.device")
-
 
 class ContinuousBatchingScheduler:
     """Waved Best-of-N decode over an engine with a paged KV cache."""
@@ -372,12 +367,6 @@ class _Run:
         # and loads no resilience module
         self.injector = self.retry = None
         if fault_plan:
-            unarmed = [e for e in fault_plan if e.site not in _RUN_FAULT_SITES]
-            if unarmed:
-                raise FaultError(
-                    f"fault {unarmed[0].spec()!r} at site "
-                    f"{unarmed[0].site!r} never fires: a scheduler run "
-                    f"arms only scheduler.step and kv_pool.alloc events")
             from ..resilience.faults import FaultInjector
             from ..resilience.recovery import RetryPolicy
 

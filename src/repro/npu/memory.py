@@ -19,8 +19,8 @@ models:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class TCM:
         self._buffer = np.zeros(capacity, dtype=np.uint8)
         self._regions: List[TCMRegion] = []
         self._peak_usage = 0
-        # optional repro.resilience.FaultInjector; fires alloc_fail
-        # events at the "tcm.alloc" site when set
-        self.fault_injector = None
 
     # ------------------------------------------------------------------
     # allocation
@@ -88,12 +85,6 @@ class TCM:
         if size <= 0:
             raise TCMAllocationError(f"allocation size must be positive, got {size}")
         aligned = self._align(size)
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_raise(
-                "tcm.alloc",
-                detail=f"requested {size} bytes ({aligned} aligned), "
-                       f"{self.free_bytes()} free of {self.capacity}, "
-                       f"peak use {self._peak_usage}")
         cursor = 0
         for region in sorted(self._regions, key=lambda r: r.offset):
             if region.offset - cursor >= aligned:
@@ -290,9 +281,6 @@ class RpcMemHeap:
         self.va_space_bytes = va_space_bytes
         self.buffers: List[SharedBuffer] = []
         self.peak_mapped_bytes = 0
-        # optional repro.resilience.FaultInjector; fires alloc_fail
-        # events at the "rpcmem.alloc" site when set
-        self.fault_injector = None
 
     def mapped_bytes(self) -> int:
         return sum(b.nbytes for b in self.buffers)
@@ -302,13 +290,6 @@ class RpcMemHeap:
         return self.va_space_bytes - self.mapped_bytes()
 
     def alloc(self, nbytes: int, name: str = "rpcmem") -> SharedBuffer:
-        if self.fault_injector is not None:
-            self.fault_injector.maybe_raise(
-                "rpcmem.alloc",
-                detail=f"mapping {name}: requested {nbytes} bytes, "
-                       f"{self.free_va_bytes()} VA free of "
-                       f"{self.va_space_bytes}, peak mapped "
-                       f"{self.peak_mapped_bytes}")
         if self.mapped_bytes() + nbytes > self.va_space_bytes:
             raise AddressSpaceError(
                 f"mapping {name} ({nbytes / 2**20:.0f} MiB) exceeds NPU VA space: "

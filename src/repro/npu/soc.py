@@ -13,12 +13,12 @@ Covers the non-NPU pieces the paper's end-to-end system depends on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
 from ..errors import EngineError, NPUError, SessionAbortError
-from .memory import RpcMemHeap, SharedBuffer
+from .memory import RpcMemHeap
 from .timing import GENERATIONS, NPUGenerationTiming
 
 __all__ = [
@@ -129,18 +129,15 @@ class FastRPCSession:
     it held is lost (§7.2's FastRPC plumbing).  :meth:`abort` models
     that — the session goes dead and submits raise
     :class:`~repro.errors.SessionAbortError` until :meth:`reopen`
-    rebuilds the mailbox.  A
-    :class:`~repro.resilience.FaultInjector` passed as
-    ``fault_injector`` schedules aborts and DMA timeouts at the
-    ``fastrpc.submit`` site; :class:`~repro.resilience.ResilientSession`
-    wraps the retry/reopen loop around it.
+    rebuilds the mailbox.  A run's injected aborts and their recovery
+    live in the continuous-batching scheduler's decode step
+    (docs/ARCHITECTURE.md §9), which charges the reopen this models.
     """
 
     _MAILBOX_BYTES = 4096
 
-    def __init__(self, heap: RpcMemHeap, fault_injector=None) -> None:
+    def __init__(self, heap: RpcMemHeap) -> None:
         self.heap = heap
-        self.fault_injector = fault_injector
         self.alive = True
         self.reopen_count = 0
         self.mailbox = heap.alloc(self._MAILBOX_BYTES, name="fastrpc-mailbox")
@@ -176,14 +173,6 @@ class FastRPCSession:
         if not self.alive:
             raise SessionAbortError(
                 "FastRPC session is dead; reopen() before submitting")
-        if self.fault_injector is not None:
-            try:
-                self.fault_injector.maybe_raise(
-                    "fastrpc.submit",
-                    detail=f"after {self.requests_served} requests")
-            except SessionAbortError:
-                self.abort()
-                raise
 
     def register_op(self, opcode: int,
                     handler: Callable[[np.ndarray], np.ndarray]) -> None:

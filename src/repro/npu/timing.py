@@ -24,7 +24,7 @@ imperfect software pipelining.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import EngineError, KernelError, NPUError

@@ -37,7 +37,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..errors import ObservabilityError
 from ..npu.soc import DEFAULT_DEVICE

@@ -21,7 +21,7 @@ shows how the §8b work items close the gap toward the engine bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..errors import EngineError
 from ..llm.config import ModelConfig

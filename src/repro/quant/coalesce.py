@@ -15,7 +15,6 @@ utilization metric that quantifies the win.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

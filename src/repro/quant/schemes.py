@@ -18,7 +18,7 @@ on device, so quantization error measurements include scale rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

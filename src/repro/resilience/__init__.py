@@ -2,17 +2,18 @@
 
 The reproduction's serving stack must keep answering Best-of-N queries
 through the hazards the paper's deployment hit (§7.2): FastRPC session
-aborts, rpcmem/TCM allocation failures, DMA stalls, and DVFS/thermal
-throttling.  This package provides:
+aborts, KV-pool (rpcmem) allocation failures, DMA stalls, and
+DVFS/thermal throttling.  This package provides:
 
 * :mod:`repro.resilience.faults` — :class:`FaultPlan` /
   :class:`FaultInjector`: seeded, fully deterministic fault schedules
-  consumed by hooks in the NPU memory model, the FastRPC session, the
-  KV block pool and the continuous-batching scheduler;
+  fired where recovery lives: the continuous-batching scheduler's
+  decode steps, its KV block pool, and (through the plan's
+  ``fleet.device`` events) the fleet's devices;
 * :mod:`repro.resilience.recovery` — :class:`RetryPolicy` (capped
-  exponential backoff), :class:`ResilientSession` (retry/reopen around
-  FastRPC), and :func:`degraded_schedule` (fault + deadline arithmetic
-  for the statistical TTS path).
+  exponential backoff for the scheduler's retry ladder) and
+  :func:`degraded_schedule` (fault + deadline arithmetic for the
+  statistical TTS path).
 
 Core invariants (enforced by ``tests/differential`` and
 ``tests/test_determinism.py``):
@@ -31,6 +32,5 @@ from .. import _lazy
 __all__, __getattr__, __dir__ = _lazy.attach(globals(), names={
     "faults": ("FAULT_KINDS", "FLEET_FAULT_KINDS", "INJECTION_SITES",
                "FaultEvent", "FaultInjector", "FaultPlan", "FaultRecord"),
-    "recovery": ("DegradedSchedule", "ResilientSession", "RetryPolicy",
-                 "degraded_schedule"),
+    "recovery": ("DegradedSchedule", "RetryPolicy", "degraded_schedule"),
 })

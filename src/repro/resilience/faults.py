@@ -3,10 +3,13 @@
 The paper's deployment story (§7.2) is dominated by failure modes the
 happy path never sees: the 32-bit rpcmem VA-space wall (§7.2.1/§7.2.2),
 DVFS/thermal throttling (§7.2.3), and FastRPC session plumbing (§6).
-This module schedules those hazards as *data*: a :class:`FaultPlan` is
-an immutable list of :class:`FaultEvent` records, each naming a fault
-kind, an injection site, and the operation index at that site where it
-fires.  A :class:`FaultInjector` consumes the plan during a run.
+This module schedules those hazards as *data*, at the three sites where
+recovery lives: the scheduler's decode step, its KV block pool and the
+fleet's devices.  A :class:`FaultPlan` is an immutable list of
+:class:`FaultEvent` records, each naming a fault kind, an injection
+site, and the step, operation index or simulated time at that site
+where it fires.  A :class:`FaultInjector` consumes the plan during a
+scheduler run; the fleet schedules its own events.
 
 Determinism is the design invariant:
 
@@ -25,8 +28,8 @@ Fault kinds and the layers that recover from them:
                    Recovery: reopen + rebuild KV from snapshots.
 ``dma_timeout``    A DMA transfer stalls.  Transient: capped backoff
                    and retry, no state rebuild.
-``alloc_fail``     TCM / rpcmem / KV-pool allocation fails (memory
-                   pressure).  Recovery: evict the lowest-value
+``alloc_fail``     A KV-pool allocation fails (rpcmem pressure on the
+                   pool).  Recovery: evict the lowest-value
                    candidate, shrink the live batch, retry.
 ``thermal_throttle``  The DVFS governor is forced down via
                    :mod:`repro.npu.power_mgmt`; step costs rescale so
@@ -59,19 +62,12 @@ in :mod:`repro.fleet.health`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import (
-    AddressSpaceError,
-    DMATimeoutError,
-    FaultError,
-    KVPoolExhausted,
-    SessionAbortError,
-    TCMAllocationError,
-)
+from ..errors import FaultError, KVPoolExhausted
 from ..obs import context as obs_context
 
 __all__ = [
@@ -95,19 +91,15 @@ FLEET_FAULT_KINDS = ("device_crash", "straggle", "dispatch_drop",
                      "battery_drain")
 
 #: Known injection sites.  ``scheduler.step`` events fire by decode step
-#: number; ``fleet.device`` events fire at an absolute simulated time on
-#: the fleet event loop; the remaining sites fire by per-site operation
-#: index (the N-th allocation / submit observed at that site).
-INJECTION_SITES = ("scheduler.step", "fastrpc.submit", "tcm.alloc",
-                   "rpcmem.alloc", "kv_pool.alloc", "fleet.device")
+#: number; ``kv_pool.alloc`` events by operation index (the N-th block
+#: allocation of a scheduler run); ``fleet.device`` events at an absolute
+#: simulated time on the fleet event loop.
+INJECTION_SITES = ("scheduler.step", "kv_pool.alloc", "fleet.device")
 
 # kinds that make sense per site (spec validation)
 _SITE_KINDS = {
     "scheduler.step": {"session_abort", "dma_timeout", "alloc_fail",
                        "thermal_throttle"},
-    "fastrpc.submit": {"session_abort", "dma_timeout"},
-    "tcm.alloc": {"alloc_fail"},
-    "rpcmem.alloc": {"alloc_fail"},
     "kv_pool.alloc": {"alloc_fail"},
     "fleet.device": set(FLEET_FAULT_KINDS),
 }
@@ -124,7 +116,8 @@ class FaultEvent:
     """One scheduled fault.
 
     ``at`` is the decode step number for ``site="scheduler.step"``
-    events and the zero-based operation index for every other site.
+    events and the zero-based block allocation index for
+    ``site="kv_pool.alloc"``.
     ``governor``/``duration_steps`` only apply to thermal throttling:
     the governor the DVFS ladder is forced down to, and for how many
     decode steps (``None`` = the rest of the run).
@@ -226,13 +219,7 @@ class FaultEvent:
             short = {"session_abort": "abort", "dma_timeout": "dma",
                      "alloc_fail": "alloc"}[self.kind]
             return f"{short}@{self.at}"
-        short = {"tcm.alloc": "tcm", "rpcmem.alloc": "rpcmem",
-                 "kv_pool.alloc": "kvpool",
-                 "fastrpc.submit": "rpc"}[self.site]
-        if self.site == "fastrpc.submit":
-            suffix = "abort" if self.kind == "session_abort" else "dma"
-            return f"{short}#{self.at}:{suffix}"
-        return f"{short}#{self.at}"
+        return f"kvpool#{self.at}"
 
 
 class FaultPlan:
@@ -271,13 +258,10 @@ class FaultPlan:
             throttle@N:GOV[:D]       force governor GOV for D steps
                                      (D omitted = rest of run)
 
-        Operation-indexed events (fire at the K-th operation of a
-        site)::
+        Operation-indexed events (fire at the K-th KV block allocation
+        of the scheduler run)::
 
-            tcm#K                    K-th TCM allocation fails
-            rpcmem#K                 K-th rpcmem mapping fails
             kvpool#K                 K-th KV block allocation fails
-            rpc#K[:abort|:dma]       K-th FastRPC submit faults
 
         Fleet events (fire at simulated second T on device K of a
         :class:`~repro.fleet.simulation.FleetSimulation`)::
@@ -355,16 +339,9 @@ class FaultPlan:
                 kind = {"abort": "session_abort", "dma": "dma_timeout",
                         "alloc": "alloc_fail"}[head]
                 return FaultEvent(kind, "scheduler.step", int(rest))
-            if "#" in token:
-                head, rest = token.split("#", 1)
-                if head == "rpc":
-                    parts = rest.split(":")
-                    kind = {"abort": "session_abort", "dma": "dma_timeout"}[
-                        parts[1] if len(parts) > 1 else "abort"]
-                    return FaultEvent(kind, "fastrpc.submit", int(parts[0]))
-                site = {"tcm": "tcm.alloc", "rpcmem": "rpcmem.alloc",
-                        "kvpool": "kv_pool.alloc"}[head]
-                return FaultEvent("alloc_fail", site, int(rest))
+            if token.startswith("kvpool#"):
+                return FaultEvent("alloc_fail", "kv_pool.alloc",
+                                  int(token[len("kvpool#"):]))
         except (KeyError, ValueError, IndexError):
             pass
         raise FaultError(
@@ -482,10 +459,15 @@ class FaultPlan:
             (e for e in self.events if e.site == "fleet.device"),
             key=lambda e: (e.time_seconds, e.device, e.kind)))
 
-    def scheduler_plan(self) -> "FaultPlan":
-        """This plan minus its fleet-level events (injector's share)."""
-        return FaultPlan([e for e in self.events
-                          if e.site != "fleet.device"])
+    def refuse_outside(self, sites: Sequence[str], run: str) -> None:
+        """Raise :class:`FaultError` naming the plan's first event at a
+        site outside ``sites``, the only ones ``run`` fires: an event
+        that would never fire is refused, not silently dropped."""
+        for event in self.events:
+            if event.site not in sites:
+                raise FaultError(
+                    f"fault {event.spec()!r} at site {event.site!r} never "
+                    f"fires: {run} arms only {' and '.join(sites)} events")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -516,31 +498,16 @@ class FaultRecord:
     detail: str = ""
 
 
-# exception raised per (site, kind) for raising sites; messages carry the
-# allocation context the caller passes so injected OOMs are debuggable
-# from the exception alone.
-_RAISES = {
-    ("tcm.alloc", "alloc_fail"): TCMAllocationError,
-    ("rpcmem.alloc", "alloc_fail"): AddressSpaceError,
-    ("kv_pool.alloc", "alloc_fail"): KVPoolExhausted,
-    ("fastrpc.submit", "dma_timeout"): DMATimeoutError,
-    ("fastrpc.submit", "session_abort"): SessionAbortError,
-    ("scheduler.step", "dma_timeout"): DMATimeoutError,
-    ("scheduler.step", "session_abort"): SessionAbortError,
-    ("scheduler.step", "alloc_fail"): KVPoolExhausted,
-}
-
-
 class FaultInjector:
     """Consumes a :class:`FaultPlan` during one run.
 
-    Operation-indexed sites call :meth:`maybe_raise` (or :meth:`take`)
-    once per operation; the injector counts calls per site and fires
-    the events whose index matches.  Step-indexed scheduler events are
-    pulled with :meth:`step_events`.  Every fired event is appended to
-    :attr:`injected` and recorded as a ``resilience.fault`` span plus
-    the ``repro.resilience.faults_injected`` counter, so chaos runs are
-    auditable from the trace alone.
+    The operation-indexed site, the KV block pool, calls
+    :meth:`maybe_raise` once per allocation; the injector counts calls
+    and fires the events whose index matches.  Step-indexed scheduler
+    events are pulled with :meth:`step_events`.  Every fired event is
+    appended to :attr:`injected` and recorded as a ``resilience.fault``
+    span plus the ``repro.resilience.faults_injected`` counter, so chaos
+    runs are auditable from the trace alone.
 
     Each event fires exactly once; :attr:`remaining` counts the events
     still pending, which chaos tests assert reaches zero.
@@ -571,10 +538,6 @@ class FaultInjector:
     def remaining(self) -> int:
         return sum(len(evs) for site in self._by_site.values()
                    for evs in site.values())
-
-    def site_index(self, site: str) -> int:
-        """Operations observed so far at ``site``."""
-        return self._counters.get(site, 0)
 
     def _record(self, event: FaultEvent, index: int,
                 step: Optional[int] = None, detail: str = "") -> FaultRecord:
@@ -618,11 +581,11 @@ class FaultInjector:
                     detail: str = "") -> None:
         """Fire any event scheduled for this operation by raising.
 
-        Used by the operation-indexed hooks in :class:`~repro.npu.memory.TCM`,
-        :class:`~repro.npu.memory.RpcMemHeap`,
-        :class:`~repro.llm.block_pool.BlockPool` and
-        :class:`~repro.npu.soc.FastRPCSession`.  ``detail`` is embedded
-        in the exception message (requested vs. free bytes etc.).
+        Used by the hook in :class:`~repro.llm.block_pool.BlockPool`, so
+        a fired ``alloc_fail`` raises
+        :class:`~repro.errors.KVPoolExhausted`.  ``detail`` is embedded
+        in the exception message (requested vs. free bytes etc.), so an
+        injected failure is debuggable from the exception alone.
         """
         events = self.take(site, index)
         if not events:
@@ -631,11 +594,10 @@ class FaultInjector:
         fired_at = (index if index is not None
                     else self._counters.get(site, 1) - 1)
         self._record(event, fired_at, detail=detail)
-        exc = _RAISES.get((site, event.kind), FaultError)
-        message = (f"injected {event.kind} at {site}[{fired_at}]")
+        message = f"injected {event.kind} at {site}[{fired_at}]"
         if detail:
             message += f": {detail}"
-        raise exc(message)
+        raise KVPoolExhausted(message)
 
     def step_events(self, step: int) -> List[FaultEvent]:
         """Scheduler-step events for decode step ``step`` (recorded)."""

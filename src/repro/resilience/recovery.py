@@ -1,18 +1,13 @@
 """Recovery policies: retries, backoff, and graceful degradation.
 
-Three layers consume this module:
+Two layers consume this module:
 
-* :class:`ResilientSession` wraps a
-  :class:`~repro.npu.soc.FastRPCSession`: transient faults (DMA
-  timeouts) retry after capped exponential backoff; a session abort
-  additionally reopens the session before retrying.  Backoff is charged
-  to a :class:`~repro.sim.SimClock`, never to the host clock, so
-  recovery timing is deterministic and visible in the simulated
-  makespan.
-* the continuous-batching scheduler uses :class:`RetryPolicy` directly
-  for its step-retry loop and the degradation ladder (see
+* the continuous-batching scheduler uses :class:`RetryPolicy` for its
+  step-retry loop and the degradation ladder (see
   docs/ARCHITECTURE.md §9): retry -> rebuild-from-snapshot -> evict ->
-  deadline-stop.
+  deadline-stop.  Backoff is charged to a :class:`~repro.sim.SimClock`,
+  never to the host clock, so recovery timing is deterministic and
+  visible in the simulated makespan.
 * the TTS layer uses :func:`degraded_schedule` to apply a fault plan
   and a deadline to an already-sampled Best-of-N wave schedule without
   touching the accuracy RNG stream: surviving candidates are a pure
@@ -27,19 +22,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import (
-    FaultError,
-    RetryExhaustedError,
-    SessionAbortError,
-    TransientFaultError,
-)
+from ..errors import FaultError
 from ..npu.power_mgmt import GOVERNORS
-from ..sim import SimClock
-from ..obs import context as obs_context
 from .faults import FaultPlan
 
-__all__ = ["RetryPolicy", "ResilientSession", "DegradedSchedule",
-           "degraded_schedule"]
+__all__ = ["RetryPolicy", "DegradedSchedule", "degraded_schedule"]
 
 # Whole-batch stall, in decode-step equivalents, charged by the TTS
 # statistical path per fault: an abort pays backoff + session reopen +
@@ -84,67 +71,6 @@ class RetryPolicy:
         if attempt < 0:
             raise FaultError(f"attempt must be >= 0, got {attempt}")
         return min(self.base_seconds * (2.0 ** attempt), self.cap_seconds)
-
-
-class ResilientSession:
-    """Retry/reopen wrapper around a FastRPC session.
-
-    Mirrors what a production libcdsprpc client does: transient faults
-    are retried with backoff; a dead session is reopened (tearing down
-    and re-mapping the mailbox) and the request re-submitted.  When the
-    retry budget is exhausted the last fault is wrapped in
-    :class:`~repro.errors.RetryExhaustedError` so callers can
-    distinguish "NPU is gone" from a single unlucky request.
-    """
-
-    def __init__(self, session, policy: Optional[RetryPolicy] = None,
-                 clock: Optional[SimClock] = None) -> None:
-        self.session = session
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.clock = clock if clock is not None else SimClock()
-        self.retries = 0
-        self.reopens = 0
-
-    def _note_retry(self, attempt: int, error: Exception,
-                    reopened: bool) -> None:
-        self.retries += 1
-        obs = obs_context.current()
-        if obs.tracer.enabled:
-            obs.metrics.counter("repro.resilience.session_retries").inc()
-            with obs.tracer.span("resilience.retry", category="resilience",
-                                 attempt=attempt, reopened=reopened,
-                                 error=type(error).__name__):
-                pass
-        if obs.log.enabled:
-            obs.log.emit("retry", self.clock.total_seconds,
-                         attempt=attempt, reopened=reopened,
-                         error=type(error).__name__)
-
-    def submit(self, opcode: int, payload: np.ndarray) -> np.ndarray:
-        """Submit with retry; see :meth:`FastRPCSession.submit`."""
-        attempt = 0
-        while True:
-            try:
-                return self.session.submit(opcode, payload)
-            except SessionAbortError as error:
-                if attempt >= self.policy.max_retries:
-                    raise RetryExhaustedError(
-                        f"FastRPC submit failed after {attempt} retries: "
-                        f"{error}") from error
-                self.clock.advance(self.policy.backoff(attempt)
-                                   + self.policy.reopen_seconds)
-                self.session.reopen()
-                self.reopens += 1
-                self._note_retry(attempt, error, reopened=True)
-                attempt += 1
-            except TransientFaultError as error:
-                if attempt >= self.policy.max_retries:
-                    raise RetryExhaustedError(
-                        f"FastRPC submit failed after {attempt} retries: "
-                        f"{error}") from error
-                self.clock.advance(self.policy.backoff(attempt))
-                self._note_retry(attempt, error, reopened=False)
-                attempt += 1
 
 
 # ----------------------------------------------------------------------
@@ -197,6 +123,10 @@ def degraded_schedule(candidate_steps: Sequence[int], batch: int,
     * candidates whose finish time exceeds ``deadline_steps`` are
       dropped, except that the earliest finisher always survives.
 
+    The schedule models decode steps only, so a plan holding any event
+    outside ``scheduler.step`` raises :class:`~repro.errors.FaultError`
+    naming the first one.
+
     Pure arithmetic over already-sampled lengths: no RNG, so the
     accuracy stream is untouched and an empty plan with no deadline
     returns every candidate with the baseline makespan.
@@ -210,8 +140,10 @@ def degraded_schedule(candidate_steps: Sequence[int], batch: int,
     if deadline_steps is not None and deadline_steps <= 0:
         raise FaultError(
             f"deadline must be positive, got {deadline_steps}")
-    events = [] if plan is None else [e for e in plan
-                                      if e.site == "scheduler.step"]
+    events = ()
+    if plan is not None:
+        plan.refuse_outside(("scheduler.step",), "a Best-of-N sweep")
+        events = plan.events
     throttles = [e for e in events if e.kind == "thermal_throttle"]
     aborts = {e.at for e in events if e.kind == "session_abort"}
     dmas = {e.at for e in events if e.kind == "dma_timeout"}

@@ -48,7 +48,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import ReproError, TestingError
+from ..errors import TestingError
 
 __all__ = [
     "ArrayDiff",

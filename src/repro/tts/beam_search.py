@@ -16,7 +16,7 @@ recovers — the monotone-error assumption process rewards rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np

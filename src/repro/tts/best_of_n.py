@@ -9,7 +9,7 @@ gap to pass@N is the selection regret the reward model's AUC controls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import erf, sqrt
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -7,7 +7,7 @@ the selection algorithm at each budget with a shared reward model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from ..errors import ScalingError
@@ -18,7 +18,7 @@ from .best_of_n import evaluate_best_of_n
 from .mcts import evaluate_mcts
 from .reward import RewardModel
 from .self_consistency import evaluate_self_consistency
-from .tasks import ModelProfile, TaskDataset, get_model_profile
+from .tasks import ModelProfile, TaskDataset
 
 __all__ = ["SCALING_METHODS", "ScalingCurve", "budget_sweep"]
 

@@ -53,7 +53,7 @@ class TestFleetFaultGrammar:
         spec = "abort@3,dev#0:crash@2,dma@5"
         plan = FaultPlan.parse(spec)
         assert len(plan.fleet_events()) == 1
-        scheduler = plan.scheduler_plan()
+        scheduler = FaultPlan([e for e in plan if e.site != "fleet.device"])
         assert all(e.device is None for e in scheduler.events)
         assert FaultPlan.parse(scheduler.spec()) == scheduler
 
@@ -85,8 +85,8 @@ class TestFleetFaultGrammar:
         plan = FaultPlan.random(0, n_crashes=2, n_straggles=1, n_drops=1,
                                 n_battery=1, n_devices=8,
                                 horizon_seconds=20.0)
-        assert (plan.scheduler_plan().spec()
-                == FaultPlan.random(0).spec())
+        assert (FaultPlan([e for e in plan if e.site != "fleet.device"])
+                == FaultPlan.random(0))
         assert len(plan.fleet_events()) == 5
         assert FaultPlan.parse(plan.spec()) == plan
 
@@ -534,15 +534,29 @@ class TestChaosReport:
         other event is refused, naming the first one."""
         with pytest.raises(FaultError, match="fault 'alloc@3' at site "
                                              "'scheduler.step' never fires"):
-            _chaos_sim(fault_spec="dev#1:crash@2:5,alloc@3,tcm#0")
+            _chaos_sim(fault_spec="dev#1:crash@2:5,alloc@3")
 
     def test_cli_refuses_events_no_fleet_device_fires(self, capsys):
         from repro.cli import main
 
         code = main(["fleet", "--devices", "4", "--qps", "5",
                      "--requests", "20", "--no-capacity-plan",
-                     "--faults", "tcm#0,abort@1"])
+                     "--faults", "abort@1"])
         assert code == 2
         assert capsys.readouterr().out.splitlines() == [
             "error: fault 'abort@1' at site 'scheduler.step' never fires: "
             "a fleet run arms only fleet.device events"]
+
+    @pytest.mark.parametrize("token", ["tcm#0", "rpcmem#0", "rpc#1:dma"])
+    def test_cli_refuses_a_removed_site_token(self, capsys, token):
+        """``tcm#K``, ``rpcmem#K`` and ``rpc#K`` name no site any run
+        fires: the parser refuses them before the fleet is built."""
+        from repro.cli import main
+
+        code = main(["fleet", "--devices", "4", "--qps", "5",
+                     "--requests", "20", "--no-capacity-plan",
+                     "--faults", f"dev#0:crash@1,{token}"])
+        assert code == 2
+        assert capsys.readouterr().out.splitlines() == [
+            f"error: cannot parse fault spec token {token!r}; see "
+            f"FaultPlan.parse"]

@@ -329,14 +329,42 @@ class TestCLI:
 
     def test_profile_refuses_faults_a_scheduler_run_never_arms(
             self, tmp_path):
+        # tcm#K, rpcmem#K and rpc#K name no site a run fires: the parser
+        # refuses the first before anything runs
         status, text = self._run([
             "profile", "--scheduler", "--batch", "2", "--candidates", "4",
             "--new-tokens", "4", "--faults", "tcm#0,rpc#1,rpcmem#0",
             "--trace-out", str(tmp_path / "t.json")])
         assert status == 2
-        assert len(text.splitlines()) == 1
-        assert text.startswith("error: fault 'rpc#1:abort' at site "
-                               "'fastrpc.submit' never fires")
+        assert text.splitlines() == [
+            "error: cannot parse fault spec token 'tcm#0'; see "
+            "FaultPlan.parse"]
+
+    @pytest.mark.parametrize("token", ["tcm#0", "rpcmem#0", "rpc#1:dma"])
+    def test_profile_scheduler_refuses_a_removed_site_token(self, tmp_path,
+                                                            token):
+        trace = tmp_path / "t.json"
+        status, text = self._run([
+            "profile", "--scheduler", "--batch", "2", "--candidates", "4",
+            "--new-tokens", "4", "--faults", f"abort@1,{token}",
+            "--trace-out", str(trace)])
+        assert status == 2
+        assert text.splitlines() == [
+            f"error: cannot parse fault spec token {token!r}; see "
+            f"FaultPlan.parse"]
+        assert not trace.exists()  # refused before anything ran
+
+    def test_profile_sweep_refuses_faults_it_does_not_model(self, tmp_path):
+        """The Best-of-N sweep schedules decode-step events only; a
+        KV-pool or fleet event is refused, not silently dropped."""
+        status, text = self._run([
+            "profile", "--workload", "sweep",
+            "--faults", "kvpool#0,dev#1:crash@1",
+            "--trace-out", str(tmp_path / "t.json")])
+        assert status == 2
+        assert text.splitlines() == [
+            "error: fault 'dev#1:crash@1' at site 'fleet.device' never "
+            "fires: a Best-of-N sweep arms only scheduler.step events"]
 
     def test_profile_json_repeats_but_for_host_seconds(self, tmp_path):
         """Two runs of one profile list the same rows in the same order;

@@ -13,7 +13,8 @@ a same-named submodule would shadow survives that submodule's import,
 and every name read through ``vars()`` is bound as soon as its owner is
 imported.  Every module can also be the first one imported.  No module
 re-exports a name it imports: each ``__all__`` name and each package
-table entry points at the module that defines it.
+table entry points at the module that defines it.  No module imports a
+name it never reads.
 
 Each case runs in a fresh interpreter, because this process already
 holds most of ``repro``; the module sets are deterministic, so an extra
@@ -85,6 +86,12 @@ VARS_READ = {
     "repro.obs.blame": ["explain_section", "validate_lifecycle",
                         "aggregate_blame"],
     "repro.obs.critical_path": ["validate_lifecycle"],
+}
+
+#: Names a module imports and never reads, each with its reason.
+UNREAD_IMPORTS = {
+    # bound for the host-time benchmark, which wraps it through vars()
+    "repro.kernels.gemm": {"dequantize_stream"},
 }
 
 #: Registries, each of which must be complete once its own module is
@@ -291,42 +298,97 @@ def _defined(tree: ast.Module) -> Set[str]:
     return names
 
 
+def _tables(tree: ast.Module) -> List[Dict[str, List[str]]]:
+    """A package's tables (``_lazy.attach(names=...)``): submodule to
+    the public names it defines."""
+    return [ast.literal_eval(keyword.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", None) == "attach"
+            for keyword in node.keywords if keyword.arg == "names"]
+
+
+def _all(tree: ast.Module) -> List[str]:
+    """The names of a module's literal top-level ``__all__``."""
+    return [name for node in tree.body if isinstance(node, ast.Assign)
+            and any(getattr(target, "id", None) == "__all__"
+                    for target in node.targets)
+            for name in ast.literal_eval(node.value)]
+
+
+def _modules():
+    """(dotted name, file name, directory, parsed tree) of every module
+    of ``repro``."""
+    root = os.path.dirname(repro.__file__)
+    for directory, _, files in os.walk(root):
+        for filename in sorted(files):
+            if filename.endswith(".py"):
+                path = os.path.join(directory, filename)
+                module = os.path.relpath(path[:-3], os.path.dirname(root))
+                yield (module.replace(os.sep, ".").replace(".__init__", ""),
+                       filename, directory, _parse(path))
+
+
 def test_no_module_re_exports_what_it_imports():
     """Each name in a module's ``__all__`` is defined in that module, and
     each package table (``_lazy.attach(names=...)``) names the submodule
     that defines each name, so no public name resolves through a module
     that only imports it."""
-    root = os.path.dirname(repro.__file__)
     problems = []
-    for directory, _, files in os.walk(root):
-        for filename in sorted(files):
-            if not filename.endswith(".py"):
-                continue
-            path = os.path.join(directory, filename)
-            module = os.path.relpath(path[:-3], os.path.dirname(root)) \
-                .replace(os.sep, ".")
-            tree = _parse(path)
-            if filename == "__init__.py":
-                tables = [ast.literal_eval(keyword.value)
-                          for node in ast.walk(tree)
-                          if isinstance(node, ast.Call)
-                          and getattr(node.func, "attr", None) == "attach"
-                          for keyword in node.keywords
-                          if keyword.arg == "names"]
-                for table in tables:
-                    for owner, names in table.items():
-                        defined = _defined(
-                            _parse(os.path.join(directory, owner + ".py")))
-                        problems += [f"{module[:-len('.__init__')]}: {name} "
-                                     f"via {owner}"
-                                     for name in names if name not in defined]
-                continue
-            for node in tree.body:
-                if isinstance(node, ast.Assign) and any(
-                        getattr(target, "id", None) == "__all__"
-                        for target in node.targets):
-                    defined = _defined(tree)
-                    problems += [f"{module}.__all__: {name}"
-                                 for name in ast.literal_eval(node.value)
-                                 if name not in defined]
+    for module, filename, directory, tree in _modules():
+        if filename == "__init__.py":
+            for table in _tables(tree):
+                for owner, names in table.items():
+                    defined = _defined(
+                        _parse(os.path.join(directory, owner + ".py")))
+                    problems += [f"{module}: {name} via {owner}"
+                                 for name in names if name not in defined]
+            continue
+        defined = _defined(tree)
+        problems += [f"{module}.__all__: {name}" for name in _all(tree)
+                     if name not in defined]
     assert not problems, "\n".join(sorted(problems))
+
+
+def _annotations(tree: ast.Module) -> List[ast.expr]:
+    """Every annotation in a module."""
+    found = [node.returns if isinstance(node, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+             else node.annotation for node in ast.walk(tree)
+             if isinstance(node, (ast.arg, ast.AnnAssign, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))]
+    return [annotation for annotation in found if annotation is not None]
+
+
+def _read(tree: ast.Module) -> Set[str]:
+    """The names a module reads: a load anywhere, a name in a quoted
+    annotation, or a public name (its ``__all__``, or a package table)."""
+    quoted = [ast.parse(leaf.value, mode="eval")
+              for annotation in _annotations(tree)
+              for leaf in ast.walk(annotation)
+              if isinstance(leaf, ast.Constant)
+              and isinstance(leaf.value, str)]
+    names = {node.id for root in [tree, *quoted] for node in ast.walk(root)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    names.update(_all(tree))
+    names.update(name for table in _tables(tree)
+                 for table_names in table.values() for name in table_names)
+    return names
+
+
+def _imported(tree: ast.Module) -> Set[str]:
+    """The names a module binds by importing (``__future__`` aside)."""
+    return {alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    """An import no code reads is dead weight, and it can load modules a
+    run never calls; ``UNREAD_IMPORTS`` lists the only ones kept."""
+    problems = sorted(f"{module}: {name}"
+                      for module, _, _, tree in _modules()
+                      for name in _imported(tree) - _read(tree)
+                      if name not in UNREAD_IMPORTS.get(module, ()))
+    assert not problems, "\n".join(problems)

@@ -11,12 +11,9 @@ import numpy as np
 import pytest
 
 from repro.errors import (
-    AddressSpaceError,
-    DMATimeoutError,
     EngineError,
     FaultError,
     KVPoolExhausted,
-    RetryExhaustedError,
     SessionAbortError,
     TCMAllocationError,
 )
@@ -30,11 +27,10 @@ from repro.resilience import (
     FaultEvent,
     FaultInjector,
     FaultPlan,
-    ResilientSession,
+    INJECTION_SITES,
     RetryPolicy,
     degraded_schedule,
 )
-from repro.sim import SimClock
 from repro.tts import TaskDataset, get_model_profile
 from repro.tts.best_of_n import evaluate_best_of_n
 
@@ -54,10 +50,9 @@ def make_scheduler(tiny_model, batch=4):
 # ----------------------------------------------------------------------
 class TestFaultPlan:
     def test_parse_spec_roundtrip(self):
-        spec = ("abort@2,dma@4,alloc@5,throttle@3:efficiency:4,"
-                "tcm#1,rpcmem#0,kvpool#7,rpc#2:dma")
+        spec = "abort@2,dma@4,alloc@5,throttle@3:efficiency:4,kvpool#7"
         plan = FaultPlan.parse(spec)
-        assert len(plan) == 8
+        assert len(plan) == 5
         assert FaultPlan.parse(plan.spec()) == plan
 
     def test_empty_plan(self):
@@ -80,8 +75,10 @@ class TestFaultPlan:
         assert plan == FaultPlan.random(42)
 
     def test_bad_specs_raise(self):
+        # tcm#K, rpcmem#K and rpc#K name sites no run fires
         for bad in ["abort@", "abort@x", "froz@3", "tcm#", "random:x",
-                    "throttle@1:nope?"]:
+                    "throttle@1:nope?", "kvpool#", "tcm#0", "rpcmem#0",
+                    "rpc#1:dma"]:
             with pytest.raises(FaultError):
                 FaultPlan.parse(bad)
         # unknown governor is rejected at schedule time
@@ -93,11 +90,31 @@ class TestFaultPlan:
         with pytest.raises(FaultError):
             FaultEvent("nope")
         with pytest.raises(FaultError):
-            FaultEvent("session_abort", site="tcm.alloc")
+            FaultEvent("session_abort", site="kv_pool.alloc")
         with pytest.raises(FaultError):
             FaultEvent("session_abort", at=-1)
         with pytest.raises(FaultError):
             FaultEvent("thermal_throttle", duration_steps=0)
+
+    def test_every_site_is_one_a_run_fires(self):
+        """The grammar names the scheduler's decode step, its KV block
+        pool and the fleet's devices, and one token reaches each."""
+        assert INJECTION_SITES == ("scheduler.step", "kv_pool.alloc",
+                                   "fleet.device")
+        plan = FaultPlan.parse("abort@1,kvpool#0,dev#0:drop@1")
+        assert {e.site for e in plan} == set(INJECTION_SITES)
+
+    def test_refuse_outside_names_the_first_unarmed_event(self):
+        plan = FaultPlan.parse("abort@1,kvpool#0,dev#0:drop@1")
+        plan.refuse_outside(INJECTION_SITES, "any run")
+        FaultPlan.empty().refuse_outside((), "no run")
+        with pytest.raises(FaultError) as err:
+            plan.refuse_outside(("scheduler.step", "kv_pool.alloc"),
+                                "a scheduler run")
+        assert str(err.value) == (
+            "fault 'dev#0:drop@1' at site 'fleet.device' never fires: a "
+            "scheduler run arms only scheduler.step and kv_pool.alloc "
+            "events")
 
 
 class TestFaultInjector:
@@ -113,28 +130,22 @@ class TestFaultInjector:
         assert len(injector.injected) == 2
 
     def test_op_indexed_maybe_raise(self):
-        injector = FaultInjector(FaultPlan.parse("tcm#2"))
-        injector.maybe_raise("tcm.alloc")
-        injector.maybe_raise("tcm.alloc")
-        with pytest.raises(TCMAllocationError, match="injected alloc_fail"):
-            injector.maybe_raise("tcm.alloc", detail="requested 64 bytes")
-        injector.maybe_raise("tcm.alloc")  # fired exactly once
-        assert injector.site_index("tcm.alloc") == 4
+        injector = FaultInjector(FaultPlan.parse("kvpool#2"))
+        injector.maybe_raise("kv_pool.alloc")
+        injector.maybe_raise("kv_pool.alloc")
+        assert injector.remaining == 1
+        with pytest.raises(KVPoolExhausted,
+                           match=r"injected alloc_fail at kv_pool\.alloc\[2\]"
+                                 ": requested 64 bytes"):
+            injector.maybe_raise("kv_pool.alloc", detail="requested 64 bytes")
+        injector.maybe_raise("kv_pool.alloc")  # fired exactly once
+        assert injector.remaining == 0
 
 
 # ----------------------------------------------------------------------
 # memory-site hooks and error messages
 # ----------------------------------------------------------------------
 class TestAllocSites:
-    def test_tcm_injected_failure_carries_context(self):
-        tcm = TCM(capacity=4096)
-        tcm.fault_injector = FaultInjector(FaultPlan.parse("tcm#0"))
-        with pytest.raises(TCMAllocationError) as err:
-            tcm.alloc(256)
-        message = str(err.value)
-        assert "256" in message and "free" in message
-        assert tcm.used_bytes() == 0
-
     def test_tcm_real_exhaustion_reports_requested_and_peak(self):
         tcm = TCM(capacity=1024)
         tcm.alloc(512)
@@ -143,18 +154,13 @@ class TestAllocSites:
         message = str(err.value)
         assert "1024" in message and "peak" in message
 
-    def test_rpcmem_injected_failure(self):
-        heap = get_device("oneplus_12").rpcmem_heap()
-        heap.fault_injector = FaultInjector(FaultPlan.parse("rpcmem#1"))
-        heap.alloc(1 << 20, name="first")
-        with pytest.raises(AddressSpaceError, match="injected alloc_fail"):
-            heap.alloc(1 << 20, name="second")
-
     def test_kv_pool_injected_failure(self):
         pool = BlockPool(capacity_bytes=8192, block_size=512)
         pool.fault_injector = FaultInjector(FaultPlan.parse("kvpool#0"))
-        with pytest.raises(KVPoolExhausted, match="injected alloc_fail"):
+        with pytest.raises(KVPoolExhausted,
+                           match="injected alloc_fail") as err:
             pool.alloc(512)
+        assert "512" in str(err.value) and "free" in str(err.value)
         assert pool.blocks_in_use == 0
 
     def test_kv_pool_real_exhaustion_is_engine_error(self):
@@ -171,10 +177,9 @@ class TestAllocSites:
 # FastRPC session recovery
 # ----------------------------------------------------------------------
 class TestSessionRecovery:
-    def make_session(self, plan=None):
+    def make_session(self):
         heap = get_device("oneplus_12").rpcmem_heap()
-        injector = FaultInjector(plan) if plan is not None else None
-        session = FastRPCSession(heap, fault_injector=injector)
+        session = FastRPCSession(heap)
         session.register_op(1, lambda p: p.astype(np.uint8) + 1)
         return session
 
@@ -192,35 +197,6 @@ class TestSessionRecovery:
         session = self.make_session()
         with pytest.raises(EngineError):
             session.reopen()
-
-    def test_injected_abort_kills_session(self):
-        session = self.make_session(FaultPlan.parse("rpc#1:abort"))
-        session.submit(1, np.array([1], dtype=np.uint8))
-        with pytest.raises(SessionAbortError):
-            session.submit(1, np.array([2], dtype=np.uint8))
-        assert not session.alive
-
-    def test_resilient_session_retries_through_abort_and_dma(self):
-        clock = SimClock()
-        session = self.make_session(FaultPlan.parse("rpc#0:abort,rpc#2:dma"))
-        resilient = ResilientSession(session, RetryPolicy(max_retries=3),
-                                     clock=clock)
-        out = resilient.submit(1, np.array([9], dtype=np.uint8))
-        assert int(out[0]) == 10
-        out = resilient.submit(1, np.array([19], dtype=np.uint8))
-        assert int(out[0]) == 20
-        assert resilient.retries == 2
-        assert resilient.reopens == 1
-        assert session.alive
-        assert clock.total_seconds > 0  # backoff charged to sim time
-
-    def test_resilient_session_exhausts_retries(self):
-        plan = FaultPlan([FaultEvent("session_abort", "fastrpc.submit", i)
-                          for i in range(5)])
-        session = self.make_session(plan)
-        resilient = ResilientSession(session, RetryPolicy(max_retries=2))
-        with pytest.raises(RetryExhaustedError):
-            resilient.submit(1, np.array([0], dtype=np.uint8))
 
     def test_backoff_is_capped_exponential(self):
         policy = RetryPolicy(max_retries=5, base_seconds=0.01,
@@ -331,23 +307,6 @@ class TestSchedulerChaos:
         result = self.run(tiny_model, FaultPlan.parse("kvpool#10"))
         assert result.n_evictions == 1
         assert len(result.candidates) == 8
-
-    @pytest.mark.parametrize("spec, first, site", [
-        ("tcm#0", "tcm#0", "tcm.alloc"),
-        ("rpcmem#0", "rpcmem#0", "rpcmem.alloc"),
-        ("rpc#1", "rpc#1:abort", "fastrpc.submit"),
-        ("abort@1,kvpool#3,tcm#2,rpcmem#0", "rpcmem#0", "rpcmem.alloc")])
-    def test_a_fault_the_run_never_arms_is_refused(self, tiny_model, spec,
-                                                   first, site):
-        """A run fires only step and KV-pool events; any other event
-        would never fire and is refused before the run starts."""
-        engine, sched = make_scheduler(tiny_model)
-        with pytest.raises(FaultError) as excinfo:
-            sched.generate([1, 2, 3, 4], n_candidates=4, max_new_tokens=4,
-                           sampler=Sampler(temperature=0.8, seed=11),
-                           fault_plan=FaultPlan.parse(spec))
-        assert f"{first!r} at site {site!r}" in str(excinfo.value)
-        assert engine.cache.pool.blocks_in_use == 0
 
     def test_fleet_device_events_are_left_to_the_fleet(self, tiny_model):
         result = self.run(tiny_model, FaultPlan.parse("abort@1,dev#0:crash@1"))
@@ -560,6 +519,22 @@ class TestTTSDegradation:
         assert empty.accuracy == plain.accuracy
         assert empty.oracle_accuracy == plain.oracle_accuracy
         assert not empty.degraded
+
+    def test_best_of_n_refuses_events_it_does_not_model(self, inputs):
+        """The sweep's schedule fires decode-step events only: a KV-pool
+        or fleet event is refused, naming the first, not ignored."""
+        profile, dataset = inputs
+        for spec, first in (("kvpool#0", "'kvpool#0' at site "
+                                         "'kv_pool.alloc'"),
+                            ("abort@1,kvpool#0,dev#1:crash@1",
+                             "'dev#1:crash@1' at site 'fleet.device'")):
+            with pytest.raises(FaultError) as err:
+                evaluate_best_of_n(dataset, profile, budget=4,
+                                   engine_batch=2,
+                                   fault_plan=FaultPlan.parse(spec))
+            assert str(err.value) == (
+                f"fault {first} never fires: a Best-of-N sweep arms only "
+                f"scheduler.step events")
 
     def test_sweep_rejects_chaos_for_other_methods(self, inputs):
         from repro.errors import ScalingError

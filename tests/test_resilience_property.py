@@ -2,9 +2,9 @@
 
 Random interleavings of fault injection with the scheduler's
 admit/retire lifecycle must leave the KV block pool empty, and random
-TCM allocation walks with injected failures must return the arena to
-zero used bytes — the degradation ladder can drop candidates, but it
-can never strand a block or a TCM region.
+TCM allocation walks that run the arena out must return it to zero used
+bytes — the degradation ladder can drop candidates, but it can never
+strand a block, and a failed allocation never strands a TCM region.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ from repro.llm import (
 )
 from repro.npu import DEVICES
 from repro.npu.memory import TCM
-from repro.resilience import FaultEvent, FaultInjector, FaultPlan
+from repro.resilience import FaultEvent, FaultPlan
 
 pytestmark = [pytest.mark.chaos, pytest.mark.slow]
 
@@ -74,20 +74,19 @@ class TestSchedulerNeverLeaks:
 
 
 class TestTCMNeverLeaks:
-    @given(sizes=st.lists(st.integers(1, 512), min_size=1, max_size=20),
-           fault_ops=st.sets(st.integers(0, 19), max_size=5))
+    @given(sizes=st.lists(st.integers(1, 512), min_size=1, max_size=20))
     @settings(max_examples=50, deadline=None)
-    def test_alloc_free_walk_returns_to_zero(self, sizes, fault_ops):
-        tcm = TCM(capacity=8192)
-        tcm.fault_injector = FaultInjector(FaultPlan(
-            [FaultEvent("alloc_fail", "tcm.alloc", op)
-             for op in fault_ops]))
+    def test_alloc_free_walk_returns_to_zero(self, sizes):
+        # 2 KiB holds at most sixteen aligned regions, so most walks
+        # run the arena out
+        tcm = TCM(capacity=2048)
         live = []
         for size in sizes:
+            used = tcm.used_bytes()
             try:
                 live.append(tcm.alloc(size))
             except TCMAllocationError:
-                pass  # injected or genuine: either way nothing was handed out
+                assert tcm.used_bytes() == used  # nothing was handed out
         for region in live:
             tcm.free(region)
         assert tcm.used_bytes() == 0
